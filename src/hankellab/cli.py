@@ -11,20 +11,19 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .dyadic import make_partition
-from .grid import Grid, GridFunction, norm
-from .heat import HeatKernelEval, TimeGrid, gaussian_bound_check, heat_apply
+from .grid import POINTS_PER_PANEL, Grid, GridFunction, norm
+from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex
 from .symbols import parse_symbol
 from .sobolev import hormander_sup
 from .transform import TransformPlan, hankel_transform, inverse_hankel
-from .multiplier import apply_multiplier
 from .verify import (cz_hormander_check, h1_atom_check, lp_norm_probe,
                      weak11_probe)
 
@@ -33,6 +32,9 @@ MEMORY_LIMIT_BYTES = 2 << 30
 
 SUITES = ("transform-selftest", "heat-selftest", "multiplier-check",
           "cz-check", "h1-check", "lp-probe")
+# heat-selftest compares its two routes on x < R - HEAT_MARGIN sqrt(t)
+HEAT_TIMES = (0.25, 1.0, 4.0)
+HEAT_MARGIN = 6.0
 
 
 @dataclass
@@ -51,7 +53,6 @@ class RunConfig:
     jmax: int = 10
     p: float = 2.0
     seed: int = 1234
-    threads: int = 0
     output: str = "hankellab-out"
 
     def digest(self):
@@ -78,14 +79,10 @@ def _coerce(cfg: RunConfig, key, val):
     cur = getattr(cfg, key)
     if key == "alpha":
         return tuple(float(a) for a in str(val).split(","))
-    if isinstance(cur, bool):
-        return str(val).lower() in ("1", "true", "yes")
     if isinstance(cur, int):
         return int(val)
     if isinstance(cur, float):
         return float(val)
-    if isinstance(cur, tuple):
-        return tuple(val)
     return str(val)
 
 
@@ -103,9 +100,36 @@ def build_config(args):
     if len(cfg.alpha) == 1 and cfg.dims > 1:
         cfg.alpha = cfg.alpha * cfg.dims
     cfg.dims = len(cfg.alpha)
-    if cfg.threads == 0:
-        cfg.threads = int(os.environ.get("HML_THREADS", "0")) or os.cpu_count()
     return cfg
+
+
+def _suite_names(args):
+    if args.command != "suite":
+        return [args.command]
+    names = list(_SUITE_FNS) if args.which == "all" \
+        else [s.strip() for s in args.which.split(",")]
+    unknown = [s for s in names if s not in _SUITE_FNS]
+    if unknown:
+        raise ValueError(f"unknown suites: {unknown}")
+    return names
+
+
+def _check_config(cfg, names):
+    """Refuse values no requested suite can run with, before any grid or
+    plan is built; returns the parsed symbol, which every suite receives."""
+    MultiIndex(cfg.alpha)
+    if cfg.n < POINTS_PER_PANEL:
+        raise ValueError(f"n = {cfg.n}: an axis needs at least "
+                         f"{POINTS_PER_PANEL} nodes")
+    if not cfg.R > 0:
+        raise ValueError(f"R = {cfg.R}: the truncation radius must be > 0")
+    if not 1.0 < cfg.p < np.inf:
+        raise ValueError(f"p = {cfg.p}: must lie in (1, inf)")
+    heat_reach = HEAT_MARGIN * np.sqrt(max(HEAT_TIMES))
+    if "heat-selftest" in names and not cfg.R > heat_reach:
+        raise ValueError(f"R = {cfg.R}: heat-selftest compares on x < R - "
+                         f"{heat_reach:g}, so it needs R > {heat_reach:g}")
+    return parse_symbol(cfg.symbol, cfg.dims)
 
 
 def _estimate_plan_bytes(cfg):
@@ -128,7 +152,7 @@ def _plan(cfg):
 # ---------------------------------------------------------------------------
 # suites
 
-def suite_transform_selftest(cfg):
+def suite_transform_selftest(cfg, sym):
     plan = _plan(cfg)
     grid = plan.grid
     rng = np.random.default_rng(cfg.seed)
@@ -156,7 +180,7 @@ def suite_transform_selftest(cfg):
     return [rep]
 
 
-def suite_heat_selftest(cfg):
+def suite_heat_selftest(cfg, sym):
     alpha = MultiIndex(cfg.alpha)
     hk = HeatKernelEval(alpha)
     plan = _plan(cfg)
@@ -165,19 +189,19 @@ def suite_heat_selftest(cfg):
     f = grid.sample(lambda *xs: np.exp(
         -np.sum((np.stack(xs, axis=-1) - 2.0) ** 2, axis=-1)))
     spec = hankel_transform(plan, f)
-    lam2 = np.sum(np.stack(plan.dual_grid.meshgrid(), axis=-1) ** 2, axis=-1)
+    lam2 = plan.dual_grid.squared_mesh().sum(axis=-1)
     rep = EstimateReport(
         name="heat_selftest",
         parameters={"alpha": list(cfg.alpha), "n": cfg.n, "R": cfg.R},
         provenance="kernel route against the spectral Gaussian multiplier",
     )
     worst = 0.0
-    for t in (0.25, 1.0, 4.0):
+    for t in HEAT_TIMES:
         kern = heat_apply(hk, t, f).values
         spect = inverse_hankel(
             plan, GridFunction(plan.dual_grid, spec.values * np.exp(-t * lam2))
         ).values
-        interior = np.all(mesh < (cfg.R - 6.0 * np.sqrt(t)), axis=-1)
+        interior = np.all(mesh < (cfg.R - HEAT_MARGIN * np.sqrt(t)), axis=-1)
         dev = float(np.max(np.abs((kern - spect)[interior])))
         rep.add(f"route_deviation@t={t}", dev)
         worst = max(worst, dev)
@@ -192,8 +216,7 @@ def suite_heat_selftest(cfg):
     return [rep, gb]
 
 
-def suite_multiplier_check(cfg, flat_tol=10.0):
-    sym = parse_symbol(cfg.symbol, cfg.dims)
+def suite_multiplier_check(cfg, sym, flat_tol=10.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         prof = hormander_sup(sym, cfg.beta, (cfg.jmin, cfg.jmax))
@@ -213,10 +236,9 @@ def suite_multiplier_check(cfg, flat_tol=10.0):
     return [rep]
 
 
-def suite_cz_check(cfg):
+def suite_cz_check(cfg, sym):
     if cfg.dims != 1:
         raise ValueError("cz-check runs in one dimension")
-    sym = parse_symbol(cfg.symbol, cfg.dims)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = cz_hormander_check(MultiIndex(cfg.alpha), sym,
@@ -224,10 +246,9 @@ def suite_cz_check(cfg):
     return [rep]
 
 
-def suite_h1_check(cfg):
+def suite_h1_check(cfg, sym):
     if cfg.dims != 1:
         raise ValueError("h1-check runs in one dimension")
-    sym = parse_symbol(cfg.symbol, cfg.dims)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = h1_atom_check(MultiIndex(cfg.alpha), sym,
@@ -235,8 +256,7 @@ def suite_h1_check(cfg):
     return [rep]
 
 
-def suite_lp_probe(cfg):
-    sym = parse_symbol(cfg.symbol, cfg.dims)
+def suite_lp_probe(cfg, sym):
     plan = _plan(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -246,6 +266,7 @@ def suite_lp_probe(cfg):
     return reps
 
 
+# each suite takes the effective config and the parsed symbol
 _SUITE_FNS = {
     "transform-selftest": suite_transform_selftest,
     "heat-selftest": suite_heat_selftest,
@@ -312,7 +333,6 @@ def _make_parser():
         p.add_argument("--jmax", type=int, default=None)
         p.add_argument("--p", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output", default=None)
     return parser
 
@@ -322,26 +342,18 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
+        names = _suite_names(args)
+        sym = _check_config(cfg, names)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    os.environ.setdefault("OMP_NUM_THREADS", str(cfg.threads))
-    if args.command == "suite":
-        names = list(_SUITE_FNS) if args.which == "all" \
-            else [s.strip() for s in args.which.split(",")]
-        unknown = [s for s in names if s not in _SUITE_FNS]
-        if unknown:
-            print(f"unknown suites: {unknown}", file=sys.stderr)
-            return USAGE_ERROR
-    else:
-        names = [args.command]
     all_reports = []
     try:
         for name in names:
             cfg.suite = name
-            reports = _SUITE_FNS[name](cfg)
+            reports = _SUITE_FNS[name](cfg, sym)
             _write_artifacts(cfg, name, reports, cfg.output)
             all_reports.extend(reports)
     except MemoryError as exc:

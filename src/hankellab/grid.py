@@ -8,7 +8,7 @@ the degenerate/singular factor x^{2 alpha} is resolved for alpha_k near
 return new containers.
 """
 
-import io
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -21,6 +21,8 @@ from scipy.special import gamma, gammainc
 from .specfun import MultiIndex
 
 QUAD_SELFTEST_RTOL = 1e-10
+# Gauss nodes per panel; an axis needs at least one full panel
+POINTS_PER_PANEL = 16
 
 
 class MassDeficitWarning(UserWarning):
@@ -80,7 +82,8 @@ class AxisGrid:
         return self.nodes.size
 
     @staticmethod
-    def build(alpha_k, R, n, points_per_panel=16, grading_levels=10):
+    def build(alpha_k, R, n, points_per_panel=POINTS_PER_PANEL,
+              grading_levels=10):
         """Composite Gauss-Legendre axis with ~n nodes on (0, R]."""
         if R <= 0 or n < points_per_panel:
             raise ValueError("need R > 0 and n >= points_per_panel")
@@ -140,7 +143,8 @@ class Grid:
         object.__setattr__(self, "axes", tuple(self.axes))
 
     @staticmethod
-    def build(alpha, R, n, points_per_panel=16, grading_levels=10):
+    def build(alpha, R, n, points_per_panel=POINTS_PER_PANEL,
+              grading_levels=10):
         """Build a grid; R and n may be scalars or per-axis sequences."""
         if not isinstance(alpha, MultiIndex):
             alpha = MultiIndex(tuple(np.atleast_1d(alpha)))
@@ -175,15 +179,17 @@ class Grid:
         """Euclidean norm |x| at every tensor node (cached)."""
         r = getattr(self, "_rt", None)
         if r is None:
-            r2 = self.axes[0].nodes**2
-            for ax in self.axes[1:]:
-                r2 = np.add.outer(r2, ax.nodes**2)
-            r = np.sqrt(r2)
+            r = np.sqrt(self.squared_mesh().sum(axis=-1))
             object.__setattr__(self, "_rt", r)
         return r
 
     def meshgrid(self):
         return np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
+
+    def squared_mesh(self):
+        """(x_1^2, ..., x_d^2) at every tensor node, shape (*shape, d);
+        built per call, since a cached copy would live as long as the grid."""
+        return np.stack(self.meshgrid(), axis=-1) ** 2
 
     def sample(self, fn):
         """GridFunction from a callable of the d coordinate arrays."""
@@ -346,21 +352,34 @@ def save_binary(f: GridFunction, path):
 
 
 def load_binary(path):
+    """Load a save_binary dump; a foreign, truncated or padded file raises
+    ValueError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("not a hankellab grid-function dump")
-        (d,) = struct.unpack("<i", fh.read(4))
-        heads = [struct.unpack("<idd", fh.read(20)) for _ in range(d)]
+        try:
+            (d,) = struct.unpack("<i", fh.read(4))
+            heads = [struct.unpack("<idd", fh.read(20)) for _ in range(d)]
+        except struct.error:
+            raise ValueError("truncated dump: header cut short") from None
+        sizes = [h[0] for h in heads]
+        if d < 1 or min(sizes) < 1:
+            raise ValueError(f"corrupt header: d={d}, axis sizes {sizes}")
+        count = int(np.prod(sizes))
+        expected = fh.tell() + 16 * sum(sizes) + 16 * count
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            kind = "truncated" if found < expected else "trailing bytes in"
+            raise ValueError(f"{kind} dump: header needs {expected} bytes, "
+                             f"file has {found}")
         axes = []
         for n, a, R in heads:
             nodes = np.frombuffer(fh.read(8 * n), dtype="<f8")
             wts = np.frombuffer(fh.read(8 * n), dtype="<f8")
             axes.append(AxisGrid(nodes, wts, R, a))
         grid = Grid(tuple(axes), MultiIndex(tuple(h[1] for h in heads)))
-        shape = grid.shape
-        count = int(np.prod(shape))
-        vals = np.frombuffer(fh.read(16 * count), dtype="<c16").reshape(shape)
-    return GridFunction(grid, vals.copy())
+        vals = np.frombuffer(fh.read(16 * count), dtype="<c16")
+    return GridFunction(grid, vals.reshape(grid.shape).copy())
 
 
 def save_csv(f: GridFunction, path):
@@ -375,10 +394,7 @@ def save_csv(f: GridFunction, path):
 
 def load_csv(grid: Grid, path):
     """Load a CSV written by save_csv onto a matching grid."""
-    if isinstance(path, (str, bytes)) or hasattr(path, "read"):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    else:
-        data = np.loadtxt(io.StringIO(path), delimiter=",", skiprows=1, ndmin=2)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     coords = [m.ravel() for m in grid.meshgrid()]
     for k in range(grid.d):
         if not np.allclose(data[:, k], coords[k], rtol=1e-12, atol=1e-12):

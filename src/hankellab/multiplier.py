@@ -40,23 +40,16 @@ def apply_multiplier(plan: TransformPlan, m, f: GridFunction):
     return GridFunction(plan.grid, _contract(plan.inv, mvals * spec))
 
 
-def _dual_squared_mesh(plan):
-    mesh = np.stack(
-        np.meshgrid(*(ax.nodes for ax in plan.dual_grid.axes), indexing="ij"),
-        axis=-1,
-    )
-    return mesh**2
-
-
 def dyadic_symbol_values(plan, m, psi: DyadicPartition, j):
     """m_j(lambda) = psi(2^{-j}(lambda_1^2, ..., lambda_d^2)) m(lambda)."""
-    return psi.dilated(j, _dual_squared_mesh(plan)) * _symbol_values(plan, m)
+    u = plan.dual_grid.squared_mesh()
+    return psi.dilated(j, u) * _symbol_values(plan, m)
 
 
 def resolvable_j_band(plan, j_limits=(-20, 20), min_nodes=8):
     """Dyadic indices whose annulus 2^{(j-1)/2} <= |lambda| <= 2^{(j+1)/2}
     holds at least min_nodes dual nodes inside the truncation radius."""
-    r2 = np.sqrt(np.sum(_dual_squared_mesh(plan), axis=-1))
+    r2 = np.sqrt(np.sum(plan.dual_grid.squared_mesh(), axis=-1))
     lam_max = float(np.sqrt(sum(ax.R**2 for ax in plan.dual_grid.axes)))
     lo, hi = j_limits
     band = []
@@ -89,7 +82,7 @@ def kernel_piece(plan: TransformPlan, m, psi: DyadicPartition, j, y):
 def partition_cover_residual(plan, m, psi: DyadicPartition, j_lo, j_hi):
     """Max |sum_j m_j - m| over dual nodes whose squared radius lies in the
     fully covered annulus [2^{j_lo}, 2^{j_hi}]."""
-    u = _dual_squared_mesh(plan)
+    u = plan.dual_grid.squared_mesh()
     r = np.sqrt(np.sum(u * u, axis=-1))
     mvals = _symbol_values(plan, m)
     acc = np.zeros_like(mvals)
@@ -191,11 +184,7 @@ def pointwise_decay_check(alpha, n: Symbol | None = None, N_values=(0, 1, 2, 3, 
         plan = _line_grid(alpha, R, n_x, Lam, 768)
     mvals = n.on_dual_grid(plan.dual_grid)
     hm = np.abs(_contract(plan.inv, mvals))
-    r = np.sqrt(sum(
-        (ax.nodes**2).reshape([ax.n if i == k else 1 for i in range(d)])
-        for k, ax in enumerate(plan.grid.axes)
-    ))
-    r = np.broadcast_to(r, plan.grid.shape)
+    r = np.sqrt(plan.grid.squared_mesh().sum(axis=-1))
     r_lo = fit_range[0]
     r_hi = fit_range[1] or min(ax.R for ax in plan.grid.axes) / 2.0
     edges = np.geomspace(r_lo, r_hi, n_bins + 1)

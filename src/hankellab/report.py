@@ -38,28 +38,6 @@ class EstimateReport:
         }
         return json.dumps(payload, indent=2, default=_coerce)
 
-    def to_table(self):
-        lines = [f"== {self.name} [{self.verdict}] =="]
-        if self.parameters:
-            lines.append("parameters:")
-            for k in sorted(self.parameters):
-                lines.append(f"  {k} = {self.parameters[k]}")
-        if self.fitted_constants:
-            lines.append("fitted:")
-            for k in sorted(self.fitted_constants):
-                v = self.fitted_constants[k]
-                lines.append(f"  {k} = {v:.6g}" if isinstance(v, float) else f"  {k} = {v}")
-        if self.measurements:
-            lines.append("measurements:")
-            for d, v in self.measurements:
-                lines.append(f"  {d:40s} {v: .6e}")
-        return "\n".join(lines)
-
-    def to_csv(self):
-        rows = ["descriptor,value"]
-        rows += [f"{d},{v!r}" for d, v in self.measurements]
-        return "\n".join(rows) + "\n"
-
 
 def _coerce(obj):
     if isinstance(obj, (np.floating, np.integer)):

@@ -28,7 +28,8 @@ class MultiIndex:
         if len(alpha) == 0:
             raise ValueError("alpha must be non-empty")
         if any(not np.isfinite(a) or a <= -0.5 for a in alpha):
-            raise ValueError("every alpha_k must be finite and > -1/2")
+            raise ValueError(f"every alpha_k must be finite and > -1/2, "
+                             f"got {alpha}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "d", len(alpha))
         object.__setattr__(self, "Q", float(sum(2 * a + 1 for a in alpha)))

@@ -12,7 +12,7 @@ Tabulated symbols load from CSV with columns u_1..u_d, Re n, Im n.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -46,11 +46,7 @@ class Symbol:
 
     def on_dual_grid(self, dual_grid):
         """m(lambda) = n(lambda^2) sampled on a dual tensor grid."""
-        mesh = np.stack(
-            np.meshgrid(*(ax.nodes for ax in dual_grid.axes), indexing="ij"),
-            axis=-1,
-        )
-        return self(mesh**2)
+        return self(dual_grid.squared_mesh())
 
 
 def _xi_cutoff(u):
@@ -76,6 +72,8 @@ def laplace_type_symbol(d, phi="const", gamma=None):
 
         return Symbol(fn, d, 1.0, None, "laplace_type{phi=const}")
     if phi == "imag_power":
+        if gamma is None:
+            raise ValueError("phi=imag_power needs gamma=G")
         g = float(gamma)
         C = gamma_fn(1.0 + 1j * g)
 
@@ -152,6 +150,9 @@ def tabulated_symbol(path, d):
     from scipy.interpolate import RegularGridInterpolator
 
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0 or data.shape[1] != d + 2:
+        raise ValueError(f"{path}: need rows of {d + 2} columns "
+                         f"(u_1..u_{d}, Re n, Im n), got shape {data.shape}")
     coords = [np.unique(data[:, k]) for k in range(d)]
     shape = tuple(c.size for c in coords)
     vals = (data[:, d] + 1j * data[:, d + 1]).reshape(shape)
@@ -172,7 +173,11 @@ _FAMILY_RE = re.compile(r"^(\w+)(?:\{(.*)\})?$")
 
 
 def parse_symbol(spec_str, d):
-    """Parse the mini-language: family name plus {key=value,...} arguments."""
+    """Parse the mini-language: family name plus {key=value,...} arguments.
+
+    A malformed spec raises ValueError; an unreadable tabulated path raises
+    OSError.
+    """
     m = _FAMILY_RE.match(spec_str.strip())
     if not m:
         raise ValueError(f"cannot parse symbol spec: {spec_str!r}")
@@ -185,10 +190,18 @@ def parse_symbol(spec_str, d):
         key, val = (s.strip() for s in part.split("=", 1))
         if key == "phi" and ":" in val:
             phi_mode, sub = val.split(":", 1)
+            if "=" not in sub:
+                raise ValueError(f"bad symbol argument: {part!r}")
             skey, sval = sub.split("=", 1)
             phi_args[skey.strip()] = sval.strip()
         else:
             args[key] = val
+
+    def need(key):
+        if key not in args:
+            raise ValueError(f"symbol {spec_str!r} needs {key}=...")
+        return args[key]
+
     if fam == "laplace_type":
         phi = phi_mode or args.get("phi", "const")
         gamma = phi_args.get("gamma", args.get("gamma"))
@@ -196,11 +209,11 @@ def parse_symbol(spec_str, d):
     if fam == "bump":
         return bump_symbol(d)
     if fam == "oscillatory":
-        return oscillatory_symbol(d, float(args["k"]))
+        return oscillatory_symbol(d, float(need("k")))
     if fam == "potential":
         from .sobolev import potential_symbol
 
-        return potential_symbol(d, float(args["s"]), args["h"])
+        return potential_symbol(d, float(need("s")), need("h"))
     if fam == "divergent":
         return divergent_symbol(d)
     if fam == "heat":
@@ -208,5 +221,5 @@ def parse_symbol(spec_str, d):
     if fam == "const":
         return constant_symbol(d, float(args.get("value", 1.0)))
     if fam == "tabulated":
-        return tabulated_symbol(args["path"], d)
+        return tabulated_symbol(need("path"), d)
     raise ValueError(f"unknown symbol family: {fam!r}")

@@ -96,19 +96,28 @@ def inverse_hankel(plan: TransformPlan, g: GridFunction):
     return GridFunction(plan.grid, _contract(plan.inv, g.values))
 
 
-def _check_aliasing(plan, spec_vals, what):
+def _tail_ratios(plan, spec_vals):
+    """Per dual axis, the largest |spectrum| on the outermost 2% of that
+    axis's nodes over the peak |spectrum|; empty for a zero spectrum."""
     mags = np.abs(spec_vals)
     peak = mags.max()
     if peak == 0.0:
-        return
+        return []
+    ratios = []
     for k, dax in enumerate(plan.dual_grid.axes):
         ntail = max(1, dax.n // 50)
-        idx = [slice(None)] * spec_vals.ndim
+        idx = [slice(None)] * mags.ndim
         idx[k] = slice(dax.n - ntail, dax.n)
-        if mags[tuple(idx)].max() > 1e-6 * peak:
+        ratios.append(float(mags[tuple(idx)].max() / peak))
+    return ratios
+
+
+def _check_aliasing(plan, spec_vals, what):
+    for k, ratio in enumerate(_tail_ratios(plan, spec_vals)):
+        if ratio > 1e-6:
             warnings.warn(
                 f"{what}: spectrum at the axis-{k} dual truncation is "
-                f"{mags[tuple(idx)].max() / peak:.1e} of the peak",
+                f"{ratio:.1e} of the peak",
                 AliasingWarning,
             )
 
@@ -194,17 +203,7 @@ def translation_support_check(plan, f, y, support, tol=1e-6):
 
 def spectral_tail_fraction(plan, f):
     """Max spectral magnitude on the outermost dual nodes over the peak."""
-    spec = np.abs(_contract(plan.fwd, f.values))
-    peak = spec.max()
-    if peak == 0:
-        return 0.0
-    worst = 0.0
-    for k, dax in enumerate(plan.dual_grid.axes):
-        ntail = max(1, dax.n // 50)
-        idx = [slice(None)] * spec.ndim
-        idx[k] = slice(dax.n - ntail, dax.n)
-        worst = max(worst, float(spec[tuple(idx)].max() / peak))
-    return worst
+    return max(_tail_ratios(plan, _contract(plan.fwd, f.values)), default=0.0)
 
 
 def off_diagonal_decay_check(plan, f, delta, y, r_values, t_values,

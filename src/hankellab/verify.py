@@ -1,5 +1,5 @@
 """Experiment harness: Calderon-Zygmund kernel checks, L^p and weak-(1,1)
-probing, Hardy-space atoms, and the maximal-function kernel estimates.
+probing, and Hardy-space atoms against the heat maximal function.
 
 The kernel checks sweep scale-adapted transform plans: each dyadic piece or
 atom gets a grid pair whose bandwidth product Lambda * R stays at a fixed
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicPartition
+from .dyadic import DyadicPartition, make_partition, smooth_chi
 from .grid import Grid, GridFunction, ball_measure, integrate, norm
-from .heat import TimeGrid
-from .report import (FAIL, INCONCLUSIVE, PASS, EstimateReport, bounded_no_trend,
-                     loglog_slope)
+from .heat import TimeGrid, _maximal_field
+from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport, bounded_no_trend
 from .specfun import MultiIndex, e_kernel_axis
 from .symbols import Symbol
 from .transform import TransformPlan, _contract
@@ -49,8 +48,6 @@ def make_atom(grid: Grid, y0, r, profile=None):
     coefficient is fixed by quadrature so the d-nu integral vanishes, then
     the whole thing is scaled to sup norm 1/nu(B(y0, r)).
     """
-    from .dyadic import smooth_chi
-
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     r = float(r)
     if r <= 0:
@@ -121,23 +118,6 @@ def _kernel_row(plan, mvals, y):
     return _contract(plan.inv, mvals * plan.e_dual(np.atleast_1d(y)))
 
 
-def _maximal_field(plan, spec_vals, tg: TimeGrid):
-    """sup over the time grid of |H(e^{-t|lambda|^2} spec_vals)|."""
-    lam2 = 0.0
-    for k, dax in enumerate(plan.dual_grid.axes):
-        sh = [1] * plan.grid.d
-        sh[k] = dax.n
-        lam2 = lam2 + (dax.nodes**2).reshape(sh)
-    best = np.zeros(plan.grid.shape)
-    for t in tg.t_values:
-        damp = np.exp(-t * lam2)
-        if damp.max() < 1e-16:
-            continue
-        np.maximum(best, np.abs(_contract(plan.inv, spec_vals * damp)),
-                   out=best)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Calderon-Zygmund condition and kernel association
 
@@ -184,7 +164,7 @@ def cz_hormander_check(plan_or_alpha, m: Symbol, psi: DyadicPartition,
             Lam = 1.05 * 2.0 ** ((j + 1) / 2.0)
             R = float(max(y.max(), yp.max()) + max(40.0 * scale, 4.0 * r2))
             pl = adapted_plan(alpha, R, Lam, n_dual=n_dual)
-            u = np.stack([dax.nodes**2 for dax in pl.dual_grid.axes], axis=-1)
+            u = pl.dual_grid.squared_mesh()
             with warnings.catch_warnings(record=True) as wlog:
                 warnings.simplefilter("always")
                 mj = psi.dilated(j, u) * m(u)
@@ -224,11 +204,9 @@ def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
     resolvable dyadic band; discrepancies are reported relative to the sup
     of T_m f over the grid.
     """
-    from .dyadic import make_partition
-
     psi = make_partition("plain")
     band = resolvable_j_band(plan)
-    u = _dual_sq(plan)
+    u = plan.dual_grid.squared_mesh()
     S = np.zeros(plan.dual_grid.shape)
     for j in band:
         S = S + psi.dilated(j, u)
@@ -258,14 +236,6 @@ def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
     rep.fitted_constants["max_relative_error"] = worst
     rep.verdict = PASS if worst <= tol else FAIL
     return rep
-
-
-def _dual_sq(plan):
-    mesh = np.stack(
-        np.meshgrid(*(ax.nodes for ax in plan.dual_grid.axes), indexing="ij"),
-        axis=-1,
-    )
-    return mesh**2
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +420,8 @@ def h1_atom_check(plan_or_alpha, m: Symbol, psi_squared: DyadicPartition,
         by_radius.setdefault(r, []).append(total)
         if r in per_j_radii and abs(y0 / r - 5.0) < 1e-9:
             jc = int(round(-2.0 * np.log2(r)))
-            u_f = _dual_sq(fine)
-            u_c = _dual_sq(coarse)
+            u_f = fine.dual_grid.squared_mesh()
+            u_c = coarse.dual_grid.squared_mesh()
             prof = []
             for j in range(jc - 8, jc + 9):
                 pj_f = psi_squared.dilated(j, u_f) ** 2
@@ -480,77 +450,6 @@ def h1_atom_check(plan_or_alpha, m: Symbol, psi_squared: DyadicPartition,
         structure_ok = structure_ok and (peak == 0.0
                                          or ends <= structure_factor * peak)
     rep.verdict = PASS if (ok and structure_ok) else FAIL
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# maximal-kernel estimates for the dyadic-heat compositions
-
-def mjt_kernel_checks(plan_or_alpha, m: Symbol, psi_squared: DyadicPartition,
-                      j_set=tuple(range(-4, 5)), y=2.0,
-                      rho_values=(2.0, 4.0, 8.0, 16.0, 32.0),
-                      tg: TimeGrid | None = None, band_factor=5.0):
-    """Scaling checks for M_(j,t)(x, y), the kernels of the dyadic pieces
-    composed with the heat semigroup.
-
-    Tail: int_{|x-y|>r} sup_t |M_(j,t)| dnu against (2^{j/2} r)^{-delta},
-    with r = rho 2^{-j/2} so the abscissa rho is shared across j.
-    Lipschitz: the y-difference integral against 2^{j/2}|y-y'|.  Passes
-    when the fitted tail slope is negative and both constants sit in a
-    j-uniform band.
-    """
-    alpha = _alpha_of(plan_or_alpha)
-    if alpha.d != 1:
-        raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
-    tg = tg or TimeGrid.build()
-    rep = EstimateReport(
-        name="mjt_kernel_estimates",
-        parameters={"alpha": list(alpha.alpha), "symbol": m.name,
-                    "j_set": list(j_set), "y": y,
-                    "rho_values": list(map(float, rho_values)),
-                    "band_factor": band_factor},
-        provenance="tail decay and Lipschitz scaling of maximal dyadic "
-                   "heat kernels",
-    )
-    all_rho, all_tail = [], []
-    tail_by_j, lip_by_j = {}, {}
-    for j in j_set:
-        scale = 2.0 ** (-j / 2.0)
-        Lam = 1.05 * 2.0 ** ((j + 1) / 2.0)
-        R = y + (max(rho_values) + 30.0) * scale
-        pl = adapted_plan(alpha, R, Lam, n_dual=512, ppw=5.0)
-        u = _dual_sq(pl)
-        mj = psi_squared.dilated(j, u) ** 2 * _symbol_values(pl, m)
-        ey = pl.e_dual(np.array([y]))
-        sup_f = _maximal_field(pl, mj * ey, tg)
-        x = pl.grid.axes[0].nodes
-        w = pl.grid.weight_tensor()
-        tails = []
-        for rho in rho_values:
-            sel = np.abs(x - y) > rho * scale
-            tail = float(np.sum(sup_f[sel] * w[sel]))
-            rep.add(f"tail@j={j},rho={rho:g}", tail)
-            tails.append(tail)
-            all_rho.append(rho)
-            all_tail.append(tail)
-        tail_by_j[j] = tails
-        yp = y + 0.1 * scale
-        eyp = pl.e_dual(np.array([yp]))
-        diff = _maximal_field(pl, mj * (ey - eyp), tg)
-        lip = float(np.sum(diff * w)) / (2.0 ** (j / 2.0) * (yp - y))
-        rep.add(f"lipschitz_ratio@j={j}", lip)
-        lip_by_j[j] = lip
-    slope = loglog_slope(all_rho, all_tail)
-    delta_fit = -slope
-    rep.fitted_constants["delta_fit"] = delta_fit
-    c_j = {j: max(t * np.asarray(rho_values) ** delta_fit)
-           for j, t in tail_by_j.items()}
-    tail_band = max(c_j.values()) / min(c_j.values())
-    lip_band = max(lip_by_j.values()) / min(lip_by_j.values())
-    rep.fitted_constants["tail_constant_band"] = float(tail_band)
-    rep.fitted_constants["lipschitz_band"] = float(lip_band)
-    ok = delta_fit > 0 and tail_band <= band_factor and lip_band <= band_factor
-    rep.verdict = PASS if ok else FAIL
     return rep
 
 

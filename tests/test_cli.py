@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from hankellab.cli import RunConfig, build_config, main
+from hankellab.cli import RunConfig, main
+from hankellab.grid import Grid
 
 
 def run_cli(args):
@@ -55,14 +56,25 @@ class TestConfigHandling:
         assert a.digest() != b.digest()
         assert a.digest() == RunConfig(n=512).digest()
 
-    def test_threads_fallback_env(self, monkeypatch):
-        monkeypatch.setenv("HML_THREADS", "3")
-
-        class Args:
-            config = None
-        args = Args()
-        cfg = build_config(args)
-        assert cfg.threads == 3
+    @pytest.mark.parametrize("argv,named", [
+        (["multiplier-check", "--symbol", "oscillatory"], "k="),
+        (["transform-selftest", "--alpha=-0.7"], "-0.7"),
+        (["transform-selftest", "--n", "8"], "n = 8"),
+        (["transform-selftest", "--R", "0"], "R = 0.0"),
+        (["lp-probe", "--p", "1"], "p = 1.0"),
+        (["heat-selftest", "--R", "10"], "R = 10.0"),
+        (["suite", "transform-selftest,heat-selftest", "--R", "12"],
+         "R = 12.0"),
+    ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
+            "R-zero", "p-one", "heat-R-10", "suite-heat-R-12"])
+    def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
+                                               monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(Grid, "build",
+                            staticmethod(lambda *a, **k: built.append(a)))
+        assert run_cli(argv + ["--output", str(tmp_path)]) == 64
+        assert not built
+        assert named in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

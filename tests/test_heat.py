@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab.grid import Grid, GridFunction, integrate, norm
-from hankellab.heat import (HeatKernelEval, TimeGrid, gaussian_bound_check,
-                            heat_apply, heat_kernel, heat_lipschitz_check,
-                            heat_lipschitz_pointwise, maximal_function)
+from hankellab.grid import AxisGrid, Grid, GridFunction, integrate, norm
+from hankellab.heat import (HeatKernelEval, TimeGrid, _axis_kernel,
+                            gaussian_bound_check, heat_apply, heat_kernel,
+                            heat_lipschitz_check, heat_lipschitz_pointwise,
+                            maximal_function)
 from hankellab.specfun import MultiIndex
 from hankellab.transform import hankel_transform, inverse_hankel
 
@@ -27,8 +28,19 @@ def grid16():
 
 class TestNormalization:
     def test_analytic_candidate_is_half(self, hk_half):
-        # the numerically solved constant agrees with the closed form 1/2
-        assert hk_half.normalization[0] == pytest.approx(0.5, rel=1e-10)
+        # c_k solved from mass 1 at t = 1, y = 1 agrees with the closed form
+        # 1/2 that HeatKernelEval uses, and the solved c_k keeps mass 1 at
+        # other poles; T_1(., y) is a unit-width bump, so R = 16 is ample
+        assert hk_half.normalization == (0.5,)
+        for a in (-0.4, 0.0, 0.5, 1.3, 3.0):
+            ax = AxisGrid.build(a, R=16.0, n=768)
+            raw = _axis_kernel(a, 1.0, 1.0, ax.nodes, 1.0)
+            c = 1.0 / float(np.sum(raw * ax.quad_weights))
+            assert c == pytest.approx(0.5, abs=1e-12)
+            for y in (0.3, 0.8, 1.7, 2.9, 4.4):
+                mass = float(np.sum(_axis_kernel(a, c, 1.0, ax.nodes, y)
+                                    * ax.quad_weights))
+                assert mass == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("a", [-0.25, 0.0, 1.0, 2.0])
     def test_mass_one_at_sample_centers(self, a, grid16=None):
@@ -155,7 +167,7 @@ class TestMaximalFunction:
 @given(t=st.floats(0.1, 10.0), y=st.floats(0.5, 6.0))
 @settings(max_examples=20, deadline=None)
 def test_mass_one_property(t, y):
-    hk = HeatKernelEval(MultiIndex((0.5,)), normalization=(0.5,))
+    hk = HeatKernelEval(MultiIndex((0.5,)))
     g = Grid.build(MultiIndex((0.5,)), R=40.0, n=512)
     x = g.axes[0].nodes
     mass = float(np.sum(heat_kernel(hk, t, x[:, None], np.array([y])) *

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankellab.symbols import (Symbol, bump_symbol, divergent_symbol,
                                heat_symbol, laplace_type_symbol,
@@ -104,3 +106,47 @@ class TestMiniLanguage:
         got = n(probe)
         assert abs(got[0] - 1.0) < 1e-12      # on a table node
         assert abs(got[2]) == 0.0             # outside the table
+
+
+@pytest.mark.parametrize("bad", ["oscillatory", "potential{s=1}",
+                                 "laplace_type{phi=imag_power}",
+                                 "laplace_type{phi=imag_power:gamma}",
+                                 "tabulated{}"])
+def test_missing_argument_is_value_error(bad):
+    with pytest.raises(ValueError, match="needs|bad symbol argument"):
+        parse_symbol(bad, 1)
+
+
+def test_tabulated_with_wrong_columns_is_value_error(tmp_path):
+    path = tmp_path / "tab.csv"
+    path.write_text("u1,re_n\n0.0,1.0\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="columns"):
+        parse_symbol(f"tabulated{{path={path}}}", 1)
+
+
+_FAMILIES = ["laplace_type", "bump", "oscillatory", "potential", "divergent",
+             "heat", "const", "tabulated", "nope"]
+_KEYS = ["phi", "gamma", "k", "s", "h", "t", "value", "path"]
+_VALUES = st.one_of(st.floats().map(repr), st.text(max_size=8),
+                    st.sampled_from(["const", "imag_power", "imag_power:gamma=1",
+                                     "imag_power:gamma", "bump", "cos"]))
+# path-like values stay inside one directory level, so no device file is read
+_SPECS = st.builds(
+    lambda fam, items: fam + "{" + ",".join(f"{k}={v}" for k, v in items) + "}",
+    st.sampled_from(_FAMILIES),
+    st.lists(st.tuples(st.one_of(st.sampled_from(_KEYS), st.text(max_size=4)),
+                       _VALUES.filter(lambda v: "/" not in v)), max_size=4))
+
+
+@given(spec=st.one_of(st.text(), _SPECS))
+@settings(max_examples=300, deadline=None)
+def test_parse_symbol_returns_symbol_or_value_error(spec):
+    try:
+        sym = parse_symbol(spec, 1)
+    except ValueError:
+        return
+    except OSError:
+        # the one other outcome: a tabulated path that cannot be read
+        assert spec.strip().startswith("tabulated")
+        return
+    assert isinstance(sym, Symbol)
