@@ -125,6 +125,13 @@ def _check_config(cfg, names):
         raise ValueError(f"R = {cfg.R}: the truncation radius must be > 0")
     if not 1.0 < cfg.p < np.inf:
         raise ValueError(f"p = {cfg.p}: must lie in (1, inf)")
+    for name in ("cz-check", "h1-check"):
+        if name in names and cfg.dims != 1:
+            raise ValueError(f"dims = {cfg.dims} (alpha = {cfg.alpha}): "
+                             f"{name} runs in one dimension")
+    if "multiplier-check" in names and cfg.jmin > cfg.jmax:
+        raise ValueError(f"jmin = {cfg.jmin} > jmax = {cfg.jmax}: "
+                         "multiplier-check needs jmin <= jmax")
     heat_reach = HEAT_MARGIN * np.sqrt(max(HEAT_TIMES))
     if "heat-selftest" in names and not cfg.R > heat_reach:
         raise ValueError(f"R = {cfg.R}: heat-selftest compares on x < R - "
@@ -237,8 +244,6 @@ def suite_multiplier_check(cfg, sym, flat_tol=10.0):
 
 
 def suite_cz_check(cfg, sym):
-    if cfg.dims != 1:
-        raise ValueError("cz-check runs in one dimension")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = cz_hormander_check(MultiIndex(cfg.alpha), sym,
@@ -247,8 +252,6 @@ def suite_cz_check(cfg, sym):
 
 
 def suite_h1_check(cfg, sym):
-    if cfg.dims != 1:
-        raise ValueError("h1-check runs in one dimension")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = h1_atom_check(MultiIndex(cfg.alpha), sym,

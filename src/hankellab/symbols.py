@@ -67,6 +67,9 @@ def _xi_cutoff(u):
 def laplace_type_symbol(d, phi="const", gamma=None):
     """Laplace-transform-type family n = Xi * s * int_0^inf e^{-t s} phi(t) dt."""
     if phi == "const":
+        if gamma is not None:
+            raise ValueError("phi=const takes no gamma")
+
         def fn(u):
             return _xi_cutoff(u).astype(complex)
 
@@ -170,32 +173,49 @@ def tabulated_symbol(path, d):
 
 
 _FAMILY_RE = re.compile(r"^(\w+)(?:\{(.*)\})?$")
+# the keys each family takes; gamma may also sit under phi=MODE:gamma=G
+_FAMILY_KEYS = {
+    "laplace_type": {"phi", "gamma"},
+    "bump": set(),
+    "oscillatory": {"k"},
+    "potential": {"s", "h"},
+    "divergent": set(),
+    "heat": {"t"},
+    "const": {"value"},
+    "tabulated": {"path"},
+}
 
 
 def parse_symbol(spec_str, d):
     """Parse the mini-language: family name plus {key=value,...} arguments.
 
-    A malformed spec raises ValueError; an unreadable tabulated path raises
-    OSError.
+    A malformed spec, an unknown family or a key the family does not take
+    raises ValueError; an unreadable tabulated path raises OSError.
     """
     m = _FAMILY_RE.match(spec_str.strip())
     if not m:
         raise ValueError(f"cannot parse symbol spec: {spec_str!r}")
     fam, argstr = m.group(1), m.group(2) or ""
-    args = {}
-    phi_mode, phi_args = None, {}
+    if fam not in _FAMILY_KEYS:
+        raise ValueError(f"unknown symbol family: {fam!r}")
+    args, phi_args = {}, {}
     for part in filter(None, (p.strip() for p in argstr.split(","))):
         if "=" not in part:
             raise ValueError(f"bad symbol argument: {part!r}")
         key, val = (s.strip() for s in part.split("=", 1))
         if key == "phi" and ":" in val:
-            phi_mode, sub = val.split(":", 1)
+            val, sub = val.split(":", 1)
             if "=" not in sub:
                 raise ValueError(f"bad symbol argument: {part!r}")
             skey, sval = sub.split("=", 1)
             phi_args[skey.strip()] = sval.strip()
-        else:
-            args[key] = val
+        args[key] = val
+    unknown = sorted(set(args) - _FAMILY_KEYS[fam]) \
+        + sorted(f"phi:{k}" for k in set(phi_args) - {"gamma"})
+    if unknown:
+        takes = ", ".join(sorted(_FAMILY_KEYS[fam])) or "no keys"
+        raise ValueError(f"symbol {spec_str!r}: {fam} does not take "
+                         f"{', '.join(unknown)} (it takes {takes})")
 
     def need(key):
         if key not in args:
@@ -203,7 +223,7 @@ def parse_symbol(spec_str, d):
         return args[key]
 
     if fam == "laplace_type":
-        phi = phi_mode or args.get("phi", "const")
+        phi = args.get("phi", "const")
         gamma = phi_args.get("gamma", args.get("gamma"))
         return laplace_type_symbol(d, phi, gamma)
     if fam == "bump":
@@ -220,6 +240,4 @@ def parse_symbol(spec_str, d):
         return heat_symbol(d, float(args.get("t", 1.0)))
     if fam == "const":
         return constant_symbol(d, float(args.get("value", 1.0)))
-    if fam == "tabulated":
-        return tabulated_symbol(need("path"), d)
-    raise ValueError(f"unknown symbol family: {fam!r}")
+    return tabulated_symbol(need("path"), d)

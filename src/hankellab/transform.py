@@ -76,7 +76,21 @@ class TransformPlan:
 
 
 def _contract(mats, values):
-    out = np.asarray(values)
+    """Apply mats[k] along axis k of values; axes past len(mats) are a
+    batch.  Complex values against real matrices contract their real and
+    imaginary parts separately, so no complex copy of a matrix is made."""
+    values = np.asarray(values)
+    if values.dtype.kind != "c" or any(np.iscomplexobj(M) for M in mats):
+        return _contract_axes(mats, values)
+    re = _contract_axes(mats, values.real)
+    out = np.empty(re.shape, dtype=np.result_type(re, values))
+    out.real = re
+    out.imag = _contract_axes(mats, values.imag)
+    return out
+
+
+def _contract_axes(mats, values):
+    out = values
     for k, M in enumerate(mats):
         out = np.moveaxis(np.tensordot(M, out, axes=([1], [k])), 0, k)
     return out

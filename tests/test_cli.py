@@ -65,8 +65,15 @@ class TestConfigHandling:
         (["heat-selftest", "--R", "10"], "R = 10.0"),
         (["suite", "transform-selftest,heat-selftest", "--R", "12"],
          "R = 12.0"),
+        (["cz-check", "--dims", "2"], "dims = 2"),
+        (["h1-check", "--alpha", "0.5,1.3"], "dims = 2"),
+        (["multiplier-check", "--jmin", "5", "--jmax", "-5"], "jmin = 5"),
+        (["multiplier-check", "--symbol", "heat{tt=2}"], "tt"),
+        (["multiplier-check", "--symbol", "bump{k=3}"], "not take k"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
-            "R-zero", "p-one", "heat-R-10", "suite-heat-R-12"])
+            "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
+            "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
+            "bump-unknown-key"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from hankellab.grid import AxisGrid, Grid, GridFunction, integrate, norm
 from hankellab.heat import (HeatKernelEval, TimeGrid, _axis_kernel,
-                            gaussian_bound_check, heat_apply, heat_kernel,
-                            heat_lipschitz_check, heat_lipschitz_pointwise,
-                            maximal_function)
+                            _maximal_field, gaussian_bound_check, heat_apply,
+                            heat_kernel, heat_lipschitz_check,
+                            heat_lipschitz_pointwise, maximal_function)
 from hankellab.specfun import MultiIndex
 from hankellab.transform import hankel_transform, inverse_hankel
 
@@ -156,6 +156,50 @@ class TestMaximalFunction:
         m = maximal_function(hk_half, tg, f)
         one = heat_apply(hk_half, float(tg.t_values[5]), f)
         assert np.all(m.values + 1e-12 >= np.abs(one.values))
+
+    @staticmethod
+    def _stepwise_field(plan, spec_vals, tg):
+        # one inverse transform per time, skipping times damped below 1e-16
+        lam2 = plan.dual_grid.squared_mesh().sum(axis=-1)
+        best = np.zeros(plan.grid.shape)
+        for t in tg.t_values:
+            damp = np.exp(-t * lam2)
+            if damp.max() < 1e-16:
+                continue
+            out = spec_vals * damp
+            for k, M in enumerate(plan.inv):
+                out = np.moveaxis(np.tensordot(M.astype(complex), out,
+                                               axes=([1], [k])), 0, k)
+            np.maximum(best, np.abs(out), out=best)
+        return best
+
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_batched_field_matches_stepwise_loop(self, plan_name, kind,
+                                                 request):
+        plan = request.getfixturevalue(plan_name)
+        center = [4.0] * plan.grid.d
+        spec = hankel_transform(plan, gaussian_bump(plan.grid, center, 1.0))
+        vals = spec.values.real
+        if kind == "complex":
+            lam2 = plan.dual_grid.squared_mesh().sum(axis=-1)
+            vals = vals * np.exp(1j * np.sqrt(lam2))
+        # the last two times damp every dual node below 1e-16
+        tg = TimeGrid(np.concatenate([np.geomspace(0.05, 20.0, 9),
+                                      [1e13, 1e14]]))
+        got = _maximal_field(plan, vals, tg)
+        want = self._stepwise_field(plan, vals, tg)
+        assert got.shape == plan.grid.shape and got.dtype == float
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    def test_field_is_zero_when_every_time_is_skipped(self, plan_name,
+                                                      request):
+        plan = request.getfixturevalue(plan_name)
+        vals = np.ones(plan.dual_grid.shape, dtype=complex)
+        got = _maximal_field(plan, vals, TimeGrid(np.geomspace(1e13, 1e15, 4)))
+        assert got.shape == plan.grid.shape
+        assert not got.any()
 
     def test_timegrid_validation(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,19 @@ def test_missing_argument_is_value_error(bad):
         parse_symbol(bad, 1)
 
 
+@pytest.mark.parametrize("bad,named", [
+    ("heat{tt=2}", "tt"),
+    ("bump{k=3}", "k"),
+    ("oscillatory{k=4,t=1}", "t"),
+    ("laplace_type{phi=imag_power:gamma=1.0,k=2}", "k"),
+    ("laplace_type{phi=imag_power:foo=1,gamma=2}", "phi:foo"),
+    ("laplace_type{phi=const,gamma=1}", "gamma"),
+])
+def test_key_the_family_does_not_take_is_value_error(bad, named):
+    with pytest.raises(ValueError, match=rf"(does not take|takes no) {named}\b"):
+        parse_symbol(bad, 1)
+
+
 def test_tabulated_with_wrong_columns_is_value_error(tmp_path):
     path = tmp_path / "tab.csv"
     path.write_text("u1,re_n\n0.0,1.0\n1.0,2.0\n")
@@ -124,8 +137,11 @@ def test_tabulated_with_wrong_columns_is_value_error(tmp_path):
         parse_symbol(f"tabulated{{path={path}}}", 1)
 
 
-_FAMILIES = ["laplace_type", "bump", "oscillatory", "potential", "divergent",
-             "heat", "const", "tabulated", "nope"]
+# the keys each family takes, written out here as the oracle for the parser
+_TAKES = {"laplace_type": {"phi", "gamma"}, "bump": set(), "oscillatory": {"k"},
+          "potential": {"s", "h"}, "divergent": set(), "heat": {"t"},
+          "const": {"value"}, "tabulated": {"path"}}
+_FAMILIES = sorted(_TAKES) + ["nope"]
 _KEYS = ["phi", "gamma", "k", "s", "h", "t", "value", "path"]
 _VALUES = st.one_of(st.floats().map(repr), st.text(max_size=8),
                     st.sampled_from(["const", "imag_power", "imag_power:gamma=1",
@@ -150,3 +166,10 @@ def test_parse_symbol_returns_symbol_or_value_error(spec):
         assert spec.strip().startswith("tabulated")
         return
     assert isinstance(sym, Symbol)
+    # an accepted spec names only keys its family takes
+    fam, _, argstr = spec.strip().partition("{")
+    for part in filter(None, (p.strip() for p in argstr[:-1].split(","))):
+        key, _, val = (s.strip() for s in part.partition("="))
+        assert key in _TAKES[fam]
+        if key == "phi" and ":" in val:
+            assert val.split(":", 1)[1].split("=", 1)[0].strip() == "gamma"

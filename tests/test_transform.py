@@ -12,7 +12,8 @@ from hankellab.specfun import MultiIndex, bessel_operator_fd
 from hankellab.transform import (AliasingWarning, ResolutionWarning,
                                  TransformPlan, convolve,
                                  dilation_identity_check, hankel_transform,
-                                 inverse_hankel, off_diagonal_decay_check,
+                                 _contract, inverse_hankel,
+                                 off_diagonal_decay_check,
                                  spectral_tail_fraction, translate,
                                  translation_support_check,
                                  young_inequality_residual)
@@ -179,6 +180,41 @@ class TestOffDiagonalDecay:
                 t_values=np.geomspace(0.5, 2.0, 4))
         assert rep.verdict == "pass"
         assert rep.fitted_constants["slope"] <= -0.4
+
+
+class TestContract:
+    @staticmethod
+    def _upcast_contract(mats, values):
+        out = values
+        for k, M in enumerate(mats):
+            out = np.moveaxis(np.tensordot(M.astype(complex), out,
+                                           axes=([1], [k])), 0, k)
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_complex_values_real_matrices(self, d, batch):
+        rng = np.random.default_rng(d)
+        cols = (7, 6, 5)[:d]
+        mats = [rng.standard_normal((c + 2, c)) for c in cols]
+        shape = cols + batch
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _contract(mats, values)
+        want = self._upcast_contract(mats, values)
+        assert got.shape == tuple(c + 2 for c in cols) + batch
+        assert got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # real input stays real
+        real = _contract(mats, values.real)
+        assert real.dtype == float
+        assert np.max(np.abs(real - want.real)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_complex_matrices_are_applied_as_given(self):
+        rng = np.random.default_rng(3)
+        mats = [rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))]
+        values = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        assert np.allclose(_contract(mats, values), mats[0] @ values,
+                           rtol=1e-13, atol=0)
 
 
 @given(c=st.floats(5.0, 8.0), w=st.floats(0.8, 1.5))
