@@ -11,13 +11,14 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from decimal import Decimal
 
 import numpy as np
 
 from . import __version__
 from .dyadic import make_partition
-from .grid import POINTS_PER_PANEL, Grid, GridFunction, norm
+from .grid import POINTS_PER_PANEL, Grid, GridFunction, axis_size, norm
 from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex
@@ -29,6 +30,9 @@ from .verify import (cz_hormander_check, h1_atom_check, lp_norm_probe,
 
 USAGE_ERROR = 64
 MEMORY_LIMIT_BYTES = 2 << 30
+# one 16-node panel per axis in d = 7 already holds 16^7 complex values,
+# 4 GiB, over MEMORY_LIMIT_BYTES
+MAX_DIMS = 6
 
 SUITES = ("transform-selftest", "heat-selftest", "multiplier-check",
           "cz-check", "h1-check", "lp-probe")
@@ -86,20 +90,27 @@ def _coerce(cfg: RunConfig, key, val):
     return str(val)
 
 
+# the RunConfig fields a config file may set; the suite is set per run
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig)
+                    if f.name != "suite")
+
+
 def build_config(args):
     cfg = RunConfig()
     if args.config:
         for key, val in _parse_config_file(args.config).items():
-            if not hasattr(cfg, key):
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key: {key}")
             setattr(cfg, key, _coerce(cfg, key, val))
     for key in vars(cfg):
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, _coerce(cfg, key, flag))
-    if len(cfg.alpha) == 1 and cfg.dims > 1:
-        cfg.alpha = cfg.alpha * cfg.dims
-    cfg.dims = len(cfg.alpha)
+    if len(cfg.alpha) > 1:
+        cfg.dims = len(cfg.alpha)
+    if not 1 <= cfg.dims <= MAX_DIMS:
+        raise ValueError(f"dims = {cfg.dims}: must lie in 1..{MAX_DIMS}")
+    cfg.alpha = cfg.alpha * (cfg.dims // len(cfg.alpha))
     return cfg
 
 
@@ -140,16 +151,19 @@ def _check_config(cfg, names):
 
 
 def _estimate_plan_bytes(cfg):
-    # two dense axis matrices per dimension
-    return 2 * cfg.dims * cfg.n * cfg.n * 8
+    """One float kernel matrix per axis and one complex value tensor, at
+    the node count Grid.build makes for cfg.n."""
+    nodes = axis_size(cfg.n, grading_levels=cfg.grading)
+    return cfg.dims * nodes * nodes * 8 + nodes**cfg.dims * 16
 
 
 def _plan(cfg):
     need = _estimate_plan_bytes(cfg)
     if need > MEMORY_LIMIT_BYTES:
         raise MemoryError(
-            f"plan would need ~{need / 2**30:.1f} GiB of kernel matrices; "
-            "reduce n or dims"
+            # Decimal: need / 2**30 overflows a float for a huge --n
+            f"plan would need ~{Decimal(need) / 2**30:.3g} GiB of kernel "
+            "matrices and grid values; reduce n or dims"
         )
     grid = Grid.build(cfg.alpha, R=cfg.R, n=cfg.n,
                       grading_levels=cfg.grading)

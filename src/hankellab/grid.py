@@ -12,6 +12,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +49,21 @@ def _panel_breaks(R, n_panels, grading_levels):
     h = base[1]
     fine = h * 2.0 ** (-np.arange(grading_levels - 1, 0, -1, dtype=float))
     return np.concatenate([[0.0], fine, base[1:]])
+
+
+def _uniform_panels(n, points_per_panel, grading_levels):
+    # exact division (rounded half to even, as round(float) does), so an
+    # n too large for a float still gives a count
+    panels = round(Fraction(n) / points_per_panel)
+    return max(1, panels - (grading_levels - 1))
+
+
+def axis_size(n, grading_levels=10):
+    """Node count of AxisGrid.build for a request of n nodes: the uniform
+    panels plus the graded subdivision of the first, each panel full."""
+    return POINTS_PER_PANEL * (_uniform_panels(n, POINTS_PER_PANEL,
+                                               grading_levels)
+                               + max(grading_levels - 1, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +104,7 @@ class AxisGrid:
         if R <= 0 or n < points_per_panel:
             raise ValueError("need R > 0 and n >= points_per_panel")
         p = points_per_panel
-        n_panels = max(1, round(n / p) - (grading_levels - 1))
+        n_panels = _uniform_panels(n, p, grading_levels)
         breaks = _panel_breaks(R, n_panels, grading_levels)
         gx, gw = _leggauss(p)
         a, b = breaks[1:-1], breaks[2:]

@@ -72,21 +72,15 @@ def heat_kernel(hk: HeatKernelEval, t, x, y):
     return out
 
 
-def _axis_kernel_matrix(hk, k, t, ax):
-    a, c = hk.alpha.alpha[k], hk.normalization[k]
-    K = _axis_kernel(a, c, t, ax.nodes[:, None], ax.nodes[None, :])
-    return K * ax.quad_weights[None, :]
-
-
 def heat_apply(hk: HeatKernelEval, t, f: GridFunction):
     """Quadrature application of the heat kernel: T_t f."""
     if t <= 0:
         raise ValueError("t must be positive")
-    out = np.asarray(f.values)
-    for k, ax in enumerate(f.grid.axes):
-        M = _axis_kernel_matrix(hk, k, t, ax)
-        out = np.moveaxis(np.tensordot(M, out, axes=([1], [k])), 0, k)
-    return GridFunction(f.grid, out)
+    mats = [_axis_kernel(a, c, t, ax.nodes[:, None], ax.nodes[None, :])
+            * ax.quad_weights[None, :]
+            for a, c, ax in zip(hk.alpha.alpha, hk.normalization, f.grid.axes,
+                                strict=True)]
+    return GridFunction(f.grid, _contract(mats, f.values))
 
 
 def maximal_function(hk: HeatKernelEval, tg: TimeGrid, f: GridFunction,
@@ -99,8 +93,8 @@ def maximal_function(hk: HeatKernelEval, tg: TimeGrid, f: GridFunction,
     _maximal_field); the kernel route is used otherwise.
     """
     if plan is not None:
-        spec = _contract(plan.fwd, f.values)
-        return GridFunction(plan.grid, _maximal_field(plan, spec, tg))
+        return GridFunction(plan.grid,
+                            _maximal_field(plan, plan.forward(f.values), tg))
     best = np.zeros(f.grid.shape)
     for t in tg.t_values:
         np.maximum(best, np.abs(heat_apply(hk, t, f).values), out=best)
@@ -118,7 +112,7 @@ def _maximal_field(plan, spec_vals, tg: TimeGrid):
     keep = damp.reshape(-1, damp.shape[-1]).max(axis=0) >= 1e-16
     if not keep.any():
         return np.zeros(plan.grid.shape)
-    fields = _contract(plan.inv, spec_vals[..., None] * damp[..., keep])
+    fields = plan.inverse(spec_vals[..., None] * damp[..., keep])
     return np.abs(fields).max(axis=-1)
 
 

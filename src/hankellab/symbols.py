@@ -189,7 +189,8 @@ _FAMILY_KEYS = {
 def parse_symbol(spec_str, d):
     """Parse the mini-language: family name plus {key=value,...} arguments.
 
-    A malformed spec, an unknown family or a key the family does not take
+    A malformed spec, an unknown family, a key the family does not take or
+    a key given twice (gamma counts once whether plain or under phi=MODE:)
     raises ValueError; an unreadable tabulated path raises OSError.
     """
     m = _FAMILY_RE.match(spec_str.strip())
@@ -198,18 +199,24 @@ def parse_symbol(spec_str, d):
     fam, argstr = m.group(1), m.group(2) or ""
     if fam not in _FAMILY_KEYS:
         raise ValueError(f"unknown symbol family: {fam!r}")
-    args, phi_args = {}, {}
+    args, phi_args, given = {}, {}, []
     for part in filter(None, (p.strip() for p in argstr.split(","))):
         if "=" not in part:
             raise ValueError(f"bad symbol argument: {part!r}")
         key, val = (s.strip() for s in part.split("=", 1))
+        given.append(key)
         if key == "phi" and ":" in val:
             val, sub = val.split(":", 1)
             if "=" not in sub:
                 raise ValueError(f"bad symbol argument: {part!r}")
-            skey, sval = sub.split("=", 1)
-            phi_args[skey.strip()] = sval.strip()
+            skey, sval = (s.strip() for s in sub.split("=", 1))
+            phi_args[skey] = sval
+            given.append(skey)
         args[key] = val
+    repeated = sorted({k for k in given if given.count(k) > 1})
+    if repeated:
+        raise ValueError(f"symbol {spec_str!r}: {fam} does not take "
+                         f"{', '.join(repeated)} twice")
     unknown = sorted(set(args) - _FAMILY_KEYS[fam]) \
         + sorted(f"phi:{k}" for k in set(phi_args) - {"gamma"})
     if unknown:

@@ -1,9 +1,11 @@
 """The modified Hankel transform, generalized translation, and convolution.
 
-The transform is realized as dense per-axis quadrature-collocation matrices
-(the eigenfunction kernel is separable), applied as successive axis
-contractions.  O(n^2) per axis, which is fine at desk scale and keeps the
-accuracy fully auditable.  Plans are immutable and shareable.
+The transform is realized as one dense kernel matrix per axis (the
+eigenfunction kernel is separable and symmetric in x and lambda, so the
+forward and inverse maps share it), applied as successive axis contractions
+after a diagonal scaling by the source grid's quadrature weights.  O(n^2)
+per axis, which is fine at desk scale and keeps the accuracy fully
+auditable.  Plans are immutable and shareable.
 """
 
 import warnings
@@ -30,11 +32,12 @@ class ResolutionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Cached per-axis kernel*weight matrices for one grid pair.
+    """Per-axis Bessel kernel matrices for one grid pair.
 
-    fwd[k] has shape (dual nodes, nodes) and maps along axis k toward the
-    dual grid; inv[k] (nodes, dual nodes) maps back.  The plan is only valid
-    for the grid pair it was built from.
+    fwd[k] = E_k(lambda, x), shape (dual nodes, nodes), is stored once and
+    inv[k] is its transpose, a view.  forward and inverse apply the source
+    grid's quadrature weights, so no caller folds weights into the kernel.
+    The plan is only valid for the grid pair it was built from.
     """
 
     grid: Grid
@@ -60,9 +63,18 @@ class TransformPlan:
                     ResolutionWarning,
                 )
             E = e_kernel_axis(ax.alpha_k, np.outer(dax.nodes, ax.nodes))
-            fwd.append(E * ax.quad_weights[None, :])
-            inv.append(E.T * dax.quad_weights[None, :])
+            fwd.append(E)
+            inv.append(E.T)
         return TransformPlan(grid, dual_grid, tuple(fwd), tuple(inv))
+
+    def forward(self, values):
+        """H values: grid values (axes past d are a batch) to the dual grid."""
+        return _contract(self.fwd, _weighted(self.grid, values))
+
+    def inverse(self, values):
+        """H values: dual-grid values (axes past d are a batch) back to the
+        grid; the same kernel with the dual grid's weights."""
+        return _contract(self.inv, _weighted(self.dual_grid, values))
 
     def e_dual(self, y):
         """E_y evaluated on the dual tensor grid (product over axes)."""
@@ -73,6 +85,13 @@ class TransformPlan:
             sh[k] = dax.n
             out = out * e_kernel_axis(dax.alpha_k, y[k] * dax.nodes).reshape(sh)
         return out
+
+
+def _weighted(grid, values):
+    """values times the grid's weight tensor, broadcast over batch axes."""
+    values = np.asarray(values)
+    w = grid.weight_tensor()
+    return values * w.reshape(w.shape + (1,) * (values.ndim - w.ndim))
 
 
 def _contract(mats, values):
@@ -100,14 +119,14 @@ def hankel_transform(plan: TransformPlan, f: GridFunction):
     """Hf on the dual grid, computed by d one-axis kernel contractions."""
     if f.grid is not plan.grid and f.grid != plan.grid:
         raise ValueError("function does not live on the plan's grid")
-    return GridFunction(plan.dual_grid, _contract(plan.fwd, f.values))
+    return GridFunction(plan.dual_grid, plan.forward(f.values))
 
 
 def inverse_hankel(plan: TransformPlan, g: GridFunction):
     """Identical computation with the grid roles swapped (H is self-inverse)."""
     if g.grid is not plan.dual_grid and g.grid != plan.dual_grid:
         raise ValueError("function does not live on the plan's dual grid")
-    return GridFunction(plan.grid, _contract(plan.inv, g.values))
+    return GridFunction(plan.grid, plan.inverse(g.values))
 
 
 def _tail_ratios(plan, spec_vals):
@@ -142,18 +161,18 @@ def translate(plan: TransformPlan, f: GridFunction, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (plan.grid.d,) or np.any(y <= 0):
         raise ValueError("y must lie in (0,inf)^d")
-    spec = _contract(plan.fwd, f.values)
+    spec = plan.forward(f.values)
     _check_aliasing(plan, spec, "translate")
-    return GridFunction(plan.grid, _contract(plan.inv, spec * plan.e_dual(y)))
+    return GridFunction(plan.grid, plan.inverse(spec * plan.e_dual(y)))
 
 
 def convolve(plan: TransformPlan, f: GridFunction, g: GridFunction):
     """Hankel convolution via H(f natural g) = Hf * Hg."""
-    sf = _contract(plan.fwd, f.values)
-    sg = _contract(plan.fwd, g.values)
+    sf = plan.forward(f.values)
+    sg = plan.forward(g.values)
     _check_aliasing(plan, sf, "convolve")
     _check_aliasing(plan, sg, "convolve")
-    return GridFunction(plan.grid, _contract(plan.inv, sf * sg))
+    return GridFunction(plan.grid, plan.inverse(sf * sg))
 
 
 def dilation_identity_check(plan, f, t, y, tol=1e-5):
@@ -217,7 +236,7 @@ def translation_support_check(plan, f, y, support, tol=1e-6):
 
 def spectral_tail_fraction(plan, f):
     """Max spectral magnitude on the outermost dual nodes over the peak."""
-    return max(_tail_ratios(plan, _contract(plan.fwd, f.values)), default=0.0)
+    return max(_tail_ratios(plan, plan.forward(f.values)), default=0.0)
 
 
 def off_diagonal_decay_check(plan, f, delta, y, r_values, t_values,

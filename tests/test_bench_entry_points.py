@@ -1,0 +1,58 @@
+"""The names the benchmark in perfbench/ wraps and reads still exist.
+
+perfbench/tracer.py wraps entry points by module and attribute path and
+rebinds every module's binding of them; a refactor that renames one breaks
+the benchmark, which this cheap check reports without running it.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+import hankellab
+from hankellab import Grid, MultiIndex, TransformPlan
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracer",
+    Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+MODULES = ("specfun", "grid", "transform", "heat", "dyadic", "symbols",
+           "sobolev", "multiplier", "verify", "cli")
+
+
+def _module(name):
+    return importlib.import_module(f"hankellab.{name}")
+
+
+def test_every_traced_target_resolves():
+    for name in MODULES:
+        _module(name)
+    targets = tracer._targets("hankellab")
+    assert targets
+    for modname, path, _, _ in targets:
+        obj = _module(modname)
+        for part in path.split("."):
+            assert hasattr(obj, part), f"{modname}.{path}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{modname}.{path}"
+
+
+def test_plan_fields_and_contract_bindings():
+    transform = _module("transform")
+    # the tracer sums .nbytes over fwd and inv and reads 2-D matrix shapes
+    grid = Grid.build(MultiIndex((0.5,)), R=6.0, n=32, grading_levels=2)
+    plan = TransformPlan.build(grid)
+    for mats in (plan.fwd, plan.inv):
+        assert all(isinstance(M, np.ndarray) and M.ndim == 2 for M in mats)
+    assert list(inspect.signature(transform._contract).parameters) == \
+        ["mats", "values"]
+    # each module's own binding is rebound to the traced function
+    for name in ("verify", "multiplier", "heat"):
+        assert _module(name)._contract is transform._contract
+    assert _module("verify")._maximal_field is _module("heat")._maximal_field
+    assert hankellab.TransformPlan is transform.TransformPlan

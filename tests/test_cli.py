@@ -1,11 +1,14 @@
 """Command-line interface: config handling, artifacts, exit statuses."""
 
+import argparse
 import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hankellab.cli import RunConfig, main
+from hankellab.cli import RunConfig, _parse_config_file, build_config, main
 from hankellab.grid import Grid
 
 
@@ -70,10 +73,16 @@ class TestConfigHandling:
         (["multiplier-check", "--jmin", "5", "--jmax", "-5"], "jmin = 5"),
         (["multiplier-check", "--symbol", "heat{tt=2}"], "tt"),
         (["multiplier-check", "--symbol", "bump{k=3}"], "not take k"),
+        (["multiplier-check", "--symbol", "heat{t=1,t=2}"], "t twice"),
+        (["multiplier-check", "--symbol",
+          "laplace_type{phi=imag_power:gamma=1,gamma=2}"], "gamma twice"),
+        (["transform-selftest", "--dims", "0"], "dims = 0"),
+        (["transform-selftest", "--dims", "7"], "dims = 7"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
-            "bump-unknown-key"])
+            "bump-unknown-key", "heat-repeated-key", "gamma-repeated-key",
+            "dims-zero", "dims-above-max"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []
@@ -82,6 +91,55 @@ class TestConfigHandling:
         assert run_cli(argv + ["--output", str(tmp_path)]) == 64
         assert not built
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "digest = abc", "__class__ = x", "suite = h1-check"],
+        ids=["method", "dunder", "suite"])
+    def test_only_settable_fields_are_config_keys(self, line, tmp_path,
+                                                   monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(Grid, "build",
+                            staticmethod(lambda *a, **k: built.append(a)))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        assert run_cli(["transform-selftest", "--config", str(cfg_file),
+                        "--output", str(tmp_path)]) == 64
+        assert not built
+        key = line.split("=")[0].strip()
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+_CONFIG_KEYS = ["alpha", "dims", "n", "R", "grading", "symbol", "beta",
+                "jmin", "jmax", "p", "seed", "output", "suite", "digest",
+                "__class__", "threads"]
+_CONFIG_VALUES = st.one_of(
+    st.integers(-10, 10**6).map(str), st.floats().map(repr),
+    st.text(st.characters(exclude_characters="\n\r"), max_size=12),
+    st.sampled_from(["0.5,1.3", "0.5,", "1e999", "nan", "-0.7", "bump"]))
+_CONFIG_LINES = st.builds(
+    lambda k, v: f"{k} = {v}",
+    st.one_of(st.sampled_from(_CONFIG_KEYS), st.text(max_size=6)),
+    _CONFIG_VALUES)
+_CONFIG_TEXTS = st.one_of(
+    st.text(), st.lists(_CONFIG_LINES, max_size=5).map("\n".join))
+
+
+@given(text=_CONFIG_TEXTS)
+@example(text="digest = abc")
+@example(text="__class__ = x")
+@example(text="suite = h1-check")
+@settings(max_examples=300, deadline=None)
+def test_config_file_gives_run_config_or_value_error(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    args = argparse.Namespace(config=str(path))
+    try:
+        cfg = build_config(args)
+    except ValueError:
+        return
+    assert isinstance(cfg, RunConfig)
+    assert set(_parse_config_file(str(path))) <= set(vars(cfg)) - {"suite"}
+    assert len(cfg.alpha) == cfg.dims
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +181,30 @@ class TestExitStatuses:
                         "--output", str(tmp_path)])
         assert code == 1
         assert "refusing" in capsys.readouterr().err
+
+    def test_memory_refusal_counts_the_grid_values(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # 3 x 1024^2 floats of kernel matrices are ~25 MB, but one complex
+        # value tensor on the 1024^3 grid is ~17 GB
+        def no_grid(*a, **k):
+            raise AssertionError("Grid.build called")
+
+        monkeypatch.setattr(Grid, "build", staticmethod(no_grid))
+        code = run_cli(["transform-selftest", "--dims", "3", "--n", "1024",
+                        "--output", str(tmp_path)])
+        assert code == 1
+        assert "refusing to run" in capsys.readouterr().err
+
+    def test_memory_refusal_for_an_n_too_large_for_a_float(
+            self, tmp_path, monkeypatch, capsys):
+        def no_grid(*a, **k):
+            raise AssertionError("Grid.build called")
+
+        monkeypatch.setattr(Grid, "build", staticmethod(no_grid))
+        code = run_cli(["transform-selftest", "--n", "9" * 401,
+                        "--output", str(tmp_path)])
+        assert code == 1
+        assert "refusing to run" in capsys.readouterr().err
 
     def test_failing_suite_returns_one(self, tmp_path):
         # declared-bound violation inside lp-probe => fail verdict

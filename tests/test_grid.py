@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankellab.grid import (AxisGrid, Grid, GridFunction, MassDeficitWarning,
-                            WeightSpec, ball_measure, dilate, integrate,
+                            WeightSpec, axis_size, ball_measure, dilate,
+                            integrate,
                             load_binary, load_csv, norm, save_binary, save_csv)
 from hankellab.specfun import MultiIndex
 
@@ -69,6 +70,14 @@ class TestAxisGrid:
         ax = AxisGrid.build(0.5, R=2.0, n=64)
         with pytest.raises(ValueError):
             ax.nodes[0] = 1.0
+
+    @pytest.mark.parametrize("n,grading", [
+        (16, 10), (96, 10), (161, 10), (1000, 10), (1024, 10), (40, 2),
+        (100, 1), (100, 0), (600, 12)])
+    def test_axis_size_is_the_built_node_count(self, n, grading):
+        ax = AxisGrid.build(0.5, R=40.0, n=n, grading_levels=grading)
+        assert axis_size(n, grading_levels=grading) == ax.n
+        assert axis_size(16) == 160
 
     @given(a=st.floats(-0.45, 3.0), R=st.floats(0.5, 50.0))
     @settings(max_examples=25, deadline=None)

@@ -113,6 +113,17 @@ class TestSemigroup:
         f = gaussian_bump(grid16, 5.0, 1.0)
         assert norm(heat_apply(hk_half, 1.0, f), 1.0) <= norm(f, 1.0) * (1 + 1e-10)
 
+    def test_dimension_mismatch_is_refused(self, hk_half):
+        # a 1-D kernel on a 2-D grid, or a normalization short of the
+        # kernel's axes, must not apply on only some of the axes
+        grid = Grid.build(MultiIndex((0.5, 0.5)), R=8.0, n=64)
+        f = GridFunction(grid, np.ones(grid.shape))
+        with pytest.raises(ValueError):
+            heat_apply(hk_half, 1.0, f)
+        short = HeatKernelEval(MultiIndex((0.5, 0.5)), normalization=(0.5,))
+        with pytest.raises(ValueError):
+            heat_apply(short, 1.0, f)
+
 
 class TestBounds:
     def test_gaussian_bound_and_regime_bands(self, hk_half):
@@ -166,7 +177,8 @@ class TestMaximalFunction:
             damp = np.exp(-t * lam2)
             if damp.max() < 1e-16:
                 continue
-            out = spec_vals * damp
+            # plan.inv holds the bare kernel; the dual weights go on the input
+            out = spec_vals * damp * plan.dual_grid.weight_tensor()
             for k, M in enumerate(plan.inv):
                 out = np.moveaxis(np.tensordot(M.astype(complex), out,
                                                axes=([1], [k])), 0, k)

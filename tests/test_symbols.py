@@ -124,6 +124,8 @@ def test_missing_argument_is_value_error(bad):
     ("laplace_type{phi=imag_power:gamma=1.0,k=2}", "k"),
     ("laplace_type{phi=imag_power:foo=1,gamma=2}", "phi:foo"),
     ("laplace_type{phi=const,gamma=1}", "gamma"),
+    ("heat{t=1,t=2}", "t"),
+    ("laplace_type{phi=imag_power:gamma=1,gamma=2}", "gamma"),
 ])
 def test_key_the_family_does_not_take_is_value_error(bad, named):
     with pytest.raises(ValueError, match=rf"(does not take|takes no) {named}\b"):

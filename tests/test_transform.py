@@ -217,6 +217,51 @@ class TestContract:
                            rtol=1e-13, atol=0)
 
 
+class TestPlanStorage:
+    @staticmethod
+    def _small_plan(d):
+        alpha = MultiIndex((0.5, 1.0, 0.0)[:d])
+        grid = Grid.build(alpha, R=6.0, n=48, grading_levels=2)
+        dual = Grid.build(alpha, R=4.0, n=32, grading_levels=2)
+        return TransformPlan.build(grid, dual)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_inverse_is_a_view_of_the_forward_kernel(self, d):
+        plan = self._small_plan(d)
+        assert len(plan.fwd) == len(plan.inv) == d
+        for k in range(d):
+            assert plan.fwd[k].shape == (plan.dual_grid.shape[k],
+                                         plan.grid.shape[k])
+            assert np.shares_memory(plan.inv[k], plan.fwd[k])
+            assert np.array_equal(plan.inv[k], plan.fwd[k].T)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_forward_and_inverse_match_weighted_matrices(self, d, batch,
+                                                         kind):
+        # the weights folded into per-axis matrices, E w and E^T w_dual,
+        # contracted with the complex upcast of TestContract
+        plan = self._small_plan(d)
+        fwd_w = [E * ax.quad_weights[None, :]
+                 for E, ax in zip(plan.fwd, plan.grid.axes)]
+        inv_w = [E.T * dax.quad_weights[None, :]
+                 for E, dax in zip(plan.fwd, plan.dual_grid.axes)]
+        rng = np.random.default_rng(d)
+        for shape, method, mats in ((plan.grid.shape, plan.forward, fwd_w),
+                                    (plan.dual_grid.shape, plan.inverse,
+                                     inv_w)):
+            values = rng.standard_normal(shape + batch)
+            if kind == "complex":
+                values = values + 1j * rng.standard_normal(shape + batch)
+            got = method(values)
+            want = TestContract._upcast_contract(mats, values)
+            assert got.shape == want.shape
+            assert (got.dtype == complex) == (kind == "complex")
+            assert np.max(np.abs(got - want)) <= \
+                1e-13 * np.max(np.abs(want))
+
+
 @given(c=st.floats(5.0, 8.0), w=st.floats(0.8, 1.5))
 @settings(max_examples=15, deadline=None)
 def test_plancherel_property(plan_half, c, w):
