@@ -51,18 +51,17 @@ def _panel_breaks(R, n_panels, grading_levels):
     return np.concatenate([[0.0], fine, base[1:]])
 
 
-def _uniform_panels(n, points_per_panel, grading_levels):
+def _uniform_panels(n, grading_levels):
     # exact division (rounded half to even, as round(float) does), so an
     # n too large for a float still gives a count
-    panels = round(Fraction(n) / points_per_panel)
+    panels = round(Fraction(n) / POINTS_PER_PANEL)
     return max(1, panels - (grading_levels - 1))
 
 
 def axis_size(n, grading_levels=10):
     """Node count of AxisGrid.build for a request of n nodes: the uniform
     panels plus the graded subdivision of the first, each panel full."""
-    return POINTS_PER_PANEL * (_uniform_panels(n, POINTS_PER_PANEL,
-                                               grading_levels)
+    return POINTS_PER_PANEL * (_uniform_panels(n, grading_levels)
                                + max(grading_levels - 1, 0))
 
 
@@ -98,15 +97,13 @@ class AxisGrid:
         return self.nodes.size
 
     @staticmethod
-    def build(alpha_k, R, n, points_per_panel=POINTS_PER_PANEL,
-              grading_levels=10):
+    def build(alpha_k, R, n, grading_levels=10):
         """Composite Gauss-Legendre axis with ~n nodes on (0, R]."""
-        if R <= 0 or n < points_per_panel:
-            raise ValueError("need R > 0 and n >= points_per_panel")
-        p = points_per_panel
-        n_panels = _uniform_panels(n, p, grading_levels)
+        if R <= 0 or n < POINTS_PER_PANEL:
+            raise ValueError(f"need R > 0 and n >= {POINTS_PER_PANEL}")
+        n_panels = _uniform_panels(n, grading_levels)
         breaks = _panel_breaks(R, n_panels, grading_levels)
-        gx, gw = _leggauss(p)
+        gx, gw = _leggauss(POINTS_PER_PANEL)
         a, b = breaks[1:-1], breaks[2:]
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
@@ -114,7 +111,7 @@ class AxisGrid:
         # the panel touching 0 uses Gauss-Jacobi with the weight (1+t)^{2a},
         # so the x^{2 alpha} singularity is integrated exactly
         b0 = breaks[1]
-        jx, jw = _jacgauss(p, float(2.0 * alpha_k))
+        jx, jw = _jacgauss(POINTS_PER_PANEL, float(2.0 * alpha_k))
         nodes0 = b0 * (jx + 1.0) / 2.0
         wts0 = (b0 / 2.0) ** (2.0 * alpha_k + 1.0) * jw
         ax = AxisGrid(np.concatenate([nodes0, nodes]),
@@ -159,18 +156,12 @@ class Grid:
         object.__setattr__(self, "axes", tuple(self.axes))
 
     @staticmethod
-    def build(alpha, R, n, points_per_panel=POINTS_PER_PANEL,
-              grading_levels=10):
-        """Build a grid; R and n may be scalars or per-axis sequences."""
+    def build(alpha, R, n, grading_levels=10):
+        """Build a grid with the same R and n on every axis."""
         if not isinstance(alpha, MultiIndex):
             alpha = MultiIndex(tuple(np.atleast_1d(alpha)))
-        Rs = np.broadcast_to(np.asarray(R, dtype=float), (alpha.d,))
-        ns = np.broadcast_to(np.asarray(n, dtype=int), (alpha.d,))
-        axes = tuple(
-            AxisGrid.build(alpha.alpha[k], Rs[k], ns[k], points_per_panel,
-                           grading_levels)
-            for k in range(alpha.d)
-        )
+        axes = tuple(AxisGrid.build(a, R, n, grading_levels)
+                     for a in alpha.alpha)
         return Grid(axes, alpha)
 
     @property
@@ -307,13 +298,13 @@ def ball_measure(grid: Grid, center, r):
     return float(np.sum(grid.weight_tensor()[mask]))
 
 
-def dilate(f: GridFunction, t, mass_tol=1e-8):
+def dilate(f: GridFunction, t):
     """L^1-normalized dilation f_t(x) = t^Q f(t x), resampled on f's grid.
 
     Off-node values come from axiswise cubic interpolation; arguments beyond
     the truncation radius are set to 0 and the lost mass (only possible for
     t < 1) is measured on the original grid and warned about when it exceeds
-    mass_tol relative to the total.
+    1e-8 of the total.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -342,7 +333,7 @@ def dilate(f: GridFunction, t, mass_tol=1e-8):
             lost = abs(integrate(abs(f))) - float(
                 np.sum(np.abs(f.values) * np.where(inside, w, 0.0))
             )
-            if lost > mass_tol * total:
+            if lost > 1e-8 * total:
                 warnings.warn(
                     f"dilate: {lost / total:.2e} relative mass beyond truncation",
                     MassDeficitWarning,

@@ -130,20 +130,23 @@ def _local_ball_measure(grid_or_alpha, x, r):
     return out
 
 
-def gaussian_bound_check(hk: HeatKernelEval, samples, c_exp=0.125,
-                         band_tol=10.0):
-    """Positivity, the Gaussian upper bound with fixed decay rate c_exp, and
-    the two-regime asymptotic bands of the kernel.
+# the fixed decay rate c in the Gaussian bound exp(-c |x-y|^2 / t)
+GAUSSIAN_DECAY = 0.125
+
+
+def gaussian_bound_check(hk: HeatKernelEval, samples, band_tol=10.0):
+    """Positivity, the Gaussian upper bound with decay rate GAUSSIAN_DECAY,
+    and the two-regime asymptotic bands of the kernel.
 
     samples: array of (t, x, y) with x, y shaped (d,).  The Gaussian-bound
-    constant is the maximal T_t(x,y) nu(B(x,sqrt t)) exp(c_exp |x-y|^2/t)
+    constant is the maximal T_t(x,y) nu(B(x,sqrt t)) exp(c |x-y|^2/t)
     over the sample; the regime bands use the per-axis factorization and are
     reported as max/min ratios.
     """
     d = hk.alpha.d
     rep = EstimateReport(
         name="heat_gaussian_bound",
-        parameters={"c_exp": c_exp, "n_samples": len(samples),
+        parameters={"c_exp": GAUSSIAN_DECAY, "n_samples": len(samples),
                     "alpha": list(hk.alpha.alpha), "band_tol": band_tol},
         provenance="heat kernel Gaussian bound and two-regime asymptotics",
     )
@@ -156,7 +159,7 @@ def gaussian_bound_check(hk: HeatKernelEval, samples, c_exp=0.125,
         neg = min(neg, T)
         dist2 = float(np.sum((x - y) ** 2))
         volB = float(_local_ball_measure(hk.alpha, x, np.sqrt(t)))
-        Cs.append(T * volB * np.exp(c_exp * dist2 / t))
+        Cs.append(T * volB * np.exp(GAUSSIAN_DECAY * dist2 / t))
         # per-axis two-regime ratios (our measure convention: x^{2a} dx)
         for k, (a, c) in enumerate(zip(hk.alpha.alpha, hk.normalization)):
             xk, yk = x[k], y[k]

@@ -48,20 +48,20 @@ def dyadic_symbol_values(plan, m, psi: DyadicPartition, j):
     return psi.dilated(j, u) * _symbol_values(plan, m)
 
 
-def resolvable_j_band(plan, j_limits=(-20, 20), min_nodes=8):
-    """Dyadic indices whose annulus 2^{(j-1)/2} <= |lambda| <= 2^{(j+1)/2}
-    holds at least min_nodes dual nodes inside the truncation radius."""
+def resolvable_j_band(plan):
+    """Dyadic indices j in -20..20 whose annulus 2^{(j-1)/2} <= |lambda|
+    <= 2^{(j+1)/2} holds at least 8 dual nodes inside the truncation
+    radius."""
     r2 = np.sqrt(np.sum(plan.dual_grid.squared_mesh(), axis=-1))
     lam_max = float(np.sqrt(sum(ax.R**2 for ax in plan.dual_grid.axes)))
-    lo, hi = j_limits
     band = []
-    for j in range(lo, hi + 1):
+    for j in range(-20, 21):
         if 2.0 ** ((j + 1) / 2.0) > lam_max:
             continue
         cnt = int(np.count_nonzero(
             (r2 >= 2.0 ** ((j - 1) / 2.0)) & (r2 <= 2.0 ** ((j + 1) / 2.0))
         ))
-        if cnt >= min_nodes:
+        if cnt >= 8:
             band.append(j)
     return band
 
@@ -96,12 +96,11 @@ def partition_cover_residual(plan, m, psi: DyadicPartition, j_lo, j_hi):
     return float(np.max(np.abs(acc - mvals)[covered]))
 
 
-def global_sobolev_norm(n: Symbol, beta, **kwargs):
+def global_sobolev_norm(n: Symbol, beta):
     """||n||_{W^beta_2(R^d)} for compactly supported n, via the windowless
     variant of the box-FFT Sobolev norm."""
     return local_sobolev_norm(
-        n, 0, beta, eta=lambda u: np.ones(np.asarray(u).shape[:-1]), **kwargs
-    )
+        n, 0, beta, eta=lambda u: np.ones(np.asarray(u).shape[:-1]))
 
 
 def _line_grid(alpha, R, n, Lam, n_dual):
@@ -110,18 +109,20 @@ def _line_grid(alpha, R, n, Lam, n_dual):
     return TransformPlan.build(grid, dual)
 
 
-def weighted_transform_bound_check(alpha, s=1.0, epsilon=0.5, k_max=32,
-                                   lemma="2.1", plan=None, band_factor=10.0):
+def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1",
+                                   band_factor=10.0):
     """Ratio LHS/RHS of the weighted transform bound over the oscillatory
     family n_k(u) = eta(u) e^{i k u_1}, k = 0..k_max (k = 0 is the baseline).
 
-    LHS = ||H(m_k) w^s||_{L^2(X)}; RHS = ||n_k||_{W^beta_2} with
+    LHS = ||H(m_k) w^s||_{L^2(X)} with s = 1; RHS = ||n_k||_{W^beta_2} with
     beta = s + d/2 + epsilon (lemma "2.1") or beta = s + epsilon
-    (lemma "2.2", which needs every alpha_k >= 1/2).  Passes when the ratio
-    stays within band_factor times the baseline across the family.
+    (lemma "2.2", which needs every alpha_k >= 1/2), epsilon = 1/2.  Passes
+    when the ratio stays within band_factor times the baseline across the
+    family.
     """
     alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(np.atleast_1d(alpha)))
     d = alpha.d
+    s, epsilon = 1.0, 0.5
     if lemma == "2.1":
         beta = s + d / 2.0 + epsilon
     elif lemma == "2.2":
@@ -130,12 +131,10 @@ def weighted_transform_bound_check(alpha, s=1.0, epsilon=0.5, k_max=32,
         beta = s + epsilon
     else:
         raise ValueError("lemma must be '2.1' or '2.2'")
-    if plan is None:
-        R = 4.0 * k_max + 40.0
-        Lam = 2.2
-        n_x = max(512, int(np.ceil(Lam * R / (2.0 * np.pi) * 8.0)))
-        n_dual = max(256, 16 * k_max)
-        plan = _line_grid(alpha, R, n_x, Lam, n_dual)
+    R = 4.0 * k_max + 40.0
+    Lam = 2.2
+    n_x = max(512, int(np.ceil(Lam * R / (2.0 * np.pi) * 8.0)))
+    plan = _line_grid(alpha, R, n_x, Lam, max(256, 16 * k_max))
     ks = sorted({0, 1, 2, 4, 8, 16, k_max} | set(
         k for k in (24,) if k < k_max))
     rep = EstimateReport(
@@ -165,31 +164,27 @@ def weighted_transform_bound_check(alpha, s=1.0, epsilon=0.5, k_max=32,
     return rep
 
 
-def pointwise_decay_check(alpha, n: Symbol | None = None, N_values=(0, 1, 2, 3, 4),
-                          plan=None, fit_range=(20.0, None), n_bins=24):
-    """Decay exponent of |H(m)| for a smooth annulus symbol n.
+def pointwise_decay_check(alpha, N_values=(0, 1, 2, 3, 4)):
+    """Decay exponent of |H(m)| for the bump symbol.
 
-    Bins |H(m)(x)| over log-spaced radii, fits the envelope slope of the bin
-    maxima against 1 + |x|, and passes when the measured exponent covers
-    every tested N (slope <= -N).  The default window starts at 20: the
-    exp(-1/t)-glued bump is smooth but its transform enters the regime
+    Bins |H(m)(x)| over 24 log-spaced radii in [20, R/2], fits the envelope
+    slope of the bin maxima against 1 + |x|, and passes when the measured
+    exponent covers every tested N (slope <= -N).  The window starts at 20:
+    the exp(-1/t)-glued bump is smooth but its transform enters the regime
     dominated by repeated integration by parts only past a few dozen
     wavelengths.
     """
     alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(np.atleast_1d(alpha)))
-    d = alpha.d
-    n = n or bump_symbol(d)
-    if plan is None:
-        R = 640.0
-        Lam = 1.7
-        n_x = max(1024, int(np.ceil(Lam * R / (2.0 * np.pi) * 10.0)))
-        plan = _line_grid(alpha, R, n_x, Lam, 768)
+    n = bump_symbol(alpha.d)
+    R = 640.0
+    Lam = 1.7
+    n_x = max(1024, int(np.ceil(Lam * R / (2.0 * np.pi) * 10.0)))
+    plan = _line_grid(alpha, R, n_x, Lam, 768)
     mvals = n.on_dual_grid(plan.dual_grid)
     hm = np.abs(plan.inverse(mvals))
     r = np.sqrt(plan.grid.squared_mesh().sum(axis=-1))
-    r_lo = fit_range[0]
-    r_hi = fit_range[1] or min(ax.R for ax in plan.grid.axes) / 2.0
-    edges = np.geomspace(r_lo, r_hi, n_bins + 1)
+    r_lo, r_hi = 20.0, R / 2.0
+    edges = np.geomspace(r_lo, r_hi, 25)
     env_r, env_v = [], []
     floor = float(hm.max()) * 1e-11
     for a, b in zip(edges[:-1], edges[1:]):

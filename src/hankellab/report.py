@@ -1,6 +1,5 @@
 """Structured results of quantitative checks, plus small fitting helpers."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +23,10 @@ class EstimateReport:
     def add(self, descriptor, value):
         self.measurements.append((str(descriptor), float(np.real(value))))
 
-    def to_json(self):
-        # stable field order for reproducible artifacts
-        payload = {
+    def to_dict(self):
+        """JSON-ready fields in a stable order, for reproducible artifacts;
+        dump with default=_coerce for numpy scalars and arrays."""
+        return {
             "name": self.name,
             "parameters": {k: self.parameters[k] for k in sorted(self.parameters)},
             "measurements": [[d, v] for d, v in self.measurements],
@@ -36,7 +36,6 @@ class EstimateReport:
             "verdict": self.verdict,
             "provenance": self.provenance,
         }
-        return json.dumps(payload, indent=2, default=_coerce)
 
 
 def _coerce(obj):
@@ -62,7 +61,7 @@ def flatness(param, values):
     return ratio, float(slope)
 
 
-def bounded_no_trend(param, values, slope_tol=0.05, ratio_tol=5.0):
+def bounded_no_trend(param, values, slope_tol, ratio_tol):
     """'Bounded with no trend': |slope| within tol and max/min within ratio.
 
     The slope is measured after normalizing values by their mean so the

@@ -41,23 +41,24 @@ def second_window():
     return psi.__call__
 
 
-def _box_axes(d, halfwidth, samples):
-    step = 2.0 * halfwidth / samples
-    u = -halfwidth + step * np.arange(samples)
+def _box_axes(samples):
+    step = 2.0 * BOX_HALFWIDTH / samples
+    u = -BOX_HALFWIDTH + step * np.arange(samples)
     xi = 2.0 * np.pi * np.fft.fftfreq(samples, d=step)
     return u, xi, step
 
 
-def local_sobolev_norm(n: Symbol, j, beta, eta=None, halfwidth=BOX_HALFWIDTH,
-                       samples=None, tail_tol=1e-8):
-    """||eta(.) n(2^j .)||_{W^beta_2(R^d)} by discrete Fourier transform."""
+def local_sobolev_norm(n: Symbol, j, beta, eta=None, samples=None):
+    """||eta(.) n(2^j .)||_{W^beta_2(R^d)} by discrete Fourier transform
+    on [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d; a Nyquist tail above 1e-8 of
+    the norm is warned about."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     eta = eta or default_window()
     d = n.d
     if samples is None:
         samples = _DEFAULT_SAMPLES.get(d, BOX_SAMPLES)
-    u, xi, step = _box_axes(d, halfwidth, samples)
+    u, xi, step = _box_axes(samples)
     mesh = np.stack(np.meshgrid(*([u] * d), indexing="ij"), axis=-1)
     g = np.asarray(eta(mesh), dtype=complex) * n(mesh * 2.0**j)
     spec = np.fft.fftn(g) * step**d  # |F g| on the xi lattice (up to phase)
@@ -66,7 +67,7 @@ def local_sobolev_norm(n: Symbol, j, beta, eta=None, halfwidth=BOX_HALFWIDTH,
         sh = [1] * d
         sh[k] = samples
         xi2 = xi2 + (xi**2).reshape(sh)
-    dxi = 2.0 * np.pi / (2.0 * halfwidth)
+    dxi = 2.0 * np.pi / (2.0 * BOX_HALFWIDTH)
     density = np.abs(spec) ** 2 * (1.0 + xi2) ** beta
     total = np.sum(density) * dxi**d / (2.0 * np.pi) ** d
     # Nyquist-edge shell: any axis frequency in the top eighth of the band
@@ -78,10 +79,10 @@ def local_sobolev_norm(n: Symbol, j, beta, eta=None, halfwidth=BOX_HALFWIDTH,
         edge |= (np.abs(xi) >= cut).reshape(sh)
     tail = np.sum(density[edge]) * dxi**d / (2.0 * np.pi) ** d
     nrm = float(np.sqrt(total))
-    if nrm > 0 and np.sqrt(tail) > tail_tol * nrm:
+    if nrm > 0 and np.sqrt(tail) > 1e-8 * nrm:
         warnings.warn(
             f"Sobolev norm: Nyquist tail {np.sqrt(tail) / nrm:.1e} of the norm "
-            f"(j={j}, beta={beta}); increase samples or halfwidth",
+            f"(j={j}, beta={beta}); increase samples",
             SpectralTailWarning,
         )
     return nrm
@@ -104,23 +105,23 @@ class SobolevProfile:
         return float(vals.max() / vals.min())
 
 
-def hormander_sup(n: Symbol, beta, j_range, eta=None, eta_name="default",
-                  **kwargs):
-    """Profile of ||eta(.) n(2^j .)||_{W^beta_2} over j and its supremum."""
+def hormander_sup(n: Symbol, beta, j_range):
+    """Profile of ||eta(.) n(2^j .)||_{W^beta_2} over j and its supremum,
+    with eta the default window."""
     j_lo, j_hi = j_range
-    prof = SobolevProfile(beta=float(beta), eta=eta_name,
+    prof = SobolevProfile(beta=float(beta), eta="default",
                           j_range=(int(j_lo), int(j_hi)))
     for j in range(int(j_lo), int(j_hi) + 1):
-        prof.norms[j] = local_sobolev_norm(n, j, beta, eta=eta, **kwargs)
+        prof.norms[j] = local_sobolev_norm(n, j, beta)
     prof.sup_norm = float(max(prof.norms.values()))
     return prof
 
 
-def bessel_potential_kernel(z, x, d=1, n_quad=640):
+def bessel_potential_kernel(z, x, d=1):
     """Bessel potential kernel G_z at points x in R^d \\ {0}, Re z > 0.
 
     The defining t-integral is evaluated after the substitution t = e^v on
-    a panelized Gauss-Legendre rule; endpoints are pushed out until the
+    40 Gauss-Legendre panels of 16 nodes; endpoints are pushed out until the
     integrand is negligible, and failure to decay is flagged.
     """
     z = complex(z)
@@ -133,7 +134,7 @@ def bessel_potential_kernel(z, x, d=1, n_quad=640):
         raise ValueError("x = 0 is excluded (kernel may blow up there)")
     v_lo = float(min(np.log(np.min(r) ** 2 / 2800.0), -10.0))
     v_hi = 7.0
-    panels = np.linspace(v_lo, v_hi, max(8, n_quad // 16) + 1)
+    panels = np.linspace(v_lo, v_hi, 41)
     gx, gw = np.polynomial.legendre.leggauss(16)
     a, b = panels[:-1], panels[1:]
     v = (((a + b) / 2)[:, None] + ((b - a) / 2)[:, None] * gx[None, :]).ravel()
@@ -161,18 +162,18 @@ class PotentialFamily:
     h_sup: float
     name: str = "potential"
 
-    def symbol(self, halfwidth=BOX_HALFWIDTH, samples=BOX_SAMPLES):
+    def symbol(self):
         """Tabulate h * G_s on the periodized box via the Fourier side
         (F G_s = (1+|xi|^2)^{-s/2}) and wrap as an interpolating Symbol."""
         from scipy.interpolate import RegularGridInterpolator
 
-        u, xi, step = _box_axes(self.d, halfwidth, samples)
+        u, xi, step = _box_axes(BOX_SAMPLES)
         mesh = np.stack(np.meshgrid(*([u] * self.d), indexing="ij"), axis=-1)
         hv = np.asarray(self.h(mesh), dtype=complex)
         xi2 = np.zeros(hv.shape)
         for k in range(self.d):
             sh = [1] * self.d
-            sh[k] = samples
+            sh[k] = BOX_SAMPLES
             xi2 = xi2 + (xi**2).reshape(sh)
         nv = np.fft.ifftn(np.fft.fftn(hv) * (1.0 + xi2) ** (-self.s / 2.0))
         interp = RegularGridInterpolator(

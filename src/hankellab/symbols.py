@@ -113,15 +113,15 @@ def oscillatory_symbol(d, k):
     return Symbol(fn, d, 1.0, (0.5, 2.0), f"oscillatory{{k={k}}}")
 
 
-def divergent_symbol(d, cutoff=8.0):
-    """Negative control: e^{i/s} times a smooth cutoff at infinity.
+def divergent_symbol(d):
+    """Negative control: e^{i/s} times a smooth cutoff at |u| = 8 to 16.
 
     Its localized Sobolev norms blow up as j -> -infty for beta >= 1."""
     def fn(u):
         u = np.asarray(u, dtype=float)
         s = np.sum(u, axis=-1)
         mag = np.sqrt(np.sum(u * u, axis=-1))
-        env = smooth_chi(mag / cutoff)
+        env = smooth_chi(mag / 8.0)
         safe = np.where(np.abs(s) > 1e-300, s, 1.0)
         return np.where(np.abs(s) > 1e-300, env * np.exp(1j / safe), 0.0 + 0.0j)
 

@@ -27,6 +27,10 @@ from .multiplier import apply_multiplier, resolvable_j_band, _symbol_values
 
 DEFAULT_SEED = 1234
 BATTERY_SIZE = 64
+# the CZ and H^1 sweeps pass when their measurements are bounded with no
+# trend at these tolerances (see report.bounded_no_trend)
+SLOPE_TOL = 0.05
+RATIO_TOL = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +47,7 @@ class Atom:
     ball_measure: float
 
 
-def make_atom(grid: Grid, y0, r, profile=None):
+def make_atom(grid: Grid, y0, r):
     """Mean-zero atom from a radial bump minus a rebalanced wider bump.
 
     The inner bump sits in B(y0, r/2) and the outer in B(y0, r); the outer
@@ -56,12 +60,8 @@ def make_atom(grid: Grid, y0, r, profile=None):
         raise ValueError("radius must be positive")
     mesh = np.stack(grid.meshgrid(), axis=-1)
     rho = np.sqrt(np.sum((mesh - y0) ** 2, axis=-1))
-    if profile is None:
-        inner = smooth_chi(4.0 * rho / r)
-        outer = smooth_chi(2.0 * rho / r)
-    else:
-        inner = np.asarray(profile(2.0 * rho / r))
-        outer = np.asarray(profile(rho / r))
+    inner = smooth_chi(4.0 * rho / r)
+    outer = smooth_chi(2.0 * rho / r)
     wts = grid.weight_tensor()
     mi, mo = float(np.sum(inner * wts)), float(np.sum(outer * wts))
     if mo <= 0 or mi <= 0:
@@ -75,34 +75,28 @@ def make_atom(grid: Grid, y0, r, profile=None):
     return atom
 
 
-def check_atom(atom: Atom, support_tol=1e-14, mean_tol=1e-10):
-    """Re-verify the three atom conditions on the quadrature grid."""
+def check_atom(atom: Atom):
+    """Re-verify the three atom conditions on the quadrature grid: no
+    leak beyond 1e-14 of the sup outside the ball, and a mean below 1e-10
+    of sup * nu(B)."""
     g = atom.values
     mesh = np.stack(g.grid.meshgrid(), axis=-1)
     rho = np.sqrt(np.sum((mesh - atom.center) ** 2, axis=-1))
     sup = float(np.max(np.abs(g.values)))
     outside = rho > atom.radius
     leak = float(np.max(np.abs(g.values[outside]))) if outside.any() else 0.0
-    if leak > support_tol * max(sup, 1e-300):
+    if leak > 1e-14 * max(sup, 1e-300):
         raise ValueError("atom leaks outside its ball")
     if sup > (1.0 + 1e-12) / atom.ball_measure:
         raise ValueError("atom exceeds the 1/nu(B) sup bound")
     mean = abs(float(np.real(integrate(g))))
-    if mean > mean_tol * sup * atom.ball_measure:
+    if mean > 1e-10 * sup * atom.ball_measure:
         raise ValueError(f"atom mean {mean:.2e} is not zero at tolerance")
     return True
 
 
 # ---------------------------------------------------------------------------
 # scale-adapted plans and spectral kernel rows
-
-def _alpha_of(plan_or_alpha):
-    if isinstance(plan_or_alpha, TransformPlan):
-        return plan_or_alpha.grid.alpha
-    if isinstance(plan_or_alpha, MultiIndex):
-        return plan_or_alpha
-    return MultiIndex(tuple(np.atleast_1d(plan_or_alpha)))
-
 
 def adapted_plan(alpha, R, Lam, ppw=5.0, n_min=256, n_max=3072, n_dual=512):
     """Plan with the spatial node count set by a points-per-wavelength
@@ -123,32 +117,35 @@ def _kernel_row(plan, mvals, y):
 # ---------------------------------------------------------------------------
 # Calderon-Zygmund condition and kernel association
 
-def default_cz_pairs(n_pairs=8, y_lo=0.02, y_hi=20.0, offset=1.3):
-    """Pairs (y, offset*y) along the dilation orbit; the separation
-    |y - y'| then sweeps decades while the geometry stays self-similar."""
-    return [(np.array([y]), np.array([offset * y]))
-            for y in np.geomspace(y_lo, y_hi, n_pairs)]
+def default_cz_pairs():
+    """Eight pairs (y, 1.3 y), y from 0.02 to 20, along the dilation
+    orbit; the separation |y - y'| then sweeps decades while the geometry
+    stays self-similar."""
+    return [(np.array([y]), np.array([1.3 * y]))
+            for y in np.geomspace(0.02, 20.0, 8)]
 
 
-def cz_hormander_check(plan_or_alpha, m: Symbol, psi: DyadicPartition,
-                       pairs=None, j_margin=(20, 8), n_dual=512,
-                       slope_tol=0.05, ratio_tol=5.0):
+# dyadic pieces j*-20 .. j*+8 around each pair's centre j*
+CZ_J_MARGIN = (20, 8)
+
+
+def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     """Hormander integral condition for the assembled kernel K = sum_j K_j.
 
-    For each pair (y, y') measures D = sum_j int_{|x-y|>2|y-y'|}
-    |K_j(x,y) - K_j(x,y')| dnu(x) with per-(pair, j) scale-adapted plans,
-    the dyadic band centered at j* = -2 log2(2|y-y'|).  Passes when D is
-    bounded with no trend across separations.
+    For each pair (y, y') of default_cz_pairs measures
+    D = sum_j int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) with
+    per-(pair, j) scale-adapted plans, the dyadic band centered at
+    j* = -2 log2(2|y-y'|).  Passes when D is bounded with no trend across
+    separations.
     """
-    alpha = _alpha_of(plan_or_alpha)
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
-    pairs = pairs if pairs is not None else default_cz_pairs()
+    pairs = default_cz_pairs()
     rep = EstimateReport(
         name="cz_hormander_condition",
         parameters={"alpha": list(alpha.alpha), "symbol": m.name,
-                    "n_pairs": len(pairs), "j_margin": list(j_margin),
-                    "slope_tol": slope_tol, "ratio_tol": ratio_tol},
+                    "n_pairs": len(pairs), "j_margin": list(CZ_J_MARGIN),
+                    "slope_tol": SLOPE_TOL, "ratio_tol": RATIO_TOL},
         provenance="Hormander integral condition for the dyadic kernel sum",
     )
     seps, totals = [], []
@@ -161,11 +158,11 @@ def cz_hormander_check(plan_or_alpha, m: Symbol, psi: DyadicPartition,
         jstar = int(np.ceil(-2.0 * np.log2(r2)))
         total = 0.0
         perj = []
-        for j in range(jstar - j_margin[0], jstar + j_margin[1] + 1):
+        for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1):
             scale = 2.0 ** (-j / 2.0)
             Lam = 1.05 * 2.0 ** ((j + 1) / 2.0)
             R = float(max(y.max(), yp.max()) + max(40.0 * scale, 4.0 * r2))
-            pl = adapted_plan(alpha, R, Lam, n_dual=n_dual)
+            pl = adapted_plan(alpha, R, Lam)
             u = pl.dual_grid.squared_mesh()
             with warnings.catch_warnings(record=True) as wlog:
                 warnings.simplefilter("always")
@@ -188,7 +185,7 @@ def cz_hormander_check(plan_or_alpha, m: Symbol, psi: DyadicPartition,
         rep.fitted_constants["truncation_indicator"] = max(
             rep.fitted_constants["truncation_indicator"], perj[-1][1]
         )
-    ok, stats = bounded_no_trend(seps, totals, slope_tol, ratio_tol)
+    ok, stats = bounded_no_trend(seps, totals, SLOPE_TOL, RATIO_TOL)
     rep.fitted_constants["C_hormander"] = float(np.max(totals))
     rep.fitted_constants["band_ratio"] = stats["ratio"]
     rep.fitted_constants["trend_slope"] = stats["slope"]
@@ -268,11 +265,12 @@ def make_battery(plan: TransformPlan, count=BATTERY_SIZE, seed=DEFAULT_SEED):
 
 
 def lp_norm_probe(plan: TransformPlan, m: Symbol, p, battery=None,
-                  bound=None, tol=1e-6, seed=DEFAULT_SEED):
+                  bound=None, seed=DEFAULT_SEED):
     """Max of ||T_m f||_p / ||f||_p over the battery.
 
     Probing yields lower bounds on the true operator norm only; for p = 2
     the ratio is additionally checked against ||m||_inf (Plancherel).
+    Both budgets allow a relative excess of 1e-6.
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
@@ -292,22 +290,23 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, battery=None,
     rep.fitted_constants["max_ratio"] = worst
     ok = np.isfinite(worst)
     if p == 2.0:
-        ok = ok and worst <= m.sup_norm * (1.0 + tol)
+        ok = ok and worst <= m.sup_norm * (1.0 + 1e-6)
         rep.fitted_constants["plancherel_budget"] = m.sup_norm
     if bound is not None:
-        ok = ok and worst <= bound * (1.0 + tol)
+        ok = ok and worst <= bound * (1.0 + 1e-6)
         rep.fitted_constants["declared_bound"] = bound
     rep.verdict = PASS if ok else FAIL
     return rep
 
 
-def weak11_probe(plan: TransformPlan, m: Symbol, centers=None, width=None,
-                 sharpen=4.0, n_levels=32, band_factor=5.0):
+def weak11_probe(plan: TransformPlan, m: Symbol, centers=None,
+                 n_levels=32):
     """Weak-(1,1) quantity sup_lambda lambda nu{|T_m f| > lambda} / ||f||_1
-    over L^1-normalized spikes; passes when stable as spikes sharpen."""
+    over L^1-normalized spikes of width 48 / Lambda and 4 times sharper;
+    passes when the sharp-to-base ratio stays within a factor 5."""
     grid = plan.grid
     Lam = min(ax.R for ax in plan.dual_grid.axes)
-    width = width if width is not None else 48.0 / Lam
+    width, sharpen, band_factor = 48.0 / Lam, 4.0, 5.0
     centers = centers if centers is not None else [0.5, 1.0, 2.0, 4.0, 8.0]
     mesh = np.stack(grid.meshgrid(), axis=-1)
     wts = grid.weight_tensor()
@@ -348,49 +347,44 @@ def weak11_probe(plan: TransformPlan, m: Symbol, centers=None, width=None,
 # ---------------------------------------------------------------------------
 # Hardy-space atoms against the maximal function
 
-def default_atom_family(radii=None, center_factors=(1.2, 5.0, 20.0)):
-    """(center, radius) pairs covariant under dilation: centers at fixed
-    multiples of the radius, including boundary-adjacent balls."""
-    if radii is None:
-        radii = np.geomspace(2.0**-4, 2.0**4, 8)
-    return [(c * r, r) for r in radii for c in center_factors]
+def default_atom_family():
+    """(center, radius) pairs covariant under dilation: eight radii from
+    2^-4 to 2^4, centers at 1.2, 5 and 20 radii, including
+    boundary-adjacent balls."""
+    return [(c * r, r) for r in np.geomspace(2.0**-4, 2.0**4, 8)
+            for c in (1.2, 5.0, 20.0)]
 
 
-def h1_atom_check(plan_or_alpha, m: Symbol, psi_squared: DyadicPartition,
-                  atoms=None, tg: TimeGrid | None = None,
-                  per_j_radii=None, slope_tol=0.05,
-                  ratio_tol=5.0, structure_factor=0.5):
-    """||M(T_m a)||_1 over an atom family, split into the local ball part
-    and the far part, with a per-j far-field profile on a subfamily.
+def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
+    """||M(T_m a)||_1 over default_atom_family, split into the local ball
+    part and the far part, with a per-j far-field profile on a subfamily.
 
     Each atom gets two adapted plans: a fine one resolving the atom scale
     out to a margin of 24 radii, and a coarse one carrying the slowly
-    decaying maximal-function tail out to hundreds of radii.  With tg=None
-    the time window also adapts per atom, t in r^2 [1e-5, 1e5], since a
-    fixed window truncates the supremum below the smallest atom scales and
-    fakes a radius trend.  Passes when
-    the per-radius max of the total norm is flat in the radius and the
-    per-j far profile peaks near j = -2 log2(r) and decays at the band ends.
+    decaying maximal-function tail out to hundreds of radii.  The time
+    window adapts per atom, t in r^2 [1e-5, 1e5], since a fixed window
+    truncates the supremum below the smallest atom scales and fakes a
+    radius trend.  Passes when the per-radius max of the total norm is
+    flat in the radius and the per-j far profile peaks near j = -2 log2(r)
+    and its ends fall to half the peak or less.
     """
-    alpha = _alpha_of(plan_or_alpha)
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
-    atoms = atoms if atoms is not None else default_atom_family()
-    if per_j_radii is None:
-        # a small/middle/large subfamily for the per-j far-field profile
-        rs = sorted({r for _, r in atoms})
-        per_j_radii = {rs[len(rs) // 4], rs[len(rs) // 2], rs[-2]}
+    atoms = default_atom_family()
+    # a small/middle/large subfamily for the per-j far-field profile
+    rs = sorted({r for _, r in atoms})
+    per_j_radii = {rs[len(rs) // 4], rs[len(rs) // 2], rs[-2]}
     rep = EstimateReport(
         name="h1_atom_maximal_bound",
         parameters={"alpha": list(alpha.alpha), "symbol": m.name,
-                    "n_atoms": len(atoms), "slope_tol": slope_tol,
-                    "ratio_tol": ratio_tol},
+                    "n_atoms": len(atoms), "slope_tol": SLOPE_TOL,
+                    "ratio_tol": RATIO_TOL},
         provenance="L^1 bound for the maximal function of multiplied atoms",
     )
     by_radius = {}
     perj_profiles = {}
     for y0, r in atoms:
-        tg_atom = tg or TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
+        tg_atom = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
         fine = adapted_plan(alpha, R=y0 + 24.0 * r, Lam=40.0 / r,
                             n_dual=640, ppw=5.0)
         coarse = adapted_plan(alpha, R=y0 + 240.0 * r, Lam=10.0 / r,
@@ -438,7 +432,7 @@ def h1_atom_check(plan_or_alpha, m: Symbol, psi_squared: DyadicPartition,
             perj_profiles[r] = (jc, prof)
     radii = sorted(by_radius)
     maxima = [max(by_radius[r]) for r in radii]
-    ok, stats = bounded_no_trend(radii, maxima, slope_tol, ratio_tol)
+    ok, stats = bounded_no_trend(radii, maxima, SLOPE_TOL, RATIO_TOL)
     rep.fitted_constants["C_atom"] = float(np.max(maxima))
     rep.fitted_constants["band_ratio"] = stats["ratio"]
     rep.fitted_constants["trend_slope"] = stats["slope"]
@@ -449,7 +443,7 @@ def h1_atom_check(plan_or_alpha, m: Symbol, psi_squared: DyadicPartition,
         rep.fitted_constants[f"far_j_end_over_peak@r={r:.3g}"] = \
             ends / peak if peak > 0 else 0.0
         structure_ok = structure_ok and (peak == 0.0
-                                         or ends <= structure_factor * peak)
+                                         or ends <= 0.5 * peak)
     rep.verdict = PASS if (ok and structure_ok) else FAIL
     return rep
 
@@ -457,10 +451,9 @@ def h1_atom_check(plan_or_alpha, m: Symbol, psi_squared: DyadicPartition,
 # ---------------------------------------------------------------------------
 # resolution robustness
 
-def compare_resolutions(rep_base: EstimateReport, rep_fine: EstimateReport,
-                        rel_tol=0.10):
+def compare_resolutions(rep_base: EstimateReport, rep_fine: EstimateReport):
     """Downgrade to inconclusive when refined resolution moves any shared
-    fitted constant by more than rel_tol."""
+    fitted constant by more than 10%."""
     merged = EstimateReport(
         name=rep_base.name + "_resolution",
         parameters=dict(rep_base.parameters),
@@ -476,7 +469,7 @@ def compare_resolutions(rep_base: EstimateReport, rep_fine: EstimateReport,
         merged.add(f"drift@{key}", drift)
         worst = max(worst, drift)
     merged.fitted_constants["max_drift"] = worst
-    if rep_base.verdict == rep_fine.verdict and worst <= rel_tol:
+    if rep_base.verdict == rep_fine.verdict and worst <= 0.10:
         merged.verdict = rep_base.verdict
     else:
         merged.verdict = INCONCLUSIVE

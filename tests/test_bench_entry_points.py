@@ -56,3 +56,18 @@ def test_plan_fields_and_contract_bindings():
         assert _module(name)._contract is transform._contract
     assert _module("verify")._maximal_field is _module("heat")._maximal_field
     assert hankellab.TransformPlan is transform.TransformPlan
+
+
+def test_signatures_and_constants_the_tracer_reads():
+    # the tracer binds local_sobolev_norm's signature to read `samples`,
+    # falling back on these two constants
+    sobolev = _module("sobolev")
+    assert "samples" in inspect.signature(sobolev.local_sobolev_norm).parameters
+    assert isinstance(sobolev._DEFAULT_SAMPLES, dict)
+    assert isinstance(sobolev.BOX_SAMPLES, int)
+    # it reads the time grid as _maximal_field's third argument
+    field_params = inspect.signature(_module("verify")._maximal_field).parameters
+    assert list(field_params)[2] == "tg"
+    # and the suite and output directory of _write_artifacts by position
+    assert list(inspect.signature(_module("cli")._write_artifacts).parameters) \
+        == ["cfg", "suite", "reports", "outdir"]

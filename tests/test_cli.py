@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankellab.cli import RunConfig, _parse_config_file, build_config, main
+from hankellab.cli import (CONFIG_KEYS, RunConfig, _make_parser,
+                           _parse_config_file, build_config, main)
 from hankellab.grid import Grid
 
 
@@ -78,11 +79,26 @@ class TestConfigHandling:
           "laplace_type{phi=imag_power:gamma=1,gamma=2}"], "gamma twice"),
         (["transform-selftest", "--dims", "0"], "dims = 0"),
         (["transform-selftest", "--dims", "7"], "dims = 7"),
+        (["multiplier-check", "--beta", "-1"], "beta = -1.0"),
+        (["multiplier-check", "--beta", "nan"], "beta = nan"),
+        (["transform-selftest", "--seed", "-1"], "seed = -1"),
+        (["transform-selftest", "--R", "inf"], "R = inf"),
+        (["transform-selftest", "--alpha", "0.5,1.3", "--dims", "3"],
+         "dims = 3"),
+        (["transform-selftest", "--alpha", "0.5,1.3", "--dims", "1"],
+         "dims = 1"),
+        (["transform-selftest", "--n", "abc"], "n = 'abc'"),
+        (["transform-selftest", "--grading", "2.5"], "grading = '2.5'"),
+        (["multiplier-check", "--beta", "two"], "beta = 'two'"),
+        (["transform-selftest", "--grading", "0"], "grading = 0"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
             "bump-unknown-key", "heat-repeated-key", "gamma-repeated-key",
-            "dims-zero", "dims-above-max"])
+            "dims-zero", "dims-above-max", "beta-negative", "beta-nan",
+            "seed-negative", "R-inf", "dims-above-alpha-count",
+            "dims-below-alpha-count", "n-not-an-int", "grading-not-an-int",
+            "beta-not-a-float", "grading-zero"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []
@@ -108,6 +124,46 @@ class TestConfigHandling:
         key = line.split("=")[0].strip()
         assert f"unknown config key: {key}" in capsys.readouterr().err
 
+    def test_dims_disagreeing_with_alpha_in_the_file_is_refused(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("alpha = 0.5,1.3\ndims = 3\n")
+        with pytest.raises(ValueError, match="dims = 3"):
+            build_config(argparse.Namespace(config=str(cfg_file)))
+
+
+# a value other than the default for every settable key, as a flag gives it,
+# and the RunConfig value it must produce
+_FLAG_VALUES = {
+    "alpha": ("0.5,1.3", (0.5, 1.3)), "dims": ("2", 2), "n": ("512", 512),
+    "R": ("18.5", 18.5), "grading": ("3", 3), "symbol": ("bump", "bump"),
+    "beta": ("1.5", 1.5), "jmin": ("-3", -3), "jmax": ("4", 4),
+    "p": ("3", 3.0), "seed": ("7", 7), "output": ("elsewhere", "elsewhere"),
+}
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_every_config_key_is_a_flag(key):
+    text, want = _FLAG_VALUES[key]
+    assert want != getattr(RunConfig(), key)
+    args = _make_parser().parse_args(["transform-selftest", f"--{key}", text])
+    assert getattr(build_config(args), key) == want
+
+
+def test_grading_flag_reaches_the_grid(tmp_path, monkeypatch):
+    seen, build = [], Grid.build
+
+    def spy(*a, **k):
+        seen.append(k["grading_levels"])
+        return build(*a, **k)
+
+    monkeypatch.setattr(Grid, "build", staticmethod(spy))
+    code = run_cli(["transform-selftest", "--grading", "3", "--n", "128",
+                    "--R", "8", "--output", str(tmp_path)])
+    assert code in (0, 1)
+    assert seen == [3]
+    data = json.loads((tmp_path / "report-transform-selftest.json").read_text())
+    assert data["config"]["grading"] == 3
+
 
 _CONFIG_KEYS = ["alpha", "dims", "n", "R", "grading", "symbol", "beta",
                 "jmin", "jmax", "p", "seed", "output", "suite", "digest",
@@ -128,10 +184,13 @@ _CONFIG_TEXTS = st.one_of(
 @example(text="digest = abc")
 @example(text="__class__ = x")
 @example(text="suite = h1-check")
+@example(text="alpha = \ud800")
 @settings(max_examples=300, deadline=None)
 def test_config_file_gives_run_config_or_value_error(text, tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "run.cfg"
-    path.write_text(text, encoding="utf-8")
+    # a lone surrogate gives bytes that are not UTF-8, which the parser
+    # refuses with UnicodeDecodeError, a ValueError
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
     args = argparse.Namespace(config=str(path))
     try:
         cfg = build_config(args)
