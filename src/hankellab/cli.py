@@ -64,7 +64,8 @@ class RunConfig:
 
 
 def _parse_config_file(path):
-    """Flat key=value file in UTF-8; '#' starts a comment."""
+    """Flat key=value file in UTF-8; '#' starts a comment, and a key may
+    be given once."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -74,7 +75,10 @@ def _parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: {key} given twice")
+            out[key] = val
     return out
 
 
@@ -129,6 +133,9 @@ def _suite_names(args):
     unknown = [s for s in names if s not in _SUITE_FNS]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
+    twice = sorted({s for s in names if names.count(s) > 1})
+    if twice:
+        raise ValueError(f"suites named twice: {twice}")
     return names
 
 

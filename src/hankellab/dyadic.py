@@ -63,18 +63,11 @@ class DyadicPartition:
         u = np.asarray(u, dtype=float)
         return self.radial(np.sqrt(np.sum(u * u, axis=-1)))
 
-    def dilated(self, j, u):
-        """psi(2^{-j} u) at vector arguments."""
-        return self(np.asarray(u, dtype=float) * 2.0**-j)
-
-    def sum_over(self, j_lo, j_hi, r):
-        """Partial telescoping sum over j in [j_lo, j_hi] at radius r."""
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros_like(r)
-        for j in range(j_lo, j_hi + 1):
-            p = self.radial(2.0**-j * r)
-            acc += p * p if self.variant == "squared" else p
-        return acc
+    def piece(self, j, u):
+        """The j-th term of the partition of unity at vector arguments:
+        psi(2^{-j} u) for 'plain', its square for 'squared'."""
+        p = self(np.asarray(u, dtype=float) * 2.0**-j)
+        return p * p if self.variant == "squared" else p
 
 
 def make_partition(variant="plain"):

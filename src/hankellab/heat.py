@@ -116,10 +116,9 @@ def _maximal_field(plan, spec_vals, tg: TimeGrid):
     return np.abs(fields).max(axis=-1)
 
 
-def _local_ball_measure(grid_or_alpha, x, r):
+def _local_ball_measure(alpha: MultiIndex, x, r):
     """nu(B(x,r) cap X) up to doubling-equivalence: product of per-axis
     interval measures.  Exact for d = 1."""
-    alpha = grid_or_alpha.alpha if isinstance(grid_or_alpha, Grid) else grid_or_alpha
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = 1.0
     for k, a in enumerate(alpha.alpha):
@@ -219,18 +218,3 @@ def heat_lipschitz_check(hk: HeatKernelEval, grid: Grid, pairs,
     rep.fitted_constants["C_lipschitz"] = float(ratios.max())
     rep.verdict = PASS if (band <= band_factor and trend <= 0.1) else FAIL
     return rep
-
-
-def heat_lipschitz_pointwise(hk: HeatKernelEval, samples, delta=1.0):
-    """Measured constant in |T_t(x,y)-T_t(x,y')| <= C (|y-y'|/sqrt t)^delta
-    / nu(B(x, sqrt t)) over a sample of (t, x, y, y')."""
-    Cs = []
-    for t, x, y, yp in samples:
-        x = np.atleast_1d(np.asarray(x, float))
-        y = np.atleast_1d(np.asarray(y, float))
-        yp = np.atleast_1d(np.asarray(yp, float))
-        diff = abs(float(heat_kernel(hk, t, x, y)) - float(heat_kernel(hk, t, x, yp)))
-        sep = float(np.linalg.norm(y - yp))
-        volB = float(_local_ball_measure(hk.alpha, x, np.sqrt(t)))
-        Cs.append(diff * volB / (sep / np.sqrt(t)) ** delta)
-    return float(np.max(Cs))

@@ -1,5 +1,5 @@
 """The multiplier operator T_m = H(m Hf), its dyadic kernel pieces, and the
-runnable estimate checks behind the weighted-transform and pointwise bounds.
+runnable check behind the weighted-transform bound.
 
 Symbols live on the squared frequency axes: m(lambda) = n(lambda_1^2, ...,
 lambda_d^2), and the dyadic pieces slice m with the radial partition in the
@@ -12,7 +12,7 @@ import numpy as np
 
 from .dyadic import DyadicPartition
 from .grid import Grid, GridFunction, WeightSpec, norm
-from .report import FAIL, PASS, EstimateReport, loglog_slope
+from .report import FAIL, PASS, EstimateReport
 from .sobolev import local_sobolev_norm
 from .specfun import MultiIndex
 from .symbols import Symbol, bump_symbol, oscillatory_symbol
@@ -43,9 +43,11 @@ def apply_multiplier(plan: TransformPlan, m, f: GridFunction):
 
 
 def dyadic_symbol_values(plan, m, psi: DyadicPartition, j):
-    """m_j(lambda) = psi(2^{-j}(lambda_1^2, ..., lambda_d^2)) m(lambda)."""
+    """m_j(lambda) = psi_j(lambda_1^2, ..., lambda_d^2) m(lambda), with
+    psi_j = psi.piece(j, .) the j-th term of the partition; m is a Symbol
+    or its values on the dual grid.  Every dyadic slice is sampled here."""
     u = plan.dual_grid.squared_mesh()
-    return psi.dilated(j, u) * _symbol_values(plan, m)
+    return psi.piece(j, u) * _symbol_values(plan, m)
 
 
 def resolvable_j_band(plan):
@@ -81,32 +83,11 @@ def kernel_piece(plan: TransformPlan, m, psi: DyadicPartition, j, y):
     return translate(plan, hmj, y)
 
 
-def partition_cover_residual(plan, m, psi: DyadicPartition, j_lo, j_hi):
-    """Max |sum_j m_j - m| over dual nodes whose squared radius lies in the
-    fully covered annulus [2^{j_lo}, 2^{j_hi}]."""
-    u = plan.dual_grid.squared_mesh()
-    r = np.sqrt(np.sum(u * u, axis=-1))
-    mvals = _symbol_values(plan, m)
-    acc = np.zeros_like(mvals)
-    for j in range(j_lo, j_hi + 1):
-        acc = acc + psi.dilated(j, u) * mvals
-    covered = (r >= 2.0**j_lo) & (r <= 2.0**j_hi)
-    if not covered.any():
-        raise ValueError("no dual nodes in the covered annulus")
-    return float(np.max(np.abs(acc - mvals)[covered]))
-
-
 def global_sobolev_norm(n: Symbol, beta):
     """||n||_{W^beta_2(R^d)} for compactly supported n, via the windowless
     variant of the box-FFT Sobolev norm."""
     return local_sobolev_norm(
         n, 0, beta, eta=lambda u: np.ones(np.asarray(u).shape[:-1]))
-
-
-def _line_grid(alpha, R, n, Lam, n_dual):
-    grid = Grid.build(alpha, R=R, n=n)
-    dual = Grid.build(alpha, R=Lam, n=n_dual)
-    return TransformPlan.build(grid, dual)
 
 
 def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1",
@@ -134,7 +115,9 @@ def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1",
     R = 4.0 * k_max + 40.0
     Lam = 2.2
     n_x = max(512, int(np.ceil(Lam * R / (2.0 * np.pi) * 8.0)))
-    plan = _line_grid(alpha, R, n_x, Lam, max(256, 16 * k_max))
+    grid = Grid.build(alpha, R=R, n=n_x)
+    dual = Grid.build(alpha, R=Lam, n=max(256, 16 * k_max))
+    plan = TransformPlan.build(grid, dual)
     ks = sorted({0, 1, 2, 4, 8, 16, k_max} | set(
         k for k in (24,) if k < k_max))
     rep = EstimateReport(
@@ -161,49 +144,4 @@ def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1",
     rep.fitted_constants["max_ratio"] = worst
     rep.fitted_constants["band"] = worst / base
     rep.verdict = PASS if worst <= band_factor * base else FAIL
-    return rep
-
-
-def pointwise_decay_check(alpha, N_values=(0, 1, 2, 3, 4)):
-    """Decay exponent of |H(m)| for the bump symbol.
-
-    Bins |H(m)(x)| over 24 log-spaced radii in [20, R/2], fits the envelope
-    slope of the bin maxima against 1 + |x|, and passes when the measured
-    exponent covers every tested N (slope <= -N).  The window starts at 20:
-    the exp(-1/t)-glued bump is smooth but its transform enters the regime
-    dominated by repeated integration by parts only past a few dozen
-    wavelengths.
-    """
-    alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(np.atleast_1d(alpha)))
-    n = bump_symbol(alpha.d)
-    R = 640.0
-    Lam = 1.7
-    n_x = max(1024, int(np.ceil(Lam * R / (2.0 * np.pi) * 10.0)))
-    plan = _line_grid(alpha, R, n_x, Lam, 768)
-    mvals = n.on_dual_grid(plan.dual_grid)
-    hm = np.abs(plan.inverse(mvals))
-    r = np.sqrt(plan.grid.squared_mesh().sum(axis=-1))
-    r_lo, r_hi = 20.0, R / 2.0
-    edges = np.geomspace(r_lo, r_hi, 25)
-    env_r, env_v = [], []
-    floor = float(hm.max()) * 1e-11
-    for a, b in zip(edges[:-1], edges[1:]):
-        sel = (r >= a) & (r < b)
-        if sel.any():
-            v = float(hm[sel].max())
-            if v > floor:
-                env_r.append(np.sqrt(a * b))
-                env_v.append(v)
-    slope = loglog_slope(1.0 + np.asarray(env_r), np.asarray(env_v))
-    rep = EstimateReport(
-        name="pointwise_decay",
-        parameters={"alpha": list(alpha.alpha), "N_values": list(N_values),
-                    "fit_range": [r_lo, r_hi], "symbol": n.name},
-        provenance="pointwise w^{-N} decay of transforms of smooth symbols",
-    )
-    rep.add("envelope_slope", slope)
-    rep.add("sup_Hm", float(hm.max()))
-    rep.fitted_constants["envelope_slope"] = slope
-    ok = all(slope <= -N for N in N_values)
-    rep.verdict = PASS if ok else FAIL
     return rep

@@ -28,19 +28,6 @@ class SpectralTailWarning(UserWarning):
     """Energy at the Nyquist edge of the periodized box is not negligible."""
 
 
-def default_window():
-    """The default radial window eta: the plain partition bump."""
-    psi = make_partition("plain")
-    return psi.__call__
-
-
-def second_window():
-    """An independent window on the same annulus (squared-variant profile),
-    used to exercise the 'for some (equivalently, for every) eta' clause."""
-    psi = make_partition("squared")
-    return psi.__call__
-
-
 def _box_axes(samples):
     step = 2.0 * BOX_HALFWIDTH / samples
     u = -BOX_HALFWIDTH + step * np.arange(samples)
@@ -50,11 +37,11 @@ def _box_axes(samples):
 
 def local_sobolev_norm(n: Symbol, j, beta, eta=None, samples=None):
     """||eta(.) n(2^j .)||_{W^beta_2(R^d)} by discrete Fourier transform
-    on [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d; a Nyquist tail above 1e-8 of
-    the norm is warned about."""
+    on [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d, eta the plain partition bump
+    unless given; a Nyquist tail above 1e-8 of the norm is warned about."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    eta = eta or default_window()
+    eta = eta or make_partition("plain")
     d = n.d
     if samples is None:
         samples = _DEFAULT_SAMPLES.get(d, BOX_SAMPLES)
@@ -107,7 +94,7 @@ class SobolevProfile:
 
 def hormander_sup(n: Symbol, beta, j_range):
     """Profile of ||eta(.) n(2^j .)||_{W^beta_2} over j and its supremum,
-    with eta the default window."""
+    with eta the plain partition bump."""
     j_lo, j_hi = j_range
     prof = SobolevProfile(beta=float(beta), eta="default",
                           j_range=(int(j_lo), int(j_hi)))

@@ -1,5 +1,6 @@
-"""Special functions: Bessel J, scaled modified Bessel I, and the product
-eigenfunction kernel of the Bessel operator.
+"""Special functions: Bessel J, normalized and scaled Bessel J and I, and
+the one-axis factor of the eigenfunction kernel of the Bessel operator
+(the transform plans take the product over axes).
 
 Everything here is vectorized over numpy arrays and pure (no global state),
 so evaluation is safe from any number of workers.
@@ -8,7 +9,7 @@ so evaluation is safe from any number of workers.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma, iv, ive, j0, j1, jv
+from scipy.special import gamma, ive, j0, j1, jv
 
 
 @dataclass(frozen=True)
@@ -61,28 +62,6 @@ def bessel_j(nu, x):
     if nu == 1.0:
         return j1(x)[()]
     return jv(nu, x)[()]
-
-
-def bessel_i_scaled(mu, x):
-    """Exponentially scaled modified Bessel function e^{-x} I_mu(x), x >= 0.
-
-    The scaled form is the only exposed entry point: heat-kernel formulas
-    recombine the e^{+x} factor with a Gaussian and would overflow otherwise.
-    """
-    mu = float(mu)
-    x = np.asarray(x, dtype=float)
-    if not (np.isfinite(mu) and np.all(np.isfinite(x))):
-        raise ValueError("non-finite input")
-    if mu == -0.5:
-        # I_{-1/2}(x) = sqrt(2/(pi x)) cosh x ;  scaled: (1+e^{-2x})/sqrt(2 pi x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (1.0 + np.exp(-2.0 * x)) / np.sqrt(2.0 * np.pi * x)
-        return np.where(x == 0.0, np.inf, out)[()]
-    if mu == 0.5:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (1.0 - np.exp(-2.0 * x)) / np.sqrt(2.0 * np.pi * x)
-        return np.where(x == 0.0, 0.0, out)[()]
-    return _ive_safe(mu, x)[()]
 
 
 # cephes ive breaks down (returns nan) near x ~ 1e9; switch to the uniform
@@ -173,27 +152,6 @@ def inorm_scaled(nu, u):
 def e_kernel_axis(alpha_k, u):
     """One-axis eigenfunction factor (u)^{-alpha_k+1/2} J_{alpha_k-1/2}(u)."""
     return jnorm(alpha_k - 0.5, u)
-
-
-def e_kernel(alpha: MultiIndex, x, lam):
-    """Eigenfunction kernel E_x(lam) = prod_k (x_k lam_k)^{-a_k+1/2} J_{a_k-1/2}(x_k lam_k).
-
-    x must be strictly positive componentwise; lam may have zero components
-    (the continuous limit is used there).  Broadcasts over leading axes of
-    x and lam, with the last axis indexing the d components.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if x.shape[-1] != alpha.d or lam.shape[-1] != alpha.d:
-        raise ValueError("last axis of x and lam must have length d")
-    if np.any(x <= 0.0):
-        raise ValueError("x must be strictly positive componentwise")
-    if np.any(lam < 0.0):
-        raise ValueError("lam must be nonnegative componentwise")
-    out = 1.0
-    for k, a in enumerate(alpha.alpha):
-        out = out * e_kernel_axis(a, x[..., k] * lam[..., k])
-    return out
 
 
 def bessel_operator_fd(alpha_k, f_vals, nodes):

@@ -31,7 +31,10 @@ class Symbol:
     name: str = "symbol"
 
     def __call__(self, u):
-        """Evaluate n at points u with last axis of length d."""
+        """Evaluate n at points u with last axis of length d.
+
+        The recorded sup norm is checked only at the points evaluated, so
+        a symbol sampled on part of a grid is checked on that part only."""
         u = np.asarray(u, dtype=float)
         if u.shape[-1] != self.d:
             raise ValueError(f"expected last axis {self.d}, got {u.shape[-1]}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, WeightSpec, dilate, integrate, norm
+from .grid import Grid, GridFunction, WeightSpec, dilate, norm
 from .report import FAIL, PASS, EstimateReport, loglog_slope
 from .specfun import e_kernel_axis
 
@@ -195,48 +195,6 @@ def dilation_identity_check(plan, f, t, y, tol=1e-5):
     rep.fitted_constants["relative_sup"] = sup / scale
     rep.verdict = PASS if sup / scale <= tol else FAIL
     return rep
-
-
-def translation_support_check(plan, f, y, support, tol=1e-6):
-    """Contract checks for tau^y on a nonnegative f with per-axis support
-    [a_k, b_k]: positivity up to quadrature noise, vanishing outside the
-    interval hull implied by the product-formula support rule
-    z_k in [|x_k - y_k|, x_k + y_k], and mass preservation."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    support = np.atleast_2d(np.asarray(support, dtype=float))
-    g = translate(plan, f, y)
-    gv = np.real(g.values)
-    fmax = float(np.max(np.abs(f.values)))
-    # tau^y f(x) can be nonzero only when [|x_k-y_k|, x_k+y_k] meets [a_k,b_k]
-    outside = np.zeros(plan.grid.shape, dtype=bool)
-    for k, ax in enumerate(plan.grid.axes):
-        a_k, b_k = support[k]
-        xk = ax.nodes
-        dead = (np.abs(xk - y[k]) > b_k) | (xk + y[k] < a_k)
-        sh = [1] * plan.grid.d
-        sh[k] = ax.n
-        outside |= dead.reshape(sh)
-    leak = float(np.max(np.abs(gv[outside]))) if outside.any() else 0.0
-    neg = float(max(0.0, -np.min(gv)))
-    mass_in = np.real(integrate(f))
-    mass_out = np.real(integrate(g))
-    mass_err = abs(mass_out - mass_in) / max(abs(mass_in), 1e-300)
-    rep = EstimateReport(
-        name="translation_support",
-        parameters={"y": y.tolist(), "support": support.tolist(), "tol": tol},
-        provenance="product-formula support/mass/positivity contract",
-    )
-    rep.add("support_leak", leak)
-    rep.add("negativity", neg)
-    rep.add("mass_relative_error", mass_err)
-    ok = leak <= tol * fmax and neg <= tol * fmax and mass_err <= tol
-    rep.verdict = PASS if ok else FAIL
-    return rep
-
-
-def spectral_tail_fraction(plan, f):
-    """Max spectral magnitude on the outermost dual nodes over the peak."""
-    return max(_tail_ratios(plan, plan.forward(f.values)), default=0.0)
 
 
 def off_diagonal_decay_check(plan, f, delta, y, r_values, t_values,

@@ -23,7 +23,8 @@ from .symbols import Symbol
 from .transform import TransformPlan
 # bound here only so the benchmark tracer can rebind it in every module
 from .transform import _contract  # noqa: F401
-from .multiplier import apply_multiplier, resolvable_j_band, _symbol_values
+from .multiplier import (apply_multiplier, dyadic_symbol_values,
+                         resolvable_j_band, _symbol_values)
 
 DEFAULT_SEED = 1234
 BATTERY_SIZE = 64
@@ -163,10 +164,9 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
             Lam = 1.05 * 2.0 ** ((j + 1) / 2.0)
             R = float(max(y.max(), yp.max()) + max(40.0 * scale, 4.0 * r2))
             pl = adapted_plan(alpha, R, Lam)
-            u = pl.dual_grid.squared_mesh()
             with warnings.catch_warnings(record=True) as wlog:
                 warnings.simplefilter("always")
-                mj = psi.dilated(j, u) * m(u)
+                mj = dyadic_symbol_values(pl, m, psi, j)
                 row = _kernel_row(pl, mj, y) - _kernel_row(pl, mj, yp)
             n_alias += len(wlog)
             x = pl.grid.axes[0].nodes
@@ -208,7 +208,7 @@ def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
     u = plan.dual_grid.squared_mesh()
     S = np.zeros(plan.dual_grid.shape)
     for j in band:
-        S = S + psi.dilated(j, u)
+        S = S + psi.piece(j, u)
     mvals = _symbol_values(plan, m)
     tmf = apply_multiplier(plan, m, f)
     scale = float(np.max(np.abs(tmf.values)))
@@ -415,16 +415,14 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
         by_radius.setdefault(r, []).append(total)
         if r in per_j_radii and abs(y0 / r - 5.0) < 1e-9:
             jc = int(round(-2.0 * np.log2(r)))
-            u_f = fine.dual_grid.squared_mesh()
-            u_c = coarse.dual_grid.squared_mesh()
             prof = []
             for j in range(jc - 8, jc + 9):
-                pj_f = psi_squared.dilated(j, u_f) ** 2
-                fj = _maximal_field(fine, pj_f * mv_f * spec_f, tg_atom)
+                mj_f = dyadic_symbol_values(fine, mv_f, psi_squared, j)
+                fj = _maximal_field(fine, mj_f * spec_f, tg_atom)
                 val = float(np.sum(fj[near_sel] * w_f[near_sel]))
                 if 2.0 ** ((j + 1) / 2.0) <= coarse.dual_grid.axes[0].R:
-                    pj_c = psi_squared.dilated(j, u_c) ** 2
-                    fc = _maximal_field(coarse, pj_c * mv_c * spec_c, tg_atom)
+                    mj_c = dyadic_symbol_values(coarse, mv_c, psi_squared, j)
+                    fc = _maximal_field(coarse, mj_c * spec_c, tg_atom)
                     val += float(np.sum(
                         fc[far_sel] * coarse.grid.weight_tensor()[far_sel]))
                 rep.add(f"far_j@r={r:.3g},j={j}", val)

@@ -91,6 +91,8 @@ class TestConfigHandling:
         (["transform-selftest", "--grading", "2.5"], "grading = '2.5'"),
         (["multiplier-check", "--beta", "two"], "beta = 'two'"),
         (["transform-selftest", "--grading", "0"], "grading = 0"),
+        (["suite", "transform-selftest,transform-selftest", "--n", "64",
+          "--R", "12"], "named twice: ['transform-selftest']"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
@@ -98,7 +100,7 @@ class TestConfigHandling:
             "dims-zero", "dims-above-max", "beta-negative", "beta-nan",
             "seed-negative", "R-inf", "dims-above-alpha-count",
             "dims-below-alpha-count", "n-not-an-int", "grading-not-an-int",
-            "beta-not-a-float", "grading-zero"])
+            "beta-not-a-float", "grading-zero", "suite-named-twice"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []
@@ -123,6 +125,18 @@ class TestConfigHandling:
         assert not built
         key = line.split("=")[0].strip()
         assert f"unknown config key: {key}" in capsys.readouterr().err
+
+    def test_repeated_config_key_is_refused(self, tmp_path, monkeypatch,
+                                            capsys):
+        built = []
+        monkeypatch.setattr(Grid, "build",
+                            staticmethod(lambda *a, **k: built.append(a)))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("n = 512\nR = 12\nn = 64\n")
+        assert run_cli(["transform-selftest", "--config", str(cfg_file),
+                        "--output", str(tmp_path)]) == 64
+        assert not built
+        assert f"{cfg_file}:3: n given twice" in capsys.readouterr().err
 
     def test_dims_disagreeing_with_alpha_in_the_file_is_refused(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 from hankellab.dyadic import make_partition, smooth_chi, smoothstep
 
 
+def _sum_of_pieces(psi, j_lo, j_hi, r):
+    """sum of psi.piece(j, .) over j in [j_lo, j_hi] at radii r."""
+    u = np.asarray(r, dtype=float)[..., None]
+    return sum(psi.piece(j, u) for j in range(j_lo, j_hi + 1))
+
+
 class TestSmoothstep:
     def test_endpoints_and_monotonicity(self):
         t = np.linspace(-1.0, 2.0, 400)
@@ -37,19 +43,20 @@ class TestPartition:
     def test_plain_telescopes_to_one(self):
         psi = make_partition("plain")
         r = np.geomspace(2.0**-6, 2.0**6, 5001)
-        s = psi.sum_over(-10, 10, r)
+        s = _sum_of_pieces(psi, -10, 10, r)
         assert np.max(np.abs(s - 1.0)) < 1e-14
 
     def test_squared_telescopes_to_one(self):
         psi = make_partition("squared")
         r = np.geomspace(2.0**-6, 2.0**6, 5001)
-        s = psi.sum_over(-10, 10, r)
+        s = _sum_of_pieces(psi, -10, 10, r)
         assert np.max(np.abs(s - 1.0)) < 1e-14
 
     def test_dilated_is_rescaled(self):
+        # the plain piece j is the bump dilated by 2^j
         psi = make_partition("plain")
         u = np.array([[0.9], [1.7]])
-        assert np.allclose(psi.dilated(2, u), psi(u / 4.0))
+        assert np.allclose(psi.piece(2, u), psi(u / 4.0))
 
     def test_vector_argument_is_radial(self):
         psi = make_partition("plain")
@@ -64,7 +71,7 @@ class TestPartition:
     @settings(max_examples=80, deadline=None)
     def test_pointwise_partition_property(self, logr):
         r = float(2.0**logr)
-        plain = make_partition("plain").sum_over(-25, 25, np.array([r]))[0]
-        sq = make_partition("squared").sum_over(-25, 25, np.array([r]))[0]
+        plain = _sum_of_pieces(make_partition("plain"), -25, 25, r)
+        sq = _sum_of_pieces(make_partition("squared"), -25, 25, r)
         assert plain == pytest.approx(1.0, abs=1e-12)
         assert sq == pytest.approx(1.0, abs=1e-12)

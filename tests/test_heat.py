@@ -9,7 +9,7 @@ from hankellab.grid import AxisGrid, Grid, GridFunction, integrate, norm
 from hankellab.heat import (HeatKernelEval, TimeGrid, _axis_kernel,
                             _maximal_field, gaussian_bound_check, heat_apply,
                             heat_kernel, heat_lipschitz_check,
-                            heat_lipschitz_pointwise, maximal_function)
+                            maximal_function)
 from hankellab.specfun import MultiIndex
 from hankellab.transform import hankel_transform, inverse_hankel
 
@@ -140,14 +140,6 @@ class TestBounds:
         pairs = [([2.0], [2.0 + s]) for s in np.geomspace(1e-1, 1e-4, 7)]
         rep = heat_lipschitz_check(hk_half, grid, pairs, band_factor=2.0)
         assert rep.verdict == "pass"
-
-    def test_lipschitz_pointwise_finite(self, hk_half):
-        rng = np.random.default_rng(5)
-        samples = [(1.0, rng.uniform(0.5, 4.0, 1), np.array([2.0]),
-                    np.array([2.0 + s]))
-                   for s in np.geomspace(1e-1, 1e-3, 5)]
-        C = heat_lipschitz_pointwise(hk_half, samples, delta=1.0)
-        assert np.isfinite(C) and C > 0
 
 
 class TestMaximalFunction:

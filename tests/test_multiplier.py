@@ -8,10 +8,10 @@ import pytest
 from hankellab.dyadic import make_partition
 from hankellab.grid import GridFunction, norm
 from hankellab.heat import HeatKernelEval, heat_apply
-from hankellab.multiplier import (UnresolvablePieceWarning, apply_multiplier,
-                                  dyadic_symbol_values, global_sobolev_norm,
-                                  kernel_piece, partition_cover_residual,
-                                  pointwise_decay_check, resolvable_j_band,
+from hankellab.multiplier import (UnresolvablePieceWarning, _symbol_values,
+                                  apply_multiplier, dyadic_symbol_values,
+                                  global_sobolev_norm, kernel_piece,
+                                  resolvable_j_band,
                                   weighted_transform_bound_check)
 from hankellab.specfun import MultiIndex
 from hankellab.symbols import bump_symbol, constant_symbol, heat_symbol
@@ -53,10 +53,17 @@ class TestApplyMultiplier:
 
 class TestDyadicPieces:
     def test_pieces_sum_to_symbol(self, plan_half):
+        # on the dual nodes whose squared radius lies in the fully covered
+        # annulus [2^-14, 2^6]
         psi = make_partition("plain")
         m = constant_symbol(1, 1.0)
-        res = partition_cover_residual(plan_half, m, psi, -14, 6)
-        assert res < 1e-12
+        total = sum(dyadic_symbol_values(plan_half, m, psi, j)
+                    for j in range(-14, 7))
+        lam2 = plan_half.dual_grid.axes[0].nodes ** 2
+        covered = (lam2 >= 2.0**-14) & (lam2 <= 2.0**6)
+        assert covered.any()
+        res = np.abs(total - _symbol_values(plan_half, m))[covered]
+        assert np.max(res) < 1e-12
 
     def test_resolvable_band_respects_truncation(self, plan_half):
         band = resolvable_j_band(plan_half)
@@ -75,6 +82,24 @@ class TestDyadicPieces:
         lam = plan_half.dual_grid.axes[0].nodes
         # support of psi(2^{-2} lambda^2): lambda^2 in [2, 16]
         assert np.all(vals[(lam**2 < 2.0) | (lam**2 > 16.0)] == 0.0)
+
+    @pytest.mark.parametrize("variant", ["plain", "squared"])
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    def test_slice_is_piece_times_symbol(self, variant, plan_name, request):
+        plan = request.getfixturevalue(plan_name)
+        psi = make_partition(variant)
+        m = bump_symbol(plan.grid.d)
+        u = plan.dual_grid.squared_mesh()
+        mv = _symbol_values(plan, m)
+        for j in (-2, 0, 3):
+            piece = psi.piece(j, u)
+            assert piece.any()
+            assert np.array_equal(dyadic_symbol_values(plan, m, psi, j),
+                                  piece * mv)
+            # the bump at the rescaled radius 2^{-j} |u|
+            bump = psi.radial(2.0**-j * np.sqrt(np.sum(u * u, axis=-1)))
+            want = bump**2 if variant == "squared" else bump
+            np.testing.assert_allclose(piece, want, rtol=1e-14, atol=0.0)
 
 
 class TestGlobalSobolevNorm:
@@ -105,8 +130,3 @@ class TestTransformBounds:
     def test_unknown_lemma_rejected(self):
         with pytest.raises(ValueError):
             weighted_transform_bound_check(0.5, lemma="3.9")
-
-    def test_pointwise_decay_covers_orders(self):
-        rep = pointwise_decay_check(0.5, N_values=(0, 1, 2, 3, 4))
-        assert rep.verdict == "pass"
-        assert rep.fitted_constants["envelope_slope"] <= -4.0

@@ -6,10 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from hankellab.dyadic import make_partition
 from hankellab.sobolev import (PotentialFamily, SobolevProfile,
-                               bessel_potential_kernel, default_window,
-                               hormander_sup, local_sobolev_norm,
-                               potential_symbol, second_window)
+                               bessel_potential_kernel, hormander_sup,
+                               local_sobolev_norm, potential_symbol)
 from hankellab.symbols import (bump_symbol, constant_symbol,
                                divergent_symbol, laplace_type_symbol)
 
@@ -21,7 +21,7 @@ class TestLocalNorm:
         # ||eta||_{W^0_2} = ||eta||_{L^2}, computed independently by mpmath
         n = constant_symbol(1, 1.0)
         got = local_sobolev_norm(n, 0, 0.0)
-        eta = default_window()
+        eta = make_partition("plain")
         want = float(mpmath.sqrt(2 * mpmath.quad(
             lambda r: float(eta(np.array([float(r)]))) ** 2, [0.5, 2.0])))
         assert got == pytest.approx(want, rel=1e-6)
@@ -35,7 +35,7 @@ class TestLocalNorm:
         # the two admissible windows give comparable profiles
         n = laplace_type_symbol(1, "imag_power", gamma=1.0)
         a = local_sobolev_norm(n, 0, 2.0)
-        b = local_sobolev_norm(n, 0, 2.0, eta=second_window())
+        b = local_sobolev_norm(n, 0, 2.0, eta=make_partition("squared"))
         assert 0.2 <= a / b <= 5.0
 
     def test_oscillation_raises_high_order_norm(self):

@@ -12,10 +12,8 @@ from hankellab.specfun import MultiIndex, bessel_operator_fd
 from hankellab.transform import (AliasingWarning, ResolutionWarning,
                                  TransformPlan, convolve,
                                  dilation_identity_check, hankel_transform,
-                                 _contract, inverse_hankel,
-                                 off_diagonal_decay_check,
-                                 spectral_tail_fraction, translate,
-                                 translation_support_check,
+                                 _contract, _tail_ratios, inverse_hankel,
+                                 off_diagonal_decay_check, translate,
                                  young_inequality_residual)
 
 from conftest import gaussian_bump
@@ -85,11 +83,20 @@ class TestDiagonalization:
 
 class TestTranslation:
     def test_support_mass_positivity(self, plan_half):
+        # f lives on [1, 7] up to 1e-6 of its peak; by the product formula
+        # tau^y f(x) needs [|x - y|, x + y] to meet [1, 7]
         grid = plan_half.grid
         f = grid.sample(lambda x: np.exp(-2.0 * (x - 4.0) ** 2))
-        rep = translation_support_check(plan_half, f, [2.0],
-                                        support=[[1.0, 7.0]], tol=1e-6)
-        assert rep.verdict == "pass"
+        g = translate(plan_half, f, [2.0])
+        gv = np.real(g.values)
+        fmax = float(np.max(np.abs(f.values)))
+        x = grid.axes[0].nodes
+        outside = (np.abs(x - 2.0) > 7.0) | (x + 2.0 < 1.0)
+        assert outside.any()
+        assert np.max(np.abs(gv[outside])) <= 1e-6 * fmax
+        assert -np.min(gv) <= 1e-6 * fmax
+        mass_in, mass_out = np.real(integrate(f)), np.real(integrate(g))
+        assert abs(mass_out - mass_in) <= 1e-6 * abs(mass_in)
 
     def test_translate_at_small_y_is_near_identity(self, plan_half):
         f = gaussian_bump(plan_half.grid, 4.0, 1.5)
@@ -157,11 +164,13 @@ class TestDilationIdentities:
 class TestSpectralDiagnostics:
     def test_tail_fraction_small_for_smooth(self, plan_half):
         f = gaussian_bump(plan_half.grid, 8.0, 1.5)
-        assert spectral_tail_fraction(plan_half, f) < 1e-10
+        spec = plan_half.forward(f.values)
+        assert max(_tail_ratios(plan_half, spec)) < 1e-10
 
     def test_tail_fraction_large_for_spike(self, plan_half):
         f = gaussian_bump(plan_half.grid, 4.0, 0.05)
-        assert spectral_tail_fraction(plan_half, f) > 1e-4
+        spec = plan_half.forward(f.values)
+        assert max(_tail_ratios(plan_half, spec)) > 1e-4
 
     def test_resolution_warning_on_coarse_plan(self):
         with pytest.warns(ResolutionWarning):
