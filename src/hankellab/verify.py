@@ -210,7 +210,7 @@ def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
     for j in band:
         S = S + psi.piece(j, u)
     mvals = _symbol_values(plan, m)
-    tmf = apply_multiplier(plan, m, f)
+    tmf = apply_multiplier(plan, mvals, f)
     scale = float(np.max(np.abs(tmf.values)))
     wts = plan.grid.weight_tensor()
     rep = EstimateReport(
@@ -281,9 +281,10 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, battery=None,
                     "seed": seed},
         provenance="L^p ratio probe (lower bounds on the operator norm)",
     )
+    mvals = _symbol_values(plan, m)
     worst = 0.0
     for i, f in enumerate(battery):
-        ratio = norm(apply_multiplier(plan, m, f), p) / norm(f, p)
+        ratio = norm(apply_multiplier(plan, mvals, f), p) / norm(f, p)
         worst = max(worst, ratio)
         if i < 8:
             rep.add(f"ratio@f{i}", ratio)
@@ -310,6 +311,7 @@ def weak11_probe(plan: TransformPlan, m: Symbol, centers=None,
     centers = centers if centers is not None else [0.5, 1.0, 2.0, 4.0, 8.0]
     mesh = np.stack(grid.meshgrid(), axis=-1)
     wts = grid.weight_tensor()
+    mvals = _symbol_values(plan, m)
     rep = EstimateReport(
         name="weak_11_probe",
         parameters={"symbol": m.name, "width": width, "sharpen": sharpen,
@@ -323,7 +325,7 @@ def weak11_probe(plan: TransformPlan, m: Symbol, centers=None,
         vals = np.exp(-np.sum(((mesh - c) / h) ** 2, axis=-1))
         f = GridFunction(grid, vals)
         f = GridFunction(grid, vals / norm(f, 1.0))
-        g = np.abs(apply_multiplier(plan, m, f).values)
+        g = np.abs(apply_multiplier(plan, mvals, f).values)
         peak = float(g.max())
         best = 0.0
         for lam in np.geomspace(1e-3, 0.9, n_levels) * peak:

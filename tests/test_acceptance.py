@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hankellab.dyadic import make_partition
-from hankellab.grid import Grid, GridFunction, dilate, norm
+from hankellab.grid import Grid, GridFunction, norm
 from hankellab.heat import (HeatKernelEval, gaussian_bound_check, heat_apply,
                             heat_kernel, heat_lipschitz_check)
 from hankellab.multiplier import weighted_transform_bound_check

@@ -1,8 +1,5 @@
 """Quadrature grids, weighted norms, dilation, and serialization."""
 
-import io
-import warnings
-
 import mpmath
 import numpy as np
 import pytest

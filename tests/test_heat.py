@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab.grid import AxisGrid, Grid, GridFunction, integrate, norm
+from hankellab.grid import AxisGrid, Grid, GridFunction, norm
 from hankellab.heat import (HeatKernelEval, TimeGrid, _axis_kernel,
                             _maximal_field, gaussian_bound_check, heat_apply,
                             heat_kernel, heat_lipschitz_check,

@@ -1,0 +1,46 @@
+"""Every module in src/hankellab/ and tests/ reads each name it imports.
+
+Stdlib ast only.  Package __init__.py files are exempt (their imports are
+re-exports), and so is any import statement marked ``# noqa``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for d in ("src/hankellab", "tests")
+                 for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """(line, name) of each imported name that the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_unused_and_honours_noqa():
+    src = ("import os\nimport sys  # noqa: F401\n"
+           "from a.b import (c,\n    d)\nimport e.f\n\nprint(c, e.f)\n")
+    assert sorted(unused_imports(src)) == [(1, "os"), (3, "d")]

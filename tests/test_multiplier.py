@@ -1,12 +1,10 @@
 """Multiplier operator, dyadic kernel pieces, and the transform-side bounds."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from hankellab.dyadic import make_partition
-from hankellab.grid import GridFunction, norm
+from hankellab.grid import norm
 from hankellab.heat import HeatKernelEval, heat_apply
 from hankellab.multiplier import (UnresolvablePieceWarning, _symbol_values,
                                   apply_multiplier, dyadic_symbol_values,

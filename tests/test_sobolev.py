@@ -7,13 +7,41 @@ import numpy as np
 import pytest
 
 from hankellab.dyadic import make_partition
-from hankellab.sobolev import (PotentialFamily, SobolevProfile,
-                               bessel_potential_kernel, hormander_sup,
-                               local_sobolev_norm, potential_symbol)
+from hankellab.sobolev import (BOX_HALFWIDTH, SobolevProfile,
+                               SpectralTailWarning, bessel_potential_kernel,
+                               hormander_sup, local_sobolev_norm,
+                               potential_symbol)
 from hankellab.symbols import (bump_symbol, constant_symbol,
                                divergent_symbol, laplace_type_symbol)
 
 mpmath.mp.dps = 25
+
+
+def whole_box_norm(n, j, beta, eta, samples):
+    """The localized norm with n(2^j .) sampled on the whole box, as it was
+    computed before evaluation was restricted to eta's support."""
+    d = n.d
+    step = 2.0 * BOX_HALFWIDTH / samples
+    u = -BOX_HALFWIDTH + step * np.arange(samples)
+    xi = 2.0 * np.pi * np.fft.fftfreq(samples, d=step)
+    mesh = np.stack(np.meshgrid(*([u] * d), indexing="ij"), axis=-1)
+    g = np.asarray(eta(mesh), dtype=complex) * n(mesh * 2.0**j)
+    spec = np.fft.fftn(g) * step**d
+    xi2 = np.zeros(spec.shape)
+    for k in range(d):
+        sh = [1] * d
+        sh[k] = samples
+        xi2 = xi2 + (xi**2).reshape(sh)
+    dxi = 2.0 * np.pi / (2.0 * BOX_HALFWIDTH)
+    density = np.abs(spec) ** 2 * (1.0 + xi2) ** beta
+    return float(np.sqrt(np.sum(density) * dxi**d / (2.0 * np.pi) ** d))
+
+
+_WINDOWS = {
+    "plain": make_partition("plain"),
+    "squared": make_partition("squared"),
+    "ones": lambda u: np.ones(np.asarray(u).shape[:-1]),
+}
 
 
 class TestLocalNorm:
@@ -50,6 +78,36 @@ class TestLocalNorm:
         with pytest.raises(ValueError):
             local_sobolev_norm(bump_symbol(1), 0, -1.0)
 
+    @pytest.mark.parametrize("d,samples", [(1, 2048), (2, 512)])
+    @pytest.mark.parametrize("window", sorted(_WINDOWS))
+    def test_support_only_matches_whole_box(self, d, samples, window):
+        n = laplace_type_symbol(d, "imag_power", gamma=1.0)
+        eta = _WINDOWS[window]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpectralTailWarning)
+            for beta in (0.0, 2.5):
+                for j in (-6, 0, 5):
+                    got = local_sobolev_norm(n, j, beta, eta=eta,
+                                             samples=samples)
+                    want = whole_box_norm(n, j, beta, eta, samples)
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_fresh_windows_are_not_cached(self):
+        # a window built per call (as global_sobolev_norm's is) must not
+        # pile up cache entries
+        from hankellab.sobolev import _windowed_box
+
+        before = _windowed_box.cache_info()
+        for _ in range(3):
+            local_sobolev_norm(bump_symbol(1), 0, 1.0,
+                               eta=lambda u: np.ones(np.asarray(u).shape[:-1]))
+        assert _windowed_box.cache_info() == before
+
+    @pytest.mark.parametrize("d,tail", [(1, "6.0e-01"), (2, "6.7e-01")])
+    def test_nyquist_tail_warned(self, d, tail):
+        with pytest.warns(SpectralTailWarning, match=f"tail {tail} .*j=-8"):
+            local_sobolev_norm(divergent_symbol(d), -8, 2.0)
+
 
 class TestProfile:
     def test_flat_for_scale_invariant_symbol(self):
@@ -66,6 +124,15 @@ class TestProfile:
         lows = [prof.norms[j] for j in (-8, -7)]
         highs = [prof.norms[j] for j in (-1, 0)]
         assert min(lows) > 10.0 * max(highs)
+
+    def test_no_state_leaks_between_profiles(self):
+        n = laplace_type_symbol(2, "imag_power", gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpectralTailWarning)
+            first, other, again = (hormander_sup(n, beta, (-2, 2)).norms
+                                   for beta in (2.0, 3.0, 2.0))
+        assert first == again
+        assert all(other[j] != first[j] for j in first)
 
     def test_flatness_handles_vanishing(self):
         prof = SobolevProfile(beta=1.0, eta="default", j_range=(0, 1),

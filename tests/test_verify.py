@@ -1,15 +1,13 @@
 """Experiment harness: atoms, probes, adapted plans, resolution comparison."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from hankellab.dyadic import make_partition
 from hankellab.grid import Grid, GridFunction, integrate, norm
+from hankellab.multiplier import apply_multiplier
 from hankellab.report import EstimateReport, FAIL, INCONCLUSIVE, PASS
 from hankellab.specfun import MultiIndex
-from hankellab.symbols import constant_symbol, laplace_type_symbol
+from hankellab.symbols import Symbol, constant_symbol, laplace_type_symbol
 from hankellab.verify import (Atom, adapted_plan, association_check,
                               check_atom, compare_resolutions,
                               default_atom_family, default_cz_pairs,
@@ -95,6 +93,44 @@ class TestProbes:
         rep = lp_norm_probe(plan_half, constant_symbol(1, 1.0), 2.0,
                             battery=battery, bound=1e-6)
         assert rep.verdict == FAIL
+
+    def test_probes_evaluate_the_symbol_once(self, plan_half):
+        base = laplace_type_symbol(1, "imag_power", gamma=1.0)
+        calls = []
+
+        def fn(u):
+            calls.append(1)
+            return base.fn(u)
+
+        m = Symbol(fn, 1, base.sup_norm, None, "counted")
+        battery = make_battery(plan_half, count=10)
+        rep = lp_norm_probe(plan_half, m, 3.0, battery=battery)
+        assert len(calls) == 1
+        ratios = [norm(apply_multiplier(plan_half, base, f), 3.0) / norm(f, 3.0)
+                  for f in battery]
+        assert rep.measurements == [(f"ratio@f{i}", r)
+                                    for i, r in enumerate(ratios[:8])]
+        assert rep.fitted_constants["max_ratio"] == max(ratios)
+
+        calls.clear()
+        centers = [2.0, 5.0]
+        rep = weak11_probe(plan_half, m, centers=centers, n_levels=16)
+        assert len(calls) == 1
+        grid = plan_half.grid
+        mesh = np.stack(grid.meshgrid(), axis=-1)
+        wts = grid.weight_tensor()
+        width = 48.0 / plan_half.dual_grid.axes[0].R
+        want = []
+        for c in centers:
+            for h, tag in ((width, "base"), (width / 4.0, "sharp")):
+                vals = np.exp(-np.sum(((mesh - c) / h) ** 2, axis=-1))
+                f = GridFunction(grid, vals)
+                f = GridFunction(grid, vals / norm(f, 1.0))
+                g = np.abs(apply_multiplier(plan_half, base, f).values)
+                q = max(lam * float(np.sum(wts[g > lam])) for lam in
+                        np.geomspace(1e-3, 0.9, 16) * float(g.max()))
+                want.append((f"q@c={c},{tag}", q))
+        assert rep.measurements == want
 
     def test_weak11_probe_stable_for_identity(self, plan_half):
         rep = weak11_probe(plan_half, constant_symbol(1, 1.0),
