@@ -59,7 +59,11 @@ class RunConfig:
     output: str = "hankellab-out"
 
     def digest(self):
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        """Hash of the suite and the fields it reads (_SUITE_READS), so
+        neither output nor an option the suite ignores changes it."""
+        keys = ("suite",) + _SUITE_READS[self.suite]
+        payload = json.dumps({k: getattr(self, k) for k in keys},
+                             sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -313,6 +317,16 @@ _SUITE_FNS = {
     "cz-check": suite_cz_check,
     "h1-check": suite_h1_check,
     "lp-probe": suite_lp_probe,
+}
+# the RunConfig fields each suite reads, the only ones its config hash covers
+_GRID_KEYS = ("alpha", "dims", "n", "R", "grading")
+_SUITE_READS = {
+    "transform-selftest": _GRID_KEYS + ("seed",),
+    "heat-selftest": _GRID_KEYS + ("seed",),
+    "multiplier-check": ("dims", "symbol", "beta", "jmin", "jmax"),
+    "cz-check": ("alpha", "dims", "symbol"),
+    "h1-check": ("alpha", "dims", "symbol"),
+    "lp-probe": _GRID_KEYS + ("symbol", "p", "seed"),
 }
 
 

@@ -190,6 +190,22 @@ class Grid:
             object.__setattr__(self, "_rt", r)
         return r
 
+    def restrict(self, keep):
+        """The grid on a subset of each axis's nodes: keep[k] is a boolean
+        mask or an index array into axis k.  Nodes keep their quadrature
+        weights, and the axes their R and alpha.
+
+        The result is a quadrature rule only for functions that vanish off
+        the kept nodes; sample such a function on it with
+        values[np.ix_(*keep)].
+        """
+        if len(keep) != self.d:
+            raise ValueError("need one node selection per axis")
+        axes = tuple(
+            AxisGrid(ax.nodes[k], ax.quad_weights[k], ax.R, ax.alpha_k)
+            for ax, k in zip(self.axes, keep))
+        return Grid(axes, self.alpha)
+
     def meshgrid(self):
         return np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
 

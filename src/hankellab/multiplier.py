@@ -25,29 +25,30 @@ class UnresolvablePieceWarning(UserWarning):
     """A dyadic piece lives (partly) beyond the dual grid's truncation."""
 
 
-def _symbol_values(plan, m):
+def _symbol_values(dual_grid, m):
     """m(lambda) on the dual grid: a Symbol in n-form or a ready array."""
     if isinstance(m, Symbol):
-        return m.on_dual_grid(plan.dual_grid)
+        return m.on_dual_grid(dual_grid)
     vals = np.asarray(m)
-    if vals.shape != plan.dual_grid.shape:
+    if vals.shape != dual_grid.shape:
         raise ValueError("multiplier array does not match the dual grid")
     return vals
 
 
 def apply_multiplier(plan: TransformPlan, m, f: GridFunction):
     """T_m f = H(m Hf): transform, multiply by m(lambda), transform back."""
-    mvals = _symbol_values(plan, m)
+    mvals = _symbol_values(plan.dual_grid, m)
     spec = plan.forward(f.values)
     return GridFunction(plan.grid, plan.inverse(mvals * spec))
 
 
-def dyadic_symbol_values(plan, m, psi: DyadicPartition, j):
-    """m_j(lambda) = psi_j(lambda_1^2, ..., lambda_d^2) m(lambda), with
-    psi_j = psi.piece(j, .) the j-th term of the partition; m is a Symbol
-    or its values on the dual grid.  Every dyadic slice is sampled here."""
-    u = plan.dual_grid.squared_mesh()
-    return psi.piece(j, u) * _symbol_values(plan, m)
+def dyadic_symbol_values(dual_grid: Grid, m, psi: DyadicPartition, j):
+    """m_j(lambda) = psi_j(lambda_1^2, ..., lambda_d^2) m(lambda) on the
+    dual grid, with psi_j = psi.piece(j, .) the j-th term of the partition;
+    m is a Symbol or its values on the dual grid.  Every dyadic slice is
+    sampled here."""
+    u = dual_grid.squared_mesh()
+    return psi.piece(j, u) * _symbol_values(dual_grid, m)
 
 
 def resolvable_j_band(plan):
@@ -78,7 +79,7 @@ def kernel_piece(plan: TransformPlan, m, psi: DyadicPartition, j, y):
             f"the dual truncation {lam_max:.3g}; the piece is clipped",
             UnresolvablePieceWarning,
         )
-    mj = dyadic_symbol_values(plan, m, psi, j)
+    mj = dyadic_symbol_values(plan.dual_grid, m, psi, j)
     hmj = GridFunction(plan.grid, plan.inverse(mj))
     return translate(plan, hmj, y)
 

@@ -117,7 +117,12 @@ def jnorm(nu, u):
         out[small] = _jnorm_series(nu, u[small])
     if np.any(~small):
         ub = u[~small]
-        out[~small] = ub ** (-nu) * bessel_j(nu, ub)
+        vals = bessel_j(nu, ub)
+        # in place, and skipped at nu = 0, where the power is exactly 1:
+        # kernel matrices are the largest arrays the sweeps hold
+        if nu != 0.0:
+            vals *= ub ** (-nu)
+        out[~small] = vals
     return out[()]
 
 

@@ -7,6 +7,14 @@ points-per-wavelength budget, so a single sweep can span many decades of
 separations and radii without a monster grid.  Geometric parameters
 (centers, margins, exclusion radii) scale with the probe radius, which keeps
 the sweeps covariant under the dilation structure the estimates live on.
+
+Bessel kernel values are evaluated only on the nodes a sum reads.  A CZ
+piece builds its adapted plan on the dual nodes where m_j != 0 and the
+nodes off the excluded ball; an H^1 atom's fine plan is full, its transfer
+to the coarse dual grid runs over the atom's support only, and its coarse
+plan holds only the far nodes.  Such restricted grids (Grid.restrict, or
+adapted_plan's keep_x and keep_dual) are quadrature rules only for
+functions that vanish off the kept nodes.
 """
 
 import warnings
@@ -99,15 +107,44 @@ def check_atom(atom: Atom):
 # ---------------------------------------------------------------------------
 # scale-adapted plans and spectral kernel rows
 
-def adapted_plan(alpha, R, Lam, ppw=5.0, n_min=256, n_max=3072, n_dual=512):
-    """Plan with the spatial node count set by a points-per-wavelength
-    budget at the bandwidth corner."""
+def adapted_grids(alpha, R, Lam, ppw=5.0, n_min=256, n_max=3072, n_dual=512):
+    """Grid on (0, R] and dual grid on (0, Lam], with the spatial node count
+    set by a points-per-wavelength budget at the bandwidth corner."""
     n_x = int(np.clip(np.ceil(Lam * R / (2.0 * np.pi) * ppw), n_min, n_max))
-    grid = Grid.build(alpha, R=R, n=n_x)
-    dual = Grid.build(alpha, R=Lam, n=n_dual)
+    return Grid.build(alpha, R=R, n=n_x), Grid.build(alpha, R=Lam, n=n_dual)
+
+
+def _quiet_plan(grid, dual_grid):
+    """TransformPlan.build without its ResolutionWarning: the sweeps set
+    their own resolution, and a restricted grid's node count is not one."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return TransformPlan.build(grid, dual)
+        return TransformPlan.build(grid, dual_grid)
+
+
+def adapted_plan(alpha, R, Lam, ppw=5.0, n_min=256, n_max=3072, n_dual=512,
+                 keep_x=None, keep_dual=None):
+    """The plan on adapted_grids, its kernel evaluated on every node pair.
+
+    keep_x and keep_dual, per-axis node selections of the grid and dual
+    grid that adapted_grids builds from the same arguments (Grid.restrict),
+    limit the kernel to the kept nodes; the plan is then a quadrature only
+    for functions that vanish off them.
+    """
+    grid, dual = adapted_grids(alpha, R, Lam, ppw, n_min, n_max, n_dual)
+    if keep_x is not None:
+        grid = grid.restrict(keep_x)
+    if keep_dual is not None:
+        dual = dual.restrict(keep_dual)
+    return _quiet_plan(grid, dual)
+
+
+def _support_forward(grid, dual_grid, values):
+    """H values on dual_grid for values on a 1-D grid, with the kernel
+    evaluated only on the nodes where values != 0: the others add nothing
+    to the sum."""
+    on = values != 0
+    return _quiet_plan(grid.restrict([on]), dual_grid).forward(values[on])
 
 
 def _kernel_row(plan, mvals, y):
@@ -130,14 +167,40 @@ def default_cz_pairs():
 CZ_J_MARGIN = (20, 8)
 
 
+def _cz_piece(alpha, m, psi, y, yp, j):
+    """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) on the
+    (pair, j) adapted grids, and the number of warnings that sampling m_j
+    and the two kernel rows raised.
+
+    m_j is sampled on the whole dual grid; the kernel is evaluated only on
+    the dual nodes where m_j != 0 and the nodes with |x-y| > 2|y-y'|,
+    since no other entry enters D_j.
+    """
+    r2 = 2.0 * float(np.linalg.norm(y - yp))
+    scale = 2.0 ** (-j / 2.0)
+    Lam = 1.05 * 2.0 ** ((j + 1) / 2.0)
+    R = float(max(y.max(), yp.max()) + max(40.0 * scale, 4.0 * r2))
+    grid, dual = adapted_grids(alpha, R, Lam)
+    off_ball = np.abs(grid.axes[0].nodes - y[0]) > r2
+    with warnings.catch_warnings(record=True) as wlog:
+        warnings.simplefilter("always")
+        mj = dyadic_symbol_values(dual, m, psi, j)
+        on = mj != 0
+        pl = adapted_plan(alpha, R, Lam, keep_x=[off_ball], keep_dual=[on])
+        row = _kernel_row(pl, mj[on], y) - _kernel_row(pl, mj[on], yp)
+    return float(np.sum(np.abs(row) * pl.grid.weight_tensor())), len(wlog)
+
+
 def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     """Hormander integral condition for the assembled kernel K = sum_j K_j.
 
     For each pair (y, y') of default_cz_pairs measures
     D = sum_j int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) with
-    per-(pair, j) scale-adapted plans, the dyadic band centered at
-    j* = -2 log2(2|y-y'|).  Passes when D is bounded with no trend across
-    separations.
+    per-(pair, j) scale-adapted grids, the dyadic band centered at
+    j* = -2 log2(2|y-y'|).  Each piece's kernel matrix is evaluated only
+    on the dual nodes where m_j != 0 and the nodes off the ball
+    |x-y| <= 2|y-y'| (see _cz_piece).  Passes when D is bounded with no
+    trend across separations.
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -160,18 +223,8 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
         total = 0.0
         perj = []
         for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1):
-            scale = 2.0 ** (-j / 2.0)
-            Lam = 1.05 * 2.0 ** ((j + 1) / 2.0)
-            R = float(max(y.max(), yp.max()) + max(40.0 * scale, 4.0 * r2))
-            pl = adapted_plan(alpha, R, Lam)
-            with warnings.catch_warnings(record=True) as wlog:
-                warnings.simplefilter("always")
-                mj = dyadic_symbol_values(pl, m, psi, j)
-                row = _kernel_row(pl, mj, y) - _kernel_row(pl, mj, yp)
-            n_alias += len(wlog)
-            x = pl.grid.axes[0].nodes
-            sel = np.abs(x - y[0]) > r2
-            dj = float(np.sum(np.abs(row)[sel] * pl.grid.weight_tensor()[sel]))
+            dj, n_warned = _cz_piece(alpha, m, psi, y, yp, j)
+            n_alias += n_warned
             total += dj
             perj.append((j, dj))
         if idx == mid:
@@ -209,7 +262,7 @@ def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
     S = np.zeros(plan.dual_grid.shape)
     for j in band:
         S = S + psi.piece(j, u)
-    mvals = _symbol_values(plan, m)
+    mvals = _symbol_values(plan.dual_grid, m)
     tmf = apply_multiplier(plan, mvals, f)
     scale = float(np.max(np.abs(tmf.values)))
     wts = plan.grid.weight_tensor()
@@ -281,7 +334,7 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, battery=None,
                     "seed": seed},
         provenance="L^p ratio probe (lower bounds on the operator norm)",
     )
-    mvals = _symbol_values(plan, m)
+    mvals = _symbol_values(plan.dual_grid, m)
     worst = 0.0
     for i, f in enumerate(battery):
         ratio = norm(apply_multiplier(plan, mvals, f), p) / norm(f, p)
@@ -311,7 +364,7 @@ def weak11_probe(plan: TransformPlan, m: Symbol, centers=None,
     centers = centers if centers is not None else [0.5, 1.0, 2.0, 4.0, 8.0]
     mesh = np.stack(grid.meshgrid(), axis=-1)
     wts = grid.weight_tensor()
-    mvals = _symbol_values(plan, m)
+    mvals = _symbol_values(plan.dual_grid, m)
     rep = EstimateReport(
         name="weak_11_probe",
         parameters={"symbol": m.name, "width": width, "sharpen": sharpen,
@@ -361,14 +414,18 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     """||M(T_m a)||_1 over default_atom_family, split into the local ball
     part and the far part, with a per-j far-field profile on a subfamily.
 
-    Each atom gets two adapted plans: a fine one resolving the atom scale
-    out to a margin of 24 radii, and a coarse one carrying the slowly
-    decaying maximal-function tail out to hundreds of radii.  The time
-    window adapts per atom, t in r^2 [1e-5, 1e5], since a fixed window
-    truncates the supremum below the smallest atom scales and fakes a
-    radius trend.  Passes when the per-radius max of the total norm is
-    flat in the radius and the per-j far profile peaks near j = -2 log2(r)
-    and its ends fall to half the peak or less.
+    Each atom gets two adapted grid pairs: a fine one resolving the atom
+    scale out to a margin of 24 radii, and a coarse one carrying the slowly
+    decaying maximal-function tail out to hundreds of radii.  The fine plan
+    holds the kernel on every node pair.  The atom's spectrum on the coarse
+    dual grid is a fine-grid quadrature whose kernel is evaluated only on
+    the atom's support, and the coarse kernel only on the nodes
+    x > F = y0 + 18 r, where the far part is read.  The time window adapts
+    per atom, t in r^2 [1e-5, 1e5], since a fixed window truncates the
+    supremum below the smallest atom scales and fakes a radius trend.
+    Passes when the per-radius max of the total norm is flat in the radius
+    and the per-j far profile peaks near j = -2 log2(r) and its ends fall
+    to half the peak or less.
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -389,27 +446,29 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
         tg_atom = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
         fine = adapted_plan(alpha, R=y0 + 24.0 * r, Lam=40.0 / r,
                             n_dual=640, ppw=5.0)
-        coarse = adapted_plan(alpha, R=y0 + 240.0 * r, Lam=10.0 / r,
-                              n_dual=512, ppw=4.0)
+        coarse_args = dict(R=y0 + 240.0 * r, Lam=10.0 / r, n_dual=512,
+                           ppw=4.0)
+        grid_c = adapted_grids(alpha, **coarse_args)[0]
+        F = y0 + 18.0 * r
+        coarse = adapted_plan(alpha, **coarse_args,
+                              keep_x=[grid_c.axes[0].nodes > F])
+        w_c = coarse.grid.weight_tensor()
         atom = make_atom(fine.grid, y0, r)
         spec_f = fine.forward(atom.values.values)
-        mv_f = _symbol_values(fine, m)
+        mv_f = _symbol_values(fine.dual_grid, m)
         x_f = fine.grid.axes[0].nodes
         w_f = fine.grid.weight_tensor()
-        F = y0 + 18.0 * r
         Mf = _maximal_field(fine, mv_f * spec_f, tg_atom)
         local_sel = np.abs(x_f - y0) <= 2.0 * r
         near_sel = (~local_sel) & (x_f <= F)
         local = float(np.sum(Mf[local_sel] * w_f[local_sel]))
         near = float(np.sum(Mf[near_sel] * w_f[near_sel]))
         # atom spectrum on the coarse dual grid, by fine-grid quadrature
-        spec_c = TransformPlan.build(fine.grid, coarse.dual_grid).forward(
-            atom.values.values)
-        mv_c = _symbol_values(coarse, m)
+        spec_c = _support_forward(fine.grid, coarse.dual_grid,
+                                  atom.values.values)
+        mv_c = _symbol_values(coarse.dual_grid, m)
         Mc = _maximal_field(coarse, mv_c * spec_c, tg_atom)
-        x_c = coarse.grid.axes[0].nodes
-        far_sel = x_c > F
-        far = float(np.sum(Mc[far_sel] * coarse.grid.weight_tensor()[far_sel]))
+        far = float(np.sum(Mc * w_c))
         total = local + near + far
         rep.add(f"total@r={r:.3g},y0={y0:.3g}", total)
         rep.add(f"local@r={r:.3g},y0={y0:.3g}", local)
@@ -419,14 +478,15 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
             jc = int(round(-2.0 * np.log2(r)))
             prof = []
             for j in range(jc - 8, jc + 9):
-                mj_f = dyadic_symbol_values(fine, mv_f, psi_squared, j)
+                mj_f = dyadic_symbol_values(fine.dual_grid, mv_f,
+                                            psi_squared, j)
                 fj = _maximal_field(fine, mj_f * spec_f, tg_atom)
                 val = float(np.sum(fj[near_sel] * w_f[near_sel]))
                 if 2.0 ** ((j + 1) / 2.0) <= coarse.dual_grid.axes[0].R:
-                    mj_c = dyadic_symbol_values(coarse, mv_c, psi_squared, j)
+                    mj_c = dyadic_symbol_values(coarse.dual_grid, mv_c,
+                                                psi_squared, j)
                     fc = _maximal_field(coarse, mj_c * spec_c, tg_atom)
-                    val += float(np.sum(
-                        fc[far_sel] * coarse.grid.weight_tensor()[far_sel]))
+                    val += float(np.sum(fc * w_c))
                 rep.add(f"far_j@r={r:.3g},j={j}", val)
                 prof.append(val)
             perj_profiles[r] = (jc, prof)

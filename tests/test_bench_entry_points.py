@@ -71,3 +71,18 @@ def test_signatures_and_constants_the_tracer_reads():
     # and the suite and output directory of _write_artifacts by position
     assert list(inspect.signature(_module("cli")._write_artifacts).parameters) \
         == ["cfg", "suite", "reports", "outdir"]
+
+
+def test_adapted_plan_carries_the_unit_scale_key_fields():
+    # the tracer keys adapted plans on alpha, both grid shapes and R * Lambda,
+    # read from the full TransformPlan that adapted_plan returns
+    plan = _module("verify").adapted_plan(MultiIndex((0.5,)), R=4.0, Lam=2.0,
+                                          n_min=32, n_max=64, n_dual=32)
+    assert isinstance(plan, TransformPlan)
+    for grid in (plan.grid, plan.dual_grid):
+        assert isinstance(grid.shape, tuple)
+        assert grid.alpha.alpha == (0.5,)
+    assert plan.grid.axes[0].R == 4.0 and plan.dual_grid.axes[0].R == 2.0
+    key = tracer._adapted_plan_attrs((), {}, plan)["key"]
+    assert key == [[0.5], list(plan.grid.shape), list(plan.dual_grid.shape),
+                   8.0]

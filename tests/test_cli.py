@@ -1,19 +1,43 @@
 """Command-line interface: config handling, artifacts, exit statuses."""
 
 import argparse
+import ast
+import inspect
 import json
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankellab.cli import (CONFIG_KEYS, RunConfig, _make_parser,
-                           _parse_config_file, build_config, main)
+from hankellab import cli
+from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
+                           _make_parser, _parse_config_file, build_config,
+                           main)
 from hankellab.grid import Grid
 
 
 def run_cli(args):
     return main(args)
+
+
+def config_reads(fn):
+    """The RunConfig fields fn reads: its cfg.<field> attributes, symbol and
+    dims when it uses sym (parsed from them), and the fields of the cli
+    helpers it passes cfg to."""
+    reads = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg"):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "sym":
+            reads |= {"symbol", "dims"}
+        elif isinstance(node, ast.Call) and any(
+                isinstance(a, ast.Name) and a.id == "cfg" for a in node.args):
+            callee = ast.unparse(node.func).removeprefix("cli.")
+            reads |= config_reads(getattr(cli, callee))
+    return reads
 
 
 class TestConfigHandling:
@@ -58,6 +82,33 @@ class TestConfigHandling:
         b = RunConfig(n=640)
         assert a.digest() != b.digest()
         assert a.digest() == RunConfig(n=512).digest()
+
+    def test_config_hash_skips_output_and_unread_options(self, tmp_path):
+        def hash_of(*flags, out="a"):
+            code = run_cli(["transform-selftest", "--n", "128", "--R", "8",
+                            *flags, "--output", str(tmp_path / out)])
+            assert code in (0, 1)
+            report = tmp_path / out / "report-transform-selftest.json"
+            return json.loads(report.read_text())["config_hash"]
+
+        base = hash_of()
+        # transform-selftest reads no beta and writes anywhere
+        assert hash_of("--beta", "5", out="b") == base
+        assert hash_of(out="c") == base
+        assert hash_of("--n", "160", out="d") != base
+
+    def test_every_suite_declares_the_fields_it_reads(self):
+        assert set(_SUITE_READS) == set(_SUITE_FNS)
+        for name, fn in _SUITE_FNS.items():
+            assert set(_SUITE_READS[name]) == config_reads(fn), name
+            assert set(_SUITE_READS[name]) <= set(CONFIG_KEYS) - {"output"}
+
+    def test_config_reads_follows_helpers_and_the_symbol(self):
+        def suite(cfg, sym):
+            return cli._plan(cfg), sym, cfg.p
+
+        assert config_reads(suite) == {"alpha", "dims", "n", "R", "grading",
+                                       "symbol", "p"}
 
     @pytest.mark.parametrize("argv,named", [
         (["multiplier-check", "--symbol", "oscillatory"], "k="),

@@ -102,6 +102,25 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((AxisGrid.build(0.5, 1.0, 64),), MultiIndex((0.5, 0.5)))
 
+    def test_restrict_keeps_nodes_weights_and_axis_data(self):
+        g = Grid.build(MultiIndex((0.5, 1.0)), R=6.0, n=64)
+        keep = [g.axes[0].nodes > 2.0, np.arange(0, g.shape[1], 3)]
+        sub = g.restrict(keep)
+        assert sub.alpha == g.alpha
+        for ax, k, sax in zip(g.axes, keep, sub.axes):
+            assert np.array_equal(sax.nodes, ax.nodes[k])
+            assert np.array_equal(sax.quad_weights, ax.quad_weights[k])
+            assert (sax.R, sax.alpha_k) == (ax.R, ax.alpha_k)
+        # a quadrature rule for functions that vanish off the kept nodes
+        f = g.sample(lambda x, y: np.exp(-x - y)).values
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[np.ix_(*keep)] = True
+        full = integrate(GridFunction(g, np.where(mask, f, 0.0)))
+        assert integrate(GridFunction(sub, f[np.ix_(*keep)])) == \
+            pytest.approx(full, rel=1e-14)
+        with pytest.raises(ValueError):
+            g.restrict(keep[:1])
+
 
 class TestNorms:
     def test_lp_norms_of_indicatorlike(self):

@@ -55,12 +55,12 @@ class TestDyadicPieces:
         # annulus [2^-14, 2^6]
         psi = make_partition("plain")
         m = constant_symbol(1, 1.0)
-        total = sum(dyadic_symbol_values(plan_half, m, psi, j)
+        total = sum(dyadic_symbol_values(plan_half.dual_grid, m, psi, j)
                     for j in range(-14, 7))
         lam2 = plan_half.dual_grid.axes[0].nodes ** 2
         covered = (lam2 >= 2.0**-14) & (lam2 <= 2.0**6)
         assert covered.any()
-        res = np.abs(total - _symbol_values(plan_half, m))[covered]
+        res = np.abs(total - _symbol_values(plan_half.dual_grid, m))[covered]
         assert np.max(res) < 1e-12
 
     def test_resolvable_band_respects_truncation(self, plan_half):
@@ -76,7 +76,8 @@ class TestDyadicPieces:
 
     def test_piece_values_localized_on_dual(self, plan_half):
         psi = make_partition("plain")
-        vals = dyadic_symbol_values(plan_half, constant_symbol(1, 1.0), psi, 2)
+        vals = dyadic_symbol_values(plan_half.dual_grid, constant_symbol(1, 1.0),
+                                    psi, 2)
         lam = plan_half.dual_grid.axes[0].nodes
         # support of psi(2^{-2} lambda^2): lambda^2 in [2, 16]
         assert np.all(vals[(lam**2 < 2.0) | (lam**2 > 16.0)] == 0.0)
@@ -88,12 +89,12 @@ class TestDyadicPieces:
         psi = make_partition(variant)
         m = bump_symbol(plan.grid.d)
         u = plan.dual_grid.squared_mesh()
-        mv = _symbol_values(plan, m)
+        mv = _symbol_values(plan.dual_grid, m)
         for j in (-2, 0, 3):
             piece = psi.piece(j, u)
             assert piece.any()
-            assert np.array_equal(dyadic_symbol_values(plan, m, psi, j),
-                                  piece * mv)
+            assert np.array_equal(
+                dyadic_symbol_values(plan.dual_grid, m, psi, j), piece * mv)
             # the bump at the rescaled radius 2^{-j} |u|
             bump = psi.radial(2.0**-j * np.sqrt(np.sum(u * u, axis=-1)))
             want = bump**2 if variant == "squared" else bump

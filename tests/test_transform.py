@@ -226,6 +226,54 @@ class TestContract:
                            rtol=1e-13, atol=0)
 
 
+class TestRestrictedPlans:
+    """A plan on Grid.restrict subsets gives the matching entries of the
+    full plan's transforms for functions that vanish off the kept nodes."""
+
+    @staticmethod
+    def _restricted(plan, keep, keep_dual):
+        with warnings.catch_warnings():
+            # the points-per-wavelength check counts kept nodes only
+            warnings.simplefilter("ignore", ResolutionWarning)
+            return TransformPlan.build(plan.grid.restrict(keep),
+                                       plan.dual_grid.restrict(keep_dual))
+
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    def test_forward_and_inverse_match_the_full_plan(self, plan_name,
+                                                     request):
+        plan = request.getfixturevalue(plan_name)
+        rng = np.random.default_rng(11)
+        keep = [rng.random(ax.n) < 0.4 for ax in plan.grid.axes]
+        keep_dual = [rng.random(ax.n) < 0.6 for ax in plan.dual_grid.axes]
+        sub = self._restricted(plan, keep, keep_dual)
+        ix, ixd = np.ix_(*keep), np.ix_(*keep_dual)
+
+        f = np.zeros(plan.grid.shape)
+        f[ix] = gaussian_bump(plan.grid, 3.0, 1.0).values[ix]
+        want = plan.forward(f)[ixd]
+        got = sub.forward(f[ix])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        g = np.zeros(plan.dual_grid.shape, dtype=complex)
+        lam2 = plan.dual_grid.squared_mesh().sum(axis=-1)
+        g[ixd] = (np.exp(-0.3 * lam2) * np.exp(1j * lam2))[ixd]
+        want = plan.inverse(g)[ix]
+        got = sub.inverse(g[ixd])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    def test_empty_selection_gives_zeros(self, plan_name, request):
+        plan = request.getfixturevalue(plan_name)
+        none = [np.zeros(ax.n, dtype=bool) for ax in plan.grid.axes]
+        every = [np.ones(ax.n, dtype=bool) for ax in plan.grid.axes]
+        sub = self._restricted(plan, none, every)
+        spec = sub.forward(np.zeros(sub.grid.shape))
+        assert spec.shape == plan.dual_grid.shape and not spec.any()
+        sub = self._restricted(plan, every, none)
+        back = sub.inverse(np.zeros(sub.dual_grid.shape))
+        assert back.shape == plan.grid.shape and not back.any()
+
+
 class TestPlanStorage:
     @staticmethod
     def _small_plan(d):

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from hankellab import transform
+from hankellab.dyadic import make_partition
 from hankellab.grid import Grid, GridFunction, integrate, norm
 from hankellab.multiplier import apply_multiplier
 from hankellab.report import EstimateReport, FAIL, INCONCLUSIVE, PASS
 from hankellab.specfun import MultiIndex
 from hankellab.symbols import Symbol, constant_symbol, laplace_type_symbol
-from hankellab.verify import (Atom, adapted_plan, association_check,
+from hankellab.transform import TransformPlan
+from hankellab.verify import (Atom, CZ_J_MARGIN, _cz_piece, _support_forward,
+                              adapted_grids, adapted_plan, association_check,
                               check_atom, compare_resolutions,
-                              default_atom_family, default_cz_pairs,
-                              lp_norm_probe, make_atom, make_battery,
-                              weak11_probe)
+                              cz_hormander_check, default_atom_family,
+                              default_cz_pairs, lp_norm_probe, make_atom,
+                              make_battery, weak11_probe)
 
 from conftest import gaussian_bump
 
@@ -64,10 +68,105 @@ class TestAdaptedPlans:
         pl2 = adapted_plan(MultiIndex((0.5,)), R=1000.0, Lam=50.0, n_max=512)
         assert pl2.grid.axes[0].n <= 512 + 16  # panel rounding slack
 
+    def test_node_selections_keep_the_full_plans_entries(self):
+        args = dict(alpha=MultiIndex((1.3,)), R=6.0, Lam=4.0, n_min=64,
+                    n_max=128, n_dual=48)
+        full = adapted_plan(**args)
+        x, lam = full.grid.axes[0].nodes, full.dual_grid.axes[0].nodes
+        keep_x, keep_dual = x > 2.0, np.flatnonzero(lam < 3.0)
+        part = adapted_plan(**args, keep_x=[keep_x], keep_dual=[keep_dual])
+        assert part.grid.shape == (np.count_nonzero(keep_x),)
+        assert part.dual_grid.shape == (keep_dual.size,)
+        np.testing.assert_array_equal(
+            part.fwd[0], full.fwd[0][np.ix_(keep_dual, keep_x)])
+        only_x = adapted_plan(**args, keep_x=[keep_x])
+        assert only_x.dual_grid == full.dual_grid
+
     def test_default_pairs_span_decades(self):
         pairs = default_cz_pairs()
         seps = [float(np.linalg.norm(b - a)) for a, b in pairs]
         assert max(seps) / min(seps) > 100.0
+
+
+class TestRestrictedSweeps:
+    """The sweeps evaluate the kernel only where their sums read it, and
+    their numbers match the full plans."""
+
+    @staticmethod
+    def _piece_bounds(y, yp, j):
+        # R and Lambda of the (pair, j) adapted grids, as _cz_piece sets them
+        r2 = 2.0 * float(np.linalg.norm(y - yp))
+        R = float(max(y.max(), yp.max())
+                  + max(40.0 * 2.0 ** (-j / 2.0), 4.0 * r2))
+        return R, 1.05 * 2.0 ** ((j + 1) / 2.0)
+
+    def _full_plan_dj(self, alpha, m, psi, y, yp, j):
+        # every kernel entry of the (pair, j) adapted plan, masked afterwards
+        r2 = 2.0 * float(np.linalg.norm(y - yp))
+        pl = adapted_plan(alpha, *self._piece_bounds(y, yp, j))
+        lam2 = pl.dual_grid.squared_mesh()
+        mj = psi.piece(j, lam2) * m.on_dual_grid(pl.dual_grid)
+        row = (pl.inverse(mj * pl.e_dual(y))
+               - pl.inverse(mj * pl.e_dual(yp)))
+        sel = np.abs(pl.grid.axes[0].nodes - y[0]) > r2
+        return float(np.sum(np.abs(row)[sel] * pl.grid.weight_tensor()[sel]))
+
+    @pytest.mark.parametrize("alpha_k", [0.5, 1.3])
+    def test_cz_pieces_match_the_full_plan(self, alpha_k):
+        alpha = MultiIndex((alpha_k,))
+        m = laplace_type_symbol(1, "imag_power", gamma=1.0)
+        psi = make_partition("plain")
+        pairs = default_cz_pairs()
+        # the bottom, centre and top piece of three pairs
+        for idx, offset in ((0, -CZ_J_MARGIN[0]), (4, 0),
+                            (7, CZ_J_MARGIN[1])):
+            y, yp = pairs[idx]
+            r2 = 2.0 * np.linalg.norm(y - yp)
+            jstar = int(np.ceil(-2.0 * np.log2(r2)))
+            got, _ = _cz_piece(alpha, m, psi, y, yp, jstar + offset)
+            want = self._full_plan_dj(alpha, m, psi, y, yp, jstar + offset)
+            assert want > 0
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_cz_sweep_evaluates_a_third_of_the_full_kernel(self,
+                                                            monkeypatch):
+        # a full (pair, j) plan evaluates n_x * n_dual kernel entries, and
+        # each of the two kernel rows n_dual entries of E_y
+        alpha = MultiIndex((0.5,))
+        full = 0
+        for y, yp in default_cz_pairs():
+            jstar = int(np.ceil(-2.0 * np.log2(2.0 * np.linalg.norm(y - yp))))
+            for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1):
+                grid, dual = adapted_grids(alpha,
+                                           *self._piece_bounds(y, yp, j))
+                full += grid.shape[0] * dual.shape[0] + 2 * dual.shape[0]
+        seen = [0]
+        e_kernel_axis = transform.e_kernel_axis
+
+        def counted_kernel(alpha_k, u):
+            seen[0] += np.size(u)
+            return e_kernel_axis(alpha_k, u)
+
+        monkeypatch.setattr(transform, "e_kernel_axis", counted_kernel)
+        rep = cz_hormander_check(alpha,
+                                 laplace_type_symbol(1, "imag_power",
+                                                     gamma=1.0),
+                                 make_partition("plain"))
+        assert rep.verdict == PASS
+        assert 0 < seen[0] <= 0.35 * full
+
+    def test_support_columns_give_the_full_forward(self):
+        # an H^1 atom on its fine grid, sent to its coarse dual grid
+        alpha, y0, r = MultiIndex((0.5,)), 1.25, 0.25
+        grid, _ = adapted_grids(alpha, R=y0 + 24.0 * r, Lam=40.0 / r,
+                                n_dual=640)
+        _, dual = adapted_grids(alpha, R=y0 + 240.0 * r, Lam=10.0 / r,
+                                n_dual=512, ppw=4.0)
+        values = make_atom(grid, y0, r).values.values
+        assert 0 < np.count_nonzero(values) < values.size / 4
+        got = _support_forward(grid, dual, values)
+        want = TransformPlan.build(grid, dual).forward(values)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestProbes:
