@@ -350,10 +350,12 @@ def _write_artifacts(cfg, suite, reports, outdir):
     return meta
 
 
-def _write_summary(cfg, all_reports, outdir):
-    lines = [f"hankellab {__version__}  config {cfg.digest()}"]
-    for r in all_reports:
-        lines.append(f"{r.verdict.upper():14s} {r.name}")
+def _write_summary(all_reports, outdir):
+    """One verdict line per (config hash, report), stamped with the hash of
+    the report-<suite>.json the report was written to."""
+    lines = [f"hankellab {__version__}"]
+    for digest, r in all_reports:
+        lines.append(f"{r.verdict.upper():14s} {r.name}  config {digest}")
     text = "\n".join(lines) + "\n"
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write(text)
@@ -398,16 +400,17 @@ def main(argv=None):
         for name in names:
             cfg.suite = name
             reports = _SUITE_FNS[name](cfg, sym)
-            _write_artifacts(cfg, name, reports, cfg.output)
-            all_reports.extend(reports)
+            digest = _write_artifacts(cfg, name, reports, cfg.output)[
+                "config_hash"]
+            all_reports.extend((digest, r) for r in reports)
     except MemoryError as exc:
         print(f"refusing to run: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure of a suite
         print(f"suite error: {exc}", file=sys.stderr)
         return 1
-    print(_write_summary(cfg, all_reports, cfg.output), end="")
-    verdicts = {r.verdict for r in all_reports}
+    print(_write_summary(all_reports, cfg.output), end="")
+    verdicts = {r.verdict for _, r in all_reports}
     if FAIL in verdicts:
         return 1
     if INCONCLUSIVE in verdicts:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma, gammainc
 
 from .specfun import MultiIndex
@@ -322,6 +321,8 @@ def dilate(f: GridFunction, t):
     t < 1) is measured on the original grid and warned about when it exceeds
     1e-8 of the total.
     """
+    from scipy.interpolate import CubicSpline
+
     if t <= 0:
         raise ValueError("t must be positive")
     g = f.grid

@@ -87,19 +87,19 @@ def _ive_safe(mu, x):
     return out
 
 
-# Series u^{-nu} J_nu(u) = sum_m (-1)^m (u/2)^{2m} / (2^nu m! Gamma(m+nu+1)),
-# used below the cutoff where the direct power*J product loses digits.
+# Series sum_m q^m / (2^nu m! Gamma(m+nu+1)): u^{-nu} J_nu(u) at
+# q = -(u/2)^2 and u^{-nu} I_nu(u) at q = (u/2)^2, used below the cutoff
+# where the direct power*Bessel product loses digits.
 _SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 12
 
 
-def _jnorm_series(nu, u):
-    q = (u / 2.0) ** 2
+def _norm_series(nu, q):
     acc = np.zeros_like(q)
     term = np.full_like(q, 1.0 / (2.0**nu * gamma(nu + 1.0)))
     for m in range(_SERIES_TERMS):
         acc = acc + term
-        term = term * (-q) / ((m + 1.0) * (m + 1.0 + nu))
+        term = term * q / ((m + 1.0) * (m + 1.0 + nu))
     return acc
 
 
@@ -114,7 +114,7 @@ def jnorm(nu, u):
     small = u <= _SERIES_CUTOFF
     out = np.empty_like(u)
     if np.any(small):
-        out[small] = _jnorm_series(nu, u[small])
+        out[small] = _norm_series(nu, -(u[small] / 2.0) ** 2)
     if np.any(~small):
         ub = u[~small]
         vals = bessel_j(nu, ub)
@@ -124,17 +124,6 @@ def jnorm(nu, u):
             vals *= ub ** (-nu)
         out[~small] = vals
     return out[()]
-
-
-def _inorm_scaled_series(nu, u):
-    # e^{-u} u^{-nu} I_nu(u): series for u^{-nu} I_nu times exp(-u)
-    q = (u / 2.0) ** 2
-    acc = np.zeros_like(q)
-    term = np.full_like(q, 1.0 / (2.0**nu * gamma(nu + 1.0)))
-    for m in range(_SERIES_TERMS):
-        acc = acc + term
-        term = term * q / ((m + 1.0) * (m + 1.0 + nu))
-    return acc * np.exp(-u)
 
 
 def inorm_scaled(nu, u):
@@ -147,7 +136,8 @@ def inorm_scaled(nu, u):
     small = u <= _SERIES_CUTOFF
     out = np.empty_like(u)
     if np.any(small):
-        out[small] = _inorm_scaled_series(nu, u[small])
+        us = u[small]
+        out[small] = _norm_series(nu, (us / 2.0) ** 2) * np.exp(-us)
     if np.any(~small):
         ub = u[~small]
         out[~small] = ub ** (-nu) * _ive_safe(nu, ub)

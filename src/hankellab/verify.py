@@ -8,13 +8,14 @@ separations and radii without a monster grid.  Geometric parameters
 (centers, margins, exclusion radii) scale with the probe radius, which keeps
 the sweeps covariant under the dilation structure the estimates live on.
 
-Bessel kernel values are evaluated only on the nodes a sum reads.  A CZ
-piece builds its adapted plan on the dual nodes where m_j != 0 and the
-nodes off the excluded ball; an H^1 atom's fine plan is full, its transfer
-to the coarse dual grid runs over the atom's support only, and its coarse
-plan holds only the far nodes.  Such restricted grids (Grid.restrict, or
-adapted_plan's keep_x and keep_dual) are quadrature rules only for
-functions that vanish off the kept nodes.
+Bessel kernel values are evaluated only on the nodes a sum reads.  Each
+sweep builds a grid pair once with adapted_grids, restricts it with
+Grid.restrict, and builds every plan through adapted_plan.  A CZ piece's
+plan holds the dual nodes where m_j != 0 and the nodes off the excluded
+ball; an H^1 atom's fine plan is full, its transfer to the coarse dual grid
+runs over the atom's support only, and its coarse plan holds only the far
+nodes.  A restricted grid is a quadrature rule only for functions that
+vanish off the kept nodes.
 """
 
 import warnings
@@ -107,44 +108,33 @@ def check_atom(atom: Atom):
 # ---------------------------------------------------------------------------
 # scale-adapted plans and spectral kernel rows
 
-def adapted_grids(alpha, R, Lam, ppw=5.0, n_min=256, n_max=3072, n_dual=512):
+# the spatial node count of adapted_grids stays within [N_MIN, N_MAX]
+N_MIN = 256
+N_MAX = 3072
+
+
+def adapted_grids(alpha, R, Lam, ppw=5.0, n_dual=512):
     """Grid on (0, R] and dual grid on (0, Lam], with the spatial node count
     set by a points-per-wavelength budget at the bandwidth corner."""
-    n_x = int(np.clip(np.ceil(Lam * R / (2.0 * np.pi) * ppw), n_min, n_max))
+    n_x = int(np.clip(np.ceil(Lam * R / (2.0 * np.pi) * ppw), N_MIN, N_MAX))
     return Grid.build(alpha, R=R, n=n_x), Grid.build(alpha, R=Lam, n=n_dual)
 
 
-def _quiet_plan(grid, dual_grid):
-    """TransformPlan.build without its ResolutionWarning: the sweeps set
-    their own resolution, and a restricted grid's node count is not one."""
+def adapted_plan(grid, dual_grid):
+    """The one builder of sweep plans: the TransformPlan between an
+    adapted_grids pair, either grid possibly Grid.restrict-ed.
+
+    ResolutionWarning is dropped because it counts the kept nodes, not the
+    resolution: a CZ piece whose m_j vanishes on the whole dual grid keeps
+    no dual node and would warn "0 points per wavelength", and the 24 H^1
+    transfer plans warn although their full grids have 7.3 points per
+    wavelength or more.  The default CZ sweep would raise none.  The other
+    48 an h1_atom_check raises are real: the full H^1 dual axes have
+    2.28-3.99 (fine) and 1.24-1.33 (coarse), below the 4-ppw rule.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return TransformPlan.build(grid, dual_grid)
-
-
-def adapted_plan(alpha, R, Lam, ppw=5.0, n_min=256, n_max=3072, n_dual=512,
-                 keep_x=None, keep_dual=None):
-    """The plan on adapted_grids, its kernel evaluated on every node pair.
-
-    keep_x and keep_dual, per-axis node selections of the grid and dual
-    grid that adapted_grids builds from the same arguments (Grid.restrict),
-    limit the kernel to the kept nodes; the plan is then a quadrature only
-    for functions that vanish off them.
-    """
-    grid, dual = adapted_grids(alpha, R, Lam, ppw, n_min, n_max, n_dual)
-    if keep_x is not None:
-        grid = grid.restrict(keep_x)
-    if keep_dual is not None:
-        dual = dual.restrict(keep_dual)
-    return _quiet_plan(grid, dual)
-
-
-def _support_forward(grid, dual_grid, values):
-    """H values on dual_grid for values on a 1-D grid, with the kernel
-    evaluated only on the nodes where values != 0: the others add nothing
-    to the sum."""
-    on = values != 0
-    return _quiet_plan(grid.restrict([on]), dual_grid).forward(values[on])
 
 
 def _kernel_row(plan, mvals, y):
@@ -170,11 +160,11 @@ CZ_J_MARGIN = (20, 8)
 def _cz_piece(alpha, m, psi, y, yp, j):
     """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) on the
     (pair, j) adapted grids, and the number of warnings that sampling m_j
-    and the two kernel rows raised.
+    and the two kernel rows raised (adapted_plan drops the plan's own).
 
-    m_j is sampled on the whole dual grid; the kernel is evaluated only on
-    the dual nodes where m_j != 0 and the nodes with |x-y| > 2|y-y'|,
-    since no other entry enters D_j.
+    The grid pair is built once and m_j sampled on the whole dual grid; the
+    plan holds only the dual nodes where m_j != 0 and the nodes with
+    |x-y| > 2|y-y'|, since no other entry enters D_j.
     """
     r2 = 2.0 * float(np.linalg.norm(y - yp))
     scale = 2.0 ** (-j / 2.0)
@@ -186,7 +176,7 @@ def _cz_piece(alpha, m, psi, y, yp, j):
         warnings.simplefilter("always")
         mj = dyadic_symbol_values(dual, m, psi, j)
         on = mj != 0
-        pl = adapted_plan(alpha, R, Lam, keep_x=[off_ball], keep_dual=[on])
+        pl = adapted_plan(grid.restrict([off_ball]), dual.restrict([on]))
         row = _kernel_row(pl, mj[on], y) - _kernel_row(pl, mj[on], yp)
     return float(np.sum(np.abs(row) * pl.grid.weight_tensor())), len(wlog)
 
@@ -414,18 +404,18 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     """||M(T_m a)||_1 over default_atom_family, split into the local ball
     part and the far part, with a per-j far-field profile on a subfamily.
 
-    Each atom gets two adapted grid pairs: a fine one resolving the atom
-    scale out to a margin of 24 radii, and a coarse one carrying the slowly
-    decaying maximal-function tail out to hundreds of radii.  The fine plan
-    holds the kernel on every node pair.  The atom's spectrum on the coarse
-    dual grid is a fine-grid quadrature whose kernel is evaluated only on
-    the atom's support, and the coarse kernel only on the nodes
-    x > F = y0 + 18 r, where the far part is read.  The time window adapts
-    per atom, t in r^2 [1e-5, 1e5], since a fixed window truncates the
-    supremum below the smallest atom scales and fakes a radius trend.
-    Passes when the per-radius max of the total norm is flat in the radius
-    and the per-j far profile peaks near j = -2 log2(r) and its ends fall
-    to half the peak or less.
+    Each atom gets two adapted grid pairs, each built once: a fine one
+    resolving the atom scale out to a margin of 24 radii, and a coarse one
+    carrying the slowly decaying maximal-function tail out to hundreds of
+    radii.  The fine plan holds the kernel on every node pair.  The atom's
+    spectrum on the coarse dual grid is a fine-grid quadrature whose kernel
+    is evaluated only on the atom's support, and the coarse kernel only on
+    the nodes x > F = y0 + 18 r, where the far part is read.  The time
+    window adapts per atom, t in r^2 [1e-5, 1e5], since a fixed window
+    truncates the supremum below the smallest atom scales and fakes a radius
+    trend.  Passes when the per-radius max of the total norm is flat in the
+    radius and the per-j far profile peaks near j = -2 log2(r) and its ends
+    fall to half the peak or less.
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -444,14 +434,13 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     perj_profiles = {}
     for y0, r in atoms:
         tg_atom = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
-        fine = adapted_plan(alpha, R=y0 + 24.0 * r, Lam=40.0 / r,
-                            n_dual=640, ppw=5.0)
-        coarse_args = dict(R=y0 + 240.0 * r, Lam=10.0 / r, n_dual=512,
-                           ppw=4.0)
-        grid_c = adapted_grids(alpha, **coarse_args)[0]
+        fine = adapted_plan(*adapted_grids(alpha, R=y0 + 24.0 * r,
+                                           Lam=40.0 / r, n_dual=640))
+        grid_c, dual_c = adapted_grids(alpha, R=y0 + 240.0 * r,
+                                       Lam=10.0 / r, ppw=4.0)
         F = y0 + 18.0 * r
-        coarse = adapted_plan(alpha, **coarse_args,
-                              keep_x=[grid_c.axes[0].nodes > F])
+        coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]),
+                              dual_c)
         w_c = coarse.grid.weight_tensor()
         atom = make_atom(fine.grid, y0, r)
         spec_f = fine.forward(atom.values.values)
@@ -464,8 +453,10 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
         local = float(np.sum(Mf[local_sel] * w_f[local_sel]))
         near = float(np.sum(Mf[near_sel] * w_f[near_sel]))
         # atom spectrum on the coarse dual grid, by fine-grid quadrature
-        spec_c = _support_forward(fine.grid, coarse.dual_grid,
-                                  atom.values.values)
+        # over the atom's support, where the other nodes add nothing
+        on = atom.values.values != 0
+        spec_c = adapted_plan(fine.grid.restrict([on]),
+                              dual_c).forward(atom.values.values[on])
         mv_c = _symbol_values(coarse.dual_grid, m)
         Mc = _maximal_field(coarse, mv_c * spec_c, tg_atom)
         far = float(np.sum(Mc * w_c))

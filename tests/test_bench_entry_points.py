@@ -75,9 +75,10 @@ def test_signatures_and_constants_the_tracer_reads():
 
 def test_adapted_plan_carries_the_unit_scale_key_fields():
     # the tracer keys adapted plans on alpha, both grid shapes and R * Lambda,
-    # read from the full TransformPlan that adapted_plan returns
-    plan = _module("verify").adapted_plan(MultiIndex((0.5,)), R=4.0, Lam=2.0,
-                                          n_min=32, n_max=64, n_dual=32)
+    # read from the TransformPlan that adapted_plan returns, here a full one
+    verify = _module("verify")
+    plan = verify.adapted_plan(*verify.adapted_grids(MultiIndex((0.5,)),
+                                                     R=4.0, Lam=2.0, n_dual=32))
     assert isinstance(plan, TransformPlan)
     for grid in (plan.grid, plan.dual_grid):
         assert isinstance(grid.shape, tuple)

@@ -345,3 +345,18 @@ class TestExitStatuses:
         summary = (tmp_path / "summary.txt").read_text()
         assert "transform_selftest" in summary
         assert "heat_selftest" in summary
+
+    def test_summary_stamps_each_line_with_its_reports_hash(self, tmp_path):
+        suites = ["transform-selftest", "heat-selftest"]
+        # the n = 128 transform selftest fails; only the stamps matter here
+        code = run_cli(["suite", ",".join(suites), "--n", "128", "--R", "14",
+                        "--output", str(tmp_path)])
+        assert code in (0, 1)
+        want = []
+        for suite in suites:
+            data = json.loads((tmp_path / f"report-{suite}.json").read_text())
+            want += [(r["name"], data["config_hash"]) for r in data["reports"]]
+        assert len({h for _, h in want}) == 2
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        got = [(line.split()[1], line.split()[-1]) for line in lines[1:]]
+        assert got == want

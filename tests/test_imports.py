@@ -1,10 +1,14 @@
-"""Every module in src/hankellab/ and tests/ reads each name it imports.
+"""Every module in src/hankellab/ and tests/ reads each name it imports,
+and the CLI loads no scipy submodule that only a library call needs.
 
 Stdlib ast only.  Package __init__.py files are exempt (their imports are
 re-exports), and so is any import statement marked ``# noqa``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,15 @@ def test_detector_flags_unused_and_honours_noqa():
     src = ("import os\nimport sys  # noqa: F401\n"
            "from a.b import (c,\n    d)\nimport e.f\n\nprint(c, e.f)\n")
     assert sorted(unused_imports(src)) == [(1, "os"), (3, "d")]
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # only grid.dilate and the tabulated symbols interpolate, and they
+    # import scipy.interpolate themselves; the CLI start-up pays for none
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hankellab.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,5 +1,7 @@
 """Experiment harness: atoms, probes, adapted plans, resolution comparison."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from hankellab.grid import Grid, GridFunction, integrate, norm
 from hankellab.multiplier import apply_multiplier
 from hankellab.report import EstimateReport, FAIL, INCONCLUSIVE, PASS
 from hankellab.specfun import MultiIndex
-from hankellab.symbols import Symbol, constant_symbol, laplace_type_symbol
+from hankellab.symbols import (Symbol, bump_symbol, constant_symbol,
+                               laplace_type_symbol)
 from hankellab.transform import TransformPlan
-from hankellab.verify import (Atom, CZ_J_MARGIN, _cz_piece, _support_forward,
+from hankellab.verify import (Atom, CZ_J_MARGIN, N_MAX, N_MIN, _cz_piece,
                               adapted_grids, adapted_plan, association_check,
                               check_atom, compare_resolutions,
                               cz_hormander_check, default_atom_family,
@@ -62,24 +65,24 @@ class TestAtoms:
 
 class TestAdaptedPlans:
     def test_node_budget_clipped(self):
-        pl = adapted_plan(MultiIndex((0.5,)), R=10.0, Lam=2.0, n_min=256,
-                          n_max=512)
-        assert pl.grid.axes[0].n >= 256
-        pl2 = adapted_plan(MultiIndex((0.5,)), R=1000.0, Lam=50.0, n_max=512)
-        assert pl2.grid.axes[0].n <= 512 + 16  # panel rounding slack
+        grid, _ = adapted_grids(MultiIndex((0.5,)), R=10.0, Lam=2.0)
+        assert grid.axes[0].n >= N_MIN
+        grid2, _ = adapted_grids(MultiIndex((0.5,)), R=1000.0, Lam=50.0)
+        assert grid2.axes[0].n <= N_MAX + 16  # panel rounding slack
 
     def test_node_selections_keep_the_full_plans_entries(self):
-        args = dict(alpha=MultiIndex((1.3,)), R=6.0, Lam=4.0, n_min=64,
-                    n_max=128, n_dual=48)
-        full = adapted_plan(**args)
+        grid, dual = adapted_grids(MultiIndex((1.3,)), R=6.0, Lam=4.0,
+                                   n_dual=48)
+        full = adapted_plan(grid, dual)
         x, lam = full.grid.axes[0].nodes, full.dual_grid.axes[0].nodes
         keep_x, keep_dual = x > 2.0, np.flatnonzero(lam < 3.0)
-        part = adapted_plan(**args, keep_x=[keep_x], keep_dual=[keep_dual])
+        part = adapted_plan(grid.restrict([keep_x]),
+                            dual.restrict([keep_dual]))
         assert part.grid.shape == (np.count_nonzero(keep_x),)
         assert part.dual_grid.shape == (keep_dual.size,)
         np.testing.assert_array_equal(
             part.fwd[0], full.fwd[0][np.ix_(keep_dual, keep_x)])
-        only_x = adapted_plan(**args, keep_x=[keep_x])
+        only_x = adapted_plan(grid.restrict([keep_x]), dual)
         assert only_x.dual_grid == full.dual_grid
 
     def test_default_pairs_span_decades(self):
@@ -103,7 +106,7 @@ class TestRestrictedSweeps:
     def _full_plan_dj(self, alpha, m, psi, y, yp, j):
         # every kernel entry of the (pair, j) adapted plan, masked afterwards
         r2 = 2.0 * float(np.linalg.norm(y - yp))
-        pl = adapted_plan(alpha, *self._piece_bounds(y, yp, j))
+        pl = adapted_plan(*adapted_grids(alpha, *self._piece_bounds(y, yp, j)))
         lam2 = pl.dual_grid.squared_mesh()
         mj = psi.piece(j, lam2) * m.on_dual_grid(pl.dual_grid)
         row = (pl.inverse(mj * pl.e_dual(y))
@@ -155,6 +158,32 @@ class TestRestrictedSweeps:
         assert rep.verdict == PASS
         assert 0 < seen[0] <= 0.35 * full
 
+    def test_cz_piece_builds_its_grid_pair_once(self, monkeypatch):
+        calls = [0]
+        build = Grid.build
+
+        def counted_build(*args, **kwargs):
+            calls[0] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(Grid, "build", staticmethod(counted_build))
+        y, yp = default_cz_pairs()[4]
+        _cz_piece(MultiIndex((0.5,)), laplace_type_symbol(1, "imag_power",
+                                                          gamma=1.0),
+                  make_partition("plain"), y, yp, 0)
+        assert calls[0] == 2
+
+    def test_empty_cz_piece_is_zero_and_quiet(self):
+        # the bump vanishes for lambda^2 > 2 and the j = 6 window lives on
+        # 2^5 <= lambda^2 <= 2^7: m_j = 0 on every dual node, so the plan
+        # keeps none
+        y, yp = default_cz_pairs()[len(default_cz_pairs()) // 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cz_piece(MultiIndex((0.5,)), bump_symbol(1),
+                            make_partition("plain"), y, yp, 6)
+        assert got == (0.0, 0)
+
     def test_support_columns_give_the_full_forward(self):
         # an H^1 atom on its fine grid, sent to its coarse dual grid
         alpha, y0, r = MultiIndex((0.5,)), 1.25, 0.25
@@ -164,7 +193,8 @@ class TestRestrictedSweeps:
                                 n_dual=512, ppw=4.0)
         values = make_atom(grid, y0, r).values.values
         assert 0 < np.count_nonzero(values) < values.size / 4
-        got = _support_forward(grid, dual, values)
+        on = values != 0
+        got = adapted_plan(grid.restrict([on]), dual).forward(values[on])
         want = TransformPlan.build(grid, dual).forward(values)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
