@@ -12,9 +12,8 @@ from .transform import (TransformPlan, hankel_transform, inverse_hankel,
 from .heat import HeatKernelEval, TimeGrid, heat_apply, heat_kernel
 from .dyadic import DyadicPartition, make_partition
 from .symbols import Symbol, parse_symbol
-from .sobolev import (SobolevProfile, bessel_potential_kernel,
-                      hormander_sup, local_sobolev_norm)
-from .multiplier import apply_multiplier, kernel_piece
+from .sobolev import SobolevProfile, hormander_sup, local_sobolev_norm
+from .multiplier import apply_multiplier
 from .verify import Atom, make_atom
 from .report import EstimateReport, PASS, FAIL, INCONCLUSIVE
 
@@ -24,7 +23,7 @@ __all__ = [
     "hankel_transform", "inverse_hankel", "translate", "convolve",
     "HeatKernelEval", "TimeGrid", "heat_apply", "heat_kernel",
     "DyadicPartition", "make_partition", "Symbol", "parse_symbol",
-    "SobolevProfile", "bessel_potential_kernel", "hormander_sup",
-    "local_sobolev_norm", "apply_multiplier", "kernel_piece", "Atom",
-    "make_atom", "EstimateReport", "PASS", "FAIL", "INCONCLUSIVE",
+    "SobolevProfile", "hormander_sup", "local_sobolev_norm",
+    "apply_multiplier", "Atom", "make_atom", "EstimateReport", "PASS",
+    "FAIL", "INCONCLUSIVE",
 ]

@@ -264,6 +264,10 @@ def suite_heat_selftest(cfg, sym):
 
 
 def suite_multiplier_check(cfg, sym):
+    # drops the profile's SpectralTailWarnings, 21 for the default symbol at
+    # d = 1 and at d = 2: the box samples leave a Nyquist tail of 1.0e-5
+    # (d = 1) and 2.4e-3 (d = 2) of the norm at j = 0, above the 1e-8
+    # threshold of local_sobolev_norm
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         prof = hormander_sup(sym, cfg.beta, (cfg.jmin, cfg.jmax))
@@ -284,28 +288,20 @@ def suite_multiplier_check(cfg, sym):
 
 
 def suite_cz_check(cfg, sym):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = cz_hormander_check(MultiIndex(cfg.alpha), sym,
-                                 make_partition("plain"))
-    return [rep]
+    return [cz_hormander_check(MultiIndex(cfg.alpha), sym,
+                               make_partition("plain"))]
 
 
 def suite_h1_check(cfg, sym):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = h1_atom_check(MultiIndex(cfg.alpha), sym,
-                            make_partition("squared"))
-    return [rep]
+    return [h1_atom_check(MultiIndex(cfg.alpha), sym,
+                          make_partition("squared"))]
 
 
 def suite_lp_probe(cfg, sym):
     plan = _plan(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reps = [lp_norm_probe(plan, sym, cfg.p, seed=cfg.seed)]
-        if cfg.dims == 1:
-            reps.append(weak11_probe(plan, sym))
+    reps = [lp_norm_probe(plan, sym, cfg.p, seed=cfg.seed)]
+    if cfg.dims == 1:
+        reps.append(weak11_probe(plan, sym))
     return reps
 
 

@@ -1,5 +1,5 @@
-"""Bessel potential kernels, localized Sobolev norms on a periodized box,
-and the dyadic Hoermander-condition profile.
+"""Localized Sobolev norms on a periodized box, the dyadic
+Hoermander-condition profile, and the potential symbol family.
 
 The localized norm ||eta(.) n(2^j .)||_{W^beta_2} is computed as the L^2
 norm of (1+|xi|^2)^{beta/2} times the Fourier transform of the compactly
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .dyadic import DyadicPartition, make_partition
 from .symbols import Symbol
@@ -100,9 +99,6 @@ def local_sobolev_norm(n: Symbol, j, beta, eta=None, samples=None):
 class SobolevProfile:
     """Localized Sobolev norms across dyadic dilations and their supremum."""
 
-    beta: float
-    eta: str
-    j_range: tuple
     norms: dict = field(default_factory=dict)
     sup_norm: float = 0.0
 
@@ -117,46 +113,11 @@ def hormander_sup(n: Symbol, beta, j_range):
     """Profile of ||eta(.) n(2^j .)||_{W^beta_2} over j and its supremum,
     with eta the plain partition bump."""
     j_lo, j_hi = j_range
-    prof = SobolevProfile(beta=float(beta), eta="default",
-                          j_range=(int(j_lo), int(j_hi)))
+    prof = SobolevProfile()
     for j in range(int(j_lo), int(j_hi) + 1):
         prof.norms[j] = local_sobolev_norm(n, j, beta)
     prof.sup_norm = float(max(prof.norms.values()))
     return prof
-
-
-def bessel_potential_kernel(z, x, d=1):
-    """Bessel potential kernel G_z at points x in R^d \\ {0}, Re z > 0.
-
-    The defining t-integral is evaluated after the substitution t = e^v on
-    40 Gauss-Legendre panels of 16 nodes; endpoints are pushed out until the
-    integrand is negligible, and failure to decay is flagged.
-    """
-    z = complex(z)
-    if z.real <= 0:
-        raise ValueError("Re z must be positive")
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim <= 1
-    r = np.sqrt(np.sum(pts.reshape(-1, d) ** 2, axis=1))
-    if np.any(r == 0.0):
-        raise ValueError("x = 0 is excluded (kernel may blow up there)")
-    v_lo = float(min(np.log(np.min(r) ** 2 / 2800.0), -10.0))
-    v_hi = 7.0
-    panels = np.linspace(v_lo, v_hi, 41)
-    gx, gw = np.polynomial.legendre.leggauss(16)
-    a, b = panels[:-1], panels[1:]
-    v = (((a + b) / 2)[:, None] + ((b - a) / 2)[:, None] * gx[None, :]).ravel()
-    w = (((b - a) / 2)[:, None] * np.broadcast_to(gw, (a.size, 16))).ravel()
-    t = np.exp(v)
-    base = (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-t) * t ** (z / 2.0)
-    integ = np.exp(-(r**2)[:, None] / (4.0 * t)[None, :]) * base[None, :]
-    ends = np.max(np.abs(integ[:, [0, -1]]), axis=1)
-    peak = np.max(np.abs(integ), axis=1)
-    if np.any(ends > 1e-12 * np.maximum(peak, 1e-300)):
-        warnings.warn("potential kernel quadrature did not decay at the "
-                      "endpoints; widen the v-range", SpectralTailWarning)
-    out = (integ @ w) / gamma_fn(z / 2.0)
-    return complex(out[0]) if (single and out.size == 1) else out
 
 
 @dataclass(frozen=True)
@@ -186,7 +147,7 @@ class PotentialFamily:
             pts = np.asarray(pts, dtype=float)
             return interp(pts.reshape(-1, self.d)).reshape(pts.shape[:-1])
 
-        return Symbol(fn, self.d, self.h_sup * 1.0 + 1e-12, None,
+        return Symbol(fn, self.d, self.h_sup * 1.0 + 1e-12,
                       f"potential{{s={self.s},h={self.name}}}")
 
 

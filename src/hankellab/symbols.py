@@ -22,12 +22,11 @@ from .dyadic import make_partition, smooth_chi, smoothstep
 
 @dataclass(frozen=True)
 class Symbol:
-    """A multiplier symbol n on R^d plus boundedness/support metadata."""
+    """A multiplier symbol n on R^d, its recorded sup norm and its name."""
 
     fn: callable
     d: int
     sup_norm: float
-    support_annulus: tuple | None = None  # (r_lo, r_hi) or None
     name: str = "symbol"
 
     def __call__(self, u):
@@ -46,10 +45,6 @@ class Symbol:
                 f"{float(np.max(mags))} > {self.sup_norm}"
             )
         return vals
-
-    def on_dual_grid(self, dual_grid):
-        """m(lambda) = n(lambda^2) sampled on a dual tensor grid."""
-        return self(dual_grid.squared_mesh())
 
 
 def _xi_cutoff(u):
@@ -76,7 +71,7 @@ def laplace_type_symbol(d, phi="const", gamma=None):
         def fn(u):
             return _xi_cutoff(u).astype(complex)
 
-        return Symbol(fn, d, 1.0, None, "laplace_type{phi=const}")
+        return Symbol(fn, d, 1.0, "laplace_type{phi=const}")
     if phi == "imag_power":
         if gamma is None:
             raise ValueError("phi=imag_power needs gamma=G")
@@ -89,7 +84,7 @@ def laplace_type_symbol(d, phi="const", gamma=None):
             safe = np.where(s > 0, s, 1.0)
             return np.where(xi > 0, xi * C * safe ** (-1j * g), 0.0 + 0.0j)
 
-        return Symbol(fn, d, float(abs(C)), None,
+        return Symbol(fn, d, float(abs(C)),
                       f"laplace_type{{phi=imag_power:gamma={g}}}")
     raise ValueError(f"unknown phi family: {phi}")
 
@@ -101,7 +96,7 @@ def bump_symbol(d):
     def fn(u):
         return psi(u).astype(complex)
 
-    return Symbol(fn, d, 1.0, (0.5, 2.0), "bump")
+    return Symbol(fn, d, 1.0, "bump")
 
 
 def oscillatory_symbol(d, k):
@@ -113,7 +108,7 @@ def oscillatory_symbol(d, k):
         u = np.asarray(u, dtype=float)
         return psi(u) * np.exp(1j * k * u[..., 0])
 
-    return Symbol(fn, d, 1.0, (0.5, 2.0), f"oscillatory{{k={k}}}")
+    return Symbol(fn, d, 1.0, f"oscillatory{{k={k}}}")
 
 
 def divergent_symbol(d):
@@ -128,7 +123,7 @@ def divergent_symbol(d):
         safe = np.where(np.abs(s) > 1e-300, s, 1.0)
         return np.where(np.abs(s) > 1e-300, env * np.exp(1j / safe), 0.0 + 0.0j)
 
-    return Symbol(fn, d, 1.0, None, "divergent")
+    return Symbol(fn, d, 1.0, "divergent")
 
 
 def heat_symbol(d, t=1.0):
@@ -140,14 +135,14 @@ def heat_symbol(d, t=1.0):
         s = np.sum(np.asarray(u, dtype=float), axis=-1)
         return np.exp(-t * np.maximum(s, 0.0)).astype(complex)
 
-    return Symbol(fn, d, 1.0, None, f"heat{{t={t}}}")
+    return Symbol(fn, d, 1.0, f"heat{{t={t}}}")
 
 
 def constant_symbol(d, value=1.0):
     def fn(u):
         return np.full(np.asarray(u).shape[:-1], complex(value))
 
-    return Symbol(fn, d, abs(complex(value)), None, f"const{{{value}}}")
+    return Symbol(fn, d, abs(complex(value)), f"const{{{value}}}")
 
 
 def tabulated_symbol(path, d):
@@ -171,7 +166,7 @@ def tabulated_symbol(path, d):
         flat = u.reshape(-1, d)
         return interp(flat).reshape(u.shape[:-1])
 
-    return Symbol(fn, d, float(np.max(np.abs(vals))) + 1e-12, None,
+    return Symbol(fn, d, float(np.max(np.abs(vals))) + 1e-12,
                   f"tabulated{{{path}}}")
 
 

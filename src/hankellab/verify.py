@@ -12,10 +12,10 @@ Bessel kernel values are evaluated only on the nodes a sum reads.  Each
 sweep builds a grid pair once with adapted_grids, restricts it with
 Grid.restrict, and builds every plan through adapted_plan.  A CZ piece's
 plan holds the dual nodes where m_j != 0 and the nodes off the excluded
-ball; an H^1 atom's fine plan is full, its transfer to the coarse dual grid
-runs over the atom's support only, and its coarse plan holds only the far
-nodes.  A restricted grid is a quadrature rule only for functions that
-vanish off the kept nodes.
+ball; an H^1 atom's fine plan holds the near nodes, its transfer to the
+coarse dual grid runs over the atom's support only, and its coarse plan
+holds only the far nodes.  A restricted grid is a quadrature rule only for
+functions that vanish off the kept nodes.
 """
 
 import warnings
@@ -407,15 +407,16 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     Each atom gets two adapted grid pairs, each built once: a fine one
     resolving the atom scale out to a margin of 24 radii, and a coarse one
     carrying the slowly decaying maximal-function tail out to hundreds of
-    radii.  The fine plan holds the kernel on every node pair.  The atom's
-    spectrum on the coarse dual grid is a fine-grid quadrature whose kernel
-    is evaluated only on the atom's support, and the coarse kernel only on
-    the nodes x > F = y0 + 18 r, where the far part is read.  The time
-    window adapts per atom, t in r^2 [1e-5, 1e5], since a fixed window
-    truncates the supremum below the smallest atom scales and fakes a radius
-    trend.  Passes when the per-radius max of the total norm is flat in the
-    radius and the per-j far profile peaks near j = -2 log2(r) and its ends
-    fall to half the peak or less.
+    radii.  The fine kernel is evaluated only on the nodes
+    x <= F = y0 + 18 r, which hold the atom's support and where the local
+    and near parts are read, and the coarse kernel only on the nodes x > F,
+    where the far part is read.  The atom's spectrum on the coarse dual grid is a fine-grid
+    quadrature whose kernel is evaluated only on the atom's support.  The
+    time window adapts per atom, t in r^2 [1e-5, 1e5], since a fixed window
+    truncates the supremum below the smallest atom scales and fakes a
+    radius trend.  Passes when the per-radius max of the total norm is flat
+    in the radius and the per-j far profile peaks near j = -2 log2(r) and
+    its ends fall to half the peak or less.
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -434,11 +435,13 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     perj_profiles = {}
     for y0, r in atoms:
         tg_atom = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
-        fine = adapted_plan(*adapted_grids(alpha, R=y0 + 24.0 * r,
-                                           Lam=40.0 / r, n_dual=640))
+        F = y0 + 18.0 * r
+        grid_f, dual_f = adapted_grids(alpha, R=y0 + 24.0 * r,
+                                       Lam=40.0 / r, n_dual=640)
+        fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]),
+                            dual_f)
         grid_c, dual_c = adapted_grids(alpha, R=y0 + 240.0 * r,
                                        Lam=10.0 / r, ppw=4.0)
-        F = y0 + 18.0 * r
         coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]),
                               dual_c)
         w_c = coarse.grid.weight_tensor()
@@ -449,7 +452,7 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
         w_f = fine.grid.weight_tensor()
         Mf = _maximal_field(fine, mv_f * spec_f, tg_atom)
         local_sel = np.abs(x_f - y0) <= 2.0 * r
-        near_sel = (~local_sel) & (x_f <= F)
+        near_sel = ~local_sel
         local = float(np.sum(Mf[local_sel] * w_f[local_sel]))
         near = float(np.sum(Mf[near_sel] * w_f[near_sel]))
         # atom spectrum on the coarse dual grid, by fine-grid quadrature

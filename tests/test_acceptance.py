@@ -193,13 +193,14 @@ def test_criterion_08_hormander_profiles():
 
 def test_criterion_09_cz_condition_and_association(plan_1024):
     m = laplace_type_symbol(1, "imag_power", gamma=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
         rep = cz_hormander_check(MultiIndex((0.5,)), m,
                                  make_partition("plain"))
         f = gaussian_bump(plan_1024.grid, 3.0, 0.5)
         assoc = association_check(plan_1024, m, f,
                                   x_samples=[[8.0], [12.0], [16.0]], tol=1e-3)
+    assert not escaped, [str(w.message) for w in escaped]
     ok = rep.verdict == "pass" and assoc.verdict == "pass"
     report(9, "CZ difference-integral flat over 3 decades; kernel associated "
               f"(band {rep.fitted_constants['band_ratio']:.3f}, "
@@ -210,14 +211,15 @@ def test_criterion_10_h1_atom_bound():
     psi2 = make_partition("squared")
     ok = True
     stats = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
         for label, spec_str in (("imag", "laplace_type{phi=imag_power:gamma=1.0}"),
                                 ("heat", "heat{t=1e-06}")):
             m = parse_symbol(spec_str, 1)
             rep = h1_atom_check(MultiIndex((0.5,)), m, psi2)
             stats[label] = rep.fitted_constants["band_ratio"]
             ok &= rep.verdict == "pass"
+    assert not escaped, [str(w.message) for w in escaped]
     report(10, "H1 atom maximal bound flat in radius "
                f"(bands {stats['imag']:.3f} / {stats['heat']:.3f})", ok)
 
@@ -225,11 +227,14 @@ def test_criterion_10_h1_atom_bound():
 def test_criterion_11_negative_controls():
     div = divergent_symbol(1)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore")  # the profile's Nyquist tails
         prof = hormander_sup(div, 1.0, (-10, 10))
-        flat_fails = prof.flatness() > 1.5
+    flat_fails = prof.flatness() > 1.5
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
         rep = cz_hormander_check(MultiIndex((0.5,)), div,
                                  make_partition("plain"))
+    assert not escaped, [str(w.message) for w in escaped]
     cz_fails = rep.verdict == "fail"
     report(11, "negative controls are detected "
                f"(profile ratio {prof.flatness():.1e}, "

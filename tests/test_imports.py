@@ -1,5 +1,6 @@
 """Every module in src/hankellab/ and tests/ reads each name it imports,
-and the CLI loads no scipy submodule that only a library call needs.
+the package binds every name in its __all__, and the CLI loads no scipy
+submodule that only a library call needs.
 
 Stdlib ast only.  Package __init__.py files are exempt (their imports are
 re-exports), and so is any import statement marked ``# noqa``.
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import hankellab
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/hankellab", "tests")
@@ -48,6 +51,11 @@ def test_detector_flags_unused_and_honours_noqa():
     src = ("import os\nimport sys  # noqa: F401\n"
            "from a.b import (c,\n    d)\nimport e.f\n\nprint(c, e.f)\n")
     assert sorted(unused_imports(src)) == [(1, "os"), (3, "d")]
+
+
+def test_every_exported_name_is_bound():
+    assert [name for name in hankellab.__all__
+            if not hasattr(hankellab, name)] == []
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

@@ -1,4 +1,4 @@
-"""Multiplier operator, dyadic kernel pieces, and the transform-side bounds."""
+"""Multiplier operator, dyadic slices, and the transform-side bounds."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import pytest
 from hankellab.dyadic import make_partition
 from hankellab.grid import norm
 from hankellab.heat import HeatKernelEval, heat_apply
-from hankellab.multiplier import (UnresolvablePieceWarning, _symbol_values,
-                                  apply_multiplier, dyadic_symbol_values,
-                                  global_sobolev_norm, kernel_piece,
+from hankellab.multiplier import (_symbol_values, apply_multiplier,
+                                  dyadic_symbol_values, global_sobolev_norm,
                                   resolvable_j_band,
                                   weighted_transform_bound_check)
 from hankellab.specfun import MultiIndex
@@ -68,11 +67,6 @@ class TestDyadicPieces:
         lam_max = plan_half.dual_grid.axes[0].R
         assert band, "band must not be empty"
         assert 2.0 ** ((max(band) + 1) / 2.0) <= lam_max
-
-    def test_unresolvable_piece_warns(self, plan_half):
-        psi = make_partition("plain")
-        with pytest.warns(UnresolvablePieceWarning):
-            kernel_piece(plan_half, constant_symbol(1, 1.0), psi, 30, [1.0])
 
     def test_piece_values_localized_on_dual(self, plan_half):
         psi = make_partition("plain")

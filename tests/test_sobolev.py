@@ -8,9 +8,8 @@ import pytest
 
 from hankellab.dyadic import make_partition
 from hankellab.sobolev import (BOX_HALFWIDTH, SobolevProfile,
-                               SpectralTailWarning, bessel_potential_kernel,
-                               hormander_sup, local_sobolev_norm,
-                               potential_symbol)
+                               SpectralTailWarning, hormander_sup,
+                               local_sobolev_norm, potential_symbol)
 from hankellab.symbols import (bump_symbol, constant_symbol,
                                divergent_symbol, laplace_type_symbol)
 
@@ -135,31 +134,8 @@ class TestProfile:
         assert all(other[j] != first[j] for j in first)
 
     def test_flatness_handles_vanishing(self):
-        prof = SobolevProfile(beta=1.0, eta="default", j_range=(0, 1),
-                              norms={0: 0.0, 1: 1.0})
+        prof = SobolevProfile(norms={0: 0.0, 1: 1.0})
         assert prof.flatness() == float("inf")
-
-
-class TestPotentialKernel:
-    def test_g2_closed_form_d1(self):
-        # G_2(x) = e^{-|x|}/2 in one dimension (Fourier pair of (1+xi^2)^{-1})
-        for x in (0.25, 1.0, 3.0):
-            got = bessel_potential_kernel(2.0, np.array([x]), d=1)
-            assert complex(got[0] if np.ndim(got) else got).real == \
-                pytest.approx(np.exp(-x) / 2.0, rel=1e-8)
-
-    def test_total_mass_one(self):
-        # int G_s = F G_s(0) = 1 for real s
-        xs = np.linspace(1e-3, 30.0, 12000).reshape(-1, 1)
-        vals = np.real(bessel_potential_kernel(1.5, xs, d=1))
-        mass = 2.0 * np.trapezoid(vals.ravel(), xs.ravel())
-        assert mass == pytest.approx(1.0, abs=2e-3)
-
-    def test_rejects_origin_and_bad_z(self):
-        with pytest.raises(ValueError):
-            bessel_potential_kernel(2.0, np.array([0.0]), d=1)
-        with pytest.raises(ValueError):
-            bessel_potential_kernel(-1.0, np.array([1.0]), d=1)
 
 
 class TestPotentialFamily:

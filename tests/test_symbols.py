@@ -38,7 +38,6 @@ class TestFamilies:
 
     def test_bump_support(self):
         n = bump_symbol(1)
-        assert n.support_annulus == (0.5, 2.0)
         assert abs(n(np.array([[3.0]]))[0]) == 0.0
 
     def test_oscillatory_reduces_to_bump_modulus(self):

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from hankellab import transform
+from hankellab import transform, verify
 from hankellab.dyadic import make_partition
 from hankellab.grid import Grid, GridFunction, integrate, norm
+from hankellab.heat import TimeGrid, _maximal_field
 from hankellab.multiplier import apply_multiplier
 from hankellab.report import EstimateReport, FAIL, INCONCLUSIVE, PASS
 from hankellab.specfun import MultiIndex
@@ -108,7 +109,7 @@ class TestRestrictedSweeps:
         r2 = 2.0 * float(np.linalg.norm(y - yp))
         pl = adapted_plan(*adapted_grids(alpha, *self._piece_bounds(y, yp, j)))
         lam2 = pl.dual_grid.squared_mesh()
-        mj = psi.piece(j, lam2) * m.on_dual_grid(pl.dual_grid)
+        mj = psi.piece(j, lam2) * m(lam2)
         row = (pl.inverse(mj * pl.e_dual(y))
                - pl.inverse(mj * pl.e_dual(yp)))
         sel = np.abs(pl.grid.axes[0].nodes - y[0]) > r2
@@ -198,6 +199,48 @@ class TestRestrictedSweeps:
         want = TransformPlan.build(grid, dual).forward(values)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_h1_fine_parts_match_the_full_plan(self, monkeypatch):
+        # the fine plan keeps the nodes x <= F, which hold the atom and
+        # every node the local and near sums read
+        alpha = MultiIndex((0.5,))
+        m = laplace_type_symbol(1, "imag_power", gamma=1.0)
+        family = default_atom_family()
+        y0, r = family[0]
+        # a second radius for the per-j subfamily; neither atom sits at 5
+        # radii, so no per-j profile runs
+        monkeypatch.setattr(verify, "default_atom_family",
+                            lambda: [family[0], family[5]])
+        fields = []
+
+        def recorded(plan, spec_vals, tg):
+            out = _maximal_field(plan, spec_vals, tg)
+            fields.append((plan.grid, out))
+            return out
+
+        monkeypatch.setattr(verify, "_maximal_field", recorded)
+        verify.h1_atom_check(alpha, m, make_partition("squared"))
+        grid, field = fields[0]
+        x, w = grid.axes[0].nodes, grid.weight_tensor()
+        F = y0 + 18.0 * r
+        assert x.max() <= F
+        local_sel = np.abs(x - y0) <= 2.0 * r
+        got = (np.sum(field[local_sel] * w[local_sel]),
+               np.sum(field[~local_sel] * w[~local_sel]))
+        # oracle: the full fine plan, read on x <= F
+        full = adapted_plan(*adapted_grids(alpha, R=y0 + 24.0 * r,
+                                           Lam=40.0 / r, n_dual=640))
+        atom = make_atom(full.grid, y0, r).values.values
+        spec = m(full.dual_grid.squared_mesh()) * full.forward(atom)
+        field = _maximal_field(full, spec, TimeGrid(
+            r * r * np.geomspace(1e-5, 1e5, 80)))
+        x, w = full.grid.axes[0].nodes, full.grid.weight_tensor()
+        assert x.max() > F
+        local_sel = np.abs(x - y0) <= 2.0 * r
+        near_sel = ~local_sel & (x <= F)
+        want = (np.sum(field[local_sel] * w[local_sel]),
+                np.sum(field[near_sel] * w[near_sel]))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestProbes:
     def test_battery_is_deterministic(self, plan_half):
@@ -231,7 +274,7 @@ class TestProbes:
             calls.append(1)
             return base.fn(u)
 
-        m = Symbol(fn, 1, base.sup_norm, None, "counted")
+        m = Symbol(fn, 1, base.sup_norm, "counted")
         battery = make_battery(plan_half, count=10)
         rep = lp_norm_probe(plan_half, m, 3.0, battery=battery)
         assert len(calls) == 1
