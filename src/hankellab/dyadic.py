@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUPPORT = (0.5, 2.0)
 # values below this are identically zero as far as the partition is concerned
 ZERO_CLIP = 1e-300
 

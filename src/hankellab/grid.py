@@ -4,12 +4,11 @@ Axes are truncated to (0, R] and discretized by composite Gauss-Legendre
 panels with the measure weight x^{2 alpha_k} folded into the quadrature
 weights.  Panel density increases geometrically toward the origin so that
 the degenerate/singular factor x^{2 alpha} is resolved for alpha_k near
--1/2.  Grids are immutable after construction; GridFunction operations
-return new containers.
+-1/2.  Grids are immutable after construction and cache only their weight
+tensor; GridFunction operations return new containers.  The module reads
+and writes no files.
 """
 
-import os
-import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,14 +180,6 @@ class Grid:
             object.__setattr__(self, "_wt", w)
         return w
 
-    def radius_tensor(self):
-        """Euclidean norm |x| at every tensor node (cached)."""
-        r = getattr(self, "_rt", None)
-        if r is None:
-            r = np.sqrt(self.squared_mesh().sum(axis=-1))
-            object.__setattr__(self, "_rt", r)
-        return r
-
     def restrict(self, keep):
         """The grid on a subset of each axis's nodes: keep[k] is a boolean
         mask or an index array into axis k.  Nodes keep their quadrature
@@ -275,16 +266,15 @@ def norm(f: GridFunction, p=2.0, weight: WeightSpec | None = None):
     With weight = WeightSpec(s, delta) this is the L^p(w^delta dnu) norm of
     f * w^s, where w(x) = 1 + |x|.
     """
-    g = np.abs(f.values)
-    if weight is not None and weight.s != 0.0:
-        g = g * (1.0 + f.grid.radius_tensor()) ** weight.s
+    g, w = np.abs(f.values), f.grid.weight_tensor()
+    if weight is not None and (weight.s or weight.delta):
+        # |x| per call, like squared_mesh: a cache would live as long as the grid
+        w1 = 1.0 + np.sqrt(f.grid.squared_mesh().sum(axis=-1))
+        g, w = g * w1**weight.s, w * w1**weight.delta
     if np.isinf(p):
         return float(np.max(g))
     if p < 1:
         raise ValueError("p must be >= 1")
-    w = f.grid.weight_tensor()
-    if weight is not None and weight.delta != 0.0:
-        w = w * (1.0 + f.grid.radius_tensor()) ** weight.delta
     return float(np.sum(g**p * w) ** (1.0 / p))
 
 
@@ -339,89 +329,17 @@ def dilate(f: GridFunction, t):
         vals = new
     if t < 1.0:
         total = abs(integrate(abs(f)))
-        lost = 0.0
         if total > 0:
-            w = g.weight_tensor().copy()
             inside = np.ones(g.shape, dtype=bool)
             for k, ax in enumerate(g.axes):
                 sh = [1] * g.d
                 sh[k] = ax.n
                 inside &= (ax.nodes <= t * ax.R).reshape(sh)
-            lost = abs(integrate(abs(f))) - float(
-                np.sum(np.abs(f.values) * np.where(inside, w, 0.0))
-            )
+            lost = total - float(np.sum(
+                np.abs(f.values) * np.where(inside, g.weight_tensor(), 0.0)))
             if lost > 1e-8 * total:
                 warnings.warn(
                     f"dilate: {lost / total:.2e} relative mass beyond truncation",
                     MassDeficitWarning,
                 )
     return GridFunction(g, (t ** g.alpha.Q) * vals)
-
-
-_MAGIC = b"HLGF1\x00"
-
-
-def save_binary(f: GridFunction, path):
-    """Binary dump: header (d, n per axis, alpha, R), axis data, then values."""
-    g = f.grid
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<i", g.d))
-        for ax in g.axes:
-            fh.write(struct.pack("<idd", ax.n, ax.alpha_k, ax.R))
-        for ax in g.axes:
-            fh.write(ax.nodes.astype("<f8").tobytes())
-            fh.write(ax.quad_weights.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-
-
-def load_binary(path):
-    """Load a save_binary dump; a foreign, truncated or padded file raises
-    ValueError."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a hankellab grid-function dump")
-        try:
-            (d,) = struct.unpack("<i", fh.read(4))
-            heads = [struct.unpack("<idd", fh.read(20)) for _ in range(d)]
-        except struct.error:
-            raise ValueError("truncated dump: header cut short") from None
-        sizes = [h[0] for h in heads]
-        if d < 1 or min(sizes) < 1:
-            raise ValueError(f"corrupt header: d={d}, axis sizes {sizes}")
-        count = int(np.prod(sizes))
-        expected = fh.tell() + 16 * sum(sizes) + 16 * count
-        found = os.fstat(fh.fileno()).st_size
-        if found != expected:
-            kind = "truncated" if found < expected else "trailing bytes in"
-            raise ValueError(f"{kind} dump: header needs {expected} bytes, "
-                             f"file has {found}")
-        axes = []
-        for n, a, R in heads:
-            nodes = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            wts = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            axes.append(AxisGrid(nodes, wts, R, a))
-        grid = Grid(tuple(axes), MultiIndex(tuple(h[1] for h in heads)))
-        vals = np.frombuffer(fh.read(16 * count), dtype="<c16")
-    return GridFunction(grid, vals.reshape(grid.shape).copy())
-
-
-def save_csv(f: GridFunction, path):
-    """CSV export with columns x_1..x_d, Re f, Im f (row-major node order)."""
-    g = f.grid
-    coords = [m.ravel() for m in g.meshgrid()]
-    v = f.values.ravel()
-    data = np.column_stack(coords + [v.real, v.imag])
-    header = ",".join([f"x{k + 1}" for k in range(g.d)] + ["re_f", "im_f"])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def load_csv(grid: Grid, path):
-    """Load a CSV written by save_csv onto a matching grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    coords = [m.ravel() for m in grid.meshgrid()]
-    for k in range(grid.d):
-        if not np.allclose(data[:, k], coords[k], rtol=1e-12, atol=1e-12):
-            raise ValueError("CSV coordinates do not match the grid")
-    vals = (data[:, grid.d] + 1j * data[:, grid.d + 1]).reshape(grid.shape)
-    return GridFunction(grid, vals)

@@ -53,16 +53,14 @@ def _axis_kernel(alpha_k, c_k, t, x, y):
 
 @dataclass(frozen=True)
 class HeatKernelEval:
-    """Closed-form heat kernel evaluator; the per-axis normalization
-    defaults to the mass-1 constant c_k = 1/2."""
+    """Closed-form heat kernel evaluator; the per-axis normalization is the
+    mass-1 constant c_k = 1/2."""
 
     alpha: MultiIndex
-    normalization: tuple = field(default=None)
+    normalization: tuple = field(init=False)
 
     def __post_init__(self):
-        c = (0.5,) * self.alpha.d if self.normalization is None \
-            else tuple(self.normalization)
-        object.__setattr__(self, "normalization", c)
+        object.__setattr__(self, "normalization", (0.5,) * self.alpha.d)
 
 
 def heat_kernel(hk: HeatKernelEval, t, x, y):
@@ -131,7 +129,7 @@ def _local_ball_measure(alpha: MultiIndex, x, r):
 GAUSSIAN_DECAY = 0.125
 
 
-def gaussian_bound_check(hk: HeatKernelEval, samples, band_tol=10.0):
+def gaussian_bound_check(hk: HeatKernelEval, samples):
     """Positivity, the Gaussian upper bound with decay rate GAUSSIAN_DECAY,
     and the two-regime asymptotic bands of the kernel.
 
@@ -140,7 +138,7 @@ def gaussian_bound_check(hk: HeatKernelEval, samples, band_tol=10.0):
     over the sample; the regime bands use the per-axis factorization and are
     reported as max/min ratios.
     """
-    d = hk.alpha.d
+    band_tol = 10.0
     rep = EstimateReport(
         name="heat_gaussian_bound",
         parameters={"c_exp": GAUSSIAN_DECAY, "n_samples": len(samples),
@@ -182,12 +180,12 @@ def gaussian_bound_check(hk: HeatKernelEval, samples, band_tol=10.0):
     return rep
 
 
-def heat_lipschitz_check(hk: HeatKernelEval, grid: Grid, pairs,
-                         band_factor=2.0):
+def heat_lipschitz_check(hk: HeatKernelEval, grid: Grid, pairs):
     """Lipschitz continuity in L^1: ratio of the difference integral
     int |T_1(., y) - T_1(., y')| dnu to |y - y'| over pairs spanning
     several decades; passes when the ratios sit in a bounded band with no
     growth trend as |y - y'| -> 0."""
+    band_factor = 2.0
     seps, ratios = [], []
     mesh = np.stack(grid.meshgrid(), axis=-1)
     for y, yp in pairs:

@@ -73,8 +73,7 @@ def global_sobolev_norm(n: Symbol, beta):
         n, 0, beta, eta=lambda u: np.ones(np.asarray(u).shape[:-1]))
 
 
-def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1",
-                                   band_factor=10.0):
+def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1"):
     """Ratio LHS/RHS of the weighted transform bound over the oscillatory
     family n_k(u) = eta(u) e^{i k u_1}, k = 0..k_max (k = 0 is the baseline).
 
@@ -86,7 +85,7 @@ def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1",
     """
     alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(np.atleast_1d(alpha)))
     d = alpha.d
-    s, epsilon = 1.0, 0.5
+    s, epsilon, band_factor = 1.0, 0.5, 10.0
     if lemma == "2.1":
         beta = s + d / 2.0 + epsilon
     elif lemma == "2.2":

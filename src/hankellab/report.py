@@ -65,9 +65,10 @@ def bounded_no_trend(param, values, slope_tol, ratio_tol):
     """'Bounded with no trend': |slope| within tol and max/min within ratio.
 
     The slope is measured after normalizing values by their mean so the
-    tolerance is scale-free.
+    tolerance is scale-free.  An all-zero sweep is bounded and flat: ratio
+    1, slope 0.
     """
     v = np.asarray(values, float)
-    ratio, slope = flatness(param, v / v.mean())
+    ratio, slope = flatness(param, v / v.mean()) if v.any() else (1.0, 0.0)
     ok = abs(slope) <= slope_tol and ratio <= ratio_tol
     return ok, {"ratio": ratio, "slope": slope}

@@ -120,37 +120,6 @@ def hormander_sup(n: Symbol, beta, j_range):
     return prof
 
 
-@dataclass(frozen=True)
-class PotentialFamily:
-    """A symbol n = h * G_s built constructively from bounded h, so that
-    ||n||_{L^inf_s} = ||h||_inf holds by construction."""
-
-    h: callable
-    s: float
-    d: int
-    h_sup: float
-    name: str = "potential"
-
-    def symbol(self):
-        """Tabulate h * G_s on the periodized box via the Fourier side
-        (F G_s = (1+|xi|^2)^{-s/2}) and wrap as an interpolating Symbol."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        u, _, _, mesh, xi2 = _box_geometry(self.d, BOX_SAMPLES)
-        hv = np.asarray(self.h(mesh), dtype=complex)
-        nv = np.fft.ifftn(np.fft.fftn(hv) * (1.0 + xi2) ** (-self.s / 2.0))
-        interp = RegularGridInterpolator(
-            [u] * self.d, nv, method="linear", bounds_error=False, fill_value=0.0
-        )
-
-        def fn(pts):
-            pts = np.asarray(pts, dtype=float)
-            return interp(pts.reshape(-1, self.d)).reshape(pts.shape[:-1])
-
-        return Symbol(fn, self.d, self.h_sup * 1.0 + 1e-12,
-                      f"potential{{s={self.s},h={self.name}}}")
-
-
 _H_PROFILES = {
     "bump": (lambda mesh: make_partition("plain")(mesh), 1.0),
     "sign": (lambda mesh: np.sign(np.asarray(mesh)[..., 0]), 1.0),
@@ -159,9 +128,27 @@ _H_PROFILES = {
 
 
 def potential_symbol(d, s, h_name):
-    """Symbol for the mini-language family potential{s=S,h=NAME}."""
+    """Symbol for the mini-language family potential{s=S,h=NAME}: n = h * G_s
+    built constructively from the bounded profile h, so that
+    ||n||_{L^inf_s} = ||h||_inf holds by construction.
+
+    h * G_s is tabulated on the periodized box via the Fourier side
+    (F G_s = (1+|xi|^2)^{-s/2}) and interpolated multilinearly."""
     if h_name not in _H_PROFILES:
         raise ValueError(f"unknown h profile {h_name!r}; have {sorted(_H_PROFILES)}")
-    h, sup = _H_PROFILES[h_name]
-    fam = PotentialFamily(h=h, s=float(s), d=d, h_sup=sup, name=h_name)
-    return fam.symbol()
+    from scipy.interpolate import RegularGridInterpolator
+
+    h, h_sup = _H_PROFILES[h_name]
+    s = float(s)
+    u, _, _, mesh, xi2 = _box_geometry(d, BOX_SAMPLES)
+    hv = np.asarray(h(mesh), dtype=complex)
+    nv = np.fft.ifftn(np.fft.fftn(hv) * (1.0 + xi2) ** (-s / 2.0))
+    interp = RegularGridInterpolator(
+        [u] * d, nv, method="linear", bounds_error=False, fill_value=0.0
+    )
+
+    def fn(pts):
+        pts = np.asarray(pts, dtype=float)
+        return interp(pts.reshape(-1, d)).reshape(pts.shape[:-1])
+
+    return Symbol(fn, d, h_sup + 1e-12, f"potential{{s={s},h={h_name}}}")

@@ -1,14 +1,16 @@
 """Multiplier symbols n on R^d (with m(lambda) = n(lambda_1^2, ..., lambda_d^2)),
 their standard families, and the config-file mini-language.
 
-Families:
+Families (FAMILIES gives each its keys and builder):
   laplace_type{phi=const}              n = Xi (identically 1 on the quadrant)
   laplace_type{phi=imag_power:gamma=G} n = Xi * Gamma(1+iG) s^{-iG}, s = sum u_k
   bump                                 the radial partition bump in A_{1/2,2}
   oscillatory{k=K}                     eta(u) e^{i K u_1}
   potential{s=S,h=NAME}                h * G_S built constructively (see sobolev)
   divergent                            e^{i/s} * cutoff; the negative control
-Tabulated symbols load from CSV with columns u_1..u_d, Re n, Im n.
+  heat{t=T}                            e^{-t (u_1+...+u_d)_+}, i.e. e^{-t|lambda|^2}
+  const{value=V}                       the constant V
+  tabulated{path=FILE}                 from CSV with columns u_1..u_d, Re n, Im n
 """
 
 import re
@@ -171,16 +173,28 @@ def tabulated_symbol(path, d):
 
 
 _FAMILY_RE = re.compile(r"^(\w+)(?:\{(.*)\})?$")
-# the keys each family takes; gamma may also sit under phi=MODE:gamma=G
-_FAMILY_KEYS = {
-    "laplace_type": {"phi", "gamma"},
-    "bump": set(),
-    "oscillatory": {"k"},
-    "potential": {"s", "h"},
-    "divergent": set(),
-    "heat": {"t"},
-    "const": {"value"},
-    "tabulated": {"path"},
+
+
+def _potential(d, a, need):
+    from .sobolev import potential_symbol  # sobolev imports this module
+
+    return potential_symbol(d, float(need("s")), need("h"))
+
+
+# each family of the mini-language: the keys it takes (gamma may also sit
+# under phi=MODE:gamma=G) and its builder from d, the given keys and need(key)
+FAMILIES = {
+    "laplace_type": ({"phi", "gamma"}, lambda d, a, need: laplace_type_symbol(
+        d, a.get("phi", "const"), a.get("gamma"))),
+    "bump": (set(), lambda d, a, need: bump_symbol(d)),
+    "oscillatory": ({"k"},
+                    lambda d, a, need: oscillatory_symbol(d, float(need("k")))),
+    "potential": ({"s", "h"}, _potential),
+    "divergent": (set(), lambda d, a, need: divergent_symbol(d)),
+    "heat": ({"t"}, lambda d, a, need: heat_symbol(d, float(a.get("t", 1.0)))),
+    "const": ({"value"}, lambda d, a, need: constant_symbol(
+        d, float(a.get("value", 1.0)))),
+    "tabulated": ({"path"}, lambda d, a, need: tabulated_symbol(need("path"), d)),
 }
 
 
@@ -195,8 +209,9 @@ def parse_symbol(spec_str, d):
     if not m:
         raise ValueError(f"cannot parse symbol spec: {spec_str!r}")
     fam, argstr = m.group(1), m.group(2) or ""
-    if fam not in _FAMILY_KEYS:
+    if fam not in FAMILIES:
         raise ValueError(f"unknown symbol family: {fam!r}")
+    keys, build = FAMILIES[fam]
     args, phi_args, given = {}, {}, []
     for part in filter(None, (p.strip() for p in argstr.split(","))):
         if "=" not in part:
@@ -215,34 +230,18 @@ def parse_symbol(spec_str, d):
     if repeated:
         raise ValueError(f"symbol {spec_str!r}: {fam} does not take "
                          f"{', '.join(repeated)} twice")
-    unknown = sorted(set(args) - _FAMILY_KEYS[fam]) \
+    unknown = sorted(set(args) - keys) \
         + sorted(f"phi:{k}" for k in set(phi_args) - {"gamma"})
     if unknown:
-        takes = ", ".join(sorted(_FAMILY_KEYS[fam])) or "no keys"
+        takes = ", ".join(sorted(keys)) or "no keys"
         raise ValueError(f"symbol {spec_str!r}: {fam} does not take "
                          f"{', '.join(unknown)} (it takes {takes})")
+    # what is left of phi_args is a gamma that no plain gamma= repeats
+    args.update(phi_args)
 
     def need(key):
         if key not in args:
             raise ValueError(f"symbol {spec_str!r} needs {key}=...")
         return args[key]
 
-    if fam == "laplace_type":
-        phi = args.get("phi", "const")
-        gamma = phi_args.get("gamma", args.get("gamma"))
-        return laplace_type_symbol(d, phi, gamma)
-    if fam == "bump":
-        return bump_symbol(d)
-    if fam == "oscillatory":
-        return oscillatory_symbol(d, float(need("k")))
-    if fam == "potential":
-        from .sobolev import potential_symbol
-
-        return potential_symbol(d, float(need("s")), need("h"))
-    if fam == "divergent":
-        return divergent_symbol(d)
-    if fam == "heat":
-        return heat_symbol(d, float(args.get("t", 1.0)))
-    if fam == "const":
-        return constant_symbol(d, float(args.get("value", 1.0)))
-    return tabulated_symbol(need("path"), d)
+    return build(d, args, need)

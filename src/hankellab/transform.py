@@ -175,8 +175,9 @@ def convolve(plan: TransformPlan, f: GridFunction, g: GridFunction):
     return GridFunction(plan.grid, plan.inverse(sf * sg))
 
 
-def dilation_identity_check(plan, f, t, y, tol=1e-5):
+def dilation_identity_check(plan, f, t, y):
     """Check tau^y(f_t) = (tau^{t y} f)_t; both sides computed independently."""
+    tol = 1e-5
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lhs = translate(plan, dilate(f, t), y)
     rhs = dilate(translate(plan, f, t * y), t)
@@ -197,8 +198,7 @@ def dilation_identity_check(plan, f, t, y, tol=1e-5):
     return rep
 
 
-def off_diagonal_decay_check(plan, f, delta, y, r_values, t_values,
-                             slope_slack=0.1):
+def off_diagonal_decay_check(plan, f, delta, y, r_values, t_values):
     """Tail-integral decay of translated dilates over an (r, t) lattice.
 
     Measures B(r, t) = int_{|x-y|>r} |tau^y(f_t)| dnu against the bound
@@ -206,6 +206,7 @@ def off_diagonal_decay_check(plan, f, delta, y, r_values, t_values,
     log-log slope of B in (r t) is <= -delta + slope_slack and the
     constant C = max B (rt)^delta / ||f||_{1,delta} is finite.
     """
+    slope_slack = 0.1
     y = np.atleast_1d(np.asarray(y, dtype=float))
     mesh = np.stack(plan.grid.meshgrid(), axis=-1)
     dist = np.sqrt(np.sum((mesh - y) ** 2, axis=-1))

@@ -202,12 +202,10 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
                     "slope_tol": SLOPE_TOL, "ratio_tol": RATIO_TOL},
         provenance="Hormander integral condition for the dyadic kernel sum",
     )
-    seps, totals = [], []
+    seps, totals, tops = [], [], []
     n_alias = 0
     mid = len(pairs) // 2
     for idx, (y, yp) in enumerate(pairs):
-        y = np.atleast_1d(np.asarray(y, float))
-        yp = np.atleast_1d(np.asarray(yp, float))
         r2 = 2.0 * float(np.linalg.norm(y - yp))
         jstar = int(np.ceil(-2.0 * np.log2(r2)))
         total = 0.0
@@ -223,11 +221,9 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
         rep.add(f"D@sep={r2 / 2:.3e}", total)
         seps.append(r2 / 2.0)
         totals.append(total)
-        # geometric estimate of the mass truncated above the top piece
-        rep.fitted_constants.setdefault("truncation_indicator", 0.0)
-        rep.fitted_constants["truncation_indicator"] = max(
-            rep.fitted_constants["truncation_indicator"], perj[-1][1]
-        )
+        tops.append(perj[-1][1])
+    # geometric estimate of the mass truncated above the top piece
+    rep.fitted_constants["truncation_indicator"] = max(0.0, *tops)
     ok, stats = bounded_no_trend(seps, totals, SLOPE_TOL, RATIO_TOL)
     rep.fitted_constants["C_hormander"] = float(np.max(totals))
     rep.fitted_constants["band_ratio"] = stats["ratio"]
@@ -238,14 +234,15 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
 
 
 def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
-                      x_samples, tol=1e-3):
+                      x_samples):
     """Kernel association: T_m f(x) (spectral) against the integral of the
     assembled kernel row against f, at points x off the support of f.
 
     The kernel is assembled from the partial partition sum over the plan's
     resolvable dyadic band; discrepancies are reported relative to the sup
-    of T_m f over the grid.
+    of T_m f over the grid and pass up to tol.
     """
+    tol = 1e-3
     psi = make_partition("plain")
     band = resolvable_j_band(plan)
     u = plan.dual_grid.squared_mesh()
@@ -381,7 +378,8 @@ def weak11_probe(plan: TransformPlan, m: Symbol, centers=None,
         q1 = quantity(c, width / sharpen)
         rep.add(f"q@c={c},base", q0)
         rep.add(f"q@c={c},sharp", q1)
-        ratio = q1 / q0
+        # the zero multiplier keeps both at 0; only q0 at 0 is unbounded
+        ratio = q1 / q0 if q0 else (np.inf if q1 else 1.0)
         ok = ok and (1.0 / band_factor) <= ratio <= band_factor
         worst = max(worst, q0, q1)
     rep.fitted_constants["max_quantity"] = worst
@@ -505,21 +503,32 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
 # ---------------------------------------------------------------------------
 # resolution robustness
 
+# a fitted constant this small in magnitude is round-off, not a measurement
+DRIFT_FLOOR = 1e-12
+
+
 def compare_resolutions(rep_base: EstimateReport, rep_fine: EstimateReport):
-    """Downgrade to inconclusive when refined resolution moves any shared
-    fitted constant by more than 10%."""
+    """Downgrade to inconclusive when the verdicts differ or refined
+    resolution moves a shared fitted constant by more than 10% of its scale.
+
+    trend_slope's scale is the report's slope_tol and band_ratio's its
+    ratio_tol, the tolerances their verdict is judged by, when the report
+    carries them; any other constant's is the larger of its two values,
+    floored at DRIFT_FLOOR so that round-off does not read as drift."""
     merged = EstimateReport(
         name=rep_base.name + "_resolution",
         parameters=dict(rep_base.parameters),
         provenance=rep_base.provenance,
     )
+    tols = {"trend_slope": rep_base.parameters.get("slope_tol"),
+            "band_ratio": rep_base.parameters.get("ratio_tol")}
     worst = 0.0
     for key in sorted(set(rep_base.fitted_constants)
                       & set(rep_fine.fitted_constants)):
         a, b = rep_base.fitted_constants[key], rep_fine.fitted_constants[key]
         if not (isinstance(a, float) and isinstance(b, float)):
             continue
-        drift = abs(b - a) / max(abs(a), abs(b), 1e-300)
+        drift = abs(b - a) / (tols.get(key) or max(abs(a), abs(b), DRIFT_FLOOR))
         merged.add(f"drift@{key}", drift)
         worst = max(worst, drift)
     merged.fitted_constants["max_drift"] = worst

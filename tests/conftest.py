@@ -18,7 +18,6 @@ def plan_2d():
 
 
 def gaussian_bump(grid, center, width):
-    mesh = np.stack(grid.meshgrid(), axis=-1)
     c = np.broadcast_to(np.atleast_1d(center), (grid.d,))
     return grid.sample(lambda *xs: np.exp(
         -np.sum(((np.stack(xs, axis=-1) - c) / width) ** 2, axis=-1)))

@@ -336,6 +336,15 @@ class TestExitStatuses:
                         "--output", str(tmp_path)])
         assert code == 1
 
+    def test_zero_multiplier_gets_a_verdict(self, tmp_path, capsys):
+        # q_sharp / q_base is 0 / 0 for the zero multiplier
+        code = run_cli(["lp-probe", "--symbol", "const{value=0}",
+                        "--n", "256", "--R", "12", "--output", str(tmp_path)])
+        assert "suite error" not in capsys.readouterr().err
+        assert code == 0
+        assert "PASS           weak_11_probe" in \
+            (tmp_path / "summary.txt").read_text()
+
     def test_suite_all_runs_multiple(self, tmp_path):
         code = run_cli(["suite", "transform-selftest,heat-selftest",
                         "--output", str(tmp_path)])

@@ -1,4 +1,4 @@
-"""Quadrature grids, weighted norms, dilation, and serialization."""
+"""Quadrature grids, restriction, weighted norms, ball measures and dilation."""
 
 import mpmath
 import numpy as np
@@ -8,36 +8,10 @@ from hypothesis import strategies as st
 
 from hankellab.grid import (AxisGrid, Grid, GridFunction, MassDeficitWarning,
                             WeightSpec, axis_size, ball_measure, dilate,
-                            integrate,
-                            load_binary, load_csv, norm, save_binary, save_csv)
+                            integrate, norm)
 from hankellab.specfun import MultiIndex
 
 mpmath.mp.dps = 30
-
-_finite = st.floats(-1e6, 1e6, allow_nan=False)
-
-
-@st.composite
-def small_grid_functions(draw):
-    """Tiny hand-built grid functions: 1 or 2 axes of 1-4 arbitrary nodes."""
-    axes = []
-    for _ in range(draw(st.integers(1, 2))):
-        n = draw(st.integers(1, 4))
-        axes.append(AxisGrid(draw(st.lists(_finite, min_size=n, max_size=n)),
-                             draw(st.lists(_finite, min_size=n, max_size=n)),
-                             draw(st.floats(0.1, 100.0)),
-                             draw(st.floats(-0.49, 3.0))))
-    grid = Grid(tuple(axes), MultiIndex(tuple(ax.alpha_k for ax in axes)))
-    size = int(np.prod(grid.shape))
-    re, im = (np.array(draw(st.lists(_finite, min_size=size, max_size=size)))
-              for _ in range(2))
-    return GridFunction(grid, (re + 1j * im).reshape(grid.shape))
-
-
-@pytest.fixture(scope="module")
-def dump_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("dumps")
-
 
 class TestAxisGrid:
     @pytest.mark.parametrize("a", [-0.49, -0.25, 0.0, 0.5, 1.0, 2.5])
@@ -206,74 +180,3 @@ class TestDilate:
         with pytest.raises(ValueError):
             dilate(f, 0.0)
 
-
-class TestSerialization:
-    def test_binary_roundtrip(self, tmp_path):
-        g = Grid.build(MultiIndex((0.3, 1.1)), R=4.0, n=48)
-        f = g.sample(lambda x, y: np.exp(1j * x) * np.cos(y))
-        p = tmp_path / "f.hlgf"
-        save_binary(f, p)
-        back = load_binary(p)
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
-
-    def test_binary_rejects_foreign_file(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"not a dump")
-        with pytest.raises(ValueError):
-            load_binary(p)
-
-    @given(f=small_grid_functions())
-    @settings(max_examples=40, deadline=None)
-    def test_binary_roundtrip_property(self, f, dump_dir):
-        p = dump_dir / "roundtrip.hlgf"
-        save_binary(f, p)
-        back = load_binary(p)
-        assert back.grid == f.grid
-        assert np.array_equal(back.values, f.values)
-
-    @given(f=small_grid_functions())
-    @settings(max_examples=10, deadline=None)
-    def test_binary_rejects_every_truncation(self, f, dump_dir):
-        p = dump_dir / "whole.hlgf"
-        save_binary(f, p)
-        blob = p.read_bytes()
-        cut = dump_dir / "cut.hlgf"
-        for length in range(len(blob)):
-            cut.write_bytes(blob[:length])
-            with pytest.raises(ValueError, match="truncated|not a hankellab"):
-                load_binary(cut)
-
-    @given(f=small_grid_functions(), suffix=st.binary(min_size=1, max_size=64))
-    @settings(max_examples=40, deadline=None)
-    def test_binary_rejects_appended_bytes(self, f, suffix, dump_dir):
-        p = dump_dir / "padded.hlgf"
-        save_binary(f, p)
-        p.write_bytes(p.read_bytes() + suffix)
-        with pytest.raises(ValueError, match="trailing bytes"):
-            load_binary(p)
-
-    def test_csv_roundtrip(self, tmp_path):
-        g = Grid.build(MultiIndex((0.5,)), R=3.0, n=48)
-        f = g.sample(lambda x: np.sin(x) + 1j * x)
-        p = tmp_path / "f.csv"
-        save_csv(f, p)
-        back = load_csv(g, str(p))
-        assert np.allclose(back.values, f.values, rtol=1e-12, atol=1e-12)
-
-    def test_csv_grid_mismatch(self, tmp_path):
-        g = Grid.build(MultiIndex((0.5,)), R=3.0, n=48)
-        g2 = Grid.build(MultiIndex((0.5,)), R=4.0, n=48)
-        f = g.sample(lambda x: x)
-        p = tmp_path / "f.csv"
-        save_csv(f, p)
-        with pytest.raises(ValueError):
-            load_csv(g2, str(p))
-
-    def test_csv_load_from_path_object(self, tmp_path):
-        g = Grid.build(MultiIndex((0.5,)), R=3.0, n=48)
-        f = g.sample(lambda x: np.cos(x) - 1j * x)
-        p = tmp_path / "f.csv"
-        save_csv(f, p)
-        back = load_csv(g, p)
-        assert np.allclose(back.values, f.values, rtol=1e-12, atol=1e-12)

@@ -1,5 +1,6 @@
 """Every module in src/hankellab/ and tests/ reads each name it imports,
-the package binds every name in its __all__, and the CLI loads no scipy
+every module-level name src/hankellab/ assigns is read somewhere, the
+package binds every name in its __all__, and the CLI loads no scipy
 submodule that only a library call needs.
 
 Stdlib ast only.  Package __init__.py files are exempt (their imports are
@@ -51,6 +52,55 @@ def test_detector_flags_unused_and_honours_noqa():
     src = ("import os\nimport sys  # noqa: F401\n"
            "from a.b import (c,\n    d)\nimport e.f\n\nprint(c, e.f)\n")
     assert sorted(unused_imports(src)) == [(1, "os"), (3, "d")]
+
+
+def assigned_names(source):
+    """(line, name) of each non-dunder name a module assigns at top level."""
+    out = []
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not (
+                        name.id.startswith("__") and name.id.endswith("__")):
+                    out.append((node.lineno, name.id))
+    return out
+
+
+def names_read(source):
+    """Names a module reads: bare names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_module_level_name_is_read():
+    read = set()
+    for d in ("src", "tests", "perfbench"):
+        for path in (ROOT / d).rglob("*.py"):
+            read |= names_read(path.read_text())
+    unread = [(path.name, line, name)
+              for path in sorted((ROOT / "src/hankellab").glob("*.py"))
+              for line, name in assigned_names(path.read_text())
+              if name not in read]
+    assert unread == []
+
+
+def test_assigned_name_detector():
+    src = ("A = 1\nB: int = 2\n__all__ = []\nC, (D, E) = 3, (4, 5)\n"
+           "def f():\n    G = 6\n    return A, G\n")
+    assert assigned_names(src) == [(1, "A"), (2, "B"), (4, "C"), (4, "D"),
+                                   (4, "E")]
+    assert {"A", "G"} <= names_read(src)
+    assert "B" not in names_read(src)
 
 
 def test_every_exported_name_is_bound():

@@ -1,11 +1,15 @@
 """Symbol families and the config mini-language."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab.symbols import (Symbol, bump_symbol, divergent_symbol,
+from hankellab import symbols
+from hankellab.symbols import (FAMILIES, Symbol, bump_symbol, divergent_symbol,
                                heat_symbol, laplace_type_symbol,
                                oscillatory_symbol, parse_symbol)
 
@@ -129,6 +133,17 @@ def test_missing_argument_is_value_error(bad):
 def test_key_the_family_does_not_take_is_value_error(bad, named):
     with pytest.raises(ValueError, match=rf"(does not take|takes no) {named}\b"):
         parse_symbol(bad, 1)
+
+
+def test_family_table_and_its_docs_agree():
+    # the README's mini-language list and the module docstring name every
+    # family the parser builds, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Symbol mini-language", 1)[1].split("\n## ")[0]
+    in_readme = set(re.findall(r"^\* `(\w+)", section, re.M))
+    in_docstring = set(re.findall(r"^  (\w+)", symbols.__doc__, re.M))
+    assert in_readme == set(FAMILIES)
+    assert in_docstring == set(FAMILIES)
 
 
 def test_tabulated_with_wrong_columns_is_value_error(tmp_path):

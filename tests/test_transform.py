@@ -157,7 +157,7 @@ class TestDilationIdentities:
         f = gaussian_bump(plan_half.grid, 3.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = dilation_identity_check(plan_half, f, t, [1.5], tol=1e-5)
+            rep = dilation_identity_check(plan_half, f, t, [1.5])
         assert rep.verdict == "pass"
 
 

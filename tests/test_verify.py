@@ -185,6 +185,19 @@ class TestRestrictedSweeps:
                             make_partition("plain"), y, yp, 6)
         assert got == (0.0, 0)
 
+    def test_zero_multiplier_passes_quietly(self):
+        # every D_j is 0: a bounded, flat sweep, not a 0/0 band ratio
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            rep = cz_hormander_check(MultiIndex((0.5,)),
+                                     constant_symbol(1, 0.0),
+                                     make_partition("plain"))
+        assert not escaped, [str(w.message) for w in escaped]
+        assert rep.verdict == PASS
+        assert rep.fitted_constants["C_hormander"] == 0.0
+        assert (rep.fitted_constants["band_ratio"],
+                rep.fitted_constants["trend_slope"]) == (1.0, 0.0)
+
     def test_support_columns_give_the_full_forward(self):
         # an H^1 atom on its fine grid, sent to its coarse dual grid
         alpha, y0, r = MultiIndex((0.5,)), 1.25, 0.25
@@ -314,8 +327,7 @@ class TestAssociation:
     def test_spectral_route_matches_kernel_integral(self, plan_half):
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
         f = gaussian_bump(plan_half.grid, 3.0, 0.5)
-        rep = association_check(plan_half, m, f, x_samples=[[8.0], [11.0]],
-                                tol=1e-3)
+        rep = association_check(plan_half, m, f, x_samples=[[8.0], [11.0]])
         assert rep.verdict == PASS
 
 
@@ -336,4 +348,34 @@ class TestCompareResolutions:
 
     def test_verdict_disagreement_downgrades(self):
         merged = compare_resolutions(self._rep(1.0), self._rep(1.0, FAIL))
+        assert merged.verdict == INCONCLUSIVE
+
+    @staticmethod
+    def _sweep(slope, c_name="C_hormander", c=1.0):
+        r = EstimateReport(name="sweep", parameters={"slope_tol": 0.05,
+                                                     "ratio_tol": 5.0})
+        r.fitted_constants.update({"trend_slope": slope, c_name: c,
+                                   "band_ratio": 1.0})
+        r.verdict = PASS
+        return r
+
+    def test_slope_drift_is_judged_against_slope_tol(self):
+        # the CZ trend_slope between N_MIN 256 and 2048: 2.2x in relative
+        # terms, 0.6% of the slope tolerance its verdict is judged by
+        merged = compare_resolutions(self._sweep(2.6e-4), self._sweep(5.8e-4))
+        assert merged.verdict == PASS
+
+    def test_round_off_slope_keeps_the_verdict(self):
+        # the H^1 trend_slope of an exactly flat sweep changes sign
+        merged = compare_resolutions(self._sweep(1.8e-15),
+                                     self._sweep(-1.8e-15))
+        assert merged.verdict == PASS
+        # without the report's tolerance the absolute floor absorbs it
+        bare = [self._rep(1.8e-15), self._rep(-1.8e-15)]
+        assert compare_resolutions(*bare).verdict == PASS
+
+    def test_constant_drift_still_downgrades(self):
+        # C_atom at the pre-refinement H^1 dual sizes against refined ones
+        merged = compare_resolutions(self._sweep(0.0, "C_atom", 25.22),
+                                     self._sweep(0.0, "C_atom", 0.66))
         assert merged.verdict == INCONCLUSIVE
