@@ -21,13 +21,13 @@ from .dyadic import make_partition
 from .grid import POINTS_PER_PANEL, Grid, GridFunction, axis_size, norm
 from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
-from .report import _coerce as _json_default
 from .specfun import MultiIndex
 from .symbols import parse_symbol
 from .sobolev import hormander_sup
-from .transform import TransformPlan, hankel_transform, inverse_hankel
-from .verify import (cz_hormander_check, h1_atom_check, lp_norm_probe,
-                     weak11_probe)
+from .transform import (_MIN_PPW, TransformPlan, hankel_transform,
+                        inverse_hankel)
+from .verify import (DEFAULT_SEED, cz_hormander_check, h1_atom_check,
+                     lp_norm_probe, weak11_probe)
 
 USAGE_ERROR = 64
 MEMORY_LIMIT_BYTES = 2 << 30
@@ -55,7 +55,7 @@ class RunConfig:
     jmin: int = -10
     jmax: int = 10
     p: float = 2.0
-    seed: int = 1234
+    seed: int = DEFAULT_SEED
     output: str = "hankellab-out"
 
     def digest(self):
@@ -169,6 +169,14 @@ def _check_config(cfg, names):
     if "multiplier-check" in names and not 0 <= cfg.beta < np.inf:
         raise ValueError(f"beta = {cfg.beta}: multiplier-check needs a "
                          "finite beta >= 0")
+    # _plan's plan has Lambda = R; Decimal, as n may be too large for a float
+    ppw = 2 * np.pi * float(Decimal(axis_size(cfg.n, cfg.grading))
+                            / Decimal(cfg.R) ** 2)
+    for name in ("transform-selftest", "heat-selftest", "lp-probe"):
+        if name in names and ppw < _MIN_PPW:
+            raise ValueError(f"n = {cfg.n}, R = {cfg.R}: the Lambda = R plan "
+                             f"of {name} has ~{ppw:.1f} points per "
+                             f"wavelength, below {_MIN_PPW:g}")
     heat_reach = HEAT_MARGIN * np.sqrt(max(HEAT_TIMES))
     if "heat-selftest" in names and not cfg.R > heat_reach:
         raise ValueError(f"R = {cfg.R}: heat-selftest compares on x < R - "
@@ -331,14 +339,15 @@ _SUITE_READS = {
 
 def _write_artifacts(cfg, suite, reports, outdir):
     os.makedirs(outdir, exist_ok=True)
+    digest = cfg.digest()
     meta = {"tool": "hankellab", "version": __version__,
-            "config_hash": cfg.digest(), "config": asdict(cfg)}
+            "config_hash": digest, "config": asdict(cfg)}
     payload = dict(meta, reports=[r.to_dict() for r in reports])
     with open(os.path.join(outdir, f"report-{suite}.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
     with open(os.path.join(outdir, f"data-{suite}.csv"), "w") as fh:
-        fh.write(f"# hankellab {__version__} config {cfg.digest()}\n")
+        fh.write(f"# hankellab {__version__} config {digest}\n")
         fh.write("report,descriptor,value\n")
         for r in reports:
             for d, v in r.measurements:

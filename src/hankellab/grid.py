@@ -5,12 +5,14 @@ panels with the measure weight x^{2 alpha_k} folded into the quadrature
 weights.  Panel density increases geometrically toward the origin so that
 the degenerate/singular factor x^{2 alpha} is resolved for alpha_k near
 -1/2.  Grids are immutable after construction and cache only their weight
-tensor; GridFunction operations return new containers.  The module reads
-and writes no files.
+tensor; a grid's alpha is read off its axes, and grids compare by
+identity, since a transform plan is valid only for the grid objects it was
+built from.  GridFunction operations return new containers.  The module
+reads and writes no files.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,16 +74,6 @@ class AxisGrid:
     R: float
     alpha_k: float
 
-    def __eq__(self, other):
-        if not isinstance(other, AxisGrid):
-            return NotImplemented
-        return (
-            self.R == other.R
-            and self.alpha_k == other.alpha_k
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.quad_weights, other.quad_weights)
-        )
-
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(
@@ -141,26 +133,20 @@ class Grid:
     """Tensor product of d AxisGrids under the product measure."""
 
     axes: tuple
-    alpha: MultiIndex
-
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return self.alpha == other.alpha and self.axes == other.axes
+    alpha: MultiIndex = field(init=False)
 
     def __post_init__(self):
-        if len(self.axes) != self.alpha.d:
-            raise ValueError("axis count must match alpha dimension")
         object.__setattr__(self, "axes", tuple(self.axes))
+        object.__setattr__(
+            self, "alpha", MultiIndex(tuple(ax.alpha_k for ax in self.axes)))
 
     @staticmethod
     def build(alpha, R, n, grading_levels=10):
         """Build a grid with the same R and n on every axis."""
         if not isinstance(alpha, MultiIndex):
             alpha = MultiIndex(tuple(np.atleast_1d(alpha)))
-        axes = tuple(AxisGrid.build(a, R, n, grading_levels)
-                     for a in alpha.alpha)
-        return Grid(axes, alpha)
+        return Grid(tuple(AxisGrid.build(a, R, n, grading_levels)
+                          for a in alpha.alpha))
 
     @property
     def d(self):
@@ -191,10 +177,9 @@ class Grid:
         """
         if len(keep) != self.d:
             raise ValueError("need one node selection per axis")
-        axes = tuple(
+        return Grid(tuple(
             AxisGrid(ax.nodes[k], ax.quad_weights[k], ax.R, ax.alpha_k)
-            for ax, k in zip(self.axes, keep))
-        return Grid(axes, self.alpha)
+            for ax, k in zip(self.axes, keep)))
 
     def meshgrid(self):
         return np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")

@@ -11,12 +11,12 @@ function recombine into exp(-(x-y)^2/4t) times a scaled Bessel factor, so
 nothing overflows for xy/2t large.  The d-dimensional kernel is the product
 of the one-dimensional ones.
 
-The per-axis normalization is the closed form c_k = 1/2 for every alpha_k,
-which Weber's integral gives for mass 1; the test suite re-derives it from
-the mass-1 condition by quadrature.
+The per-axis normalization is HEAT_NORMALIZATION, the closed form
+c_k = 1/2 for every alpha_k, which Weber's integral gives for mass 1; the
+test suite re-derives it from the mass-1 condition by quadrature.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .grid import Grid, GridFunction
 from .report import FAIL, PASS, EstimateReport, flatness
 from .specfun import MultiIndex, inorm_scaled
 from .transform import _contract
+
+# the per-axis constant c_k of the heat kernel, 1/2 for every alpha_k
+HEAT_NORMALIZATION = 0.5
 
 
 @dataclass(frozen=True)
@@ -40,12 +43,12 @@ class TimeGrid:
         object.__setattr__(self, "t_values", t)
 
 
-def _axis_kernel(alpha_k, c_k, t, x, y):
+def _axis_kernel(alpha_k, t, x, y):
     """One-dimensional heat kernel, scaled evaluation; broadcasts x, y."""
     nu = alpha_k - 0.5
     u = x * y / (2.0 * t)
     return (
-        c_k / t * (2.0 * t) ** (-nu)
+        HEAT_NORMALIZATION / t * (2.0 * t) ** (-nu)
         * np.exp(-((x - y) ** 2) / (4.0 * t))
         * inorm_scaled(nu, u)
     )
@@ -53,14 +56,15 @@ def _axis_kernel(alpha_k, c_k, t, x, y):
 
 @dataclass(frozen=True)
 class HeatKernelEval:
-    """Closed-form heat kernel evaluator; the per-axis normalization is the
-    mass-1 constant c_k = 1/2."""
+    """Closed-form heat kernel evaluator with the per-axis normalization
+    HEAT_NORMALIZATION; alpha may be given as numbers, as for Grid.build."""
 
     alpha: MultiIndex
-    normalization: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "normalization", (0.5,) * self.alpha.d)
+        if not isinstance(self.alpha, MultiIndex):
+            object.__setattr__(
+                self, "alpha", MultiIndex(tuple(np.atleast_1d(self.alpha))))
 
 
 def heat_kernel(hk: HeatKernelEval, t, x, y):
@@ -70,8 +74,8 @@ def heat_kernel(hk: HeatKernelEval, t, x, y):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     out = 1.0
-    for k, (a, c) in enumerate(zip(hk.alpha.alpha, hk.normalization)):
-        out = out * _axis_kernel(a, c, t, x[..., k], y[..., k])
+    for k, a in enumerate(hk.alpha.alpha):
+        out = out * _axis_kernel(a, t, x[..., k], y[..., k])
     return out
 
 
@@ -79,10 +83,9 @@ def heat_apply(hk: HeatKernelEval, t, f: GridFunction):
     """Quadrature application of the heat kernel: T_t f."""
     if t <= 0:
         raise ValueError("t must be positive")
-    mats = [_axis_kernel(a, c, t, ax.nodes[:, None], ax.nodes[None, :])
+    mats = [_axis_kernel(a, t, ax.nodes[:, None], ax.nodes[None, :])
             * ax.quad_weights[None, :]
-            for a, c, ax in zip(hk.alpha.alpha, hk.normalization, f.grid.axes,
-                                strict=True)]
+            for a, ax in zip(hk.alpha.alpha, f.grid.axes, strict=True)]
     return GridFunction(f.grid, _contract(mats, f.values))
 
 
@@ -156,9 +159,9 @@ def gaussian_bound_check(hk: HeatKernelEval, samples):
         volB = float(_local_ball_measure(hk.alpha, x, np.sqrt(t)))
         Cs.append(T * volB * np.exp(GAUSSIAN_DECAY * dist2 / t))
         # per-axis two-regime ratios (our measure convention: x^{2a} dx)
-        for k, (a, c) in enumerate(zip(hk.alpha.alpha, hk.normalization)):
+        for k, a in enumerate(hk.alpha.alpha):
             xk, yk = x[k], y[k]
-            Tk = float(_axis_kernel(a, c, t, xk, yk))
+            Tk = float(_axis_kernel(a, t, xk, yk))
             if xk * yk < t:
                 band_small.append(
                     Tk * t ** ((2 * a + 1) / 2) * np.exp((xk**2 + yk**2) / (4 * t))

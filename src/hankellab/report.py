@@ -25,7 +25,7 @@ class EstimateReport:
 
     def to_dict(self):
         """JSON-ready fields in a stable order, for reproducible artifacts;
-        dump with default=_coerce for numpy scalars and arrays."""
+        every value a check records is a Python scalar, string or list."""
         return {
             "name": self.name,
             "parameters": {k: self.parameters[k] for k in sorted(self.parameters)},
@@ -36,14 +36,6 @@ class EstimateReport:
             "verdict": self.verdict,
             "provenance": self.provenance,
         }
-
-
-def _coerce(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def loglog_slope(x, y):

@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .dyadic import DyadicPartition, make_partition
-from .symbols import Symbol
+from .symbols import Symbol, table_symbol
 
 BOX_HALFWIDTH = 8.0
 BOX_SAMPLES = 512
@@ -100,7 +100,10 @@ class SobolevProfile:
     """Localized Sobolev norms across dyadic dilations and their supremum."""
 
     norms: dict = field(default_factory=dict)
-    sup_norm: float = 0.0
+
+    @property
+    def sup_norm(self):
+        return float(max(self.norms.values()))
 
     def flatness(self):
         vals = np.array([self.norms[j] for j in sorted(self.norms)])
@@ -116,7 +119,6 @@ def hormander_sup(n: Symbol, beta, j_range):
     prof = SobolevProfile()
     for j in range(int(j_lo), int(j_hi) + 1):
         prof.norms[j] = local_sobolev_norm(n, j, beta)
-    prof.sup_norm = float(max(prof.norms.values()))
     return prof
 
 
@@ -136,19 +138,10 @@ def potential_symbol(d, s, h_name):
     (F G_s = (1+|xi|^2)^{-s/2}) and interpolated multilinearly."""
     if h_name not in _H_PROFILES:
         raise ValueError(f"unknown h profile {h_name!r}; have {sorted(_H_PROFILES)}")
-    from scipy.interpolate import RegularGridInterpolator
-
     h, h_sup = _H_PROFILES[h_name]
     s = float(s)
     u, _, _, mesh, xi2 = _box_geometry(d, BOX_SAMPLES)
     hv = np.asarray(h(mesh), dtype=complex)
     nv = np.fft.ifftn(np.fft.fftn(hv) * (1.0 + xi2) ** (-s / 2.0))
-    interp = RegularGridInterpolator(
-        [u] * d, nv, method="linear", bounds_error=False, fill_value=0.0
-    )
-
-    def fn(pts):
-        pts = np.asarray(pts, dtype=float)
-        return interp(pts.reshape(-1, d)).reshape(pts.shape[:-1])
-
-    return Symbol(fn, d, h_sup + 1e-12, f"potential{{s={s},h={h_name}}}")
+    return table_symbol([u] * d, nv, h_sup + 1e-12,
+                        f"potential{{s={s},h={h_name}}}")

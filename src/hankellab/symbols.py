@@ -144,14 +144,29 @@ def constant_symbol(d, value=1.0):
     def fn(u):
         return np.full(np.asarray(u).shape[:-1], complex(value))
 
-    return Symbol(fn, d, abs(complex(value)), f"const{{{value}}}")
+    return Symbol(fn, d, abs(complex(value)), f"const{{value={value}}}")
+
+
+def table_symbol(coords, vals, sup, name):
+    """Symbol from its values vals on the box grid with axis coordinates
+    coords, multilinearly interpolated and zero outside the box."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    d = len(coords)
+    interp = RegularGridInterpolator(
+        coords, vals, method="linear", bounds_error=False, fill_value=0.0
+    )
+
+    def fn(u):
+        u = np.asarray(u, dtype=float)
+        return interp(u.reshape(-1, d)).reshape(u.shape[:-1])
+
+    return Symbol(fn, d, sup, name)
 
 
 def tabulated_symbol(path, d):
     """Symbol tabulated on a box grid, loaded from CSV (u_1..u_d, Re n, Im n);
     evaluated by multilinear interpolation, zero outside the table."""
-    from scipy.interpolate import RegularGridInterpolator
-
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] == 0 or data.shape[1] != d + 2:
         raise ValueError(f"{path}: need rows of {d + 2} columns "
@@ -159,17 +174,8 @@ def tabulated_symbol(path, d):
     coords = [np.unique(data[:, k]) for k in range(d)]
     shape = tuple(c.size for c in coords)
     vals = (data[:, d] + 1j * data[:, d + 1]).reshape(shape)
-    interp = RegularGridInterpolator(
-        coords, vals, method="linear", bounds_error=False, fill_value=0.0
-    )
-
-    def fn(u):
-        u = np.asarray(u, dtype=float)
-        flat = u.reshape(-1, d)
-        return interp(flat).reshape(u.shape[:-1])
-
-    return Symbol(fn, d, float(np.max(np.abs(vals))) + 1e-12,
-                  f"tabulated{{{path}}}")
+    return table_symbol(coords, vals, float(np.max(np.abs(vals))) + 1e-12,
+                        f"tabulated{{path={path}}}")
 
 
 _FAMILY_RE = re.compile(r"^(\w+)(?:\{(.*)\})?$")

@@ -117,14 +117,14 @@ def _contract_axes(mats, values):
 
 def hankel_transform(plan: TransformPlan, f: GridFunction):
     """Hf on the dual grid, computed by d one-axis kernel contractions."""
-    if f.grid is not plan.grid and f.grid != plan.grid:
+    if f.grid is not plan.grid:
         raise ValueError("function does not live on the plan's grid")
     return GridFunction(plan.dual_grid, plan.forward(f.values))
 
 
 def inverse_hankel(plan: TransformPlan, g: GridFunction):
     """Identical computation with the grid roles swapped (H is self-inverse)."""
-    if g.grid is not plan.dual_grid and g.grid != plan.dual_grid:
+    if g.grid is not plan.dual_grid:
         raise ValueError("function does not live on the plan's dual grid")
     return GridFunction(plan.grid, plan.inverse(g.values))
 

@@ -12,10 +12,11 @@ Bessel kernel values are evaluated only on the nodes a sum reads.  Each
 sweep builds a grid pair once with adapted_grids, restricts it with
 Grid.restrict, and builds every plan through adapted_plan.  A CZ piece's
 plan holds the dual nodes where m_j != 0 and the nodes off the excluded
-ball; an H^1 atom's fine plan holds the near nodes, its transfer to the
-coarse dual grid runs over the atom's support only, and its coarse plan
-holds only the far nodes.  A restricted grid is a quadrature rule only for
-functions that vanish off the kept nodes.
+ball, and a piece with no such dual node builds none; an H^1 atom's fine
+plan holds the near nodes, its transfer to the coarse dual grid runs over
+the atom's support only, and its coarse plan holds only the far nodes.  A
+restricted grid is a quadrature rule only for functions that vanish off
+the kept nodes.
 """
 
 import warnings
@@ -125,12 +126,11 @@ def adapted_plan(grid, dual_grid):
     adapted_grids pair, either grid possibly Grid.restrict-ed.
 
     ResolutionWarning is dropped because it counts the kept nodes, not the
-    resolution: a CZ piece whose m_j vanishes on the whole dual grid keeps
-    no dual node and would warn "0 points per wavelength", and the 24 H^1
-    transfer plans warn although their full grids have 7.3 points per
-    wavelength or more.  The default CZ sweep would raise none.  The other
-    48 an h1_atom_check raises are real: the full H^1 dual axes have
-    2.28-3.99 (fine) and 1.24-1.33 (coarse), below the 4-ppw rule.
+    resolution: the 24 H^1 transfer plans warn although their full grids
+    have 7.3 points per wavelength or more.  The default CZ sweep would
+    raise none.  The other 48 an h1_atom_check raises are real: the full
+    H^1 dual axes have 2.28-3.99 (fine) and 1.24-1.33 (coarse), below the
+    4-ppw rule.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -159,12 +159,12 @@ CZ_J_MARGIN = (20, 8)
 
 def _cz_piece(alpha, m, psi, y, yp, j):
     """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) on the
-    (pair, j) adapted grids, and the number of warnings that sampling m_j
-    and the two kernel rows raised (adapted_plan drops the plan's own).
+    (pair, j) adapted grids.
 
     The grid pair is built once and m_j sampled on the whole dual grid; the
     plan holds only the dual nodes where m_j != 0 and the nodes with
-    |x-y| > 2|y-y'|, since no other entry enters D_j.
+    |x-y| > 2|y-y'|, since no other entry enters D_j.  A piece whose m_j
+    vanishes on every dual node is 0 and builds no plan.
     """
     r2 = 2.0 * float(np.linalg.norm(y - yp))
     scale = 2.0 ** (-j / 2.0)
@@ -172,13 +172,13 @@ def _cz_piece(alpha, m, psi, y, yp, j):
     R = float(max(y.max(), yp.max()) + max(40.0 * scale, 4.0 * r2))
     grid, dual = adapted_grids(alpha, R, Lam)
     off_ball = np.abs(grid.axes[0].nodes - y[0]) > r2
-    with warnings.catch_warnings(record=True) as wlog:
-        warnings.simplefilter("always")
-        mj = dyadic_symbol_values(dual, m, psi, j)
-        on = mj != 0
-        pl = adapted_plan(grid.restrict([off_ball]), dual.restrict([on]))
-        row = _kernel_row(pl, mj[on], y) - _kernel_row(pl, mj[on], yp)
-    return float(np.sum(np.abs(row) * pl.grid.weight_tensor())), len(wlog)
+    mj = dyadic_symbol_values(dual, m, psi, j)
+    on = mj != 0
+    if not on.any():
+        return 0.0
+    pl = adapted_plan(grid.restrict([off_ball]), dual.restrict([on]))
+    row = _kernel_row(pl, mj[on], y) - _kernel_row(pl, mj[on], yp)
+    return float(np.sum(np.abs(row) * pl.grid.weight_tensor()))
 
 
 def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
@@ -190,7 +190,8 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     j* = -2 log2(2|y-y'|).  Each piece's kernel matrix is evaluated only
     on the dual nodes where m_j != 0 and the nodes off the ball
     |x-y| <= 2|y-y'| (see _cz_piece).  Passes when D is bounded with no
-    trend across separations.
+    trend across separations.  n_resolution_warnings counts the warnings
+    the pieces raise (adapted_plan drops the plans' own).
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -203,32 +204,32 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
         provenance="Hormander integral condition for the dyadic kernel sum",
     )
     seps, totals, tops = [], [], []
-    n_alias = 0
     mid = len(pairs) // 2
-    for idx, (y, yp) in enumerate(pairs):
-        r2 = 2.0 * float(np.linalg.norm(y - yp))
-        jstar = int(np.ceil(-2.0 * np.log2(r2)))
-        total = 0.0
-        perj = []
-        for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1):
-            dj, n_warned = _cz_piece(alpha, m, psi, y, yp, j)
-            n_alias += n_warned
-            total += dj
-            perj.append((j, dj))
-        if idx == mid:
-            for j, dj in perj:
-                rep.add(f"D_j@j={j},sep={r2 / 2:.3e}", dj)
-        rep.add(f"D@sep={r2 / 2:.3e}", total)
-        seps.append(r2 / 2.0)
-        totals.append(total)
-        tops.append(perj[-1][1])
+    with warnings.catch_warnings(record=True) as wlog:
+        warnings.simplefilter("always")
+        for idx, (y, yp) in enumerate(pairs):
+            r2 = 2.0 * float(np.linalg.norm(y - yp))
+            jstar = int(np.ceil(-2.0 * np.log2(r2)))
+            total = 0.0
+            perj = []
+            for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1):
+                dj = _cz_piece(alpha, m, psi, y, yp, j)
+                total += dj
+                perj.append((j, dj))
+            if idx == mid:
+                for j, dj in perj:
+                    rep.add(f"D_j@j={j},sep={r2 / 2:.3e}", dj)
+            rep.add(f"D@sep={r2 / 2:.3e}", total)
+            seps.append(r2 / 2.0)
+            totals.append(total)
+            tops.append(perj[-1][1])
     # geometric estimate of the mass truncated above the top piece
     rep.fitted_constants["truncation_indicator"] = max(0.0, *tops)
     ok, stats = bounded_no_trend(seps, totals, SLOPE_TOL, RATIO_TOL)
     rep.fitted_constants["C_hormander"] = float(np.max(totals))
     rep.fitted_constants["band_ratio"] = stats["ratio"]
     rep.fitted_constants["trend_slope"] = stats["slope"]
-    rep.fitted_constants["n_resolution_warnings"] = float(n_alias)
+    rep.fitted_constants["n_resolution_warnings"] = float(len(wlog))
     rep.verdict = PASS if ok else FAIL
     return rep
 
@@ -245,11 +246,9 @@ def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
     tol = 1e-3
     psi = make_partition("plain")
     band = resolvable_j_band(plan)
-    u = plan.dual_grid.squared_mesh()
-    S = np.zeros(plan.dual_grid.shape)
-    for j in band:
-        S = S + psi.piece(j, u)
     mvals = _symbol_values(plan.dual_grid, m)
+    m_band = sum(dyadic_symbol_values(plan.dual_grid, mvals, psi, j)
+                 for j in band)
     tmf = apply_multiplier(plan, mvals, f)
     scale = float(np.max(np.abs(tmf.values)))
     wts = plan.grid.weight_tensor()
@@ -266,7 +265,7 @@ def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
                     for k, ax in enumerate(plan.grid.axes))
         xg = np.array([plan.grid.axes[k].nodes[idx[k]]
                        for k in range(plan.grid.d)])
-        row = _kernel_row(plan, mvals * S, xg)
+        row = _kernel_row(plan, m_band, xg)
         rhs = complex(np.sum(row * f.values * wts))
         lhs = complex(tmf.values[idx])
         rel = abs(lhs - rhs) / scale

@@ -143,6 +143,9 @@ class TestConfigHandling:
         (["transform-selftest", "--grading", "0"], "grading = 0"),
         (["suite", "transform-selftest,transform-selftest", "--n", "64",
           "--R", "12"], "named twice: ['transform-selftest']"),
+        (["lp-probe", "--n", "256", "--symbol", "const{value=2}"],
+         "n = 256, R = 24.0: the Lambda = R plan of lp-probe has ~2.8 "
+         "points per wavelength, below 4"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
@@ -150,7 +153,8 @@ class TestConfigHandling:
             "dims-zero", "dims-above-max", "beta-negative", "beta-nan",
             "seed-negative", "R-inf", "dims-above-alpha-count",
             "dims-below-alpha-count", "n-not-an-int", "grading-not-an-int",
-            "beta-not-a-float", "grading-zero", "suite-named-twice"])
+            "beta-not-a-float", "grading-zero", "suite-named-twice",
+            "lp-under-resolved"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []

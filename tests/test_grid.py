@@ -72,10 +72,6 @@ class TestGrid:
         one_d = float(mpmath.quad(lambda x: mpmath.exp(-x * x) * x, [0, 6]))
         assert complex(integrate(f)).real == pytest.approx(one_d**2, rel=1e-10)
 
-    def test_mismatched_axes_rejected(self):
-        with pytest.raises(ValueError):
-            Grid((AxisGrid.build(0.5, 1.0, 64),), MultiIndex((0.5, 0.5)))
-
     def test_restrict_keeps_nodes_weights_and_axis_data(self):
         g = Grid.build(MultiIndex((0.5, 1.0)), R=6.0, n=64)
         keep = [g.axes[0].nodes > 2.0, np.arange(0, g.shape[1], 3)]
@@ -152,10 +148,12 @@ class TestDilate:
     def test_l1_mass_preserved(self):
         g = Grid.build(MultiIndex((0.5,)), R=16.0, n=512)
         f = g.sample(lambda x: np.exp(-((x - 4.0) ** 2)))
-        for t in (0.5, 2.0):
-            ft = dilate(f, t)
-            assert abs(integrate(ft)) == pytest.approx(
-                abs(integrate(f)), rel=1e-6)
+        # t = 0.5 pushes 1.55e-8 of the mass beyond R
+        with pytest.warns(MassDeficitWarning, match="1.55e-08"):
+            for t in (0.5, 2.0):
+                ft = dilate(f, t)
+                assert abs(integrate(ft)) == pytest.approx(
+                    abs(integrate(f)), rel=1e-6)
 
     def test_pointwise_definition(self):
         g = Grid.build(MultiIndex((0.5,)), R=16.0, n=512)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankellab.grid import AxisGrid, Grid, GridFunction, norm
-from hankellab.heat import (HeatKernelEval, TimeGrid, _axis_kernel,
-                            _maximal_field, gaussian_bound_check, heat_apply,
-                            heat_kernel, heat_lipschitz_check,
+from hankellab.heat import (HEAT_NORMALIZATION, HeatKernelEval, TimeGrid,
+                            _axis_kernel, _maximal_field, gaussian_bound_check,
+                            heat_apply, heat_kernel, heat_lipschitz_check,
                             maximal_function)
 from hankellab.specfun import MultiIndex
 from hankellab.transform import hankel_transform, inverse_hankel
@@ -27,19 +27,21 @@ def grid16():
 
 
 class TestNormalization:
-    def test_analytic_candidate_is_half(self, hk_half):
+    def test_analytic_candidate_is_half(self):
         # c_k solved from mass 1 at t = 1, y = 1 agrees with the closed form
-        # 1/2 that HeatKernelEval uses, and the solved c_k keeps mass 1 at
-        # other poles; T_1(., y) is a unit-width bump, so R = 16 is ample
-        assert hk_half.normalization == (0.5,)
+        # 1/2 that the kernel uses, and the solved c_k keeps mass 1 at other
+        # poles; T_1(., y) is a unit-width bump, so R = 16 is ample
+        assert HEAT_NORMALIZATION == 0.5
         for a in (-0.4, 0.0, 0.5, 1.3, 3.0):
             ax = AxisGrid.build(a, R=16.0, n=768)
-            raw = _axis_kernel(a, 1.0, 1.0, ax.nodes, 1.0)
-            c = 1.0 / float(np.sum(raw * ax.quad_weights))
+
+            def unnormalized(y):
+                return _axis_kernel(a, 1.0, ax.nodes, y) / HEAT_NORMALIZATION
+
+            c = 1.0 / float(np.sum(unnormalized(1.0) * ax.quad_weights))
             assert c == pytest.approx(0.5, abs=1e-12)
             for y in (0.3, 0.8, 1.7, 2.9, 4.4):
-                mass = float(np.sum(_axis_kernel(a, c, 1.0, ax.nodes, y)
-                                    * ax.quad_weights))
+                mass = float(np.sum(c * unnormalized(y) * ax.quad_weights))
                 assert mass == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("a", [-0.25, 0.0, 1.0, 2.0])
@@ -53,6 +55,10 @@ class TestNormalization:
                     heat_kernel(hk, t, x[:, None], np.array([y])) *
                     g.axes[0].quad_weights))
                 assert mass == pytest.approx(1.0, abs=1e-7)
+
+    def test_alpha_given_as_numbers(self, hk_half):
+        assert HeatKernelEval(0.5).alpha == hk_half.alpha
+        assert HeatKernelEval((0.5, 1.5)).alpha == MultiIndex((0.5, 1.5))
 
     def test_timezero_rejected(self, hk_half):
         with pytest.raises(ValueError):

@@ -80,12 +80,28 @@ class TestMiniLanguage:
         ("oscillatory{k=4}", "oscillatory{k=4.0}"),
         ("divergent", "divergent"),
         ("heat{t=0.5}", "heat{t=0.5}"),
-        ("const{value=3.0}", "const{3.0}"),
+        ("const{value=3.0}", "const{value=3.0}"),
     ])
     def test_parse_families(self, spec_str, name):
         n = parse_symbol(spec_str, 1)
         assert n.name == name
         assert n.d == 1
+
+    def test_every_family_name_parses_back_to_itself(self, tmp_path):
+        # reports record the name, so it must be a spec that rebuilds the
+        # same symbol
+        path = tmp_path / "tab.csv"
+        path.write_text("u1,re_n,im_n\n0.0,1.0,0.0\n1.0,0.5,0.0\n")
+        specs = {"laplace_type": "laplace_type{phi=imag_power:gamma=2}",
+                 "bump": "bump", "oscillatory": "oscillatory{k=4}",
+                 "potential": "potential{s=2,h=cos}",
+                 "divergent": "divergent", "heat": "heat{t=0.5}",
+                 "const": "const{value=2}",
+                 "tabulated": f"tabulated{{path={path}}}"}
+        assert set(specs) == set(FAMILIES)
+        for spec in specs.values():
+            name = parse_symbol(spec, 1).name
+            assert parse_symbol(name, 1).name == name, spec
 
     def test_parse_potential_family(self):
         n = parse_symbol("potential{s=2.0,h=bump}", 1)

@@ -127,7 +127,7 @@ class TestRestrictedSweeps:
             y, yp = pairs[idx]
             r2 = 2.0 * np.linalg.norm(y - yp)
             jstar = int(np.ceil(-2.0 * np.log2(r2)))
-            got, _ = _cz_piece(alpha, m, psi, y, yp, jstar + offset)
+            got = _cz_piece(alpha, m, psi, y, yp, jstar + offset)
             want = self._full_plan_dj(alpha, m, psi, y, yp, jstar + offset)
             assert want > 0
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
@@ -174,16 +174,33 @@ class TestRestrictedSweeps:
                   make_partition("plain"), y, yp, 0)
         assert calls[0] == 2
 
-    def test_empty_cz_piece_is_zero_and_quiet(self):
+    def test_empty_cz_piece_is_zero_and_quiet(self, monkeypatch):
         # the bump vanishes for lambda^2 > 2 and the j = 6 window lives on
-        # 2^5 <= lambda^2 <= 2^7: m_j = 0 on every dual node, so the plan
-        # keeps none
+        # 2^5 <= lambda^2 <= 2^7: m_j = 0 on every dual node, so no plan is
+        # built
+        def no_plan(*a, **k):
+            raise AssertionError("TransformPlan.build called")
+
+        monkeypatch.setattr(TransformPlan, "build", staticmethod(no_plan))
         y, yp = default_cz_pairs()[len(default_cz_pairs()) // 2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _cz_piece(MultiIndex((0.5,)), bump_symbol(1),
                             make_partition("plain"), y, yp, 6)
-        assert got == (0.0, 0)
+        assert got == 0.0
+
+    def test_warnings_of_the_pieces_are_counted(self, monkeypatch):
+        def warning_piece(*args):
+            warnings.warn("piece", RuntimeWarning)
+            return 1.0
+
+        monkeypatch.setattr(verify, "_cz_piece", warning_piece)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = cz_hormander_check(MultiIndex((0.5,)), bump_symbol(1),
+                                     make_partition("plain"))
+        n_pieces = len(default_cz_pairs()) * (sum(CZ_J_MARGIN) + 1)
+        assert rep.fitted_constants["n_resolution_warnings"] == n_pieces
 
     def test_zero_multiplier_passes_quietly(self):
         # every D_j is 0: a bounded, flat sweep, not a 0/0 band ratio
