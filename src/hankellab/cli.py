@@ -172,11 +172,26 @@ def _check_config(cfg, names):
     # _plan's plan has Lambda = R; Decimal, as n may be too large for a float
     ppw = 2 * np.pi * float(Decimal(axis_size(cfg.n, cfg.grading))
                             / Decimal(cfg.R) ** 2)
-    for name in ("transform-selftest", "heat-selftest", "lp-probe"):
-        if name in names and ppw < _MIN_PPW:
-            raise ValueError(f"n = {cfg.n}, R = {cfg.R}: the Lambda = R plan "
-                             f"of {name} has ~{ppw:.1f} points per "
-                             f"wavelength, below {_MIN_PPW:g}")
+    plan_suites = [name for name in ("transform-selftest", "heat-selftest",
+                                     "lp-probe") if name in names]
+    if plan_suites and ppw < _MIN_PPW:
+        raise ValueError(f"n = {cfg.n}, R = {cfg.R}: the Lambda = R plan of "
+                         f"{plan_suites[0]} has ~{ppw:.1f} points per "
+                         f"wavelength, below {_MIN_PPW:g}")
+    # the plan forms R * Lambda = R^2, and each axis's quadrature self-test
+    # R^(2 alpha_k + 1) and (R/8)^(2 alpha_k + 1): all must be normal floats
+    log_r = np.log(cfg.R)
+    logs = [2 * log_r] + [(2 * a + 1) * (log_r - shift) for a in cfg.alpha
+                          for shift in (0.0, np.log(8.0))]
+    normal = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
+    if plan_suites and not normal[0] <= min(logs) <= max(logs) <= normal[1]:
+        raise ValueError(f"R = {cfg.R} (alpha = {cfg.alpha}): the axis "
+                         "quadrature and the Lambda = R plan of "
+                         f"{plan_suites[0]} would leave the range of normal "
+                         "floats")
+    if "lp-probe" in names and cfg.R < 8:
+        raise ValueError(f"R = {cfg.R}: lp-probe draws bump widths from "
+                         "[8/R, R/8], so it needs R >= 8")
     heat_reach = HEAT_MARGIN * np.sqrt(max(HEAT_TIMES))
     if "heat-selftest" in names and not cfg.R > heat_reach:
         raise ValueError(f"R = {cfg.R}: heat-selftest compares on x < R - "

@@ -67,18 +67,25 @@ def axis_size(n, grading_levels=10):
 
 @dataclass(frozen=True, eq=False)
 class AxisGrid:
-    """One axis of the grid: nodes in (0, R] and weights for x^{2 alpha_k} dx."""
+    """One axis of the grid: nodes in (0, R] and weights for x^{2 alpha_k} dx.
+
+    n_full is the node count of the full axis, which sets its resolution;
+    an axis that Grid.restrict keeps a subset of inherits it.
+    """
 
     nodes: np.ndarray
     quad_weights: np.ndarray
     R: float
     alpha_k: float
+    n_full: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(
             self, "quad_weights", np.asarray(self.quad_weights, dtype=float)
         )
+        if self.n_full is None:
+            object.__setattr__(self, "n_full", self.nodes.size)
         self.nodes.setflags(write=False)
         self.quad_weights.setflags(write=False)
 
@@ -169,7 +176,7 @@ class Grid:
     def restrict(self, keep):
         """The grid on a subset of each axis's nodes: keep[k] is a boolean
         mask or an index array into axis k.  Nodes keep their quadrature
-        weights, and the axes their R and alpha.
+        weights, and the axes their R, alpha and full node count n_full.
 
         The result is a quadrature rule only for functions that vanish off
         the kept nodes; sample such a function on it with
@@ -178,7 +185,8 @@ class Grid:
         if len(keep) != self.d:
             raise ValueError("need one node selection per axis")
         return Grid(tuple(
-            AxisGrid(ax.nodes[k], ax.quad_weights[k], ax.R, ax.alpha_k)
+            AxisGrid(ax.nodes[k], ax.quad_weights[k], ax.R, ax.alpha_k,
+                     ax.n_full)
             for ax, k in zip(self.axes, keep)))
 
     def meshgrid(self):

@@ -2,11 +2,20 @@
 the one-axis factor of the eigenfunction kernel of the Bessel operator
 (the transform plans take the product over axes).
 
-Everything here is vectorized over numpy arrays and pure (no global state),
-so evaluation is safe from any number of workers.
+The normalized kernels u^{-nu} J_nu(u) (at orders other than -1/2, 0, 1/2
+and 1) and e^{-u} u^{-nu} I_nu(u) (at every order) are evaluated above
+u = 1/2 from a fixed-order table: Taylor polynomials on cells of width 1/8
+up to an order-dependent end, and the large-argument expansion beyond it.
+scipy jv and ive are called only to seed a table, once per order; the
+tables are built on first use and kept in a small lru_cache.
+
+Everything here is vectorized over numpy arrays; the only state is that
+cache of read-only tables, so evaluation is safe from any number of
+workers.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma, ive, j0, j1, jv
@@ -36,18 +45,32 @@ class MultiIndex:
         object.__setattr__(self, "Q", float(sum(2 * a + 1 for a in alpha)))
 
 
-def bessel_j(nu, x):
-    """Bessel function of the first kind J_nu(x), nu >= -1/2, x >= 0.
+# the orders bessel_j evaluates in closed form or with cephes j0 and j1
+_CLOSED_ORDERS = (-0.5, 0.0, 0.5, 1.0)
 
-    Dispatches to closed forms at half-integer orders and to the fast
-    cephes routines at integer orders; generic orders go through jv.
-    """
+
+def _check_order(nu):
     nu = float(nu)
     if not np.isfinite(nu) or nu < -0.5:
         raise ValueError("order nu must be finite and >= -1/2")
-    x = np.asarray(x, dtype=float)
+    return nu
+
+
+def _check_argument(x):
     if not np.all(np.isfinite(x)):
         raise ValueError("argument must be finite")
+
+
+def bessel_j(nu, x):
+    """Bessel function of the first kind J_nu(x), nu >= -1/2, x >= 0.
+
+    Dispatches to closed forms at the orders -1/2 and 1/2 and to the fast
+    cephes routines at the orders 0 and 1; every other order goes through
+    scipy jv, which the kernels (jnorm) call only to seed their tables.
+    """
+    nu = _check_order(nu)
+    x = np.asarray(x, dtype=float)
+    _check_argument(x)
     if nu == -0.5:
         # J_{-1/2}(x) = sqrt(2/(pi x)) cos x
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -62,29 +85,6 @@ def bessel_j(nu, x):
     if nu == 1.0:
         return j1(x)[()]
     return jv(nu, x)[()]
-
-
-# cephes ive breaks down (returns nan) near x ~ 1e9; switch to the uniform
-# asymptotic expansion well before that, where its error is already < 1e-14
-_IVE_ASYMPTOTIC_CUTOFF = 1e8
-
-
-def _ive_asymptotic(mu, x):
-    m = 4.0 * mu * mu
-    s = 1.0 / (8.0 * x)
-    series = 1.0 - (m - 1.0) * s + (m - 1.0) * (m - 9.0) * s * s / 2.0
-    return series / np.sqrt(2.0 * np.pi * x)
-
-
-def _ive_safe(mu, x):
-    x = np.asarray(x, dtype=float)
-    big = x > _IVE_ASYMPTOTIC_CUTOFF
-    out = np.empty_like(x)
-    if np.any(~big):
-        out[~big] = ive(mu, x[~big])
-    if np.any(big):
-        out[big] = _ive_asymptotic(mu, x[big])
-    return out
 
 
 # Series sum_m q^m / (2^nu m! Gamma(m+nu+1)): u^{-nu} J_nu(u) at
@@ -103,14 +103,172 @@ def _norm_series(nu, q):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# fixed-order tables
+#
+# Above the series cutoff a generic order is evaluated from a table built
+# once per order: on [_SERIES_CUTOFF, upper) a degree-_TAYLOR_DEGREE Taylor
+# polynomial about the nearest of the cell centres _SERIES_CUTOFF + i h, and
+# from upper on the first _EXPANSION_TERMS terms of the large-argument
+# expansion (DLMF 10.17.3 for J, 10.40.1 for the scaled I).  upper is where
+# the first omitted term falls below _EXPANSION_TOL of the envelope
+# u^{-nu-1/2}; it grows like nu^2, and so does the table.
+
+_CELL = 0.125
+_TAYLOR_DEGREE = 9
+_EXPANSION_TERMS = 16
+_EXPANSION_TOL = 1e-16
+# below this the scaled I expansion would miss its e^{-2u} companion term
+_MIN_UPPER = 20.0
+# points per evaluation block, so that the temporaries stay in cache
+_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True)
+class _Table:
+    kind: str           # "J": u^{-nu} J_nu(u); "I": e^{-u} u^{-nu} I_nu(u)
+    nu: float
+    coefs: np.ndarray   # (degree + 1, cells): Taylor coefficients per cell
+    upper: float        # the expansion takes over from here
+    expansion: np.ndarray  # signed a_k(nu), k < _EXPANSION_TERMS
+
+
+def _expansion_coefs(nu, terms):
+    """a_k(nu) of DLMF 10.17.1, k < terms."""
+    a = np.empty(terms)
+    a[0] = 1.0
+    for k in range(1, terms):
+        a[k] = a[k - 1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+    return a
+
+
+@lru_cache(maxsize=8)
+def _table(kind, nu):
+    """The fixed-order table of u^{-nu} J_nu (kind "J") or of
+    e^{-u} u^{-nu} I_nu (kind "I").
+
+    Each centre's value and slope come from bessel_j or ive, the only calls
+    to them that evaluation makes; the higher Taylor coefficients come from
+    the function's ODE, u f'' + (2nu+1) f' + u f = 0 for J and
+    u h'' + (2u+2nu+1) h' + (2nu+1) h = 0 for the scaled I.
+    """
+    a = _expansion_coefs(nu, _EXPANSION_TERMS + 2)
+    upper = max([_MIN_UPPER] + [
+        (abs(a[k]) / _EXPANSION_TOL) ** (1.0 / k)
+        for k in (_EXPANSION_TERMS, _EXPANSION_TERMS + 1)])
+    cells = int(np.ceil((upper - _SERIES_CUTOFF) / _CELL)) + 1
+    c = _SERIES_CUTOFF + _CELL * np.arange(cells)
+    scale = c ** (-nu)
+    coefs = np.empty((_TAYLOR_DEGREE + 1, cells))
+    if kind == "J":
+        coefs[0] = scale * bessel_j(nu, c)
+        coefs[1] = -scale * bessel_j(nu + 1.0, c)
+    else:
+        coefs[0] = scale * ive(nu, c)
+        coefs[1] = scale * ive(nu + 1.0, c) - coefs[0]
+    for m in range(_TAYLOR_DEGREE - 1):
+        if kind == "J":
+            num = ((m + 1) * (m + 2 * nu + 1) * coefs[m + 1]
+                   + c * coefs[m] + (coefs[m - 1] if m else 0.0))
+        else:
+            num = ((m + 1) * (m + 2 * c + 2 * nu + 1) * coefs[m + 1]
+                   + (2 * m + 2 * nu + 1) * coefs[m])
+        coefs[m + 2] = -num / (c * (m + 1) * (m + 2))
+    # the expansion's signs: (-1)^k for I, and for J (-1)^k on a_{2k} in P
+    # and on a_{2k+1} in Q
+    k = np.arange(_EXPANSION_TERMS)
+    signed = a[:_EXPANSION_TERMS] * (-1.0) ** (k if kind == "I" else k // 2)
+    for arr in (coefs, signed):
+        arr.setflags(write=False)
+    return _Table(kind, nu, coefs,
+                  float(_SERIES_CUTOFF + _CELL * (cells - 1)), signed)
+
+
+def _horner(coefs, x):
+    """sum_k coefs[k] x^k."""
+    acc = np.full_like(x, coefs[-1])
+    for ck in coefs[-2::-1]:
+        acc *= x
+        acc += ck
+    return acc
+
+
+def _series(tb, u):
+    """The series branch; u <= _SERIES_CUTOFF."""
+    q = (u / 2.0) ** 2
+    if tb.kind == "J":
+        return _norm_series(tb.nu, -q)
+    return _norm_series(tb.nu, q) * np.exp(-u)
+
+
+def _taylor(tb, u):
+    """Horner at the nearest cell centre; _SERIES_CUTOFF < u < tb.upper."""
+    idx = np.rint((u - _SERIES_CUTOFF) * (1.0 / _CELL)).astype(np.intp)
+    s = u - (idx * _CELL + _SERIES_CUTOFF)
+    acc = tb.coefs[-1].take(idx)
+    for row in tb.coefs[-2::-1]:
+        acc *= s
+        acc += row.take(idx)
+    return acc
+
+
+def _expansion(tb, u):
+    """The large-argument expansion; u >= tb.upper."""
+    w = 1.0 / u
+    out = u ** (-tb.nu - 0.5)
+    if tb.kind == "I":
+        out *= _horner(tb.expansion, w)
+        out *= 1.0 / np.sqrt(2.0 * np.pi)
+        return out
+    # J_nu(u) sqrt(pi u / 2) = P cos(u - phi) - Q sin(u - phi); cos(u - phi)
+    # and sin(u - phi) are expanded so that only u itself is reduced
+    w2 = w * w
+    p = _horner(tb.expansion[0::2], w2)
+    q = _horner(tb.expansion[1::2], w2)
+    q *= w
+    phi = (0.5 * tb.nu + 0.25) * np.pi
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    out *= np.sqrt(2.0 / np.pi)
+    return out * (np.cos(u) * (cphi * p + sphi * q)
+                  + np.sin(u) * (sphi * p - cphi * q))
+
+
+def _fixed_order(kind, nu, u):
+    """The kind's function at the order nu on every point of u: the series,
+    the table or the expansion, one cache-sized block at a time."""
+    tb = _table(kind, nu)
+    flat = u.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _BLOCK):
+        ub, ob = flat[lo:lo + _BLOCK], out[lo:lo + _BLOCK]
+        small = ub <= _SERIES_CUTOFF
+        big = ~(ub < tb.upper)  # a nan goes to the expansion and stays nan
+        mid = ~(small | big)
+        if mid.all():
+            ob[:] = _taylor(tb, ub)
+            continue
+        for sel, branch in ((small, _series), (mid, _taylor),
+                            (big, _expansion)):
+            if sel.any():
+                ob[sel] = branch(tb, ub[sel])
+    return out.reshape(u.shape)[()]
+
+
 def jnorm(nu, u):
     """Normalized Bessel u^{-nu} J_nu(u), extended continuously to u = 0.
 
     This is the single-axis factor of the eigenfunction kernel, written with
     nu = alpha_k - 1/2.  The u -> 0 limit 1 / (2^nu Gamma(nu+1)) is hardwired
     through the series branch (the generic product is 0 * inf there).
+    Above the series cutoff the orders in _CLOSED_ORDERS go through
+    bessel_j, and every other order through its fixed-order table and
+    large-argument expansion.
     """
     u = np.asarray(u, dtype=float)
+    if float(nu) not in _CLOSED_ORDERS:
+        nu = _check_order(nu)
+        _check_argument(u)
+        return _fixed_order("J", nu, u)
     small = u <= _SERIES_CUTOFF
     out = np.empty_like(u)
     if np.any(small):
@@ -131,17 +289,11 @@ def inorm_scaled(nu, u):
 
     Series branch near 0 avoids the cancellation that the power*ive product
     suffers for nu close to -1/2 (alpha near -1/2 in the heat kernel).
+    Above it every order goes through its fixed-order table and, from the
+    table's upper end on, the large-argument expansion, which holds at any
+    argument (cephes ive returns nan near u ~ 1e9).
     """
-    u = np.asarray(u, dtype=float)
-    small = u <= _SERIES_CUTOFF
-    out = np.empty_like(u)
-    if np.any(small):
-        us = u[small]
-        out[small] = _norm_series(nu, (us / 2.0) ** 2) * np.exp(-us)
-    if np.any(~small):
-        ub = u[~small]
-        out[~small] = ub ** (-nu) * _ive_safe(nu, ub)
-    return out[()]
+    return _fixed_order("I", float(nu), np.asarray(u, dtype=float))
 
 
 def e_kernel_axis(alpha_k, u):

@@ -54,7 +54,8 @@ class TransformPlan:
         fwd, inv = [], []
         for k in range(grid.d):
             ax, dax = grid.axes[k], dual_grid.axes[k]
-            ppw = 2.0 * np.pi * min(ax.n, dax.n) / (ax.R * dax.R)
+            # judged on the full axes: a restricted one keeps their nodes
+            ppw = 2.0 * np.pi * min(ax.n_full, dax.n_full) / (ax.R * dax.R)
             if ppw < _MIN_PPW:
                 warnings.warn(
                     f"axis {k}: ~{ppw:.1f} points per wavelength at the "

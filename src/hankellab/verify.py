@@ -125,12 +125,11 @@ def adapted_plan(grid, dual_grid):
     """The one builder of sweep plans: the TransformPlan between an
     adapted_grids pair, either grid possibly Grid.restrict-ed.
 
-    ResolutionWarning is dropped because it counts the kept nodes, not the
-    resolution: the 24 H^1 transfer plans warn although their full grids
-    have 7.3 points per wavelength or more.  The default CZ sweep would
-    raise none.  The other 48 an h1_atom_check raises are real: the full
-    H^1 dual axes have 2.28-3.99 (fine) and 1.24-1.33 (coarse), below the
-    4-ppw rule.
+    ResolutionWarning is dropped until the H^1 dual axes are sized by the
+    4-ppw rule: the 48 an h1_atom_check raises are real, its dual axes
+    having 2.28-3.99 (fine) and 1.24-1.33 (coarse) points per wavelength.
+    Restricted grids are judged by their full axes, so its transfer plans
+    raise none, and neither does the default CZ sweep.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

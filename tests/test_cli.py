@@ -146,6 +146,9 @@ class TestConfigHandling:
         (["lp-probe", "--n", "256", "--symbol", "const{value=2}"],
          "n = 256, R = 24.0: the Lambda = R plan of lp-probe has ~2.8 "
          "points per wavelength, below 4"),
+        (["lp-probe", "--R", "5e-324"], "R = 5e-324"),
+        (["transform-selftest", "--R", "1e-310"], "R = 1e-310"),
+        (["lp-probe", "--R", "4"], "R = 4.0: lp-probe draws"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
@@ -154,7 +157,8 @@ class TestConfigHandling:
             "seed-negative", "R-inf", "dims-above-alpha-count",
             "dims-below-alpha-count", "n-not-an-int", "grading-not-an-int",
             "beta-not-a-float", "grading-zero", "suite-named-twice",
-            "lp-under-resolved"])
+            "lp-under-resolved", "lp-R-subnormal", "R-subnormal",
+            "lp-R-below-8"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []
@@ -163,6 +167,13 @@ class TestConfigHandling:
         assert run_cli(argv + ["--output", str(tmp_path)]) == 64
         assert not built
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite,R", [("lp-probe", 8.0),
+                                         ("transform-selftest", 1e-150)])
+    def test_smallest_runnable_R_is_accepted(self, suite, R):
+        # R = 8 gives lp-probe's bump widths the single value 1; at
+        # R = 1e-150, R^2 and (R/8)^2 are still normal floats
+        cli._check_config(RunConfig(R=R, n=64), [suite])
 
     @pytest.mark.parametrize("line", [
         "digest = abc", "__class__ = x", "suite = h1-check"],

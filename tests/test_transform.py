@@ -237,11 +237,8 @@ class TestRestrictedPlans:
 
     @staticmethod
     def _restricted(plan, keep, keep_dual):
-        with warnings.catch_warnings():
-            # the points-per-wavelength check counts kept nodes only
-            warnings.simplefilter("ignore", ResolutionWarning)
-            return TransformPlan.build(plan.grid.restrict(keep),
-                                       plan.dual_grid.restrict(keep_dual))
+        return TransformPlan.build(plan.grid.restrict(keep),
+                                   plan.dual_grid.restrict(keep_dual))
 
     @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
     def test_forward_and_inverse_match_the_full_plan(self, plan_name,
@@ -265,6 +262,29 @@ class TestRestrictedPlans:
         want = plan.inverse(g)[ix]
         got = sub.inverse(g[ixd])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_restricted_plan_is_judged_by_its_full_axes(self, plan_half):
+        # the 768-node R = Lambda = 16 axis has ~18.8 points per wavelength;
+        # its 155 nodes x > 12 alone would read ~3.8
+        keep = plan_half.grid.axes[0].nodes > 12.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._restricted(plan_half, [keep], [np.ones(768, dtype=bool)])
+        assert np.count_nonzero(keep) < 4.0 * 16.0**2 / (2.0 * np.pi)
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_unrestricted_grid_under_the_rule_still_warns(self, plan_half):
+        # as many nodes as the kept subset above, on a full axis of its own
+        keep = plan_half.grid.axes[0].nodes > 12.0
+        grid = Grid.build(MultiIndex((0.5,)), R=16.0,
+                          n=int(np.count_nonzero(keep)))
+        with pytest.warns(ResolutionWarning):
+            TransformPlan.build(grid)
+        # and a restricted plan whose full axes are too coarse warns too
+        coarse = Grid.build(MultiIndex((0.5,)), R=64.0, n=64)
+        with pytest.warns(ResolutionWarning):
+            TransformPlan.build(coarse.restrict([coarse.axes[0].nodes > 8.0]),
+                                coarse)
 
     @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
     def test_empty_selection_gives_zeros(self, plan_name, request):

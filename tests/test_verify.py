@@ -229,6 +229,28 @@ class TestRestrictedSweeps:
         want = TransformPlan.build(grid, dual).forward(values)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_h1_plans_warn_only_where_the_full_axes_are_coarse(
+            self, monkeypatch):
+        # the H^1 dual axes (n_dual 640 and 512) fall below 4 points per
+        # wavelength on the fine and coarse plans, 48 builds; the transfer
+        # plans, restricted to the atom's support, are judged by their full
+        # axes and raise none
+        build = TransformPlan.build
+        caught = []
+
+        def recorded(grid, dual_grid=None):
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                plan = build(grid, dual_grid)
+            caught.extend(w.category for w in log)
+            return plan
+
+        monkeypatch.setattr(TransformPlan, "build", staticmethod(recorded))
+        verify.h1_atom_check(MultiIndex((0.5,)),
+                             laplace_type_symbol(1, "imag_power", gamma=1.0),
+                             make_partition("squared"))
+        assert caught == [transform.ResolutionWarning] * 48
+
     def test_h1_fine_parts_match_the_full_plan(self, monkeypatch):
         # the fine plan keeps the nodes x <= F, which hold the atom and
         # every node the local and near sums read
