@@ -1,13 +1,15 @@
-"""Special functions: Bessel J, normalized and scaled Bessel J and I, and
-the one-axis factor of the eigenfunction kernel of the Bessel operator
-(the transform plans take the product over axes).
+"""Special functions: the normalized Bessel kernels u^{-nu} J_nu(u) and
+e^{-u} u^{-nu} I_nu(u), and the one-axis factor of the eigenfunction kernel
+of the Bessel operator (the transform plans take the product over axes).
 
-The normalized kernels u^{-nu} J_nu(u) (at orders other than -1/2, 0, 1/2
-and 1) and e^{-u} u^{-nu} I_nu(u) (at every order) are evaluated above
-u = 1/2 from a fixed-order table: Taylor polynomials on cells of width 1/8
-up to an order-dependent end, and the large-argument expansion beyond it.
-scipy jv and ive are called only to seed a table, once per order; the
-tables are built on first use and kept in a small lru_cache.
+Each kernel has one route per order, and both take every order nu > -1,
+which is every alpha_k = nu + 1/2 > -1/2 that MultiIndex allows.  The J
+kernel at nu = 0 is cephes j0 on every argument.  Every other J order, and
+every I order, is evaluated from a fixed-order table: the power series up
+to u = 1/2, Taylor polynomials on cells of width 1/8 from there to an
+order-dependent end, and the large-argument expansion beyond it.  scipy jv
+and ive are called only to seed a table, once per order; the tables are
+built on first use and kept in a small lru_cache.
 
 Everything here is vectorized over numpy arrays; the only state is that
 cache of read-only tables, so evaluation is safe from any number of
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, ive, j0, j1, jv
+from scipy.special import gamma, ive, j0, jv
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,9 @@ class MultiIndex:
         alpha = tuple(float(a) for a in np.atleast_1d(self.alpha))
         if len(alpha) == 0:
             raise ValueError("alpha must be non-empty")
-        if any(not np.isfinite(a) or a <= -0.5 for a in alpha):
+        # judged on the kernel order a - 1/2, which must be > -1 as
+        # rounded: a - 1/2 is -1 at the float just above -1/2
+        if any(not np.isfinite(a) or a - 0.5 <= -1.0 for a in alpha):
             raise ValueError(f"every alpha_k must be finite and > -1/2, "
                              f"got {alpha}")
         object.__setattr__(self, "alpha", alpha)
@@ -45,75 +49,30 @@ class MultiIndex:
         object.__setattr__(self, "Q", float(sum(2 * a + 1 for a in alpha)))
 
 
-# the orders bessel_j evaluates in closed form or with cephes j0 and j1
-_CLOSED_ORDERS = (-0.5, 0.0, 0.5, 1.0)
-
-
 def _check_order(nu):
+    """nu as a float, finite and > -1: the order alpha_k - 1/2 of every
+    alpha_k that MultiIndex allows."""
     nu = float(nu)
-    if not np.isfinite(nu) or nu < -0.5:
-        raise ValueError("order nu must be finite and >= -1/2")
+    if not np.isfinite(nu) or nu <= -1.0:
+        raise ValueError("order nu must be finite and > -1")
     return nu
-
-
-def _check_argument(x):
-    if not np.all(np.isfinite(x)):
-        raise ValueError("argument must be finite")
-
-
-def bessel_j(nu, x):
-    """Bessel function of the first kind J_nu(x), nu >= -1/2, x >= 0.
-
-    Dispatches to closed forms at the orders -1/2 and 1/2 and to the fast
-    cephes routines at the orders 0 and 1; every other order goes through
-    scipy jv, which the kernels (jnorm) call only to seed their tables.
-    """
-    nu = _check_order(nu)
-    x = np.asarray(x, dtype=float)
-    _check_argument(x)
-    if nu == -0.5:
-        # J_{-1/2}(x) = sqrt(2/(pi x)) cos x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.sqrt(2.0 / (np.pi * x)) * np.cos(x)
-        return np.where(x == 0.0, np.inf, out)[()]
-    if nu == 0.5:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
-        return np.where(x == 0.0, 0.0, out)[()]
-    if nu == 0.0:
-        return j0(x)[()]
-    if nu == 1.0:
-        return j1(x)[()]
-    return jv(nu, x)[()]
-
-
-# Series sum_m q^m / (2^nu m! Gamma(m+nu+1)): u^{-nu} J_nu(u) at
-# q = -(u/2)^2 and u^{-nu} I_nu(u) at q = (u/2)^2, used below the cutoff
-# where the direct power*Bessel product loses digits.
-_SERIES_CUTOFF = 0.5
-_SERIES_TERMS = 12
-
-
-def _norm_series(nu, q):
-    acc = np.zeros_like(q)
-    term = np.full_like(q, 1.0 / (2.0**nu * gamma(nu + 1.0)))
-    for m in range(_SERIES_TERMS):
-        acc = acc + term
-        term = term * q / ((m + 1.0) * (m + 1.0 + nu))
-    return acc
 
 
 # ---------------------------------------------------------------------------
 # fixed-order tables
 #
-# Above the series cutoff a generic order is evaluated from a table built
-# once per order: on [_SERIES_CUTOFF, upper) a degree-_TAYLOR_DEGREE Taylor
-# polynomial about the nearest of the cell centres _SERIES_CUTOFF + i h, and
-# from upper on the first _EXPANSION_TERMS terms of the large-argument
-# expansion (DLMF 10.17.3 for J, 10.40.1 for the scaled I).  upper is where
-# the first omitted term falls below _EXPANSION_TOL of the envelope
-# u^{-nu-1/2}; it grows like nu^2, and so does the table.
+# A tabled order is evaluated up to _SERIES_CUTOFF by _SERIES_TERMS terms of
+# its power series, where the direct power*Bessel product loses digits.
+# Above the cutoff it comes from a table built once per order: on
+# [_SERIES_CUTOFF, upper) a degree-_TAYLOR_DEGREE Taylor polynomial about
+# the nearest of the cell centres _SERIES_CUTOFF + i h, and from upper on
+# the first _EXPANSION_TERMS terms of the large-argument expansion (DLMF
+# 10.17.3 for J, 10.40.1 for the scaled I).  upper is where the first
+# omitted term falls below _EXPANSION_TOL of the envelope u^{-nu-1/2}; it
+# grows like nu^2, and so does the table.
 
+_SERIES_CUTOFF = 0.5
+_SERIES_TERMS = 12
 _CELL = 0.125
 _TAYLOR_DEGREE = 9
 _EXPANSION_TERMS = 16
@@ -147,8 +106,8 @@ def _table(kind, nu):
     """The fixed-order table of u^{-nu} J_nu (kind "J") or of
     e^{-u} u^{-nu} I_nu (kind "I").
 
-    Each centre's value and slope come from bessel_j or ive, the only calls
-    to them that evaluation makes; the higher Taylor coefficients come from
+    Each centre's value and slope come from jv or ive, the only calls to
+    them that evaluation makes; the higher Taylor coefficients come from
     the function's ODE, u f'' + (2nu+1) f' + u f = 0 for J and
     u h'' + (2u+2nu+1) h' + (2nu+1) h = 0 for the scaled I.
     """
@@ -161,8 +120,8 @@ def _table(kind, nu):
     scale = c ** (-nu)
     coefs = np.empty((_TAYLOR_DEGREE + 1, cells))
     if kind == "J":
-        coefs[0] = scale * bessel_j(nu, c)
-        coefs[1] = -scale * bessel_j(nu + 1.0, c)
+        coefs[0] = scale * jv(nu, c)
+        coefs[1] = -scale * jv(nu + 1.0, c)
     else:
         coefs[0] = scale * ive(nu, c)
         coefs[1] = scale * ive(nu + 1.0, c) - coefs[0]
@@ -194,11 +153,19 @@ def _horner(coefs, x):
 
 
 def _series(tb, u):
-    """The series branch; u <= _SERIES_CUTOFF."""
+    """The series branch; u <= _SERIES_CUTOFF.
+
+    sum_m q^m / (2^nu m! Gamma(m+nu+1)) is u^{-nu} J_nu(u) at
+    q = -(u/2)^2 and u^{-nu} I_nu(u) at q = (u/2)^2."""
     q = (u / 2.0) ** 2
     if tb.kind == "J":
-        return _norm_series(tb.nu, -q)
-    return _norm_series(tb.nu, q) * np.exp(-u)
+        q = -q
+    acc = np.zeros_like(q)
+    term = np.full_like(q, 1.0 / (2.0**tb.nu * gamma(tb.nu + 1.0)))
+    for m in range(_SERIES_TERMS):
+        acc = acc + term
+        term = term * q / ((m + 1.0) * (m + 1.0 + tb.nu))
+    return acc if tb.kind == "J" else acc * np.exp(-u)
 
 
 def _taylor(tb, u):
@@ -255,45 +222,34 @@ def _fixed_order(kind, nu, u):
 
 
 def jnorm(nu, u):
-    """Normalized Bessel u^{-nu} J_nu(u), extended continuously to u = 0.
+    """Normalized Bessel u^{-nu} J_nu(u), nu > -1, extended continuously to
+    u = 0, where it is 1 / (2^nu Gamma(nu+1)).
 
     This is the single-axis factor of the eigenfunction kernel, written with
-    nu = alpha_k - 1/2.  The u -> 0 limit 1 / (2^nu Gamma(nu+1)) is hardwired
-    through the series branch (the generic product is 0 * inf there).
-    Above the series cutoff the orders in _CLOSED_ORDERS go through
-    bessel_j, and every other order through its fixed-order table and
-    large-argument expansion.
+    nu = alpha_k - 1/2.  At nu = 0 it is cephes j0 on every u; every other
+    order goes through its fixed-order table (the series near 0, the Taylor
+    cells, then the large-argument expansion).
     """
+    nu = _check_order(nu)
     u = np.asarray(u, dtype=float)
-    if float(nu) not in _CLOSED_ORDERS:
-        nu = _check_order(nu)
-        _check_argument(u)
-        return _fixed_order("J", nu, u)
-    small = u <= _SERIES_CUTOFF
-    out = np.empty_like(u)
-    if np.any(small):
-        out[small] = _norm_series(nu, -(u[small] / 2.0) ** 2)
-    if np.any(~small):
-        ub = u[~small]
-        vals = bessel_j(nu, ub)
-        # in place, and skipped at nu = 0, where the power is exactly 1:
-        # kernel matrices are the largest arrays the sweeps hold
-        if nu != 0.0:
-            vals *= ub ** (-nu)
-        out[~small] = vals
-    return out[()]
+    if not np.all(np.isfinite(u)):
+        raise ValueError("argument must be finite")
+    if nu == 0.0:
+        return j0(u)[()]
+    return _fixed_order("J", nu, u)
 
 
 def inorm_scaled(nu, u):
-    """Scaled normalized modified Bessel e^{-u} u^{-nu} I_nu(u), u >= 0.
+    """Scaled normalized modified Bessel e^{-u} u^{-nu} I_nu(u), nu > -1,
+    u >= 0.
 
-    Series branch near 0 avoids the cancellation that the power*ive product
-    suffers for nu close to -1/2 (alpha near -1/2 in the heat kernel).
-    Above it every order goes through its fixed-order table and, from the
-    table's upper end on, the large-argument expansion, which holds at any
-    argument (cephes ive returns nan near u ~ 1e9).
+    Every order goes through its fixed-order table: the series near 0
+    avoids the cancellation that the power*ive product suffers for nu near
+    -1 (alpha near -1/2 in the heat kernel), and from the table's upper end
+    on the large-argument expansion holds at any argument (cephes ive
+    returns nan near u ~ 1e9).
     """
-    return _fixed_order("I", float(nu), np.asarray(u, dtype=float))
+    return _fixed_order("I", _check_order(nu), np.asarray(u, dtype=float))
 
 
 def e_kernel_axis(alpha_k, u):

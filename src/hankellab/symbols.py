@@ -13,6 +13,7 @@ Families (FAMILIES gives each its keys and builder):
   tabulated{path=FILE}                 from CSV with columns u_1..u_d, Re n, Im n
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -165,15 +166,29 @@ def table_symbol(coords, vals, sup, name):
 
 
 def tabulated_symbol(path, d):
-    """Symbol tabulated on a box grid, loaded from CSV (u_1..u_d, Re n, Im n);
-    evaluated by multilinear interpolation, zero outside the table."""
+    """Symbol tabulated on a box grid, loaded from CSV (u_1..u_d, Re n, Im n)
+    with one row per grid node, in any order; evaluated by multilinear
+    interpolation, zero outside the table."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] == 0 or data.shape[1] != d + 2:
         raise ValueError(f"{path}: need rows of {d + 2} columns "
                          f"(u_1..u_{d}, Re n, Im n), got shape {data.shape}")
-    coords = [np.unique(data[:, k]) for k in range(d)]
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: every entry must be finite")
+    coords, index = zip(*(np.unique(data[:, k], return_inverse=True)
+                          for k in range(d)))
     shape = tuple(c.size for c in coords)
-    vals = (data[:, d] + 1j * data[:, d + 1]).reshape(shape)
+    if data.shape[0] != math.prod(shape):
+        raise ValueError(f"{path}: {data.shape[0]} rows for the {shape} box "
+                         "grid its coordinates span; need one per node")
+    # each row is placed by its coordinates, not by its place in the file
+    node = np.ravel_multi_index(index, shape)
+    if np.unique(node).size != node.size:
+        raise ValueError(f"{path}: a node of the {shape} box grid is listed "
+                         "twice and another is missing")
+    vals = np.empty(node.size, dtype=complex)
+    vals[node] = data[:, d] + 1j * data[:, d + 1]
+    vals = vals.reshape(shape)
     return table_symbol(coords, vals, float(np.max(np.abs(vals))) + 1e-12,
                         f"tabulated{{path={path}}}")
 

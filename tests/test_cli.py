@@ -168,6 +168,22 @@ class TestConfigHandling:
         assert not built
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows,named", [
+        (["0,0,1,0", "1,0,1,0", "0,1,1,0"], "3 rows"),
+        (["0,0,1,0", "1,0,1,0", "0,1,1,0", "1,1,1,0", "1,1,1,0"], "5 rows"),
+        (["0,0,1,0", "1,0,1,0", "0,1,1,0", "1,1,nan,0"], "finite"),
+    ], ids=["missing-node", "repeated-node", "non-finite-value"])
+    def test_malformed_tabulated_file_is_refused(self, rows, named, tmp_path,
+                                                 capsys):
+        # the coordinates span a 2 x 2 box grid; each node needs one row
+        path = tmp_path / "tab.csv"
+        path.write_text("\n".join(["u1,u2,re_n,im_n"] + rows) + "\n")
+        argv = ["multiplier-check", "--alpha", "0.5,1.3",
+                "--symbol", f"tabulated{{path={path}}}",
+                "--output", str(tmp_path)]
+        assert run_cli(argv) == 64
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite,R", [("lp-probe", 8.0),
                                          ("transform-selftest", 1e-150)])
     def test_smallest_runnable_R_is_accepted(self, suite, R):
@@ -359,6 +375,19 @@ class TestExitStatuses:
         assert code == 0
         assert "PASS           weak_11_probe" in \
             (tmp_path / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["transform-selftest", "--alpha=-0.2"],
+        ["heat-selftest", "--alpha=-0.3"],
+        ["cz-check", "--alpha", "-0.3"],
+    ], ids=lambda argv: argv[0])
+    def test_alpha_below_zero_gets_a_report(self, argv, tmp_path, capsys):
+        # every alpha_k > -1/2 runs: the kernel order alpha_k - 1/2 < -1/2
+        code = run_cli(argv + ["--output", str(tmp_path)])
+        assert "suite error" not in capsys.readouterr().err
+        assert code == 0
+        data = json.loads((tmp_path / f"report-{argv[0]}.json").read_text())
+        assert {r["verdict"] for r in data["reports"]} == {"pass"}
 
     def test_suite_all_runs_multiple(self, tmp_path):
         code = run_cli(["suite", "transform-selftest,heat-selftest",

@@ -8,14 +8,14 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankellab import specfun, transform
 from hankellab.dyadic import make_partition
 from hankellab.grid import Grid
-from hankellab.specfun import (MultiIndex, bessel_j, bessel_operator_fd,
-                               e_kernel_axis, inorm_scaled, jnorm)
+from hankellab.specfun import (MultiIndex, bessel_operator_fd, e_kernel_axis,
+                               inorm_scaled, jnorm)
 from hankellab.symbols import laplace_type_symbol
 from hankellab.transform import TransformPlan
 from hankellab.verify import _cz_piece, default_cz_pairs
@@ -39,26 +39,34 @@ class TestMultiIndex:
 
 
 class TestBesselJ:
-    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5, 0.25, 2.7])
+    # J_nu(x) = x^nu jnorm(nu, x)
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5, 0.25, 2.7,
+                                    -0.95, -0.7])
     @pytest.mark.parametrize("x", [1e-3, 0.3, 1.0, 4.5, 20.0, 150.0])
     def test_against_mpmath(self, nu, x):
-        got = float(bessel_j(nu, x))
+        got = x**nu * float(jnorm(nu, np.array([x]))[0])
         want = float(mpmath.besselj(nu, x))
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
 
     def test_limits_at_zero(self):
-        assert bessel_j(0.5, 0.0) == 0.0
-        assert bessel_j(0.0, 0.0) == 1.0
-        assert np.isinf(bessel_j(-0.5, 0.0))
+        # x^nu jnorm(nu, x) at x = 0: 0, 1 and inf for nu = 1/2, 0, -1/2
+        with np.errstate(divide="ignore"):
+            at_zero = {nu: np.float64(0.0)**nu * jnorm(nu, np.array([0.0]))[0]
+                       for nu in (0.5, 0.0, -0.5)}
+        assert at_zero[0.5] == 0.0
+        assert at_zero[0.0] == 1.0
+        assert np.isinf(at_zero[-0.5])
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            bessel_j(-1.0, 1.0)
+        for fn in (jnorm, inorm_scaled):
+            for nu in (-1.0, float("nan")):
+                with pytest.raises(ValueError, match="order"):
+                    fn(nu, np.array([1.0]))
 
-    @given(nu=st.floats(-0.5, 5.0), x=st.floats(1e-6, 200.0))
+    @given(nu=st.floats(-0.95, 5.0), x=st.floats(1e-6, 200.0))
     @settings(max_examples=60, deadline=None)
     def test_matches_mpmath_property(self, nu, x):
-        got = float(bessel_j(nu, x))
+        got = x**nu * float(jnorm(nu, np.array([x]))[0])
         want = float(mpmath.besselj(nu, x))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
 
@@ -155,9 +163,8 @@ class TestFixedOrderTables:
         assert envelope_error(inorm_scaled(nu, u), want, nu, u) \
             <= ENVELOPE_TOL
 
-    # the generic orders; the closed forms and cephes j0/j1 are not tabled
-    @given(nu=st.floats(-0.5, 6.0).filter(
-               lambda nu: nu not in specfun._CLOSED_ORDERS),
+    # every order but 0, which cephes j0 evaluates untabled
+    @given(nu=st.floats(-0.95, 6.0).filter(lambda nu: nu != 0.0),
            u=st.floats(0.5, 1e4))
     @settings(max_examples=60, deadline=None)
     def test_jnorm_matches_mpmath_property(self, nu, u):
@@ -255,6 +262,24 @@ class TestEigenfunctionKernel:
         want = lam**2 * f[1:-1]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(Lf - want)) < 5e-4 * scale
+
+    @given(a=st.floats(-0.5, 8.0, exclude_min=True))
+    @example(a=float(np.nextafter(-0.5, 0.0)))
+    @example(a=float(np.nextafter(np.nextafter(-0.5, 0.0), 0.0)))
+    @example(a=8.0)
+    @settings(max_examples=40, deadline=None)
+    def test_every_alpha_multiindex_takes_gives_finite_kernels(self, a):
+        # MultiIndex and the kernels agree on the orders they take
+        try:
+            alpha = MultiIndex((a,))
+        except ValueError:
+            # only where the order a - 1/2 rounds to -1
+            assert a - 0.5 == -1.0
+            return
+        u = np.linspace(0.0, 1e3, 257)
+        assert np.all(np.isfinite(e_kernel_axis(a, u)))
+        plan = TransformPlan.build(Grid.build(alpha, R=4.0, n=32))
+        assert np.all(np.isfinite(plan.fwd[0]))
 
 
 class TestBesselOperatorFD:

@@ -169,6 +169,71 @@ def test_tabulated_with_wrong_columns_is_value_error(tmp_path):
         parse_symbol(f"tabulated{{path={path}}}", 1)
 
 
+def write_table(path, rows):
+    """A tabulated-symbol CSV of rows (u_1..u_d, Re n, Im n)."""
+    d = len(rows[0]) - 2
+    head = ",".join([f"u{k + 1}" for k in range(d)] + ["re_n", "im_n"])
+    path.write_text("\n".join([head] + [",".join(map(repr, r)) for r in rows])
+                    + "\n")
+    return f"tabulated{{path={path}}}"
+
+
+class TestTabulatedFile:
+    def test_rows_in_descending_order(self, tmp_path):
+        spec = write_table(tmp_path / "tab.csv",
+                           [(2.0, 20.0, 0.0), (1.0, 10.0, 0.0),
+                            (0.0, 0.0, 0.0)])
+        n = parse_symbol(spec, 1)
+        assert list(n(np.array([[0.0], [1.0], [2.0]]))) == [0.0, 10.0, 20.0]
+
+    def test_rows_with_the_first_coordinate_fastest(self, tmp_path):
+        # n(u_1, u_2) = u_1 + 2 u_2 + 1, listed with u_1 varying fastest
+        rows = [(u1, u2, u1 + 2.0 * u2 + 1.0, 0.0)
+                for u2 in (0.0, 1.0) for u1 in (0.0, 1.0)]
+        n = parse_symbol(write_table(tmp_path / "tab.csv", rows), 2)
+        nodes = np.array([r[:2] for r in rows])
+        assert list(n(nodes)) == [r[2] for r in rows]
+
+    @pytest.mark.parametrize("rows,named", [
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], "3 rows"),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)],
+         "5 rows"),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)], "listed twice"),
+    ], ids=["missing-node", "repeated-node", "repeated-for-missing"])
+    def test_not_one_row_per_node_is_value_error(self, rows, named,
+                                                 tmp_path):
+        rows = [r + (1.0, 0.0) for r in rows]
+        with pytest.raises(ValueError, match=named):
+            parse_symbol(write_table(tmp_path / "tab.csv", rows), 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_entry_is_value_error(self, bad, column, tmp_path):
+        rows = [[0.0, 1.0, 0.0], [1.0, 0.5, 0.0]]
+        rows[1][column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            parse_symbol(write_table(tmp_path / "tab.csv", rows), 1)
+
+
+_AXIS = st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4, unique=True)
+
+
+@given(u1=_AXIS, u2=_AXIS, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tabulated_symbol_does_not_depend_on_row_order(u1, u2, data,
+                                                       tmp_path_factory):
+    rows = [(a, b, a - b * b, a * b) for a in sorted(u1) for b in sorted(u2)]
+    order = data.draw(st.permutations(range(len(rows))))
+    root = tmp_path_factory.mktemp("tab")
+    sorted_n = parse_symbol(write_table(root / "sorted.csv", rows), 2)
+    n = parse_symbol(write_table(root / "shuffled.csv",
+                                 [rows[i] for i in order]), 2)
+    nodes = np.array([r[:2] for r in rows])
+    probe = np.concatenate([nodes, (nodes + nodes[::-1]) / 2.0])
+    assert list(n(nodes)) == [complex(r[2], r[3]) for r in rows]
+    np.testing.assert_array_equal(n(probe), sorted_n(probe))
+
+
 # the keys each family takes, written out here as the oracle for the parser
 _TAKES = {"laplace_type": {"phi", "gamma"}, "bump": set(), "oscillatory": {"k"},
           "potential": {"s", "h"}, "divergent": set(), "heat": {"t"},
