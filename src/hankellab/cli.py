@@ -18,16 +18,17 @@ import numpy as np
 
 from . import __version__
 from .dyadic import make_partition
-from .grid import POINTS_PER_PANEL, Grid, GridFunction, axis_size, norm
+from .grid import (POINTS_PER_PANEL, Grid, GridFunction, axis_size,
+                   check_normal_floats, norm)
 from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex
 from .symbols import parse_symbol
-from .sobolev import hormander_sup
+from .sobolev import SpectralTailWarning, hormander_sup
 from .transform import (_MIN_PPW, TransformPlan, hankel_transform,
                         inverse_hankel)
 from .verify import (DEFAULT_SEED, cz_hormander_check, h1_atom_check,
-                     lp_norm_probe, weak11_probe)
+                     lp_norm_probe, sweep_radii, weak11_probe)
 
 USAGE_ERROR = 64
 MEMORY_LIMIT_BYTES = 2 << 30
@@ -159,10 +160,13 @@ def _check_config(cfg, names):
         raise ValueError(f"grading = {cfg.grading}: must be >= 1")
     if cfg.seed < 0:
         raise ValueError(f"seed = {cfg.seed}: must be >= 0")
-    for name in ("cz-check", "h1-check"):
+    for name, sweep in (("cz-check", "cz"), ("h1-check", "h1")):
         if name in names and cfg.dims != 1:
             raise ValueError(f"dims = {cfg.dims} (alpha = {cfg.alpha}): "
                              f"{name} runs in one dimension")
+        if name in names:
+            check_normal_floats(cfg.alpha, sweep_radii(sweep),
+                                f"alpha = {cfg.alpha}, {name}")
     if "multiplier-check" in names and cfg.jmin > cfg.jmax:
         raise ValueError(f"jmin = {cfg.jmin} > jmax = {cfg.jmax}: "
                          "multiplier-check needs jmin <= jmax")
@@ -178,17 +182,10 @@ def _check_config(cfg, names):
         raise ValueError(f"n = {cfg.n}, R = {cfg.R}: the Lambda = R plan of "
                          f"{plan_suites[0]} has ~{ppw:.1f} points per "
                          f"wavelength, below {_MIN_PPW:g}")
-    # the plan forms R * Lambda = R^2, and each axis's quadrature self-test
-    # R^(2 alpha_k + 1) and (R/8)^(2 alpha_k + 1): all must be normal floats
-    log_r = np.log(cfg.R)
-    logs = [2 * log_r] + [(2 * a + 1) * (log_r - shift) for a in cfg.alpha
-                          for shift in (0.0, np.log(8.0))]
-    normal = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
-    if plan_suites and not normal[0] <= min(logs) <= max(logs) <= normal[1]:
-        raise ValueError(f"R = {cfg.R} (alpha = {cfg.alpha}): the axis "
-                         "quadrature and the Lambda = R plan of "
-                         f"{plan_suites[0]} would leave the range of normal "
-                         "floats")
+    # the plan's R * Lambda = R^2 is the self-test's power at alpha_k = 1/2
+    if plan_suites:
+        check_normal_floats(cfg.alpha + (0.5,), cfg.R, f"R = {cfg.R} (alpha "
+                            f"= {cfg.alpha}), the Lambda = R plan")
     if "lp-probe" in names and cfg.R < 8:
         raise ValueError(f"R = {cfg.R}: lp-probe draws bump widths from "
                          "[8/R, R/8], so it needs R >= 8")
@@ -292,7 +289,7 @@ def suite_multiplier_check(cfg, sym):
     # (d = 1) and 2.4e-3 (d = 2) of the norm at j = 0, above the 1e-8
     # threshold of local_sobolev_norm
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", SpectralTailWarning)
         prof = hormander_sup(sym, cfg.beta, (cfg.jmin, cfg.jmax))
     rep = EstimateReport(
         name="multiplier_check",

@@ -69,7 +69,7 @@ class DyadicPartition:
         return p * p if self.variant == "squared" else p
 
 
-def make_partition(variant="plain"):
+def make_partition(variant):
     """Build the dyadic partition bump; variant 'plain' or 'squared'."""
     if variant not in ("plain", "squared"):
         raise ValueError("variant must be 'plain' or 'squared'")

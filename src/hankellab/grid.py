@@ -65,6 +65,18 @@ def axis_size(n, grading_levels=10):
                                + max(grading_levels - 1, 0))
 
 
+def check_normal_floats(alpha, radii, what):
+    """Raise ValueError about what unless AxisGrid._selftest's powers
+    R^(2 alpha_k + 1) and (R/8)^(2 alpha_k + 1) are normal floats for every
+    R in radii and alpha_k in alpha; beyond them a float power overflows."""
+    logs = np.multiply.outer(2.0 * np.asarray(alpha) + 1.0, np.log(radii)
+                             - np.log([[1.0], [8.0]]))
+    if not (np.log(np.finfo(float).tiny) <= logs.min()
+            and logs.max() <= np.log(np.finfo(float).max)):
+        raise ValueError(f"{what}: the axis quadrature would leave the "
+                         "range of normal floats")
+
+
 @dataclass(frozen=True, eq=False)
 class AxisGrid:
     """One axis of the grid: nodes in (0, R] and weights for x^{2 alpha_k} dx.

@@ -13,7 +13,7 @@ import numpy as np
 from .dyadic import DyadicPartition
 from .grid import Grid, GridFunction, WeightSpec, norm
 from .report import FAIL, PASS, EstimateReport
-from .sobolev import local_sobolev_norm
+from .sobolev import SpectralTailWarning, local_sobolev_norm
 from .specfun import MultiIndex
 from .symbols import Symbol, bump_symbol, oscillatory_symbol
 from .transform import TransformPlan
@@ -21,31 +21,25 @@ from .transform import TransformPlan
 from .transform import _contract  # noqa: F401
 
 
-def _symbol_values(dual_grid, m):
-    """m(lambda) = n(lambda^2) on the dual grid for a Symbol n, or a ready
-    array of m's values there."""
-    if isinstance(m, Symbol):
-        return m(dual_grid.squared_mesh())
-    vals = np.asarray(m)
-    if vals.shape != dual_grid.shape:
+def _symbol_values(dual_grid, n: Symbol):
+    """m(lambda) = n(lambda_1^2, ..., lambda_d^2) on the dual grid: the one
+    place where a symbol is sampled for the multiplier functions."""
+    return n(dual_grid.squared_mesh())
+
+
+def apply_multiplier(plan: TransformPlan, mvals, f: GridFunction):
+    """T_m f = H(m Hf), with mvals = m(lambda) on the dual grid."""
+    if np.shape(mvals) != plan.dual_grid.shape:
         raise ValueError("multiplier array does not match the dual grid")
-    return vals
-
-
-def apply_multiplier(plan: TransformPlan, m, f: GridFunction):
-    """T_m f = H(m Hf): transform, multiply by m(lambda), transform back."""
-    mvals = _symbol_values(plan.dual_grid, m)
     spec = plan.forward(f.values)
     return GridFunction(plan.grid, plan.inverse(mvals * spec))
 
 
-def dyadic_symbol_values(dual_grid: Grid, m, psi: DyadicPartition, j):
+def dyadic_symbol_values(dual_grid: Grid, mvals, psi: DyadicPartition, j):
     """m_j(lambda) = psi_j(lambda_1^2, ..., lambda_d^2) m(lambda) on the
-    dual grid, with psi_j = psi.piece(j, .) the j-th term of the partition;
-    m is a Symbol or its values on the dual grid.  Every dyadic slice is
-    sampled here."""
-    u = dual_grid.squared_mesh()
-    return psi.piece(j, u) * _symbol_values(dual_grid, m)
+    dual grid, from m's values mvals there, with psi_j = psi.piece(j, .)
+    the j-th term of the partition.  Every dyadic slice is sampled here."""
+    return psi.piece(j, dual_grid.squared_mesh()) * mvals
 
 
 def resolvable_j_band(plan):
@@ -73,9 +67,10 @@ def global_sobolev_norm(n: Symbol, beta):
         n, 0, beta, eta=lambda u: np.ones(np.asarray(u).shape[:-1]))
 
 
-def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1"):
+def weighted_transform_bound_check(alpha, lemma):
     """Ratio LHS/RHS of the weighted transform bound over the oscillatory
-    family n_k(u) = eta(u) e^{i k u_1}, k = 0..k_max (k = 0 is the baseline).
+    family n_k(u) = eta(u) e^{i k u_1}, k = 0 (the baseline), 1, 2, 4, ...,
+    24, 32 = k_max, on grids of radius 4 k_max + 40 and 2.2.
 
     LHS = ||H(m_k) w^s||_{L^2(X)} with s = 1; RHS = ||n_k||_{W^beta_2} with
     beta = s + d/2 + epsilon (lemma "2.1") or beta = s + epsilon
@@ -86,6 +81,7 @@ def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1"):
     alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(np.atleast_1d(alpha)))
     d = alpha.d
     s, epsilon, band_factor = 1.0, 0.5, 10.0
+    ks = (0, 1, 2, 4, 8, 16, 24, 32)
     if lemma == "2.1":
         beta = s + d / 2.0 + epsilon
     elif lemma == "2.2":
@@ -94,18 +90,13 @@ def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1"):
         beta = s + epsilon
     else:
         raise ValueError("lemma must be '2.1' or '2.2'")
-    R = 4.0 * k_max + 40.0
-    Lam = 2.2
-    n_x = max(512, int(np.ceil(Lam * R / (2.0 * np.pi) * 8.0)))
-    grid = Grid.build(alpha, R=R, n=n_x)
-    dual = Grid.build(alpha, R=Lam, n=max(256, 16 * k_max))
-    plan = TransformPlan.build(grid, dual)
-    ks = sorted({0, 1, 2, 4, 8, 16, k_max} | set(
-        k for k in (24,) if k < k_max))
+    # 512 nodes give 8 points per wavelength at R * 2.2 = 370, 16 per k_max
+    plan = TransformPlan.build(Grid.build(alpha, R=4.0 * ks[-1] + 40.0, n=512),
+                               Grid.build(alpha, R=2.2, n=512))
     rep = EstimateReport(
         name="weighted_transform_bound",
         parameters={"alpha": list(alpha.alpha), "s": s, "epsilon": epsilon,
-                    "lemma": lemma, "beta": beta, "k_max": k_max},
+                    "lemma": lemma, "beta": beta, "k_max": ks[-1]},
         provenance="weighted L^2 bound for transforms of annulus symbols",
     )
     wspec = WeightSpec(s=s)
@@ -115,10 +106,10 @@ def weighted_transform_bound_check(alpha, k_max=32, lemma="2.1"):
         mvals = _symbol_values(plan.dual_grid, n_k)
         hm = GridFunction(plan.grid, plan.inverse(mvals))
         lhs = norm(hm, 2.0, wspec)
-        # drops the SpectralTailWarnings of the box-FFT norm: 8 per lemma at
-        # k_max = 32, with Nyquist tails of 1.2e-7 to 1.1e-5 of the norm
+        # drops the SpectralTailWarnings of the box-FFT norm: 8 per lemma,
+        # with Nyquist tails of 1.2e-7 to 1.1e-5 of the norm
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", SpectralTailWarning)
             rhs = global_sobolev_norm(n_k, beta)
         ratios[k] = lhs / rhs
         rep.add(f"ratio@k={k}", ratios[k])

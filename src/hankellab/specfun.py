@@ -210,11 +210,7 @@ def _fixed_order(kind, nu, u):
         ub, ob = flat[lo:lo + _BLOCK], out[lo:lo + _BLOCK]
         small = ub <= _SERIES_CUTOFF
         big = ~(ub < tb.upper)  # a nan goes to the expansion and stays nan
-        mid = ~(small | big)
-        if mid.all():
-            ob[:] = _taylor(tb, ub)
-            continue
-        for sel, branch in ((small, _series), (mid, _taylor),
+        for sel, branch in ((small, _series), (~(small | big), _taylor),
                             (big, _expansion)):
             if sel.any():
                 ob[sel] = branch(tb, ub[sel])

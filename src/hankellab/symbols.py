@@ -65,7 +65,7 @@ def _xi_cutoff(u):
     return smoothstep((rho - 1.0 / d) / (1.0 - 1.0 / d))
 
 
-def laplace_type_symbol(d, phi="const", gamma=None):
+def laplace_type_symbol(d, phi, gamma=None):
     """Laplace-transform-type family n = Xi * s * int_0^inf e^{-t s} phi(t) dt."""
     if phi == "const":
         if gamma is not None:
@@ -129,7 +129,7 @@ def divergent_symbol(d):
     return Symbol(fn, d, 1.0, "divergent")
 
 
-def heat_symbol(d, t=1.0):
+def heat_symbol(d, t):
     """Gaussian multiplier n(u) = e^{-t (u_1+...+u_d)_+} (m = e^{-t|lambda|^2};
     only u >= 0 is ever hit by m, the continuation is clipped to stay bounded)."""
     t = float(t)
@@ -141,7 +141,7 @@ def heat_symbol(d, t=1.0):
     return Symbol(fn, d, 1.0, f"heat{{t={t}}}")
 
 
-def constant_symbol(d, value=1.0):
+def constant_symbol(d, value):
     def fn(u):
         return np.full(np.asarray(u).shape[:-1], complex(value))
 

@@ -30,7 +30,7 @@ from .heat import TimeGrid, _maximal_field
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport, bounded_no_trend
 from .specfun import MultiIndex
 from .symbols import Symbol
-from .transform import TransformPlan
+from .transform import ResolutionWarning, TransformPlan
 # bound here only so the benchmark tracer can rebind it in every module
 from .transform import _contract  # noqa: F401
 from .multiplier import (apply_multiplier, dyadic_symbol_values,
@@ -38,6 +38,8 @@ from .multiplier import (apply_multiplier, dyadic_symbol_values,
 
 DEFAULT_SEED = 1234
 BATTERY_SIZE = 64
+WEAK11_CENTERS = (0.5, 1.0, 2.0, 4.0, 8.0)
+WEAK11_LEVELS = 32
 # the CZ and H^1 sweeps pass when their measurements are bounded with no
 # trend at these tolerances (see report.bounded_no_trend)
 SLOPE_TOL = 0.05
@@ -132,7 +134,7 @@ def adapted_plan(grid, dual_grid):
     raise none, and neither does the default CZ sweep.
     """
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", ResolutionWarning)
         return TransformPlan.build(grid, dual_grid)
 
 
@@ -156,6 +158,16 @@ def default_cz_pairs():
 CZ_J_MARGIN = (20, 8)
 
 
+def _cz_band(y, yp):
+    """{j: (R, Lambda)} over a pair's pieces j* - 20 .. j* + 8, around
+    j* = ceil(-2 log2 2|y - y'|): the radii of each piece's adapted grids."""
+    r2 = 2.0 * float(np.linalg.norm(y - yp))
+    jstar, top = int(np.ceil(-2.0 * np.log2(r2))), float(max(y.max(), yp.max()))
+    return {j: (top + max(40.0 * 2.0 ** (-j / 2.0), 4.0 * r2),
+                1.05 * 2.0 ** ((j + 1) / 2.0))
+            for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1)}
+
+
 def _cz_piece(alpha, m, psi, y, yp, j):
     """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) on the
     (pair, j) adapted grids.
@@ -166,12 +178,9 @@ def _cz_piece(alpha, m, psi, y, yp, j):
     vanishes on every dual node is 0 and builds no plan.
     """
     r2 = 2.0 * float(np.linalg.norm(y - yp))
-    scale = 2.0 ** (-j / 2.0)
-    Lam = 1.05 * 2.0 ** ((j + 1) / 2.0)
-    R = float(max(y.max(), yp.max()) + max(40.0 * scale, 4.0 * r2))
-    grid, dual = adapted_grids(alpha, R, Lam)
+    grid, dual = adapted_grids(alpha, *_cz_band(y, yp)[j])
     off_ball = np.abs(grid.axes[0].nodes - y[0]) > r2
-    mj = dyadic_symbol_values(dual, m, psi, j)
+    mj = dyadic_symbol_values(dual, _symbol_values(dual, m), psi, j)
     on = mj != 0
     if not on.any():
         return 0.0
@@ -208,13 +217,9 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
         warnings.simplefilter("always")
         for idx, (y, yp) in enumerate(pairs):
             r2 = 2.0 * float(np.linalg.norm(y - yp))
-            jstar = int(np.ceil(-2.0 * np.log2(r2)))
-            total = 0.0
-            perj = []
-            for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1):
-                dj = _cz_piece(alpha, m, psi, y, yp, j)
-                total += dj
-                perj.append((j, dj))
+            perj = [(j, _cz_piece(alpha, m, psi, y, yp, j))
+                    for j in _cz_band(y, yp)]
+            total = sum(dj for _, dj in perj)
             if idx == mid:
                 for j, dj in perj:
                     rep.add(f"D_j@j={j},sep={r2 / 2:.3e}", dj)
@@ -278,8 +283,8 @@ def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
 # ---------------------------------------------------------------------------
 # operator-norm probing
 
-def make_battery(plan: TransformPlan, count=BATTERY_SIZE, seed=DEFAULT_SEED):
-    """Deterministic battery of bumps, dilates, translates, and
+def make_battery(plan: TransformPlan, seed=DEFAULT_SEED):
+    """Deterministic battery of BATTERY_SIZE bumps, dilates, translates, and
     trigonometric-bump mixes, band-limited to the plan's dual truncation."""
     rng = np.random.default_rng(seed)
     grid = plan.grid
@@ -287,7 +292,7 @@ def make_battery(plan: TransformPlan, count=BATTERY_SIZE, seed=DEFAULT_SEED):
     R = min(ax.R for ax in grid.axes)
     mesh = grid.meshgrid()
     out = []
-    for _ in range(count):
+    for _ in range(BATTERY_SIZE):
         width = float(np.exp(rng.uniform(np.log(8.0 / Lam), np.log(R / 8.0))))
         centers = rng.uniform(width, R / 2.0, size=grid.d)
         vals = np.ones(grid.shape)
@@ -302,17 +307,16 @@ def make_battery(plan: TransformPlan, count=BATTERY_SIZE, seed=DEFAULT_SEED):
     return out
 
 
-def lp_norm_probe(plan: TransformPlan, m: Symbol, p, battery=None,
-                  bound=None, seed=DEFAULT_SEED):
-    """Max of ||T_m f||_p / ||f||_p over the battery.
+def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
+    """Max of ||T_m f||_p / ||f||_p over make_battery(plan, seed).
 
     Probing yields lower bounds on the true operator norm only; for p = 2
-    the ratio is additionally checked against ||m||_inf (Plancherel).
-    Both budgets allow a relative excess of 1e-6.
+    the ratio is additionally checked against ||m||_inf (Plancherel), with
+    a relative excess of 1e-6 allowed.
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    battery = battery if battery is not None else make_battery(plan, seed=seed)
+    battery = make_battery(plan, seed)
     rep = EstimateReport(
         name="lp_norm_probe",
         parameters={"p": p, "symbol": m.name, "battery": len(battery),
@@ -331,29 +335,24 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, battery=None,
     if p == 2.0:
         ok = ok and worst <= m.sup_norm * (1.0 + 1e-6)
         rep.fitted_constants["plancherel_budget"] = m.sup_norm
-    if bound is not None:
-        ok = ok and worst <= bound * (1.0 + 1e-6)
-        rep.fitted_constants["declared_bound"] = bound
     rep.verdict = PASS if ok else FAIL
     return rep
 
 
-def weak11_probe(plan: TransformPlan, m: Symbol, centers=None,
-                 n_levels=32):
-    """Weak-(1,1) quantity sup_lambda lambda nu{|T_m f| > lambda} / ||f||_1
-    over L^1-normalized spikes of width 48 / Lambda and 4 times sharper;
-    passes when the sharp-to-base ratio stays within a factor 5."""
+def weak11_probe(plan: TransformPlan, m: Symbol):
+    """Weak-(1,1) quantity max lambda nu{|T_m f| > lambda} / ||f||_1 over
+    WEAK11_LEVELS levels, for L^1-normalized spikes at WEAK11_CENTERS of width
+    48 / Lambda and 4 times sharper; passes when sharp / base is within 5."""
     grid = plan.grid
     Lam = min(ax.R for ax in plan.dual_grid.axes)
     width, sharpen, band_factor = 48.0 / Lam, 4.0, 5.0
-    centers = centers if centers is not None else [0.5, 1.0, 2.0, 4.0, 8.0]
     mesh = np.stack(grid.meshgrid(), axis=-1)
     wts = grid.weight_tensor()
     mvals = _symbol_values(plan.dual_grid, m)
     rep = EstimateReport(
         name="weak_11_probe",
         parameters={"symbol": m.name, "width": width, "sharpen": sharpen,
-                    "centers": list(map(float, centers)),
+                    "centers": list(WEAK11_CENTERS),
                     "band_factor": band_factor},
         provenance="weak-type (1,1) level-set probe under spike sharpening",
     )
@@ -364,14 +363,11 @@ def weak11_probe(plan: TransformPlan, m: Symbol, centers=None,
         f = GridFunction(grid, vals)
         f = GridFunction(grid, vals / norm(f, 1.0))
         g = np.abs(apply_multiplier(plan, mvals, f).values)
-        peak = float(g.max())
-        best = 0.0
-        for lam in np.geomspace(1e-3, 0.9, n_levels) * peak:
-            best = max(best, lam * float(np.sum(wts[g > lam])))
-        return best
+        return max(lam * float(np.sum(wts[g > lam])) for lam in
+                   np.geomspace(1e-3, 0.9, WEAK11_LEVELS) * float(g.max()))
 
     ok, worst = True, 0.0
-    for c in centers:
+    for c in WEAK11_CENTERS:
         q0 = quantity(c, width)
         q1 = quantity(c, width / sharpen)
         rep.add(f"q@c={c},base", q0)
@@ -394,6 +390,18 @@ def default_atom_family():
     boundary-adjacent balls."""
     return [(c * r, r) for r in np.geomspace(2.0**-4, 2.0**4, 8)
             for c in (1.2, 5.0, 20.0)]
+
+
+def _atom_radii(y0, r):
+    """R and Lambda of an atom's fine and of its coarse adapted grids."""
+    return (y0 + 24.0 * r, 40.0 / r), (y0 + 240.0 * r, 10.0 / r)
+
+
+def sweep_radii(sweep):
+    """Every R and Lambda of the grids of the CZ ("cz") or H^1 ("h1") sweep."""
+    if sweep == "cz":
+        return np.ravel([list(_cz_band(y, yp).values()) for y, yp in default_cz_pairs()])
+    return np.ravel([_atom_radii(y0, r) for y0, r in default_atom_family()])
 
 
 def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
@@ -432,12 +440,11 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     for y0, r in atoms:
         tg_atom = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
         F = y0 + 18.0 * r
-        grid_f, dual_f = adapted_grids(alpha, R=y0 + 24.0 * r,
-                                       Lam=40.0 / r, n_dual=640)
+        (R_f, Lam_f), (R_c, Lam_c) = _atom_radii(y0, r)
+        grid_f, dual_f = adapted_grids(alpha, R_f, Lam_f, n_dual=640)
         fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]),
                             dual_f)
-        grid_c, dual_c = adapted_grids(alpha, R=y0 + 240.0 * r,
-                                       Lam=10.0 / r, ppw=4.0)
+        grid_c, dual_c = adapted_grids(alpha, R_c, Lam_c, ppw=4.0)
         coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]),
                               dual_c)
         w_c = coarse.grid.weight_tensor()

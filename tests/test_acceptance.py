@@ -165,7 +165,7 @@ def test_criterion_07_weighted_transform_bounds():
     ok = True
     bands = {}
     for lemma in ("2.1", "2.2"):
-        rep = weighted_transform_bound_check(0.5, k_max=32, lemma=lemma)
+        rep = weighted_transform_bound_check(0.5, lemma)
         bands[lemma] = rep.fitted_constants["band"]
         ok &= rep.verdict == "pass"
     report(7, "weighted transform bounds "

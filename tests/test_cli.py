@@ -5,6 +5,7 @@ import ast
 import inspect
 import json
 import textwrap
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,8 @@ from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
                            _make_parser, _parse_config_file, build_config,
                            main)
 from hankellab.grid import Grid
+from hankellab.sobolev import SpectralTailWarning
+from hankellab.symbols import parse_symbol
 
 
 def run_cli(args):
@@ -149,6 +152,8 @@ class TestConfigHandling:
         (["lp-probe", "--R", "5e-324"], "R = 5e-324"),
         (["transform-selftest", "--R", "1e-310"], "R = 1e-310"),
         (["lp-probe", "--R", "4"], "R = 4.0: lp-probe draws"),
+        (["cz-check", "--alpha", "50"], "alpha = (50.0,), cz-check"),
+        (["h1-check", "--alpha", "50"], "alpha = (50.0,), h1-check"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
@@ -158,7 +163,7 @@ class TestConfigHandling:
             "dims-below-alpha-count", "n-not-an-int", "grading-not-an-int",
             "beta-not-a-float", "grading-zero", "suite-named-twice",
             "lp-under-resolved", "lp-R-subnormal", "R-subnormal",
-            "lp-R-below-8"])
+            "lp-R-below-8", "cz-alpha-50", "h1-alpha-50"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []
@@ -190,6 +195,12 @@ class TestConfigHandling:
         # R = 8 gives lp-probe's bump widths the single value 1; at
         # R = 1e-150, R^2 and (R/8)^2 are still normal floats
         cli._check_config(RunConfig(R=R, n=64), [suite])
+
+    @pytest.mark.parametrize("suite", ["cz-check", "h1-check"])
+    def test_sweeps_accept_alpha_20(self, suite):
+        # their largest radii, 4.6e5 (cz) and 4160 (h1), raised to
+        # 2 alpha + 1 = 41 are still normal floats
+        cli._check_config(RunConfig(alpha=(20.0,)), [suite])
 
     @pytest.mark.parametrize("line", [
         "digest = abc", "__class__ = x", "suite = h1-check"],
@@ -294,6 +305,24 @@ def test_config_file_gives_run_config_or_value_error(text, tmp_path_factory):
     assert isinstance(cfg, RunConfig)
     assert set(_parse_config_file(str(path))) <= set(vars(cfg)) - {"suite"}
     assert len(cfg.alpha) == cfg.dims
+
+
+def test_multiplier_check_drops_only_spectral_tail_warnings(monkeypatch):
+    # the default symbol's own profile at j = 0 raises a SpectralTailWarning
+    hormander_sup = cli.hormander_sup
+
+    def noisy_profile(*args):
+        warnings.warn("not a tail warning", RuntimeWarning)
+        return hormander_sup(*args)
+
+    monkeypatch.setattr(cli, "hormander_sup", noisy_profile)
+    cfg = RunConfig(jmin=0, jmax=0)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        cli.suite_multiplier_check(cfg, parse_symbol(cfg.symbol, cfg.dims))
+    assert [w.category for w in escaped] == [RuntimeWarning]
+    with pytest.warns(SpectralTailWarning):
+        hormander_sup(parse_symbol(cfg.symbol, cfg.dims), cfg.beta, (0, 0))
 
 
 @pytest.fixture(scope="module")

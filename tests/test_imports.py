@@ -1,5 +1,6 @@
 """Every module in src/hankellab/ and tests/ reads each name it imports,
-every module-level name src/hankellab/ assigns is read somewhere, the
+every module-level name src/hankellab/ assigns is read somewhere, every
+parameter default of its functions is both overridden and relied on, the
 package binds every name in its __all__, and the CLI loads no scipy
 submodule that only a library call needs.
 
@@ -11,6 +12,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,6 +103,105 @@ def test_assigned_name_detector():
                                    (4, "E")]
     assert {"A", "G"} <= names_read(src)
     assert "B" not in names_read(src)
+
+
+def defaulted_parameters(sources):
+    """{name: (positional parameter names, {parameter: default node})} of
+    each module-level function in sources that has a default and whose
+    name no other function definition in sources shares."""
+    trees = [ast.parse(source) for source in sources]
+    defined = Counter(node.name for tree in trees for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef)))
+    out = {}
+    for node in (node for tree in trees for node in tree.body):
+        if not isinstance(node, ast.FunctionDef) or defined[node.name] > 1:
+            continue
+        a = node.args
+        positional = [arg.arg for arg in a.posonlyargs + a.args]
+        defaults = dict(zip(positional[len(positional) - len(a.defaults):],
+                            a.defaults))
+        defaults.update((arg.arg, d) for arg, d in zip(a.kwonlyargs,
+                                                       a.kw_defaults) if d)
+        if defaults:
+            out[node.name] = (positional, defaults)
+    return out
+
+
+def call_arguments(source, functions):
+    """(name, {parameter: argument node}) for each call in source, by bare
+    name or attribute, of a function in functions; the dict is None when a
+    *args or **kwargs argument hides which parameters the call sets."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in functions:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords):
+            yield name, None
+            continue
+        given = dict(zip(functions[name][0], node.args))
+        given.update((kw.arg, kw.value) for kw in node.keywords)
+        yield name, given
+
+
+def _is_default(arg, default):
+    try:
+        return ast.literal_eval(arg) == ast.literal_eval(default)
+    except ValueError:
+        return ast.dump(arg) == ast.dump(default)
+
+
+def unearned_parameters(functions, setting_sources, relying_sources):
+    """(never set, never relied on): the (function, parameter) pairs of
+    functions that no call in setting_sources sets to a value other than
+    the default, and those that every call in relying_sources passes."""
+    never_set = {(f, p) for f, (_, defaults) in functions.items()
+                 for p in defaults}
+    never_relied = set(never_set)
+    for source in setting_sources:
+        for f, given in call_arguments(source, functions):
+            never_set -= {(f, p) for p, d in functions[f][1].items()
+                          if given is None or (p in given and
+                                               not _is_default(given[p], d))}
+    for source in relying_sources:
+        for f, given in call_arguments(source, functions):
+            if given is not None:
+                never_relied -= {(f, p) for p in functions[f][1]
+                                 if p not in given}
+    return never_set, never_relied
+
+
+# set from outside the package: the benchmark tracer reads
+# local_sobolev_norm's samples, and the console script calls main()
+PARAMETER_EXEMPT = {("local_sobolev_norm", "samples"), ("main", "argv")}
+
+
+def test_every_parameter_default_is_overridden_and_relied_on():
+    src = [p.read_text() for p in sorted((ROOT / "src/hankellab").glob("*.py"))]
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    acceptance = (ROOT / "tests/test_acceptance.py").read_text()
+    never_set, never_relied = unearned_parameters(
+        defaulted_parameters(src), src + [acceptance], src + tests)
+    assert never_set - PARAMETER_EXEMPT == set()
+    assert never_relied - PARAMETER_EXEMPT == set()
+
+
+def test_parameter_detector():
+    src = ("def f(a, b=1, c=None, *, d=K):\n    return a\n"
+           "def g(x=0):\n    return x\n"
+           "class C:\n    def g(self):\n        pass\n"
+           "f(1, 2, d=K)\nm.f(0, b=1, c=[], d=K)\ng()\n")
+    functions = defaulted_parameters([src])
+    assert {name: list(d) for name, (_, d) in functions.items()} == \
+        {"f": ["b", "c", "d"]}
+    assert unearned_parameters(functions, [src], [src]) == (
+        {("f", "d")}, {("f", "b"), ("f", "d")})
+    # a starred argument may set any parameter, and relies on none
+    assert unearned_parameters(functions, ["f(*a)"], ["f(**k)"]) == (
+        set(), {("f", "b"), ("f", "c"), ("f", "d")})
 
 
 def test_every_exported_name_is_bound():

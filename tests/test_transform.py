@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab.grid import Grid, GridFunction, WeightSpec, dilate, integrate, norm
+from hankellab.grid import Grid, GridFunction, dilate, integrate, norm
 from hankellab.specfun import MultiIndex, bessel_operator_fd
 from hankellab.transform import (AliasingWarning, ResolutionWarning,
                                  TransformPlan, convolve,
@@ -130,14 +130,6 @@ class TestConvolution:
         with pytest.warns(AliasingWarning, match="convolve"):
             r = young_inequality_residual(plan_half, f, g)
         assert r <= 1.0 + 1e-8
-
-    def test_weighted_young_bounded(self, plan_half):
-        f = gaussian_bump(plan_half.grid, 3.0, 1.2)
-        g = gaussian_bump(plan_half.grid, 2.0, 1.5)
-        with pytest.warns(AliasingWarning, match="convolve"):
-            r = young_inequality_residual(plan_half, f, g,
-                                          WeightSpec(delta=0.5))
-        assert np.isfinite(r) and r > 0
 
 
 class TestDilationIdentities:

@@ -9,13 +9,14 @@ from hankellab import transform, verify
 from hankellab.dyadic import make_partition
 from hankellab.grid import Grid, GridFunction, integrate, norm
 from hankellab.heat import TimeGrid, _maximal_field
-from hankellab.multiplier import apply_multiplier
+from hankellab.multiplier import _symbol_values, apply_multiplier
 from hankellab.report import EstimateReport, FAIL, INCONCLUSIVE, PASS
 from hankellab.specfun import MultiIndex
 from hankellab.symbols import (Symbol, bump_symbol, constant_symbol,
                                laplace_type_symbol)
-from hankellab.transform import TransformPlan
-from hankellab.verify import (Atom, CZ_J_MARGIN, N_MAX, N_MIN, _cz_piece,
+from hankellab.transform import ResolutionWarning, TransformPlan
+from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_MAX, N_MIN,
+                              WEAK11_CENTERS, WEAK11_LEVELS, _cz_piece,
                               adapted_grids, adapted_plan, association_check,
                               check_atom, compare_resolutions,
                               cz_hormander_check, default_atom_family,
@@ -85,6 +86,23 @@ class TestAdaptedPlans:
             part.fwd[0], full.fwd[0][np.ix_(keep_dual, keep_x)])
         only_x = adapted_plan(grid.restrict([keep_x]), dual)
         assert only_x.dual_grid == full.dual_grid
+
+    def test_only_resolution_warnings_are_dropped(self, monkeypatch):
+        # R * Lambda = 1000 over 512 dual nodes: ~3.2 points per wavelength
+        grid, dual = adapted_grids(MultiIndex((0.5,)), R=100.0, Lam=10.0)
+        build = TransformPlan.build
+        with pytest.warns(ResolutionWarning):
+            build(grid, dual)
+
+        def noisy_build(*args):
+            warnings.warn("not a resolution warning", RuntimeWarning)
+            return build(*args)
+
+        monkeypatch.setattr(TransformPlan, "build", staticmethod(noisy_build))
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            adapted_plan(grid, dual)
+        assert [w.category for w in escaped] == [RuntimeWarning]
 
     def test_default_pairs_span_decades(self):
         pairs = default_cz_pairs()
@@ -296,27 +314,21 @@ class TestRestrictedSweeps:
 
 class TestProbes:
     def test_battery_is_deterministic(self, plan_half):
-        a = make_battery(plan_half, count=4, seed=9)
-        b = make_battery(plan_half, count=4, seed=9)
+        a = make_battery(plan_half, seed=9)
+        b = make_battery(plan_half, seed=9)
+        assert len(a) == BATTERY_SIZE
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.values, fb.values)
 
     def test_lp_probe_respects_plancherel_budget(self, plan_half):
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
-        battery = make_battery(plan_half, count=12)
-        rep = lp_norm_probe(plan_half, m, 2.0, battery=battery)
+        rep = lp_norm_probe(plan_half, m, 2.0)
         assert rep.verdict == PASS
         assert rep.fitted_constants["max_ratio"] <= m.sup_norm * (1 + 1e-6)
 
     def test_lp_probe_rejects_bad_p(self, plan_half):
         with pytest.raises(ValueError):
             lp_norm_probe(plan_half, constant_symbol(1, 1.0), 1.0)
-
-    def test_lp_probe_declared_bound_enforced(self, plan_half):
-        battery = make_battery(plan_half, count=6)
-        rep = lp_norm_probe(plan_half, constant_symbol(1, 1.0), 2.0,
-                            battery=battery, bound=1e-6)
-        assert rep.verdict == FAIL
 
     def test_probes_evaluate_the_symbol_once(self, plan_half):
         base = laplace_type_symbol(1, "imag_power", gamma=1.0)
@@ -327,38 +339,37 @@ class TestProbes:
             return base.fn(u)
 
         m = Symbol(fn, 1, base.sup_norm, "counted")
-        battery = make_battery(plan_half, count=10)
-        rep = lp_norm_probe(plan_half, m, 3.0, battery=battery)
+        rep = lp_norm_probe(plan_half, m, 3.0)
         assert len(calls) == 1
-        ratios = [norm(apply_multiplier(plan_half, base, f), 3.0) / norm(f, 3.0)
-                  for f in battery]
+        mv = _symbol_values(plan_half.dual_grid, base)
+        ratios = [norm(apply_multiplier(plan_half, mv, f), 3.0) / norm(f, 3.0)
+                  for f in make_battery(plan_half)]
         assert rep.measurements == [(f"ratio@f{i}", r)
                                     for i, r in enumerate(ratios[:8])]
         assert rep.fitted_constants["max_ratio"] == max(ratios)
 
         calls.clear()
-        centers = [2.0, 5.0]
-        rep = weak11_probe(plan_half, m, centers=centers, n_levels=16)
+        rep = weak11_probe(plan_half, m)
         assert len(calls) == 1
         grid = plan_half.grid
         mesh = np.stack(grid.meshgrid(), axis=-1)
         wts = grid.weight_tensor()
         width = 48.0 / plan_half.dual_grid.axes[0].R
         want = []
-        for c in centers:
+        for c in WEAK11_CENTERS:
             for h, tag in ((width, "base"), (width / 4.0, "sharp")):
                 vals = np.exp(-np.sum(((mesh - c) / h) ** 2, axis=-1))
                 f = GridFunction(grid, vals)
                 f = GridFunction(grid, vals / norm(f, 1.0))
-                g = np.abs(apply_multiplier(plan_half, base, f).values)
+                g = np.abs(apply_multiplier(plan_half, mv, f).values)
                 q = max(lam * float(np.sum(wts[g > lam])) for lam in
-                        np.geomspace(1e-3, 0.9, 16) * float(g.max()))
+                        np.geomspace(1e-3, 0.9, WEAK11_LEVELS)
+                        * float(g.max()))
                 want.append((f"q@c={c},{tag}", q))
         assert rep.measurements == want
 
     def test_weak11_probe_stable_for_identity(self, plan_half):
-        rep = weak11_probe(plan_half, constant_symbol(1, 1.0),
-                           centers=[2.0, 5.0], n_levels=16)
+        rep = weak11_probe(plan_half, constant_symbol(1, 1.0))
         assert rep.verdict == PASS
 
 
