@@ -198,7 +198,9 @@ def _check_config(cfg, names):
 
 def _estimate_plan_bytes(cfg):
     """One float kernel matrix per axis and one complex value tensor, at
-    the node count Grid.build makes for cfg.n."""
+    the node count Grid.build makes for cfg.n.  A suite holds a few value
+    tensors at once, a small multiple of this; lp-probe forms its battery
+    one function at a time, so its 64 functions add none."""
     nodes = axis_size(cfg.n, grading_levels=cfg.grading)
     return cfg.dims * nodes * nodes * 8 + nodes**cfg.dims * 16
 

@@ -1,5 +1,6 @@
 """Experiment harness: atoms, probes, adapted plans, resolution comparison."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,15 +14,16 @@ from hankellab.multiplier import _symbol_values, apply_multiplier
 from hankellab.report import EstimateReport, FAIL, INCONCLUSIVE, PASS
 from hankellab.specfun import MultiIndex
 from hankellab.symbols import (Symbol, bump_symbol, constant_symbol,
-                               laplace_type_symbol)
+                               laplace_type_symbol, parse_symbol)
 from hankellab.transform import ResolutionWarning, TransformPlan
 from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_MAX, N_MIN,
                               WEAK11_CENTERS, WEAK11_LEVELS, _cz_piece,
                               adapted_grids, adapted_plan, association_check,
-                              check_atom, compare_resolutions,
-                              cz_hormander_check, default_atom_family,
-                              default_cz_pairs, lp_norm_probe, make_atom,
-                              make_battery, weak11_probe)
+                              battery_functions, check_atom,
+                              compare_resolutions, cz_hormander_check,
+                              default_atom_family, default_cz_pairs,
+                              lp_norm_probe, make_atom, make_battery,
+                              weak11_probe)
 
 from conftest import gaussian_bump
 
@@ -312,13 +314,105 @@ class TestRestrictedSweeps:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _full_mesh_battery(plan, seed):
+    """The battery as full value tensors, drawn as make_battery draws it:
+    each function built on the whole mesh, Gaussian axis by axis, then the
+    cosine modes on axis 0."""
+    rng = np.random.default_rng(seed)
+    grid = plan.grid
+    Lam = min(ax.R for ax in plan.dual_grid.axes)
+    R = min(ax.R for ax in grid.axes)
+    mesh = grid.meshgrid()
+    for _ in range(BATTERY_SIZE):
+        width = float(np.exp(rng.uniform(np.log(8.0 / Lam), np.log(R / 8.0))))
+        centers = rng.uniform(width, R / 2.0, size=grid.d)
+        vals = np.ones(grid.shape)
+        for k in range(grid.d):
+            vals = vals * np.exp(-(((mesh[k] - centers[k]) / width) ** 2))
+        for _ in range(rng.integers(0, 4)):
+            om = rng.uniform(0.0, 0.4 * Lam)
+            ph = rng.uniform(0.0, 2.0 * np.pi)
+            vals = vals * (1.0 + 0.5 * np.cos(om * mesh[0] + ph))
+        yield vals
+
+
+@pytest.fixture(scope="module")
+def plan_2d_small():
+    """A d = 2 plan small enough for the dense route over many symbols."""
+    grid = Grid.build(MultiIndex((0.5, 1.3)), R=10.0, n=96, grading_levels=2)
+    return TransformPlan.build(grid)
+
+
+def _random_symbol(dual_grid):
+    """A full-rank complex symbol: independent normal values per node."""
+    rng = np.random.default_rng(5)
+    z = (rng.standard_normal(dual_grid.shape)
+         + 1j * rng.standard_normal(dual_grid.shape))
+    return Symbol(lambda u: z, dual_grid.d, float(np.abs(z).max()), "random")
+
+
 class TestProbes:
-    def test_battery_is_deterministic(self, plan_half):
-        a = make_battery(plan_half, seed=9)
-        b = make_battery(plan_half, seed=9)
-        assert len(a) == BATTERY_SIZE
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.values, fb.values)
+    def test_battery_is_deterministic(self, plan_half, plan_2d):
+        for plan in (plan_half, plan_2d):
+            a = make_battery(plan, seed=9)
+            b = make_battery(plan, seed=9)
+            assert [F.shape for F in a] == [(BATTERY_SIZE, ax.n)
+                                           for ax in plan.grid.axes]
+            for fa, fb in zip(a, b):
+                assert np.array_equal(fa, fb)
+            assert len(list(battery_functions(plan.grid, a))) == BATTERY_SIZE
+
+    @pytest.mark.parametrize("alpha", [(0.5,), (0.5, 1.3), (0.5, 1.3, 0.0)])
+    def test_factors_reproduce_the_full_mesh_battery(self, alpha):
+        # pins the draw order: same widths, centres and modes per function
+        grid = Grid.build(MultiIndex(alpha), R=8.0, n=48, grading_levels=1)
+        plan = TransformPlan.build(grid)
+        got = battery_functions(grid, make_battery(plan, seed=1001))
+        for f, want in zip(got, _full_mesh_battery(plan, 1001),
+                           strict=True):
+            assert f.values.shape == grid.shape
+            assert (np.max(np.abs(f.values - want))
+                    <= 1e-15 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("spec", ["heat{t=1}", "bump", "divergent",
+                                      "laplace_type{phi=imag_power:gamma=1.0}",
+                                      "random"])
+    def test_factored_route_matches_the_dense_route(self, plan_2d_small,
+                                                    spec):
+        plan = plan_2d_small
+        m = (_random_symbol(plan.dual_grid) if spec == "random"
+             else parse_symbol(spec, 2))
+        mv = _symbol_values(plan.dual_grid, m)
+        pairs = [(f, apply_multiplier(plan, mv, f)) for f in
+                 battery_functions(plan.grid, make_battery(plan, seed=3))]
+        for p in (1.5, 2.0, 3.0):
+            rep = lp_norm_probe(plan, m, p, seed=3)
+            ratios = [norm(tmf, p) / norm(f, p) for f, tmf in pairs]
+            assert [name for name, _ in rep.measurements] == \
+                [f"ratio@f{i}" for i in range(8)]
+            got = [r for _, r in rep.measurements]
+            assert got == pytest.approx(ratios[:8], rel=1e-12, abs=0.0)
+            assert rep.fitted_constants["max_ratio"] == pytest.approx(
+                max(ratios), rel=1e-12, abs=0.0)
+            rank = rep.parameters["symbol_rank"]
+            assert 1 <= rank <= plan.dual_grid.axes[0].n
+            if spec == "heat{t=1}":
+                assert rank == 1   # e^{-t lambda_1^2} e^{-t lambda_2^2}
+            if spec == "random":
+                assert rank == plan.dual_grid.axes[0].n
+
+    def test_probe_holds_one_battery_function_at_a_time(self, plan_2d_small):
+        # the battery held as full tensors would be 64 of these; the symbol
+        # values, the SVD factors and the one function formed stay below 24
+        tensor_bytes = np.prod(plan_2d_small.grid.shape) * 8
+        m = laplace_type_symbol(2, "imag_power", gamma=1.0)
+        tracemalloc.start()
+        try:
+            lp_norm_probe(plan_2d_small, m, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * tensor_bytes
 
     def test_lp_probe_respects_plancherel_budget(self, plan_half):
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
@@ -343,7 +437,8 @@ class TestProbes:
         assert len(calls) == 1
         mv = _symbol_values(plan_half.dual_grid, base)
         ratios = [norm(apply_multiplier(plan_half, mv, f), 3.0) / norm(f, 3.0)
-                  for f in make_battery(plan_half)]
+                  for f in battery_functions(plan_half.grid,
+                                             make_battery(plan_half))]
         assert rep.measurements == [(f"ratio@f{i}", r)
                                     for i, r in enumerate(ratios[:8])]
         assert rep.fitted_constants["max_ratio"] == max(ratios)
