@@ -18,15 +18,14 @@ import numpy as np
 
 from . import __version__
 from .dyadic import make_partition
-from .grid import (POINTS_PER_PANEL, Grid, GridFunction, axis_size,
-                   check_normal_floats, norm)
+from .grid import (MIN_PPW, POINTS_PER_PANEL, Grid, GridFunction, axis_size,
+                   check_normal_floats, norm, points_per_wavelength)
 from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex
 from .symbols import parse_symbol
 from .sobolev import SpectralTailWarning, hormander_sup
-from .transform import (_MIN_PPW, TransformPlan, hankel_transform,
-                        inverse_hankel)
+from .transform import TransformPlan, hankel_transform, inverse_hankel
 from .verify import (DEFAULT_SEED, cz_hormander_check, h1_atom_check,
                      lp_norm_probe, sweep_radii, weak11_probe)
 
@@ -50,7 +49,6 @@ class RunConfig:
     dims: int = 1
     n: int = 1024
     R: float = 24.0
-    grading: int = 10
     symbol: str = "laplace_type{phi=imag_power:gamma=1.0}"
     beta: float = 2.0
     jmin: int = -10
@@ -156,8 +154,6 @@ def _check_config(cfg, names):
                          "finite and > 0")
     if not 1.0 < cfg.p < np.inf:
         raise ValueError(f"p = {cfg.p}: must lie in (1, inf)")
-    if cfg.grading < 1:
-        raise ValueError(f"grading = {cfg.grading}: must be >= 1")
     if cfg.seed < 0:
         raise ValueError(f"seed = {cfg.seed}: must be >= 0")
     for name, sweep in (("cz-check", "cz"), ("h1-check", "h1")):
@@ -173,15 +169,13 @@ def _check_config(cfg, names):
     if "multiplier-check" in names and not 0 <= cfg.beta < np.inf:
         raise ValueError(f"beta = {cfg.beta}: multiplier-check needs a "
                          "finite beta >= 0")
-    # _plan's plan has Lambda = R; Decimal, as n may be too large for a float
-    ppw = 2 * np.pi * float(Decimal(axis_size(cfg.n, cfg.grading))
-                            / Decimal(cfg.R) ** 2)
+    ppw = points_per_wavelength(axis_size(cfg.n), cfg.R, cfg.R)  # Lambda = R
     plan_suites = [name for name in ("transform-selftest", "heat-selftest",
                                      "lp-probe") if name in names]
-    if plan_suites and ppw < _MIN_PPW:
+    if plan_suites and ppw < MIN_PPW:
         raise ValueError(f"n = {cfg.n}, R = {cfg.R}: the Lambda = R plan of "
                          f"{plan_suites[0]} has ~{ppw:.1f} points per "
-                         f"wavelength, below {_MIN_PPW:g}")
+                         f"wavelength, below {MIN_PPW:g}")
     # the plan's R * Lambda = R^2 is the self-test's power at alpha_k = 1/2
     if plan_suites:
         check_normal_floats(cfg.alpha + (0.5,), cfg.R, f"R = {cfg.R} (alpha "
@@ -196,26 +190,26 @@ def _check_config(cfg, names):
     return parse_symbol(cfg.symbol, cfg.dims)
 
 
-def _estimate_plan_bytes(cfg):
-    """One float kernel matrix per axis and one complex value tensor, at
-    the node count Grid.build makes for cfg.n.  A suite holds a few value
-    tensors at once, a small multiple of this; lp-probe forms its battery
-    one function at a time, so its 64 functions add none."""
-    nodes = axis_size(cfg.n, grading_levels=cfg.grading)
-    return cfg.dims * nodes * nodes * 8 + nodes**cfg.dims * 16
+# a Lambda = R suite's peak, plan build included, by tracemalloc: 4.4 kernel
+# matrices per axis (heat-selftest, d = 1), 9.6 value tensors (lp-probe, d = 3)
+KERNEL_MATRICES_PER_AXIS = 5
+VALUE_TENSORS = 10
+
+
+def _estimate_run_bytes(dims, nodes):
+    """Peak bytes of a Lambda = R suite on a grid of `nodes` nodes per axis."""
+    return (KERNEL_MATRICES_PER_AXIS * dims * nodes * nodes * 8
+            + VALUE_TENSORS * nodes**dims * 16)
 
 
 def _plan(cfg):
-    need = _estimate_plan_bytes(cfg)
+    need = _estimate_run_bytes(cfg.dims, axis_size(cfg.n))
     if need > MEMORY_LIMIT_BYTES:
         raise MemoryError(
             # Decimal: need / 2**30 overflows a float for a huge --n
-            f"plan would need ~{Decimal(need) / 2**30:.3g} GiB of kernel "
-            "matrices and grid values; reduce n or dims"
-        )
-    grid = Grid.build(cfg.alpha, R=cfg.R, n=cfg.n,
-                      grading_levels=cfg.grading)
-    return TransformPlan.build(grid)
+            f"the run would need ~{Decimal(need) / 2**30:.3g} GiB of kernel "
+            "matrices and grid values; reduce n or dims")
+    return TransformPlan.build(Grid.build(cfg.alpha, R=cfg.R, n=cfg.n))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +331,7 @@ _SUITE_FNS = {
     "lp-probe": suite_lp_probe,
 }
 # the RunConfig fields each suite reads, the only ones its config hash covers
-_GRID_KEYS = ("alpha", "dims", "n", "R", "grading")
+_GRID_KEYS = ("alpha", "dims", "n", "R")
 _SUITE_READS = {
     "transform-selftest": _GRID_KEYS + ("seed",),
     "heat-selftest": _GRID_KEYS + ("seed",),

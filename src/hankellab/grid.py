@@ -2,17 +2,18 @@
 
 Axes are truncated to (0, R] and discretized by composite Gauss-Legendre
 panels with the measure weight x^{2 alpha_k} folded into the quadrature
-weights.  Panel density increases geometrically toward the origin so that
-the degenerate/singular factor x^{2 alpha} is resolved for alpha_k near
--1/2.  Grids are immutable after construction and cache only their weight
-tensor; a grid's alpha is read off its axes, and grids compare by
-identity, since a transform plan is valid only for the grid objects it was
-built from.  GridFunction operations return new containers.  The module
-reads and writes no files.
+weights.  The layout is fixed: uniform panels, the first cut into
+GRADED_PANELS geometric panels and a Gauss-Jacobi panel at 0, for
+x^{2 alpha} near alpha_k = -1/2 and symbols singular at lambda = 0.  Every
+plan's resolution rule, points_per_wavelength, lives here.  Grids are
+immutable and cache only their weight tensor; grids compare by identity,
+since a transform plan is valid only for the grids it was built from.
+GridFunction operations return new containers.  No file I/O.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,6 +25,10 @@ from .specfun import MultiIndex
 QUAD_SELFTEST_RTOL = 1e-10
 # Gauss nodes per panel; an axis needs at least one full panel
 POINTS_PER_PANEL = 16
+# geometric panels, halving toward 0, in the first uniform panel
+GRADED_PANELS = 9
+# points per wavelength a kernel matrix needs at its corner x = R, lambda = Lam
+MIN_PPW = 4.0
 
 
 class MassDeficitWarning(UserWarning):
@@ -43,26 +48,22 @@ def _jacgauss(p, two_alpha):
     return roots_jacobi(p, 0.0, two_alpha)
 
 
-def _panel_breaks(R, n_panels, grading_levels):
-    """Uniform panels on [0, R] with the first panel subdivided geometrically."""
-    base = np.linspace(0.0, R, n_panels + 1)
-    h = base[1]
-    fine = h * 2.0 ** (-np.arange(grading_levels - 1, 0, -1, dtype=float))
-    return np.concatenate([[0.0], fine, base[1:]])
-
-
-def _uniform_panels(n, grading_levels):
-    # exact division (rounded half to even, as round(float) does), so an
-    # n too large for a float still gives a count
+def axis_size(n):
+    """Node count of AxisGrid.build for n: n / 16 panels, rounded half to
+    even in exact arithmetic, and one uniform panel besides the graded ones."""
     panels = round(Fraction(n) / POINTS_PER_PANEL)
-    return max(1, panels - (grading_levels - 1))
+    return POINTS_PER_PANEL * max(panels, GRADED_PANELS + 1)
 
 
-def axis_size(n, grading_levels=10):
-    """Node count of AxisGrid.build for a request of n nodes: the uniform
-    panels plus the graded subdivision of the first, each panel full."""
-    return POINTS_PER_PANEL * (_uniform_panels(n, grading_levels)
-                               + max(grading_levels - 1, 0))
+def points_per_wavelength(nodes, R, Lam):
+    """2 pi nodes / (R Lam), at bandwidth Lam, of an axis on (0, R]; in
+    Decimal, so an int count too large for a float still gives a value."""
+    return 2.0 * np.pi * float(Decimal(nodes) / (Decimal(R) * Decimal(Lam)))
+
+
+def nodes_for_ppw(ppw, R, Lam):
+    """points_per_wavelength's inverse: the (float) node count for ppw."""
+    return Lam * R / (2.0 * np.pi) * ppw
 
 
 def check_normal_floats(alpha, radii, what):
@@ -106,23 +107,25 @@ class AxisGrid:
         return self.nodes.size
 
     @staticmethod
-    def build(alpha_k, R, n, grading_levels=10):
-        """Composite Gauss-Legendre axis with ~n nodes on (0, R]."""
+    def build(alpha_k, R, n):
+        """Composite Gauss-Legendre axis with axis_size(n) nodes on (0, R]."""
         if R <= 0 or n < POINTS_PER_PANEL:
             raise ValueError(f"need R > 0 and n >= {POINTS_PER_PANEL}")
-        n_panels = _uniform_panels(n, grading_levels)
-        breaks = _panel_breaks(R, n_panels, grading_levels)
+        base = np.linspace(0.0, R, axis_size(n) // POINTS_PER_PANEL
+                           - GRADED_PANELS + 1)
+        # the panel edges: the first uniform panel halved GRADED_PANELS times
+        edges = np.concatenate([base[1] * 2.0 ** -np.arange(
+            GRADED_PANELS, 0, -1, dtype=float), base[1:]])
         gx, gw = _leggauss(POINTS_PER_PANEL)
-        a, b = breaks[1:-1], breaks[2:]
+        a, b = edges[:-1], edges[1:]
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
         wts = (half[:, None] * gw[None, :]).ravel() * nodes ** (2.0 * alpha_k)
         # the panel touching 0 uses Gauss-Jacobi with the weight (1+t)^{2a},
         # so the x^{2 alpha} singularity is integrated exactly
-        b0 = breaks[1]
         jx, jw = _jacgauss(POINTS_PER_PANEL, float(2.0 * alpha_k))
-        nodes0 = b0 * (jx + 1.0) / 2.0
-        wts0 = (b0 / 2.0) ** (2.0 * alpha_k + 1.0) * jw
+        nodes0 = edges[0] * (jx + 1.0) / 2.0
+        wts0 = (edges[0] / 2.0) ** (2.0 * alpha_k + 1.0) * jw
         ax = AxisGrid(np.concatenate([nodes0, nodes]),
                       np.concatenate([wts0, wts]), float(R), float(alpha_k))
         ax._selftest()
@@ -160,12 +163,11 @@ class Grid:
             self, "alpha", MultiIndex(tuple(ax.alpha_k for ax in self.axes)))
 
     @staticmethod
-    def build(alpha, R, n, grading_levels=10):
+    def build(alpha, R, n):
         """Build a grid with the same R and n on every axis."""
         if not isinstance(alpha, MultiIndex):
             alpha = MultiIndex(tuple(np.atleast_1d(alpha)))
-        return Grid(tuple(AxisGrid.build(a, R, n, grading_levels)
-                          for a in alpha.alpha))
+        return Grid(tuple(AxisGrid.build(a, R, n) for a in alpha.alpha))
 
     @property
     def d(self):

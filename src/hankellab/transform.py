@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, WeightSpec, dilate, norm
+from .grid import (MIN_PPW, Grid, GridFunction, WeightSpec, dilate, norm,
+                   points_per_wavelength)
 from .report import FAIL, PASS, EstimateReport, loglog_slope
 from .specfun import e_kernel_axis
-
-# points-per-wavelength below which the corner x = R, lambda = Lambda_max of
-# the kernel matrix is no longer resolved by the panel quadrature
-_MIN_PPW = 4.0
 
 
 class AliasingWarning(UserWarning):
@@ -27,7 +24,7 @@ class AliasingWarning(UserWarning):
 
 
 class ResolutionWarning(UserWarning):
-    """Grid too coarse for the requested spectral bandwidth."""
+    """An axis pair below grid.MIN_PPW points per wavelength."""
 
 
 @dataclass(frozen=True)
@@ -52,11 +49,11 @@ class TransformPlan:
         if dual_grid.alpha != grid.alpha:
             raise ValueError("grid and dual grid must share alpha")
         fwd, inv = [], []
-        for k in range(grid.d):
-            ax, dax = grid.axes[k], dual_grid.axes[k]
+        for k, (ax, dax) in enumerate(zip(grid.axes, dual_grid.axes)):
             # judged on the full axes: a restricted one keeps their nodes
-            ppw = 2.0 * np.pi * min(ax.n_full, dax.n_full) / (ax.R * dax.R)
-            if ppw < _MIN_PPW:
+            ppw = points_per_wavelength(min(ax.n_full, dax.n_full), ax.R,
+                                        dax.R)
+            if ppw < MIN_PPW:
                 warnings.warn(
                     f"axis {k}: ~{ppw:.1f} points per wavelength at the "
                     f"bandwidth corner (R={ax.R}, Lambda={dax.R}); transform "

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicPartition, make_partition, smooth_chi
-from .grid import Grid, GridFunction, ball_measure, integrate, norm
+from .grid import (Grid, GridFunction, ball_measure, integrate,
+                   nodes_for_ppw, norm)
 from .heat import TimeGrid, _maximal_field
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport, bounded_no_trend
 from .specfun import MultiIndex
@@ -117,7 +118,7 @@ N_MAX = 3072
 def adapted_grids(alpha, R, Lam, ppw=5.0, n_dual=512):
     """Grid on (0, R] and dual grid on (0, Lam], with the spatial node count
     set by a points-per-wavelength budget at the bandwidth corner."""
-    n_x = int(np.clip(np.ceil(Lam * R / (2.0 * np.pi) * ppw), N_MIN, N_MAX))
+    n_x = int(np.clip(np.ceil(nodes_for_ppw(ppw, R, Lam)), N_MIN, N_MAX))
     return Grid.build(alpha, R=R, n=n_x), Grid.build(alpha, R=Lam, n=n_dual)
 
 
@@ -318,13 +319,19 @@ def battery_functions(grid: Grid, factors):
         yield GridFunction(grid, vals)
 
 
+def battery_norms(grid: Grid, factors, p):
+    """||f||_p of each battery function on grid, from its factors' norms."""
+    return np.prod([(np.abs(F) ** p @ ax.quad_weights) ** (1.0 / p)
+                    for ax, F in zip(grid.axes, factors)], axis=0)
+
+
 # lp_norm_probe keeps the singular values of the d = 2 symbol matrix above
 # this fraction of the largest
 SYMBOL_RANK_RTOL = 1e-14
 
 
 def _factored_images(plan: TransformPlan, mvals, factors):
-    """(kept rank, generator of (f, T_m f) over the battery) at d = 2.
+    """(kept rank, generator of T_m f over the battery) at d = 2.
 
     With the symbol matrix's SVD M = U diag(s) V^H truncated at
     s_k > SYMBOL_RANK_RTOL s_1, and f = a (x) b, T_m f is
@@ -345,10 +352,10 @@ def _factored_images(plan: TransformPlan, mvals, factors):
               for k, (ax, F) in enumerate(zip(plan.grid.axes, factors)))
 
     def images():
-        for i, f in enumerate(battery_functions(plan.grid, factors)):
+        for i in range(BATTERY_SIZE):
             P = _contract((plan.inv[0],), left * ha[:, i, None])
             Q = _contract((plan.inv[1],), right * hb[:, i, None])
-            yield f, GridFunction(plan.grid, _contract((P,), Q.T))
+            yield GridFunction(plan.grid, _contract((P,), Q.T))
 
     return r, images()
 
@@ -361,8 +368,8 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
     a relative excess of 1e-6 allowed.  At d = 2 T_m f comes from the
     factors and the truncated SVD of the symbol (_factored_images), and the
     kept rank is recorded as the parameter symbol_rank; at any other d from
-    apply_multiplier.  Either way the battery's functions are formed one at
-    a time.
+    apply_multiplier, one battery function at a time.  ||f||_p comes from
+    the factors (battery_norms).
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
@@ -378,11 +385,12 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
         rank, images = _factored_images(plan, mvals, factors)
         rep.parameters["symbol_rank"] = rank
     else:
-        images = ((f, apply_multiplier(plan, mvals, f))
+        images = (apply_multiplier(plan, mvals, f)
                   for f in battery_functions(plan.grid, factors))
+    fnorms = battery_norms(plan.grid, factors, p).tolist()
     worst = 0.0
-    for i, (f, tmf) in enumerate(images):
-        ratio = norm(tmf, p) / norm(f, p)
+    for i, (tmf, fnorm) in enumerate(zip(images, fnorms)):
+        ratio = norm(tmf, p) / fnorm
         worst = max(worst, ratio)
         if i < 8:
             rep.add(f"ratio@f{i}", ratio)

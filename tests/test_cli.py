@@ -5,8 +5,10 @@ import ast
 import inspect
 import json
 import textwrap
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hankellab import cli
 from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
                            _make_parser, _parse_config_file, build_config,
                            main)
-from hankellab.grid import Grid
+from hankellab.grid import Grid, axis_size
 from hankellab.sobolev import SpectralTailWarning
 from hankellab.symbols import parse_symbol
 
@@ -110,8 +112,8 @@ class TestConfigHandling:
         def suite(cfg, sym):
             return cli._plan(cfg), sym, cfg.p
 
-        assert config_reads(suite) == {"alpha", "dims", "n", "R", "grading",
-                                       "symbol", "p"}
+        assert config_reads(suite) == {"alpha", "dims", "n", "R", "symbol",
+                                       "p"}
 
     @pytest.mark.parametrize("argv,named", [
         (["multiplier-check", "--symbol", "oscillatory"], "k="),
@@ -141,9 +143,8 @@ class TestConfigHandling:
         (["transform-selftest", "--alpha", "0.5,1.3", "--dims", "1"],
          "dims = 1"),
         (["transform-selftest", "--n", "abc"], "n = 'abc'"),
-        (["transform-selftest", "--grading", "2.5"], "grading = '2.5'"),
+        (["multiplier-check", "--jmin", "2.5"], "jmin = '2.5'"),
         (["multiplier-check", "--beta", "two"], "beta = 'two'"),
-        (["transform-selftest", "--grading", "0"], "grading = 0"),
         (["suite", "transform-selftest,transform-selftest", "--n", "64",
           "--R", "12"], "named twice: ['transform-selftest']"),
         (["lp-probe", "--n", "256", "--symbol", "const{value=2}"],
@@ -160,8 +161,8 @@ class TestConfigHandling:
             "bump-unknown-key", "heat-repeated-key", "gamma-repeated-key",
             "dims-zero", "dims-above-max", "beta-negative", "beta-nan",
             "seed-negative", "R-inf", "dims-above-alpha-count",
-            "dims-below-alpha-count", "n-not-an-int", "grading-not-an-int",
-            "beta-not-a-float", "grading-zero", "suite-named-twice",
+            "dims-below-alpha-count", "n-not-an-int", "jmin-not-an-int",
+            "beta-not-a-float", "suite-named-twice",
             "lp-under-resolved", "lp-R-subnormal", "R-subnormal",
             "lp-R-below-8", "cz-alpha-50", "h1-alpha-50"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
@@ -241,7 +242,7 @@ class TestConfigHandling:
 # and the RunConfig value it must produce
 _FLAG_VALUES = {
     "alpha": ("0.5,1.3", (0.5, 1.3)), "dims": ("2", 2), "n": ("512", 512),
-    "R": ("18.5", 18.5), "grading": ("3", 3), "symbol": ("bump", "bump"),
+    "R": ("18.5", 18.5), "symbol": ("bump", "bump"),
     "beta": ("1.5", 1.5), "jmin": ("-3", -3), "jmax": ("4", 4),
     "p": ("3", 3.0), "seed": ("7", 7), "output": ("elsewhere", "elsewhere"),
 }
@@ -255,20 +256,23 @@ def test_every_config_key_is_a_flag(key):
     assert getattr(build_config(args), key) == want
 
 
-def test_grading_flag_reaches_the_grid(tmp_path, monkeypatch):
-    seen, build = [], Grid.build
-
-    def spy(*a, **k):
-        seen.append(k["grading_levels"])
-        return build(*a, **k)
-
-    monkeypatch.setattr(Grid, "build", staticmethod(spy))
-    code = run_cli(["transform-selftest", "--grading", "3", "--n", "128",
-                    "--R", "8", "--output", str(tmp_path)])
-    assert code in (0, 1)
-    assert seen == [3]
-    data = json.loads((tmp_path / "report-transform-selftest.json").read_text())
-    assert data["config"]["grading"] == 3
+@pytest.mark.parametrize("given", ["flag", "file"])
+def test_grading_is_not_an_option(given, tmp_path, monkeypatch, capsys):
+    # the axis layout is fixed in grid; a run that asks for another is
+    # refused, not silently given the fixed one
+    built = []
+    monkeypatch.setattr(Grid, "build",
+                        staticmethod(lambda *a, **k: built.append(a)))
+    argv = ["transform-selftest", "--output", str(tmp_path)]
+    if given == "flag":
+        argv += ["--grading", "10"]
+    else:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("grading = 10\n")
+        argv += ["--config", str(cfg_file)]
+    assert run_cli(argv) == 64
+    assert not built
+    assert "grading" in capsys.readouterr().err
 
 
 _CONFIG_KEYS = ["alpha", "dims", "n", "R", "grading", "symbol", "beta",
@@ -388,6 +392,34 @@ class TestExitStatuses:
                         "--output", str(tmp_path)])
         assert code == 1
         assert "refusing to run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["transform-selftest", "heat-selftest",
+                                       "lp-probe"])
+    @pytest.mark.parametrize("dims,n,keep", [(1, 1024, None), (2, 160, None),
+                                             (3, 16, 48)],
+                             ids=["d1", "d2", "d3"])
+    def test_memory_estimate_covers_the_suite_peak(self, suite, dims, n, keep,
+                                                   monkeypatch):
+        # the d = 3 grid keeps 48 of the 160 nodes of each axis, since the
+        # full one would hold 65 MB per value tensor
+        build = Grid.build
+
+        def small(*a, **k):
+            grid = build(*a, **k)
+            return grid if keep is None else grid.restrict(
+                [np.linspace(0, ax.n - 1, keep).astype(int)
+                 for ax in grid.axes])
+
+        monkeypatch.setattr(Grid, "build", staticmethod(small))
+        cfg = RunConfig(alpha=(0.5, 1.3, 0.8)[:dims], dims=dims, n=n, R=14.0)
+        sym = parse_symbol(cfg.symbol, dims)
+        tracemalloc.start()
+        try:
+            _SUITE_FNS[suite](cfg, sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cli._estimate_run_bytes(dims, keep or axis_size(n))
 
     def test_failing_suite_returns_one(self, tmp_path):
         # declared-bound violation inside lp-probe => fail verdict

@@ -1,8 +1,8 @@
 """Every module in src/hankellab/ and tests/ reads each name it imports,
 every module-level name src/hankellab/ assigns is read somewhere, every
-parameter default of its functions is both overridden and relied on, the
-package binds every name in its __all__, and the CLI loads no scipy
-submodule that only a library call needs.
+parameter default of its functions and static methods is both overridden
+and relied on, the package binds every name in its __all__, and the CLI
+loads no scipy submodule that only a library call needs.
 
 Stdlib ast only.  Package __init__.py files are exempt (their imports are
 re-exports), and so is any import statement marked ``# noqa``.
@@ -105,37 +105,56 @@ def test_assigned_name_detector():
     assert "B" not in names_read(src)
 
 
+def _defaults(fn):
+    """(positional parameter names, {parameter: default node}) of fn."""
+    a = fn.args
+    positional = [arg.arg for arg in a.posonlyargs + a.args]
+    defaults = dict(zip(positional[len(positional) - len(a.defaults):],
+                        a.defaults))
+    defaults.update((arg.arg, d) for arg, d in zip(a.kwonlyargs,
+                                                   a.kw_defaults) if d)
+    return positional, defaults
+
+
 def defaulted_parameters(sources):
     """{name: (positional parameter names, {parameter: default node})} of
-    each module-level function in sources that has a default and whose
-    name no other function definition in sources shares."""
+    each function in sources that has a default: each module-level function
+    whose name no other function definition in sources shares, and each
+    static method of a module-level class, named Class.method."""
     trees = [ast.parse(source) for source in sources]
     defined = Counter(node.name for tree in trees for node in ast.walk(tree)
                       if isinstance(node, (ast.FunctionDef,
                                            ast.AsyncFunctionDef)))
-    out = {}
+    found = []
     for node in (node for tree in trees for node in tree.body):
-        if not isinstance(node, ast.FunctionDef) or defined[node.name] > 1:
-            continue
-        a = node.args
-        positional = [arg.arg for arg in a.posonlyargs + a.args]
-        defaults = dict(zip(positional[len(positional) - len(a.defaults):],
-                            a.defaults))
-        defaults.update((arg.arg, d) for arg, d in zip(a.kwonlyargs,
-                                                       a.kw_defaults) if d)
+        if isinstance(node, ast.FunctionDef) and defined[node.name] == 1:
+            found.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                      if isinstance(fn, ast.FunctionDef) and any(
+                          getattr(d, "id", None) == "staticmethod"
+                          for d in fn.decorator_list)]
+    out = {}
+    for name, fn in found:
+        positional, defaults = _defaults(fn)
         if defaults:
-            out[node.name] = (positional, defaults)
+            out[name] = (positional, defaults)
     return out
 
 
 def call_arguments(source, functions):
-    """(name, {parameter: argument node}) for each call in source, by bare
-    name or attribute, of a function in functions; the dict is None when a
+    """(name, {parameter: argument node}) for each call in source of a
+    function in functions: a module-level function by bare name or
+    attribute, a static method as Class.method; the dict is None when a
     *args or **kwargs argument hides which parameters the call sets."""
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if isinstance(node.func, ast.Attribute) and isinstance(
+                node.func.value, ast.Name):
+            qualified = f"{node.func.value.id}.{name}"
+            name = qualified if qualified in functions else name
         if name not in functions:
             continue
         if any(isinstance(a, ast.Starred) for a in node.args) or any(
@@ -202,6 +221,21 @@ def test_parameter_detector():
     # a starred argument may set any parameter, and relies on none
     assert unearned_parameters(functions, ["f(*a)"], ["f(**k)"]) == (
         set(), {("f", "b"), ("f", "c"), ("f", "d")})
+
+
+
+def test_parameter_detector_reads_static_methods_by_class():
+    src = ("class C:\n    @staticmethod\n    def h(a, b=1):\n"
+           "        return a\n    def k(self, c=2):\n        return c\n"
+           "C.h(1)\nx.h(1, 3)\nh(1, b=3)\n")
+    functions = defaulted_parameters([src])
+    assert {name: list(d) for name, (_, d) in functions.items()} == \
+        {"C.h": ["b"]}
+    # only C.h(...) calls it: x.h and a bare h set nothing
+    assert unearned_parameters(functions, [src], [src]) == (
+        {("C.h", "b")}, set())
+    assert unearned_parameters(functions, ["C.h(0, b=2)"], ["C.h(0, 2)"]) == (
+        set(), {("C.h", "b")})
 
 
 def test_every_exported_name_is_bound():

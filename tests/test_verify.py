@@ -19,7 +19,7 @@ from hankellab.transform import ResolutionWarning, TransformPlan
 from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_MAX, N_MIN,
                               WEAK11_CENTERS, WEAK11_LEVELS, _cz_piece,
                               adapted_grids, adapted_plan, association_check,
-                              battery_functions, check_atom,
+                              battery_functions, battery_norms, check_atom,
                               compare_resolutions, cz_hormander_check,
                               default_atom_family, default_cz_pairs,
                               lp_norm_probe, make_atom, make_battery,
@@ -338,9 +338,10 @@ def _full_mesh_battery(plan, seed):
 
 @pytest.fixture(scope="module")
 def plan_2d_small():
-    """A d = 2 plan small enough for the dense route over many symbols."""
-    grid = Grid.build(MultiIndex((0.5, 1.3)), R=10.0, n=96, grading_levels=2)
-    return TransformPlan.build(grid)
+    """A d = 2 plan small enough for the dense route over many symbols:
+    every other node of the 160 per axis."""
+    grid = Grid.build(MultiIndex((0.5, 1.3)), R=10.0, n=16)
+    return TransformPlan.build(grid.restrict([np.arange(0, 160, 2)] * 2))
 
 
 def _random_symbol(dual_grid):
@@ -362,10 +363,16 @@ class TestProbes:
                 assert np.array_equal(fa, fb)
             assert len(list(battery_functions(plan.grid, a))) == BATTERY_SIZE
 
+    @staticmethod
+    def _small_grid(alpha):
+        # every fourth node: 40 per axis, not the full 160
+        return Grid.build(MultiIndex(alpha), R=8.0, n=16).restrict(
+            [np.arange(0, 160, 4)] * len(alpha))
+
     @pytest.mark.parametrize("alpha", [(0.5,), (0.5, 1.3), (0.5, 1.3, 0.0)])
     def test_factors_reproduce_the_full_mesh_battery(self, alpha):
         # pins the draw order: same widths, centres and modes per function
-        grid = Grid.build(MultiIndex(alpha), R=8.0, n=48, grading_levels=1)
+        grid = self._small_grid(alpha)
         plan = TransformPlan.build(grid)
         got = battery_functions(grid, make_battery(plan, seed=1001))
         for f, want in zip(got, _full_mesh_battery(plan, 1001),
@@ -373,6 +380,15 @@ class TestProbes:
             assert f.values.shape == grid.shape
             assert (np.max(np.abs(f.values - want))
                     <= 1e-15 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("alpha", [(0.5,), (0.5, 1.3), (0.5, 1.3, 0.0)])
+    def test_battery_norms_come_from_the_factors(self, alpha):
+        grid = self._small_grid(alpha)
+        factors = make_battery(TransformPlan.build(grid), seed=1001)
+        for p in (1.5, 2.0, 3.0):
+            want = [norm(f, p) for f in battery_functions(grid, factors)]
+            assert battery_norms(grid, factors, p) == pytest.approx(
+                want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("spec", ["heat{t=1}", "bump", "divergent",
                                       "laplace_type{phi=imag_power:gamma=1.0}",
@@ -403,7 +419,7 @@ class TestProbes:
 
     def test_probe_holds_one_battery_function_at_a_time(self, plan_2d_small):
         # the battery held as full tensors would be 64 of these; the symbol
-        # values, the SVD factors and the one function formed stay below 24
+        # values, the SVD factors and the one image formed stay below 24
         tensor_bytes = np.prod(plan_2d_small.grid.shape) * 8
         m = laplace_type_symbol(2, "imag_power", gamma=1.0)
         tracemalloc.start()
@@ -435,10 +451,13 @@ class TestProbes:
         m = Symbol(fn, 1, base.sup_norm, "counted")
         rep = lp_norm_probe(plan_half, m, 3.0)
         assert len(calls) == 1
+        # ||f||_3 as the probe takes it, from the factors
         mv = _symbol_values(plan_half.dual_grid, base)
-        ratios = [norm(apply_multiplier(plan_half, mv, f), 3.0) / norm(f, 3.0)
-                  for f in battery_functions(plan_half.grid,
-                                             make_battery(plan_half))]
+        factors = make_battery(plan_half)
+        grid = plan_half.grid
+        ratios = [norm(apply_multiplier(plan_half, mv, f), 3.0) / fnorm
+                  for f, fnorm in zip(battery_functions(grid, factors),
+                                      battery_norms(grid, factors, 3.0))]
         assert rep.measurements == [(f"ratio@f{i}", r)
                                     for i, r in enumerate(ratios[:8])]
         assert rep.fitted_constants["max_ratio"] == max(ratios)
