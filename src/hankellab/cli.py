@@ -170,8 +170,7 @@ def _check_config(cfg, names):
         raise ValueError(f"beta = {cfg.beta}: multiplier-check needs a "
                          "finite beta >= 0")
     ppw = points_per_wavelength(axis_size(cfg.n), cfg.R, cfg.R)  # Lambda = R
-    plan_suites = [name for name in ("transform-selftest", "heat-selftest",
-                                     "lp-probe") if name in names]
+    plan_suites = [name for name in RUN_PEAK if name in names]
     if plan_suites and ppw < MIN_PPW:
         raise ValueError(f"n = {cfg.n}, R = {cfg.R}: the Lambda = R plan of "
                          f"{plan_suites[0]} has ~{ppw:.1f} points per "
@@ -190,23 +189,23 @@ def _check_config(cfg, names):
     return parse_symbol(cfg.symbol, cfg.dims)
 
 
-# a Lambda = R suite's peak, plan build included, by tracemalloc: 4.4 kernel
-# matrices per axis (heat-selftest, d = 1), 9.6 value tensors (lp-probe, d = 3)
-KERNEL_MATRICES_PER_AXIS = 5
-VALUE_TENSORS = 10
+# each Lambda = R suite's peak, plan build included, by tracemalloc, rounded
+# up: float kernel matrices per axis, 2.0, 4.1 and 2.0 at d = 1 (1024, 2048
+# nodes), and complex value tensors, 6.6, 7.1 and 9.6 at d = 3 (48^3, 64^3)
+RUN_PEAK = {"transform-selftest": (2, 7), "heat-selftest": (5, 8),
+            "lp-probe": (2, 10)}
 
 
-def _estimate_run_bytes(dims, nodes):
+def _estimate_run_bytes(suite, dims, nodes):
     """Peak bytes of a Lambda = R suite on a grid of `nodes` nodes per axis."""
-    return (KERNEL_MATRICES_PER_AXIS * dims * nodes * nodes * 8
-            + VALUE_TENSORS * nodes**dims * 16)
+    matrices, tensors = RUN_PEAK[suite]
+    return matrices * dims * nodes * nodes * 8 + tensors * nodes**dims * 16
 
 
-def _plan(cfg):
-    need = _estimate_run_bytes(cfg.dims, axis_size(cfg.n))
+def _plan(cfg, suite):
+    need = _estimate_run_bytes(suite, cfg.dims, axis_size(cfg.n))
     if need > MEMORY_LIMIT_BYTES:
-        raise MemoryError(
-            # Decimal: need / 2**30 overflows a float for a huge --n
+        raise MemoryError(  # Decimal: need / 2**30 overflows a float
             f"the run would need ~{Decimal(need) / 2**30:.3g} GiB of kernel "
             "matrices and grid values; reduce n or dims")
     return TransformPlan.build(Grid.build(cfg.alpha, R=cfg.R, n=cfg.n))
@@ -216,7 +215,7 @@ def _plan(cfg):
 # suites
 
 def suite_transform_selftest(cfg, sym):
-    plan = _plan(cfg)
+    plan = _plan(cfg, "transform-selftest")
     grid = plan.grid
     rng = np.random.default_rng(cfg.seed)
     rep = EstimateReport(
@@ -246,7 +245,7 @@ def suite_transform_selftest(cfg, sym):
 def suite_heat_selftest(cfg, sym):
     alpha = MultiIndex(cfg.alpha)
     hk = HeatKernelEval(alpha)
-    plan = _plan(cfg)
+    plan = _plan(cfg, "heat-selftest")
     grid = plan.grid
     mesh = np.stack(grid.meshgrid(), axis=-1)
     f = grid.sample(lambda *xs: np.exp(
@@ -314,7 +313,7 @@ def suite_h1_check(cfg, sym):
 
 
 def suite_lp_probe(cfg, sym):
-    plan = _plan(cfg)
+    plan = _plan(cfg, "lp-probe")
     reps = [lp_norm_probe(plan, sym, cfg.p, seed=cfg.seed)]
     if cfg.dims == 1:
         reps.append(weak11_probe(plan, sym))

@@ -56,8 +56,7 @@ def axis_size(n):
 
 
 def points_per_wavelength(nodes, R, Lam):
-    """2 pi nodes / (R Lam), at bandwidth Lam, of an axis on (0, R]; in
-    Decimal, so an int count too large for a float still gives a value."""
+    """2 pi nodes / (R Lam), in Decimal: exact for any int node count."""
     return 2.0 * np.pi * float(Decimal(nodes) / (Decimal(R) * Decimal(Lam)))
 
 

@@ -17,6 +17,8 @@ from .sobolev import SpectralTailWarning, local_sobolev_norm
 from .specfun import MultiIndex
 from .symbols import Symbol, bump_symbol, oscillatory_symbol
 from .transform import TransformPlan
+# bound here only so the benchmark tracer can rebind it in every module
+from .transform import _contract  # noqa: F401
 
 
 def _symbol_values(dual_grid, n: Symbol):

@@ -52,7 +52,7 @@ def test_plan_fields_and_contract_bindings():
     assert list(inspect.signature(transform._contract).parameters) == \
         ["mats", "values"]
     # each module's own binding is rebound to the traced function
-    for name in ("verify", "heat"):
+    for name in ("verify", "multiplier", "heat"):
         assert _module(name)._contract is transform._contract
     assert _module("verify")._maximal_field is _module("heat")._maximal_field
     assert hankellab.TransformPlan is transform.TransformPlan

@@ -419,7 +419,27 @@ class TestExitStatuses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cli._estimate_run_bytes(dims, keep or axis_size(n))
+        assert peak < cli._estimate_run_bytes(suite, dims,
+                                              keep or axis_size(n))
+
+    @pytest.mark.parametrize("suite,fits", [("transform-selftest", True),
+                                            ("lp-probe", True),
+                                            ("heat-selftest", False)])
+    def test_memory_gate_budgets_the_requested_suite(self, suite, fits,
+                                                     monkeypatch):
+        # 10,000 nodes at d = 1: two kernel matrices are 1.6 GB, but
+        # heat-selftest's five would be 4 GB
+        class GridReached(Exception):
+            pass
+
+        def no_grid(*a, **k):
+            raise GridReached
+
+        monkeypatch.setattr(Grid, "build", staticmethod(no_grid))
+        cfg = RunConfig(alpha=(0.5,), dims=1, n=10000, R=14.0)
+        assert axis_size(cfg.n) == 10000
+        with pytest.raises(GridReached if fits else MemoryError):
+            cli._plan(cfg, suite)
 
     def test_failing_suite_returns_one(self, tmp_path):
         # declared-bound violation inside lp-probe => fail verdict
