@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .dyadic import make_partition
 from .grid import (MIN_PPW, POINTS_PER_PANEL, Grid, GridFunction, axis_size,
-                   check_normal_floats, norm, points_per_wavelength)
+                   check_normal_floats, check_weight_resolved, norm,
+                   points_per_wavelength)
 from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex
@@ -179,6 +180,8 @@ def _check_config(cfg, names):
     if plan_suites:
         check_normal_floats(cfg.alpha + (0.5,), cfg.R, f"R = {cfg.R} (alpha "
                             f"= {cfg.alpha}), the Lambda = R plan")
+        check_weight_resolved(cfg.alpha, cfg.n, f"alpha = {cfg.alpha}, n = "
+                              f"{cfg.n}, the Lambda = R plan")
     if "lp-probe" in names and cfg.R < 8:
         raise ValueError(f"R = {cfg.R}: lp-probe draws bump widths from "
                          "[8/R, R/8], so it needs R >= 8")

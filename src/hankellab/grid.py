@@ -29,6 +29,9 @@ POINTS_PER_PANEL = 16
 GRADED_PANELS = 9
 # points per wavelength a kernel matrix needs at its corner x = R, lambda = Lam
 MIN_PPW = 4.0
+# the largest 2 alpha_k h / R, h the width of an axis's last panel, at which
+# the axis integrates its weight x^{2 alpha_k} near R (check_weight_resolved)
+MAX_WEIGHT_RATE = 36.0
 
 
 class MassDeficitWarning(UserWarning):
@@ -63,6 +66,28 @@ def points_per_wavelength(nodes, R, Lam):
 def nodes_for_ppw(ppw, R, Lam):
     """points_per_wavelength's inverse: the (float) node count for ppw."""
     return Lam * R / (2.0 * np.pi) * ppw
+
+
+def check_weight_resolved(alpha, n, what):
+    """Raise ValueError about what unless an axis of n nodes resolves its
+    weight x^{2 alpha_k} near R for every alpha_k in alpha.
+
+    The rule is 2 alpha_k h / R <= MAX_WEIGHT_RATE, h the width of the last
+    panel: R / U for U uniform panels, R / 2 when U = 1 (the last graded
+    panel).  Over the last panel the weight is close to
+    R^{2 alpha_k} e^{-rate s}, s in [0, 1], so the rate alone says whether
+    its 16 Gauss nodes resolve it.  AxisGrid._selftest passed every axis
+    up to a rate of 36.25 and failed every one from 36.3, over 1 to 18
+    uniform panels and the alpha_k whose powers stay normal floats (past 18
+    panels no such alpha_k reaches the rate); the first failure is at 40.15
+    for U = 1 and falls with U.
+    """
+    uniform = axis_size(n) // POINTS_PER_PANEL - GRADED_PANELS
+    rate = 2.0 * max(alpha) * float(Fraction(1, max(2, uniform)))
+    if rate > MAX_WEIGHT_RATE:
+        raise ValueError(f"{what}: the last panel of an axis does not "
+                         "resolve the weight x^(2 alpha) near R (2 alpha "
+                         f"h / R = {rate:.3g}, above {MAX_WEIGHT_RATE:g})")
 
 
 def check_normal_floats(alpha, radii, what):
@@ -188,8 +213,9 @@ class Grid:
 
     def restrict(self, keep):
         """The grid on a subset of each axis's nodes: keep[k] is a boolean
-        mask or an index array into axis k.  Nodes keep their quadrature
-        weights, and the axes their R, alpha and full node count n_full.
+        mask, an index array or a slice of axis k.  Nodes keep their
+        quadrature weights, and the axes their R, alpha and full node count
+        n_full.
 
         The result is a quadrature rule only for functions that vanish off
         the kept nodes; sample such a function on it with

@@ -23,7 +23,7 @@ import numpy as np
 from .grid import Grid, GridFunction
 from .report import FAIL, PASS, EstimateReport, flatness
 from .specfun import MultiIndex, inorm_scaled
-from .transform import _contract
+from .transform import TransformPlan, _contract
 
 # the per-axis constant c_k of the heat kernel, 1/2 for every alpha_k
 HEAT_NORMALIZATION = 0.5
@@ -103,15 +103,26 @@ def maximal_function(hk: HeatKernelEval, tg: TimeGrid, f: GridFunction):
 def _maximal_field(plan, spec_vals, tg: TimeGrid):
     """sup over the time grid of |H(e^{-t|lambda|^2} spec_vals)|.
 
-    All times are contracted at once along a trailing time axis; a time
-    whose damping is below 1e-16 everywhere contributes nothing and is
-    skipped."""
-    lam2 = plan.dual_grid.squared_mesh().sum(axis=-1)
+    Only the dual rows where spec_vals != 0 are contracted: per axis, the
+    rows from the first to the last such one, a slice view of plan.inv (a
+    dyadic window's band is one interval of the sorted dual axis; a symbol
+    nonzero everywhere keeps the whole plan).  All times are contracted at
+    once along a trailing time axis; a time whose damping is below 1e-16
+    on every kept row contributes nothing and is skipped."""
+    hit = np.nonzero(spec_vals)
+    if not hit[0].size:
+        return np.zeros(plan.grid.shape)
+    rows = tuple(slice(i.min(), i.max() + 1) for i in hit)
+    dual = plan.dual_grid.restrict(rows)
+    lam2 = dual.squared_mesh().sum(axis=-1)
     damp = np.exp(-lam2[..., None] * tg.t_values)
     keep = damp.reshape(-1, damp.shape[-1]).max(axis=0) >= 1e-16
     if not keep.any():
         return np.zeros(plan.grid.shape)
-    fields = plan.inverse(spec_vals[..., None] * damp[..., keep])
+    band = TransformPlan(plan.grid, dual,
+                         tuple(M[s] for M, s in zip(plan.fwd, rows)),
+                         tuple(M[:, s] for M, s in zip(plan.inv, rows)))
+    fields = band.inverse(spec_vals[rows][..., None] * damp[..., keep])
     return np.abs(fields).max(axis=-1)
 
 

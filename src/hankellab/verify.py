@@ -16,7 +16,8 @@ ball, and a piece with no such dual node builds none; an H^1 atom's fine
 plan holds the near nodes, its transfer to the coarse dual grid runs over
 the atom's support only, and its coarse plan holds only the far nodes.  A
 restricted grid is a quadrature rule only for functions that vanish off
-the kept nodes.
+the kept nodes.  The H^1 atoms of one centre ratio are dilates of one
+another and share each kernel matrix (TransformPlan.dilated).
 """
 
 import warnings
@@ -127,10 +128,11 @@ def adapted_plan(grid, dual_grid):
     adapted_grids pair, either grid possibly Grid.restrict-ed.
 
     ResolutionWarning is dropped until the H^1 dual axes are sized by the
-    4-ppw rule: the 48 an h1_atom_check raises are real, its dual axes
-    having 2.28-3.99 (fine) and 1.24-1.33 (coarse) points per wavelength.
-    Restricted grids are judged by their full axes, so its transfer plans
-    raise none, and neither does the default CZ sweep.
+    4-ppw rule: the 6 an h1_atom_check raises, one per fine and coarse
+    build of its 9, are real, its dual axes having 2.28-3.99 (fine) and
+    1.24-1.33 (coarse) points per wavelength.  Restricted grids are judged
+    by their full axes, so its transfer plans raise none, and neither does
+    the default CZ sweep.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
@@ -468,23 +470,91 @@ def sweep_radii(sweep):
     return np.ravel([_atom_radii(y0, r) for y0, r in default_atom_family()])
 
 
+def _orbit_plan(plans, kind, grid, dual_grid):
+    """The plan of one kind ("fine", "coarse" or "transfer") for an atom's
+    grid pair: the first atom of a centre ratio builds it with
+    adapted_plan, and every atom takes its kernel matrices from that one
+    (TransformPlan.dilated, which checks that the pair is a dilate)."""
+    if kind not in plans:
+        plans[kind] = adapted_plan(grid, dual_grid)
+    return plans[kind].dilated(grid, dual_grid)
+
+
+def _h1_atom(alpha, m, psi_squared, y0, r, profile, plans):
+    """(local, near, far) of one atom, and its per-j far profile over
+    j = jc - 8 .. jc + 8, jc = -2 log2(r), when profile is set (else None);
+    plans holds the centre ratio's plans (_orbit_plan)."""
+    tg_atom = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
+    F = y0 + 18.0 * r
+    (R_f, Lam_f), (R_c, Lam_c) = _atom_radii(y0, r)
+    grid_f, dual_f = adapted_grids(alpha, R_f, Lam_f, n_dual=640)
+    fine = _orbit_plan(plans, "fine",
+                       grid_f.restrict([grid_f.axes[0].nodes <= F]), dual_f)
+    grid_c, dual_c = adapted_grids(alpha, R_c, Lam_c, ppw=4.0)
+    coarse = _orbit_plan(plans, "coarse",
+                         grid_c.restrict([grid_c.axes[0].nodes > F]), dual_c)
+    w_c = coarse.grid.weight_tensor()
+    atom = make_atom(fine.grid, y0, r)
+    spec_f = fine.forward(atom.values.values)
+    mv_f = _symbol_values(fine.dual_grid, m)
+    x_f = fine.grid.axes[0].nodes
+    w_f = fine.grid.weight_tensor()
+    Mf = _maximal_field(fine, mv_f * spec_f, tg_atom)
+    local_sel = np.abs(x_f - y0) <= 2.0 * r
+    near_sel = ~local_sel
+    local = float(np.sum(Mf[local_sel] * w_f[local_sel]))
+    near = float(np.sum(Mf[near_sel] * w_f[near_sel]))
+    # atom spectrum on the coarse dual grid, by fine-grid quadrature over
+    # the atom's support, where the other nodes add nothing
+    on = atom.values.values != 0
+    spec_c = _orbit_plan(plans, "transfer", fine.grid.restrict([on]),
+                         dual_c).forward(atom.values.values[on])
+    mv_c = _symbol_values(coarse.dual_grid, m)
+    Mc = _maximal_field(coarse, mv_c * spec_c, tg_atom)
+    far = float(np.sum(Mc * w_c))
+    if not profile:
+        return (local, near, far), None
+    jc = int(round(-2.0 * np.log2(r)))
+    prof = []
+    for j in range(jc - 8, jc + 9):
+        mj_f = dyadic_symbol_values(fine.dual_grid, mv_f, psi_squared, j)
+        fj = _maximal_field(fine, mj_f * spec_f, tg_atom)
+        val = float(np.sum(fj[near_sel] * w_f[near_sel]))
+        if 2.0 ** ((j + 1) / 2.0) <= coarse.dual_grid.axes[0].R:
+            mj_c = dyadic_symbol_values(coarse.dual_grid, mv_c,
+                                        psi_squared, j)
+            fc = _maximal_field(coarse, mj_c * spec_c, tg_atom)
+            val += float(np.sum(fc * w_c))
+        prof.append(val)
+    return (local, near, far), (jc, prof)
+
+
 def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     """||M(T_m a)||_1 over default_atom_family, split into the local ball
     part and the far part, with a per-j far-field profile on a subfamily.
 
-    Each atom gets two adapted grid pairs, each built once: a fine one
-    resolving the atom scale out to a margin of 24 radii, and a coarse one
-    carrying the slowly decaying maximal-function tail out to hundreds of
-    radii.  The fine kernel is evaluated only on the nodes
-    x <= F = y0 + 18 r, which hold the atom's support and where the local
-    and near parts are read, and the coarse kernel only on the nodes x > F,
-    where the far part is read.  The atom's spectrum on the coarse dual grid is a fine-grid
-    quadrature whose kernel is evaluated only on the atom's support.  The
-    time window adapts per atom, t in r^2 [1e-5, 1e5], since a fixed window
-    truncates the supremum below the smallest atom scales and fakes a
-    radius trend.  Passes when the per-radius max of the total norm is flat
-    in the radius and the per-j far profile peaks near j = -2 log2(r) and
-    its ends fall to half the peak or less.
+    Each atom gets two adapted grid pairs: a fine one resolving the atom
+    scale out to a margin of 24 radii, and a coarse one carrying the slowly
+    decaying maximal-function tail out to hundreds of radii.  The fine
+    kernel is evaluated only on the nodes x <= F = y0 + 18 r, which hold
+    the atom's support and where the local and near parts are read, and
+    the coarse kernel only on the nodes x > F, where the far part is read.
+    The atom's spectrum on the coarse dual grid is a fine-grid quadrature
+    whose kernel is evaluated only on the atom's support.  The time window
+    adapts per atom, t in r^2 [1e-5, 1e5], since a fixed window truncates
+    the supremum below the smallest atom scales and fakes a radius trend.
+
+    The atoms of one centre ratio y0 / r are dilates of one another: their
+    grids are float dilates with x * lambda equal to a few ulp, so the
+    fine, coarse and transfer kernel matrices are built once per centre
+    ratio, 9 builds for the family, and shared (_orbit_plan).  The atoms
+    run one centre ratio at a time, so only that ratio's three matrices
+    are held; the measurements keep the family's order.  The per-j fields
+    contract only the dual rows of their dyadic band (_maximal_field).
+
+    Passes when the per-radius max of the total norm is flat in the radius
+    and the per-j far profile peaks near j = -2 log2(r) and its ends fall
+    to half the peak or less.
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -499,58 +569,28 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
                     "ratio_tol": RATIO_TOL},
         provenance="L^1 bound for the maximal function of multiplied atoms",
     )
+    ratios = [round(y0 / r, 9) for y0, r in atoms]
+    parts = {}
+    for ratio in dict.fromkeys(ratios):
+        plans = {}
+        for i, (y0, r) in enumerate(atoms):
+            if ratios[i] == ratio:
+                parts[i] = _h1_atom(alpha, m, psi_squared, y0, r,
+                                    r in per_j_radii and ratio == 5.0, plans)
     by_radius = {}
     perj_profiles = {}
-    for y0, r in atoms:
-        tg_atom = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
-        F = y0 + 18.0 * r
-        (R_f, Lam_f), (R_c, Lam_c) = _atom_radii(y0, r)
-        grid_f, dual_f = adapted_grids(alpha, R_f, Lam_f, n_dual=640)
-        fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]),
-                            dual_f)
-        grid_c, dual_c = adapted_grids(alpha, R_c, Lam_c, ppw=4.0)
-        coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]),
-                              dual_c)
-        w_c = coarse.grid.weight_tensor()
-        atom = make_atom(fine.grid, y0, r)
-        spec_f = fine.forward(atom.values.values)
-        mv_f = _symbol_values(fine.dual_grid, m)
-        x_f = fine.grid.axes[0].nodes
-        w_f = fine.grid.weight_tensor()
-        Mf = _maximal_field(fine, mv_f * spec_f, tg_atom)
-        local_sel = np.abs(x_f - y0) <= 2.0 * r
-        near_sel = ~local_sel
-        local = float(np.sum(Mf[local_sel] * w_f[local_sel]))
-        near = float(np.sum(Mf[near_sel] * w_f[near_sel]))
-        # atom spectrum on the coarse dual grid, by fine-grid quadrature
-        # over the atom's support, where the other nodes add nothing
-        on = atom.values.values != 0
-        spec_c = adapted_plan(fine.grid.restrict([on]),
-                              dual_c).forward(atom.values.values[on])
-        mv_c = _symbol_values(coarse.dual_grid, m)
-        Mc = _maximal_field(coarse, mv_c * spec_c, tg_atom)
-        far = float(np.sum(Mc * w_c))
+    for i, (y0, r) in enumerate(atoms):
+        (local, near, far), profile = parts[i]
         total = local + near + far
         rep.add(f"total@r={r:.3g},y0={y0:.3g}", total)
         rep.add(f"local@r={r:.3g},y0={y0:.3g}", local)
         rep.add(f"far@r={r:.3g},y0={y0:.3g}", near + far)
         by_radius.setdefault(r, []).append(total)
-        if r in per_j_radii and abs(y0 / r - 5.0) < 1e-9:
-            jc = int(round(-2.0 * np.log2(r)))
-            prof = []
-            for j in range(jc - 8, jc + 9):
-                mj_f = dyadic_symbol_values(fine.dual_grid, mv_f,
-                                            psi_squared, j)
-                fj = _maximal_field(fine, mj_f * spec_f, tg_atom)
-                val = float(np.sum(fj[near_sel] * w_f[near_sel]))
-                if 2.0 ** ((j + 1) / 2.0) <= coarse.dual_grid.axes[0].R:
-                    mj_c = dyadic_symbol_values(coarse.dual_grid, mv_c,
-                                                psi_squared, j)
-                    fc = _maximal_field(coarse, mj_c * spec_c, tg_atom)
-                    val += float(np.sum(fc * w_c))
+        if profile is not None:
+            jc, prof = profile
+            for j, val in zip(range(jc - 8, jc + 9), prof):
                 rep.add(f"far_j@r={r:.3g},j={j}", val)
-                prof.append(val)
-            perj_profiles[r] = (jc, prof)
+            perj_profiles[r] = profile
     radii = sorted(by_radius)
     maxima = [max(by_radius[r]) for r in radii]
     ok, stats = bounded_no_trend(radii, maxima, SLOPE_TOL, RATIO_TOL)

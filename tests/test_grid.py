@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab.grid import (AxisGrid, Grid, GridFunction, MassDeficitWarning,
-                            WeightSpec, axis_size, ball_measure, dilate,
+from hankellab.grid import (MAX_WEIGHT_RATE, AxisGrid, Grid, GridFunction,
+                            MassDeficitWarning, WeightSpec, axis_size,
+                            ball_measure, check_weight_resolved, dilate,
                             integrate, norm)
 from hankellab.specfun import MultiIndex
 
@@ -47,6 +48,22 @@ class TestAxisGrid:
         ax = AxisGrid.build(0.5, R=40.0, n=n)
         assert axis_size(n) == ax.n
         assert axis_size(16) == 160
+
+    @pytest.mark.parametrize("uniform", [1, 2, 3, 7, 16])
+    def test_weight_rule_admits_only_axes_that_pass_the_self_test(self,
+                                                                  uniform):
+        # 1, 2, 3, 7 and 16 uniform panels; R = 2.83 keeps R^(2a+1) and
+        # (R/8)^(2a+1) normal floats up to a = 340
+        n = (uniform + 9) * 16
+        h = 0.5 if uniform == 1 else 1.0 / uniform  # last panel width / R
+        at_rule = MAX_WEIGHT_RATE / (2.0 * h)
+        check_weight_resolved((0.5, at_rule), n, "at the rule")
+        AxisGrid.build(at_rule, R=2.83, n=n)
+        past = 41.0 / (2.0 * h)
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            check_weight_resolved((0.5, past), n, f"n = {n}")
+        with pytest.raises(RuntimeError, match="self-test failed"):
+            AxisGrid.build(past, R=2.83, n=n)
 
     @given(a=st.floats(-0.45, 3.0), R=st.floats(0.5, 50.0))
     @settings(max_examples=25, deadline=None)

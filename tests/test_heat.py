@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hankellab import transform
+from hankellab.dyadic import make_partition
 from hankellab.grid import AxisGrid, Grid, GridFunction, norm
 from hankellab.heat import (HEAT_NORMALIZATION, HeatKernelEval, TimeGrid,
                             _axis_kernel, _maximal_field, gaussian_bound_check,
@@ -205,6 +207,49 @@ class TestMaximalFunction:
         vals = np.ones(plan.dual_grid.shape, dtype=complex)
         got = _maximal_field(plan, vals, TimeGrid(np.geomspace(1e13, 1e15, 4)))
         assert got.shape == plan.grid.shape
+        assert not got.any()
+
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    def test_band_limited_field_contracts_only_its_band(self, plan_name,
+                                                         request,
+                                                         monkeypatch):
+        # a spectrum vanishing off the j = 2 window of the squared
+        # partition, 2 <= |lambda|^2 <= 8: per axis, only the dual rows from
+        # its first to its last nonzero one enter the contraction
+        plan = request.getfixturevalue(plan_name)
+        center = [4.0] * plan.grid.d
+        spec = hankel_transform(plan, gaussian_bump(plan.grid, center, 1.0))
+        vals = (make_partition("squared").piece(
+            2, plan.dual_grid.squared_mesh()) * spec.values)
+        tg = TimeGrid(np.concatenate([np.geomspace(0.05, 20.0, 9),
+                                      [1e13, 1e14]]))
+        widths = []
+        contract = transform._contract
+
+        def recorded(mats, values):
+            widths.append([M.shape[1] for M in mats])
+            return contract(mats, values)
+
+        monkeypatch.setattr(transform, "_contract", recorded)
+        got = _maximal_field(plan, vals, tg)
+        monkeypatch.undo()
+        want = self._stepwise_field(plan, vals, tg)
+        nz = vals != 0
+        rows = [np.flatnonzero(nz.any(axis=tuple(a for a in range(nz.ndim)
+                                                 if a != k)))
+                for k in range(nz.ndim)]
+        assert widths == [[r[-1] - r[0] + 1 for r in rows]]
+        assert all(r[-1] + 1 < ax.n
+                   for r, ax in zip(rows, plan.dual_grid.axes))
+        assert got.shape == plan.grid.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    def test_field_of_a_zero_spectrum_is_zero(self, plan_name, request):
+        plan = request.getfixturevalue(plan_name)
+        got = _maximal_field(plan, np.zeros(plan.dual_grid.shape, complex),
+                             TimeGrid(np.geomspace(0.05, 20.0, 9)))
+        assert got.shape == plan.grid.shape and got.dtype == float
         assert not got.any()
 
     def test_timegrid_validation(self):

@@ -251,8 +251,9 @@ class TestRestrictedSweeps:
 
     def test_h1_plans_warn_only_where_the_full_axes_are_coarse(
             self, monkeypatch):
-        # the H^1 dual axes (n_dual 640 and 512) fall below 4 points per
-        # wavelength on the fine and coarse plans, 48 builds; the transfer
+        # one fine, one coarse and one transfer build per centre ratio, 9 in
+        # all; the H^1 dual axes (n_dual 640 and 512) fall below 4 points
+        # per wavelength on the fine and coarse plans, and the transfer
         # plans, restricted to the atom's support, are judged by their full
         # axes and raise none
         build = TransformPlan.build
@@ -262,14 +263,51 @@ class TestRestrictedSweeps:
             with warnings.catch_warnings(record=True) as log:
                 warnings.simplefilter("always")
                 plan = build(grid, dual_grid)
-            caught.extend(w.category for w in log)
+            caught.append([w.category for w in log])
             return plan
 
         monkeypatch.setattr(TransformPlan, "build", staticmethod(recorded))
         verify.h1_atom_check(MultiIndex((0.5,)),
                              laplace_type_symbol(1, "imag_power", gamma=1.0),
                              make_partition("squared"))
-        assert caught == [transform.ResolutionWarning] * 48
+        warns = [transform.ResolutionWarning]
+        assert caught == [warns, warns, []] * 3
+
+    def test_h1_shared_plans_match_a_build_per_atom(self, monkeypatch):
+        # radii 3-5 of the family at centre ratios 1.2 and 5; the first two
+        # radii are the subfamily's per-j radii, so two profiles run
+        rs = sorted({r for _, r in default_atom_family()})
+        family = [(c * r, r) for r in rs[2:5] for c in (1.2, 5.0)]
+        monkeypatch.setattr(verify, "default_atom_family", lambda: family)
+        builds = [0]
+        build = TransformPlan.build
+
+        def counted(grid, dual_grid=None):
+            builds[0] += 1
+            return build(grid, dual_grid)
+
+        monkeypatch.setattr(TransformPlan, "build", staticmethod(counted))
+        args = (MultiIndex((0.5,)),
+                laplace_type_symbol(1, "imag_power", gamma=1.0),
+                make_partition("squared"))
+        shared = verify.h1_atom_check(*args)
+        # fine, coarse and transfer once per centre ratio
+        assert builds[0] == 6
+        # the old route: every atom builds its own three plans
+        monkeypatch.setattr(verify, "_orbit_plan",
+                            lambda plans, kind, grid, dual_grid:
+                            adapted_plan(grid, dual_grid))
+        rebuilt = verify.h1_atom_check(*args)
+        assert builds[0] == 6 + 3 * len(family)
+        names = [k for k, _ in shared.measurements]
+        assert names == [k for k, _ in rebuilt.measurements]
+        assert [k for k in names if k.startswith("total@")] == \
+            [f"total@r={r:.3g},y0={y0:.3g}" for y0, r in family]
+        assert sum(k.startswith("far_j@") for k in names) == 2 * 17
+        got = np.array([v for _, v in shared.measurements])
+        want = np.array([v for _, v in rebuilt.measurements])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert shared.verdict == rebuilt.verdict
 
     def test_h1_fine_parts_match_the_full_plan(self, monkeypatch):
         # the fine plan keeps the nodes x <= F, which hold the atom and
