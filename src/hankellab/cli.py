@@ -23,7 +23,7 @@ from .grid import (MIN_PPW, POINTS_PER_PANEL, Grid, GridFunction, axis_size,
                    points_per_wavelength)
 from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
-from .specfun import MultiIndex
+from .specfun import MultiIndex, check_tabled
 from .symbols import parse_symbol
 from .sobolev import SpectralTailWarning, hormander_sup
 from .transform import TransformPlan, hankel_transform, inverse_hankel
@@ -147,6 +147,7 @@ def _check_config(cfg, names):
     """Refuse values no requested suite can run with, before any grid or
     plan is built; returns the parsed symbol, which every suite receives."""
     MultiIndex(cfg.alpha)
+    check_tabled(cfg.alpha, f"alpha = {cfg.alpha}")
     if cfg.n < POINTS_PER_PANEL:
         raise ValueError(f"n = {cfg.n}: an axis needs at least "
                          f"{POINTS_PER_PANEL} nodes")
@@ -197,12 +198,17 @@ def _check_config(cfg, names):
 # nodes), and complex value tensors, 6.6, 7.1 and 9.6 at d = 3 (48^3, 64^3)
 RUN_PEAK = {"transform-selftest": (2, 7), "heat-selftest": (5, 8),
             "lp-probe": (2, 10)}
+# per axis besides: the Bessel kernel tables of its order (J and scaled I,
+# up to 1.3 MB each) while one is built, and the kernel's evaluation blocks
+# (0.4 MB); 1.8 MB at d = 1 and 4.1 MB at d = 3, R = 24, by tracemalloc
+KERNEL_TABLE_PEAK = 2 << 20
 
 
 def _estimate_run_bytes(suite, dims, nodes):
     """Peak bytes of a Lambda = R suite on a grid of `nodes` nodes per axis."""
     matrices, tensors = RUN_PEAK[suite]
-    return matrices * dims * nodes * nodes * 8 + tensors * nodes**dims * 16
+    return (matrices * dims * nodes * nodes * 8 + tensors * nodes**dims * 16
+            + dims * KERNEL_TABLE_PEAK)
 
 
 def _plan(cfg, suite):

@@ -18,9 +18,9 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .dyadic import make_partition, smooth_chi, smoothstep
+from .specfun import gamma_one_plus_i
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def laplace_type_symbol(d, phi, gamma=None):
         if gamma is None:
             raise ValueError("phi=imag_power needs gamma=G")
         g = float(gamma)
-        C = gamma_fn(1.0 + 1j * g)
+        C = gamma_one_plus_i(g)
 
         def fn(u):
             xi = _xi_cutoff(u)

@@ -157,6 +157,8 @@ class TestConfigHandling:
         (["h1-check", "--alpha", "50"], "alpha = (50.0,), h1-check"),
         (["transform-selftest", "--alpha", "60", "--R", "4", "--n", "64"],
          "alpha = (60.0,), n = 64"),
+        (["transform-selftest", "--alpha", "80", "--R", "2"],
+         "alpha = (80.0,): the Bessel kernel table"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
@@ -167,7 +169,7 @@ class TestConfigHandling:
             "beta-not-a-float", "suite-named-twice",
             "lp-under-resolved", "lp-R-subnormal", "R-subnormal",
             "lp-R-below-8", "cz-alpha-50", "h1-alpha-50",
-            "weight-unresolved-near-R"])
+            "weight-unresolved-near-R", "kernel-table-above-cap"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankellab.grid import (MAX_WEIGHT_RATE, AxisGrid, Grid, GridFunction,
-                            MassDeficitWarning, WeightSpec, axis_size,
-                            ball_measure, check_weight_resolved, dilate,
-                            integrate, norm)
+                            MassDeficitWarning, WeightSpec, _gaussian_moment,
+                            _jacgauss, axis_size, ball_measure,
+                            check_weight_resolved, dilate, integrate, norm)
 from hankellab.specfun import MultiIndex
 
 mpmath.mp.dps = 30
@@ -31,6 +31,26 @@ class TestAxisGrid:
         got = float(np.sum(np.exp(-ax.nodes**2) * ax.quad_weights))
         want = float(0.5 * mpmath.gammainc(a + 0.5, 0, 64))
         assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("b", [0.02, 1.0, 13.0, 43.0])
+    def test_selftest_moment_against_mpmath(self, b):
+        # the self-test's exact value, gammainc(b, 0, 64) / 2, b = a + 1/2
+        want = float(0.5 * mpmath.gammainc(b, 0, 64))
+        assert _gaussian_moment(b - 0.5) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("b", [-0.98, 0.0, 1.0, 2.6, 72.0])
+    def test_gauss_jacobi_rule_against_mpmath(self, b):
+        # the nodes are the zeros of the Jacobi polynomial P_16^(0,b), and
+        # the weights 2^(b+1) / ((1 - t^2) P_16'(t)^2) (DLMF 18.2.1, 3.5.v)
+        nodes, weights = _jacgauss(16, b)
+        mb = mpmath.mpf(b)
+        for t, w in zip(nodes, weights):
+            root = mpmath.findroot(lambda x: mpmath.jacobi(16, 0, mb, x),
+                                   mpmath.mpf(t))
+            slope = (17 + mb) / 2 * mpmath.jacobi(15, 1, mb + 1, root)
+            assert abs(t - float(root)) <= 2e-15
+            assert w == pytest.approx(
+                float(2 ** (mb + 1) / ((1 - root**2) * slope**2)), rel=2e-13)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

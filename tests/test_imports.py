@@ -1,8 +1,8 @@
 """Every module in src/hankellab/ and tests/ reads each name it imports,
 every module-level name src/hankellab/ assigns is read somewhere, every
 parameter default of its functions and static methods is both overridden
-and relied on, the package binds every name in its __all__, and the CLI
-loads no scipy submodule that only a library call needs.
+and relied on, the package binds every name in its __all__, no module
+imports scipy when it is loaded, and a CLI run loads no scipy module.
 
 Stdlib ast only.  Package __init__.py files are exempt (their imports are
 re-exports), and so is any import statement marked ``# noqa``.
@@ -243,6 +243,38 @@ def test_every_exported_name_is_bound():
             if not hasattr(hankellab, name)] == []
 
 
+def module_level_imports(source):
+    """Top-level package names that a module imports when it is loaded:
+    every import outside a function body."""
+    found = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_module_level_import_detector():
+    src = ("import numpy as np\nfrom . import x\nclass C:\n"
+           "    import json\ntry:\n    from scipy.special import jv\n"
+           "except ImportError:\n    pass\ndef f():\n    import os\n")
+    assert module_level_imports(src) == ["json", "numpy", "scipy"]
+
+
+def test_no_module_imports_scipy_at_load():
+    # grid.dilate and the tabulated symbols import scipy.interpolate in
+    # their bodies; nothing else in the package uses scipy
+    assert [path.name for path in sorted((ROOT / "src/hankellab").glob("*.py"))
+            if "scipy" in module_level_imports(path.read_text())] == []
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
     # only grid.dilate and the tabulated symbols interpolate, and they
     # import scipy.interpolate themselves; the CLI start-up pays for none
@@ -253,3 +285,26 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_run_loads_no_scipy_module(tmp_path):
+    # in a fresh interpreter: the import builds no kernel table, and a run
+    # of the four grid suites loads no scipy module
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import hankellab.cli\n"
+            "from hankellab import specfun\n"
+            "print(len(specfun._TABLES))\n"
+            "hankellab.cli.main(['suite', 'transform-selftest,heat-selftest,"
+            "lp-probe,multiplier-check', '--n', '64', '--R', '13', "
+            f"'--output', {str(tmp_path)!r}])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert (out[0], out[-1]) == ("0", "[]")
+    assert sorted(p.name for p in tmp_path.glob("report-*.json")) == [
+        f"report-{suite}.json" for suite in ("heat-selftest", "lp-probe",
+                                             "multiplier-check",
+                                             "transform-selftest")]

@@ -15,7 +15,7 @@ from hankellab import specfun, transform
 from hankellab.dyadic import make_partition
 from hankellab.grid import Grid
 from hankellab.specfun import (MultiIndex, bessel_operator_fd, e_kernel_axis,
-                               inorm_scaled, jnorm)
+                               gamma_one_plus_i, inorm_scaled, jnorm)
 from hankellab.symbols import laplace_type_symbol
 from hankellab.transform import TransformPlan
 from hankellab.verify import _cz_piece, default_cz_pairs
@@ -94,7 +94,7 @@ class TestNormalizedKernels:
 
     @pytest.mark.parametrize("nu", [-0.49, 0.0, 1.1])
     def test_jnorm_branches_agree_at_cutoff(self, nu):
-        # series branch and direct product branch overlap smoothly
+        # adjacent points either side of 1/2 agree
         u = np.array([0.5 - 1e-10, 0.5 + 1e-10])
         v = jnorm(nu, u)
         assert abs(v[1] - v[0]) < 1e-9 * abs(v[0])
@@ -143,7 +143,7 @@ def envelope_error(got, want, nu, u):
 def probe_points(kind, nu, top):
     """Decades from the series cutoff to top, a scan of the table's range
     and both sides of its upper end."""
-    upper = specfun._table(kind, nu).upper
+    upper = specfun._upper(nu)
     return np.concatenate([np.geomspace(0.5, top, 60),
                            np.linspace(0.55, upper + 2.0, 90),
                            [np.nextafter(upper, 0.0), upper]])
@@ -163,9 +163,9 @@ class TestFixedOrderTables:
         assert envelope_error(inorm_scaled(nu, u), want, nu, u) \
             <= ENVELOPE_TOL
 
-    # every order but 0, which cephes j0 evaluates untabled
-    @given(nu=st.floats(-0.95, 6.0).filter(lambda nu: nu != 0.0),
-           u=st.floats(0.5, 1e4))
+    # every order, 0 included
+    @given(nu=st.floats(-0.95, 6.0), u=st.floats(0.5, 1e4))
+    @example(nu=0.0, u=9273.0)
     @settings(max_examples=60, deadline=None)
     def test_jnorm_matches_mpmath_property(self, nu, u):
         got = jnorm(nu, np.array([u]))
@@ -181,64 +181,142 @@ class TestFixedOrderTables:
     @pytest.mark.parametrize("kind,fn", [("J", jnorm), ("I", inorm_scaled)])
     @pytest.mark.parametrize("nu", [-0.45, 0.8, 2.7, 11.8])
     def test_continuous_across_each_switch(self, kind, fn, nu):
-        # series to the first cell at the cutoff, the last cell to the
-        # expansion at the table's upper end: adjacent floats, one per side
-        upper = specfun._table(kind, nu).upper
-        for edge in (0.5, np.nextafter(upper, 0.0)):
-            u = np.array([edge, np.nextafter(edge, np.inf)])
-            v = fn(nu, u)
-            assert abs(v[1] - v[0]) <= ENVELOPE_TOL * u[0] ** (-nu - 0.5)
+        # adjacent floats, one per side of: the edge of cell 0 (the power
+        # series), the first cell edges past the seeds' switches from the
+        # series to the continuation and from it to the expansion, and the
+        # table's end, where the expansion takes over; each jump is judged
+        # net of the function's own change between the two floats
+        mp = mp_jnorm if kind == "J" else mp_inorm_scaled
+        h = specfun._CELL
+        near = max(0.5, (2.0 * nu + 25.0) / 32.0)
+        upper = specfun._upper(nu)
+        for edge in (h / 2, (np.floor(near / h) + 0.5) * h,
+                     (np.ceil(upper / h) - 0.5) * h,
+                     specfun._END):
+            # a table that ends at _END
+            u = np.array([np.nextafter(edge, 0.0), edge, specfun._END + 1.0])
+            jump = np.diff(fn(nu, u)[:2]) - np.diff([mp(nu, x) for x in u[:2]])
+            assert abs(jump[0]) <= ENVELOPE_TOL * u[0] ** (-nu - 0.5)
 
     def test_upper_end_grows_like_the_order_squared(self):
         # past the orders whose upper end is the floor _MIN_UPPER
-        small, large = (specfun._table("J", nu).upper for nu in (20.3, 40.3))
+        small, large = (specfun._upper(nu) for nu in (20.3, 40.3))
         assert 3.5 < large / small < 5.5
 
-    def test_jv_is_called_only_to_seed_the_table(self, monkeypatch):
-        # one alpha = 1.3 CZ piece: every jv argument is a table centre,
-        # two arrays of them (orders nu and nu + 1), however many points
-        # the kernel matrix holds
-        specfun._table.cache_clear()
-        seeds, points = [], [0]
-        jv, kernel = specfun.jv, transform.e_kernel_axis
+    def test_every_point_below_the_end_takes_the_table(self, monkeypatch):
+        # one alpha = 1.3 CZ piece continues the order's series once, and
+        # the expansion runs only to seed its tables: on the centres from
+        # upper to a table's end, once for the value (order nu) and once
+        # for the slope (order nu + 1), however many points the kernel
+        # matrices hold; none of them reaches _END
+        specfun._seeds.cache_clear()
+        specfun._TABLES.clear()
+        seeds, points, ends, continued = [], [0], [0.0], [0]
+        expansion, kernel = specfun._expansion_value, transform.e_kernel_axis
+        continuation = specfun._continued
 
-        def counted_jv(nu, x):
-            seeds.append(np.array(x, dtype=float).ravel())
-            return jv(nu, x)
+        def counted_expansion(kind, nu, coefs, u):
+            seeds.append((nu, np.array(u, dtype=float)))
+            return expansion(kind, nu, coefs, u)
+
+        def counted_continuation(*args):
+            continued[0] += 1
+            return continuation(*args)
 
         def counted_kernel(alpha_k, u):
             points[0] += np.size(u)
+            ends[0] = max(ends[0], np.max(u))
             return kernel(alpha_k, u)
 
-        monkeypatch.setattr(specfun, "jv", counted_jv)
+        monkeypatch.setattr(specfun, "_expansion_value", counted_expansion)
+        monkeypatch.setattr(specfun, "_continued", counted_continuation)
         monkeypatch.setattr(transform, "e_kernel_axis", counted_kernel)
         y, yp = default_cz_pairs()[4]
         jstar = int(np.ceil(-2.0 * np.log2(2.0 * abs(y[0] - yp[0]))))
         _cz_piece(MultiIndex((1.3,)),
                   laplace_type_symbol(1, "imag_power", gamma=1.0),
                   make_partition("plain"), y, yp, jstar)
-        cells = specfun._table("J", 0.8).coefs.shape[1]
-        centres = specfun._SERIES_CUTOFF + specfun._CELL * np.arange(cells)
-        assert len(seeds) == 2
-        assert all(np.array_equal(x, centres) for x in seeds)
-        assert points[0] > 100 * cells
+        h = specfun._CELL
+        first = np.ceil(specfun._upper(0.8) / h) * h
+        assert continued[0] == 1
+        assert seeds and [nu for nu, _ in seeds] == [0.8, 1.8] * (
+            len(seeds) // 2)
+        for _, u in seeds:
+            assert u[0] == first and np.all(np.diff(u) == h)
+            assert np.log2(u[-1]) % 1.0 == 0.0
+        assert points[0] > 0 and ends[0] < specfun._END
+
+    @pytest.mark.parametrize("kind,nu", [("J", 0.0), ("J", 0.8), ("J", 2.7),
+                                         ("J", 11.8), ("J", 40.3),
+                                         ("I", -0.45), ("I", 0.0),
+                                         ("I", 0.8), ("I", 2.3)])
+    def test_seeds_no_worse_than_scipy(self, kind, nu):
+        # each cell's value and slope, against mpmath, judged on the
+        # envelope at the same centres as the scipy jv / ive seeds they
+        # replace: the series, the continuation and the expansion each
+        # take some of the centres
+        from scipy.special import ive, jv
+
+        tb = specfun._build_table(kind, nu, specfun._MAX_END)
+        top = int(np.ceil(specfun._upper(nu) / specfun._CELL)) + 40
+        idx = np.unique(np.concatenate([np.arange(1, 24),
+                                        np.linspace(24, top, 60, dtype=int),
+                                        np.geomspace(top, tb.coefs.shape[1]
+                                                     - 1, 12, dtype=int)]))
+        c = specfun._CELL * idx
+        if kind == "J":
+            want = [(mp_jnorm(nu, x), -x * mp_jnorm(nu + 1.0, x)) for x in c]
+            scipy_seeds = (jv(nu, c), -jv(nu + 1.0, c))
+        else:
+            want = [(mp_inorm_scaled(nu, x),
+                     x * mp_inorm_scaled(nu + 1.0, x) - mp_inorm_scaled(nu, x))
+                    for x in c]
+            value = ive(nu, c)
+            scipy_seeds = (value, ive(nu + 1.0, c) - value)
+        want = np.array(want).T
+        scipy_seeds = np.array(scipy_seeds) * c ** (-nu)
+        ours = tb.coefs[:2, idx]
+        assert envelope_error(ours, want, nu, c) \
+            <= envelope_error(scipy_seeds, want, nu, c)
+        assert envelope_error(ours, want, nu, c) <= ENVELOPE_TOL
+
+    def test_j0_fixed_near_u_9273(self):
+        # cephes j0 misses the envelope u^{-1/2} by up to 4.3e-13 here
+        u = np.linspace(9270.0, 9295.0, 101)
+        want = np.array([mp_jnorm(0.0, x) for x in u])
+        assert envelope_error(jnorm(0.0, u), want, 0.0, u) <= 2e-15
+
+    def test_too_high_an_order_has_no_table(self):
+        # the table's upper end passes its last centre near nu = 74.2
+        specfun.check_tabled((74.0,), "alpha")
+        with pytest.raises(ValueError, match="alpha"):
+            specfun.check_tabled((0.5, 75.0), "alpha")
+        with pytest.raises(ValueError, match="order nu = 80.3"):
+            jnorm(80.3, np.array([1.0]))
 
     def test_cli_import_builds_no_table_and_loads_no_scipy_module(self):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-        code = ("import sys, scipy.special\n"
-                "def loaded():\n"
-                "    return {m for m in sys.modules\n"
-                "            if m.split('.')[0] == 'scipy'}\n"
-                "before = loaded()\n"
+        code = ("import sys\n"
                 "import hankellab.cli\n"
                 "from hankellab import specfun\n"
-                "print(sorted(loaded() - before),\n"
-                "      specfun._table.cache_info().currsize)\n")
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] == 'scipy'),\n"
+                "      len(specfun._TABLES))\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True)
         assert out.stdout.split() == ["[]", "0"]
+
+
+class TestGammaOnePlusI:
+    @pytest.mark.parametrize("g", [1e-6, 0.3, 1.0, 7.0, 40.0, -7.0])
+    def test_against_mpmath(self, g):
+        want = complex(mpmath.gamma(1 + 1j * mpmath.mpf(g)))
+        assert abs(gamma_one_plus_i(g) - want) <= 1e-13 * abs(want)
+
+    def test_at_zero(self):
+        assert gamma_one_plus_i(0.0) == 1.0
 
 
 class TestEigenfunctionKernel:
