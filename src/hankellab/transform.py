@@ -65,30 +65,6 @@ class TransformPlan:
             inv.append(E.T)
         return TransformPlan(grid, dual_grid, tuple(fwd), tuple(inv))
 
-    def dilated(self, grid: Grid, dual_grid: Grid):
-        """This plan's kernel matrices on a dilated grid pair.
-
-        The kernel depends on x * lambda only, so a pair whose nodes are
-        s x and lambda / s (per axis, s = R'/R) has the same matrices.  The
-        pair must share alpha and shapes, and every node ratio must equal
-        its axis's R ratio, with the two ratios' product 1, to DILATE_RTOL;
-        otherwise ValueError.  The new pair's weights apply.
-        """
-        if (grid.alpha != self.grid.alpha or dual_grid.alpha != self.grid.alpha
-                or grid.shape != self.grid.shape
-                or dual_grid.shape != self.dual_grid.shape):
-            raise ValueError("not a dilate of the plan's grid pair: "
-                             "alpha or shape differs")
-        for k, (ax, ax0, dax, dax0) in enumerate(zip(
-                grid.axes, self.grid.axes, dual_grid.axes,
-                self.dual_grid.axes)):
-            s, t = ax.R / ax0.R, dax.R / dax0.R
-            if not (_same_ratio(ax, ax0, s) and _same_ratio(dax, dax0, t)
-                    and abs(s * t - 1.0) <= DILATE_RTOL):
-                raise ValueError(f"axis {k}: not a dilate of the plan's grid "
-                                 "pair (nodes or R * Lambda differ)")
-        return TransformPlan(grid, dual_grid, self.fwd, self.inv)
-
     def forward(self, values):
         """H values: grid values (axes past d are a batch) to the dual grid."""
         return _contract(self.fwd, _weighted(self.grid, values))
@@ -107,18 +83,6 @@ class TransformPlan:
             sh[k] = dax.n
             out = out * e_kernel_axis(dax.alpha_k, y[k] * dax.nodes).reshape(sh)
         return out
-
-
-# a dilated grid pair's node ratios may differ from their axis's R ratio by
-# this much: the rounding of the panel edges and Gauss nodes, a few ulp
-DILATE_RTOL = 16 * np.finfo(float).eps
-
-
-def _same_ratio(ax, ax0, s):
-    """Whether ax's nodes are s times ax0's, from the same full axis size."""
-    return (ax.n_full == ax0.n_full
-            and np.all(np.abs(ax.nodes - s * ax0.nodes)
-                       <= DILATE_RTOL * ax.nodes))
 
 
 def _weighted(grid, values):

@@ -17,7 +17,8 @@ plan holds the near nodes, its transfer to the coarse dual grid runs over
 the atom's support only, and its coarse plan holds only the far nodes.  A
 restricted grid is a quadrature rule only for functions that vanish off
 the kept nodes.  The H^1 atoms of one centre ratio are dilates of one
-another and share each kernel matrix (TransformPlan.dilated).
+unit atom, so they are measured as that atom under the dilated symbol
+m(lambda / r), on one set of plans per centre ratio.
 """
 
 import warnings
@@ -169,24 +170,25 @@ def _cz_band(y, yp):
             for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1)}
 
 
-def _cz_piece(alpha, m, psi, y, yp, j):
+def _cz_piece(alpha, m, psi, y, yp, j, R, Lam):
     """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) on the
-    (pair, j) adapted grids.
+    (pair, j) adapted grids on (0, R] and (0, Lam] (_cz_band).
 
     The grid pair is built once and m_j sampled on the whole dual grid; the
     plan holds only the dual nodes where m_j != 0 and the nodes with
-    |x-y| > 2|y-y'|, since no other entry enters D_j.  A piece whose m_j
-    vanishes on every dual node is 0 and builds no plan.
+    |x-y| > 2|y-y'|, since no other entry enters D_j.  The two kernel rows
+    are differenced on the dual grid and transformed once.  A piece whose
+    m_j vanishes on every dual node is 0 and builds no plan.
     """
     r2 = 2.0 * float(np.linalg.norm(y - yp))
-    grid, dual = adapted_grids(alpha, *_cz_band(y, yp)[j])
+    grid, dual = adapted_grids(alpha, R, Lam)
     off_ball = np.abs(grid.axes[0].nodes - y[0]) > r2
     mj = dyadic_symbol_values(dual, _symbol_values(dual, m), psi, j)
     on = mj != 0
     if not on.any():
         return 0.0
     pl = adapted_plan(grid.restrict([off_ball]), dual.restrict([on]))
-    row = _kernel_row(pl, mj[on], y) - _kernel_row(pl, mj[on], yp)
+    row = pl.inverse(mj[on] * (pl.e_dual(y) - pl.e_dual(yp)))
     return float(np.sum(np.abs(row) * pl.grid.weight_tensor()))
 
 
@@ -218,8 +220,8 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
         warnings.simplefilter("always")
         for idx, (y, yp) in enumerate(pairs):
             r2 = 2.0 * float(np.linalg.norm(y - yp))
-            perj = [(j, _cz_piece(alpha, m, psi, y, yp, j))
-                    for j in _cz_band(y, yp)]
+            perj = [(j, _cz_piece(alpha, m, psi, y, yp, j, R, Lam))
+                    for j, (R, Lam) in _cz_band(y, yp).items()]
             total = sum(dj for _, dj in perj)
             if idx == mid:
                 for j, dj in perj:
@@ -470,91 +472,91 @@ def sweep_radii(sweep):
     return np.ravel([_atom_radii(y0, r) for y0, r in default_atom_family()])
 
 
-def _orbit_plan(plans, kind, grid, dual_grid):
-    """The plan of one kind ("fine", "coarse" or "transfer") for an atom's
-    grid pair: the first atom of a centre ratio builds it with
-    adapted_plan, and every atom takes its kernel matrices from that one
-    (TransformPlan.dilated, which checks that the pair is a dilate)."""
-    if kind not in plans:
-        plans[kind] = adapted_plan(grid, dual_grid)
-    return plans[kind].dilated(grid, dual_grid)
+def _h1_orbit(alpha, m, psi_squared, c, radii, profiled):
+    """{r: ((local, near, far), profile)} for the atoms (c r, r), r in
+    radii, of centre ratio c; profile is the per-j far profile over
+    j = jc - 8 .. jc + 8, jc = -2 log2(r), when r is in profiled, else None.
 
-
-def _h1_atom(alpha, m, psi_squared, y0, r, profile, plans):
-    """(local, near, far) of one atom, and its per-j far profile over
-    j = jc - 8 .. jc + 8, jc = -2 log2(r), when profile is set (else None);
-    plans holds the centre ratio's plans (_orbit_plan)."""
-    tg_atom = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
-    F = y0 + 18.0 * r
-    (R_f, Lam_f), (R_c, Lam_c) = _atom_radii(y0, r)
+    The atom (c r, r) is the unit atom (c, 1) dilated by r, and the L^1(dnu)
+    parts of its maximal function are the unit atom's under the dilated
+    symbol m(lambda / r), with times r^2 t.  So the fine, coarse and
+    transfer plans, the atom, its spectra and the time grid are built once,
+    at r = 1; per radius only m is sampled, on the dual grids at the atom's
+    own scale (R / r), whose nodes are the unit dual nodes lambda over r.
+    """
+    tg = TimeGrid(np.geomspace(1e-5, 1e5, 80))
+    F = c + 18.0
+    (R_f, Lam_f), (R_c, Lam_c) = _atom_radii(c, 1.0)
     grid_f, dual_f = adapted_grids(alpha, R_f, Lam_f, n_dual=640)
-    fine = _orbit_plan(plans, "fine",
-                       grid_f.restrict([grid_f.axes[0].nodes <= F]), dual_f)
+    fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]), dual_f)
     grid_c, dual_c = adapted_grids(alpha, R_c, Lam_c, ppw=4.0)
-    coarse = _orbit_plan(plans, "coarse",
-                         grid_c.restrict([grid_c.axes[0].nodes > F]), dual_c)
-    w_c = coarse.grid.weight_tensor()
-    atom = make_atom(fine.grid, y0, r)
-    spec_f = fine.forward(atom.values.values)
-    mv_f = _symbol_values(fine.dual_grid, m)
-    x_f = fine.grid.axes[0].nodes
-    w_f = fine.grid.weight_tensor()
-    Mf = _maximal_field(fine, mv_f * spec_f, tg_atom)
-    local_sel = np.abs(x_f - y0) <= 2.0 * r
-    near_sel = ~local_sel
-    local = float(np.sum(Mf[local_sel] * w_f[local_sel]))
-    near = float(np.sum(Mf[near_sel] * w_f[near_sel]))
+    coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]), dual_c)
+    atom = make_atom(fine.grid, c, 1.0).values.values
+    spec_f = fine.forward(atom)
     # atom spectrum on the coarse dual grid, by fine-grid quadrature over
     # the atom's support, where the other nodes add nothing
-    on = atom.values.values != 0
-    spec_c = _orbit_plan(plans, "transfer", fine.grid.restrict([on]),
-                         dual_c).forward(atom.values.values[on])
-    mv_c = _symbol_values(coarse.dual_grid, m)
-    Mc = _maximal_field(coarse, mv_c * spec_c, tg_atom)
-    far = float(np.sum(Mc * w_c))
-    if not profile:
-        return (local, near, far), None
-    jc = int(round(-2.0 * np.log2(r)))
-    prof = []
-    for j in range(jc - 8, jc + 9):
-        mj_f = dyadic_symbol_values(fine.dual_grid, mv_f, psi_squared, j)
-        fj = _maximal_field(fine, mj_f * spec_f, tg_atom)
-        val = float(np.sum(fj[near_sel] * w_f[near_sel]))
-        if 2.0 ** ((j + 1) / 2.0) <= coarse.dual_grid.axes[0].R:
-            mj_c = dyadic_symbol_values(coarse.dual_grid, mv_c,
-                                        psi_squared, j)
-            fc = _maximal_field(coarse, mj_c * spec_c, tg_atom)
-            val += float(np.sum(fc * w_c))
-        prof.append(val)
-    return (local, near, far), (jc, prof)
+    on = atom != 0
+    spec_c = adapted_plan(fine.grid.restrict([on]), dual_c).forward(atom[on])
+    w_f, w_c = fine.grid.weight_tensor(), coarse.grid.weight_tensor()
+    local_sel = np.abs(fine.grid.axes[0].nodes - c) <= 2.0
+    near_sel = ~local_sel
+    out = {}
+    for r in radii:
+        at_f, at_c = (Grid.build(alpha, R=dual.axes[0].R / r, n=dual.axes[0].n)
+                      for dual in (dual_f, dual_c))
+        mv_f, mv_c = _symbol_values(at_f, m), _symbol_values(at_c, m)
+        Mf = _maximal_field(fine, mv_f * spec_f, tg)
+        Mc = _maximal_field(coarse, mv_c * spec_c, tg)
+        parts = (float(np.sum(Mf[local_sel] * w_f[local_sel])),
+                 float(np.sum(Mf[near_sel] * w_f[near_sel])),
+                 float(np.sum(Mc * w_c)))
+        profile = None
+        if r in profiled:
+            jc = int(round(-2.0 * np.log2(r)))
+            prof = []
+            for j in range(jc - 8, jc + 9):
+                mj_f = dyadic_symbol_values(at_f, mv_f, psi_squared, j)
+                fj = _maximal_field(fine, mj_f * spec_f, tg)
+                val = float(np.sum(fj[near_sel] * w_f[near_sel]))
+                if 2.0 ** ((j + 1) / 2.0) <= at_c.axes[0].R:
+                    mj_c = dyadic_symbol_values(at_c, mv_c, psi_squared, j)
+                    fc = _maximal_field(coarse, mj_c * spec_c, tg)
+                    val += float(np.sum(fc * w_c))
+                prof.append(val)
+            profile = jc, prof
+        out[r] = parts, profile
+    return out
 
 
 def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     """||M(T_m a)||_1 over default_atom_family, split into the local ball
     part and the far part, with a per-j far-field profile on a subfamily.
 
-    Each atom gets two adapted grid pairs: a fine one resolving the atom
-    scale out to a margin of 24 radii, and a coarse one carrying the slowly
-    decaying maximal-function tail out to hundreds of radii.  The fine
-    kernel is evaluated only on the nodes x <= F = y0 + 18 r, which hold
-    the atom's support and where the local and near parts are read, and
-    the coarse kernel only on the nodes x > F, where the far part is read.
-    The atom's spectrum on the coarse dual grid is a fine-grid quadrature
-    whose kernel is evaluated only on the atom's support.  The time window
-    adapts per atom, t in r^2 [1e-5, 1e5], since a fixed window truncates
-    the supremum below the smallest atom scales and fakes a radius trend.
-
-    The atoms of one centre ratio y0 / r are dilates of one another: their
-    grids are float dilates with x * lambda equal to a few ulp, so the
-    fine, coarse and transfer kernel matrices are built once per centre
-    ratio, 9 builds for the family, and shared (_orbit_plan).  The atoms
-    run one centre ratio at a time, so only that ratio's three matrices
-    are held; the measurements keep the family's order.  The per-j fields
-    contract only the dual rows of their dyadic band (_maximal_field).
+    Each atom is measured as the unit atom of its centre ratio c = y0 / r
+    under the dilated symbol m(lambda / r) (_h1_orbit), so the family needs
+    one unit atom and three plans per centre ratio, 9 builds in all, and
+    holds one ratio's three kernel matrices at a time.  The unit atom gets
+    two adapted grid pairs: a fine one resolving the atom scale out to a
+    margin of 24 radii, and a coarse one carrying the slowly decaying
+    maximal-function tail out to hundreds of radii.  The fine kernel is
+    evaluated only on the nodes x <= F = c + 18, which hold the atom's
+    support and where the local and near parts are read, and the coarse
+    kernel only on the nodes x > F, where the far part is read.  The atom's
+    spectrum on the coarse dual grid is a fine-grid quadrature whose kernel
+    is evaluated only on the atom's support.  The time window is
+    t in [1e-5, 1e5] at unit scale, r^2 [1e-5, 1e5] at the atom's, since a
+    fixed window truncates the supremum below the smallest atom scales and
+    fakes a radius trend.  The per-j fields contract only the dual rows of
+    their dyadic band (_maximal_field).  The measurements keep the family's
+    order.
 
     Passes when the per-radius max of the total norm is flat in the radius
     and the per-j far profile peaks near j = -2 log2(r) and its ends fall
-    to half the peak or less.
+    to half the peak or less.  The no-trend test presumes a symbol invariant
+    under dilation, like the imaginary power, whose atoms' norms are then
+    equal at every radius up to the discretisation; a symbol with a scale of
+    its own, such as bump or heat{t=1}, gives norms that change with the
+    radius and FAILs for that reason, not for an unbounded maximal function.
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -569,18 +571,16 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
                     "ratio_tol": RATIO_TOL},
         provenance="L^1 bound for the maximal function of multiplied atoms",
     )
-    ratios = [round(y0 / r, 9) for y0, r in atoms]
-    parts = {}
-    for ratio in dict.fromkeys(ratios):
-        plans = {}
-        for i, (y0, r) in enumerate(atoms):
-            if ratios[i] == ratio:
-                parts[i] = _h1_atom(alpha, m, psi_squared, y0, r,
-                                    r in per_j_radii and ratio == 5.0, plans)
+    orbits = {}
+    for y0, r in atoms:
+        orbits.setdefault(round(y0 / r, 9), []).append(r)
+    parts = {(c, r): res for c, radii in orbits.items()
+             for r, res in _h1_orbit(alpha, m, psi_squared, c, radii,
+                                     per_j_radii if c == 5.0 else ()).items()}
     by_radius = {}
     perj_profiles = {}
-    for i, (y0, r) in enumerate(atoms):
-        (local, near, far), profile = parts[i]
+    for y0, r in atoms:
+        (local, near, far), profile = parts[round(y0 / r, 9), r]
         total = local + near + far
         rep.add(f"total@r={r:.3g},y0={y0:.3g}", total)
         rep.add(f"local@r={r:.3g},y0={y0:.3g}", local)

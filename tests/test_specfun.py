@@ -18,7 +18,7 @@ from hankellab.specfun import (MultiIndex, bessel_operator_fd, e_kernel_axis,
                                gamma_one_plus_i, inorm_scaled, jnorm)
 from hankellab.symbols import laplace_type_symbol
 from hankellab.transform import TransformPlan
-from hankellab.verify import _cz_piece, default_cz_pairs
+from hankellab.verify import _cz_band, _cz_piece, default_cz_pairs
 
 mpmath.mp.dps = 30
 
@@ -235,7 +235,8 @@ class TestFixedOrderTables:
         jstar = int(np.ceil(-2.0 * np.log2(2.0 * abs(y[0] - yp[0]))))
         _cz_piece(MultiIndex((1.3,)),
                   laplace_type_symbol(1, "imag_power", gamma=1.0),
-                  make_partition("plain"), y, yp, jstar)
+                  make_partition("plain"), y, yp, jstar,
+                  *_cz_band(y, yp)[jstar])
         h = specfun._CELL
         first = np.ceil(specfun._upper(0.8) / h) * h
         assert continued[0] == 1

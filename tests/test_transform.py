@@ -340,56 +340,6 @@ class TestPlanStorage:
                 1e-13 * np.max(np.abs(want))
 
 
-class TestDilatedPlans:
-    """TransformPlan.dilated gives a plan's kernel matrices to a grid pair
-    whose x * lambda products are the plan's, and refuses any other pair."""
-
-    KEEP = np.arange(40, 240)
-
-    @staticmethod
-    def _pair(s, n=256, n_dual=160, alpha_k=0.5, rl=15.0):
-        # R = 3 s and Lambda = (rl / 3) / s, so R * Lambda = rl at every s
-        alpha = MultiIndex((alpha_k,))
-        return (Grid.build(alpha, R=3.0 * s, n=n),
-                Grid.build(alpha, R=rl / 3.0 / s, n=n_dual))
-
-    def _template(self):
-        grid, dual = self._pair(1.0)
-        return TransformPlan.build(grid.restrict([self.KEEP]), dual)
-
-    @pytest.mark.parametrize("s", [0.3, 1.0, 7.0])
-    def test_dilate_shares_the_matrices_and_matches_a_build(self, s):
-        plan = self._template()
-        grid, dual = self._pair(s)
-        grid = grid.restrict([self.KEEP])
-        shared = plan.dilated(grid, dual)
-        assert shared.grid is grid and shared.dual_grid is dual
-        assert shared.fwd[0] is plan.fwd[0] and shared.inv[0] is plan.inv[0]
-        built = TransformPlan.build(grid, dual)
-        assert np.max(np.abs(shared.fwd[0] - built.fwd[0])) <= 1e-14
-        f = np.exp(-((grid.axes[0].nodes - 1.5 * s) / s) ** 2)
-        want = built.forward(f)
-        assert np.max(np.abs(shared.forward(f) - want)) <= \
-            1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("grid_keep, pair_kwargs", [
-        (KEEP, {"n": 272}),
-        (KEEP, {"n_dual": 176}),
-        (KEEP + 1, {}),
-        (np.arange(40, 239), {}),
-        (KEEP, {"rl": 15.0 * (1.0 + 1e-9)}),
-        (KEEP, {"alpha_k": 1.3}),
-    ], ids=["other-full-node-count", "other-dual-node-count",
-            "other-kept-nodes", "other-kept-count", "R-Lambda-off-by-1e-9",
-            "other-alpha"])
-    def test_a_pair_that_is_not_a_dilate_is_refused(self, grid_keep,
-                                                     pair_kwargs):
-        plan = self._template()
-        grid, dual = self._pair(2.0, **pair_kwargs)
-        with pytest.raises(ValueError, match="not a dilate"):
-            plan.dilated(grid.restrict([grid_keep]), dual)
-
-
 @given(c=st.floats(5.0, 8.0), w=st.floats(0.8, 1.5))
 @settings(max_examples=15, deadline=None)
 def test_plancherel_property(plan_half, c, w):

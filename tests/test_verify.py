@@ -118,7 +118,7 @@ class TestRestrictedSweeps:
 
     @staticmethod
     def _piece_bounds(y, yp, j):
-        # R and Lambda of the (pair, j) adapted grids, as _cz_piece sets them
+        # R and Lambda of the (pair, j) adapted grids, as _cz_band sets them
         r2 = 2.0 * float(np.linalg.norm(y - yp))
         R = float(max(y.max(), yp.max())
                   + max(40.0 * 2.0 ** (-j / 2.0), 4.0 * r2))
@@ -147,8 +147,10 @@ class TestRestrictedSweeps:
             y, yp = pairs[idx]
             r2 = 2.0 * np.linalg.norm(y - yp)
             jstar = int(np.ceil(-2.0 * np.log2(r2)))
-            got = _cz_piece(alpha, m, psi, y, yp, jstar + offset)
-            want = self._full_plan_dj(alpha, m, psi, y, yp, jstar + offset)
+            j = jstar + offset
+            got = _cz_piece(alpha, m, psi, y, yp, j,
+                            *self._piece_bounds(y, yp, j))
+            want = self._full_plan_dj(alpha, m, psi, y, yp, j)
             assert want > 0
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
@@ -191,7 +193,8 @@ class TestRestrictedSweeps:
         y, yp = default_cz_pairs()[4]
         _cz_piece(MultiIndex((0.5,)), laplace_type_symbol(1, "imag_power",
                                                           gamma=1.0),
-                  make_partition("plain"), y, yp, 0)
+                  make_partition("plain"), y, yp, 0,
+                  *self._piece_bounds(y, yp, 0))
         assert calls[0] == 2
 
     def test_empty_cz_piece_is_zero_and_quiet(self, monkeypatch):
@@ -206,7 +209,8 @@ class TestRestrictedSweeps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _cz_piece(MultiIndex((0.5,)), bump_symbol(1),
-                            make_partition("plain"), y, yp, 6)
+                            make_partition("plain"), y, yp, 6,
+                            *self._piece_bounds(y, yp, 6))
         assert got == 0.0
 
     def test_warnings_of_the_pieces_are_counted(self, monkeypatch):
@@ -251,13 +255,14 @@ class TestRestrictedSweeps:
 
     def test_h1_plans_warn_only_where_the_full_axes_are_coarse(
             self, monkeypatch):
-        # one fine, one coarse and one transfer build per centre ratio, 9 in
-        # all; the H^1 dual axes (n_dual 640 and 512) fall below 4 points
-        # per wavelength on the fine and coarse plans, and the transfer
-        # plans, restricted to the atom's support, are judged by their full
-        # axes and raise none
+        # one unit atom and one fine, one coarse and one transfer build per
+        # centre ratio, 3 atoms and 9 builds in all; the H^1 dual axes
+        # (n_dual 640 and 512) fall below 4 points per wavelength on the
+        # fine and coarse plans, and the transfer plans, restricted to the
+        # atom's support, are judged by their full axes and raise none
         build = TransformPlan.build
         caught = []
+        atoms = [0]
 
         def recorded(grid, dual_grid=None):
             with warnings.catch_warnings(record=True) as log:
@@ -266,56 +271,115 @@ class TestRestrictedSweeps:
             caught.append([w.category for w in log])
             return plan
 
+        def counted_atom(*args):
+            atoms[0] += 1
+            return make_atom(*args)
+
         monkeypatch.setattr(TransformPlan, "build", staticmethod(recorded))
+        monkeypatch.setattr(verify, "make_atom", counted_atom)
         verify.h1_atom_check(MultiIndex((0.5,)),
                              laplace_type_symbol(1, "imag_power", gamma=1.0),
                              make_partition("squared"))
         warns = [transform.ResolutionWarning]
+        assert len(caught) == 9 and atoms[0] == 3
         assert caught == [warns, warns, []] * 3
 
+    @staticmethod
+    def _per_atom_measurements(alpha, m, psi_squared, y0, r, profile):
+        # one atom measured at its own scale: its own grid pairs and plans,
+        # the atom built on them, m sampled on its dual grids and the time
+        # window r^2 [1e-5, 1e5]; the report's (name, value) pairs in order
+        tg = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
+        F = y0 + 18.0 * r
+        grid_f, dual_f = adapted_grids(alpha, R=y0 + 24.0 * r, Lam=40.0 / r,
+                                       n_dual=640)
+        fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]),
+                            dual_f)
+        grid_c, dual_c = adapted_grids(alpha, R=y0 + 240.0 * r,
+                                       Lam=10.0 / r, ppw=4.0)
+        coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]),
+                              dual_c)
+        atom = make_atom(fine.grid, y0, r).values.values
+        on = atom != 0
+        spec_f = fine.forward(atom)
+        spec_c = adapted_plan(fine.grid.restrict([on]),
+                              dual_c).forward(atom[on])
+        lam2_f, lam2_c = dual_f.squared_mesh(), dual_c.squared_mesh()
+        w_f, w_c = fine.grid.weight_tensor(), coarse.grid.weight_tensor()
+        local_sel = np.abs(fine.grid.axes[0].nodes - y0) <= 2.0 * r
+
+        def fine_sum(mvals, sel):
+            field = _maximal_field(fine, mvals * spec_f, tg)
+            return float(np.sum(field[sel] * w_f[sel]))
+
+        def coarse_sum(mvals):
+            return float(np.sum(_maximal_field(coarse, mvals * spec_c, tg)
+                                * w_c))
+
+        local = fine_sum(m(lam2_f), local_sel)
+        far = fine_sum(m(lam2_f), ~local_sel) + coarse_sum(m(lam2_c))
+        tag = f"r={r:.3g},y0={y0:.3g}"
+        out = [(f"total@{tag}", local + far), (f"local@{tag}", local),
+               (f"far@{tag}", far)]
+        if profile:
+            jc = int(round(-2.0 * np.log2(r)))
+            for j in range(jc - 8, jc + 9):
+                val = fine_sum(psi_squared.piece(j, lam2_f) * m(lam2_f),
+                               ~local_sel)
+                if 2.0 ** ((j + 1) / 2.0) <= 10.0 / r:
+                    val += coarse_sum(psi_squared.piece(j, lam2_c)
+                                      * m(lam2_c))
+                out.append((f"far_j@r={r:.3g},j={j}", val))
+        return out
+
     def test_h1_shared_plans_match_a_build_per_atom(self, monkeypatch):
-        # radii 3-5 of the family at centre ratios 1.2 and 5; the first two
-        # radii are the subfamily's per-j radii, so two profiles run
+        # three radii at centre ratios 1.2 and 5; the lower two are the
+        # subfamily's per-j radii, so two profiles run at ratio 5.  heat{t=1}
+        # has a scale of its own, so m sampled at lambda r, not lambda / r,
+        # would show; the imaginary power is nearly dilation-invariant and
+        # would not
         rs = sorted({r for _, r in default_atom_family()})
-        family = [(c * r, r) for r in rs[2:5] for c in (1.2, 5.0)]
+        family = [(c * r, r) for r in (rs[1], rs[4], rs[6])
+                  for c in (1.2, 5.0)]
         monkeypatch.setattr(verify, "default_atom_family", lambda: family)
-        builds = [0]
+        builds, atoms = [0], [0]
         build = TransformPlan.build
 
-        def counted(grid, dual_grid=None):
+        def counted_build(grid, dual_grid=None):
             builds[0] += 1
             return build(grid, dual_grid)
 
-        monkeypatch.setattr(TransformPlan, "build", staticmethod(counted))
-        args = (MultiIndex((0.5,)),
-                laplace_type_symbol(1, "imag_power", gamma=1.0),
-                make_partition("squared"))
-        shared = verify.h1_atom_check(*args)
-        # fine, coarse and transfer once per centre ratio
-        assert builds[0] == 6
-        # the old route: every atom builds its own three plans
-        monkeypatch.setattr(verify, "_orbit_plan",
-                            lambda plans, kind, grid, dual_grid:
-                            adapted_plan(grid, dual_grid))
-        rebuilt = verify.h1_atom_check(*args)
-        assert builds[0] == 6 + 3 * len(family)
-        names = [k for k, _ in shared.measurements]
-        assert names == [k for k, _ in rebuilt.measurements]
-        assert [k for k in names if k.startswith("total@")] == \
-            [f"total@r={r:.3g},y0={y0:.3g}" for y0, r in family]
-        assert sum(k.startswith("far_j@") for k in names) == 2 * 17
-        got = np.array([v for _, v in shared.measurements])
-        want = np.array([v for _, v in rebuilt.measurements])
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-        assert shared.verdict == rebuilt.verdict
+        def counted_atom(*args):
+            atoms[0] += 1
+            return make_atom(*args)
+
+        monkeypatch.setattr(TransformPlan, "build",
+                            staticmethod(counted_build))
+        monkeypatch.setattr(verify, "make_atom", counted_atom)
+        alpha, m = MultiIndex((0.5,)), parse_symbol("heat{t=1}", 1)
+        psi = make_partition("squared")
+        rep = verify.h1_atom_check(alpha, m, psi)
+        # fine, coarse and transfer plans and one atom per centre ratio
+        assert (builds[0], atoms[0]) == (6, 2)
+        monkeypatch.undo()
+        want = []
+        for y0, r in family:
+            profile = round(y0 / r, 9) == 5.0 and r in (rs[1], rs[4])
+            want += self._per_atom_measurements(alpha, m, psi, y0, r, profile)
+        assert [k for k, _ in rep.measurements] == [k for k, _ in want]
+        assert sum(k.startswith("far_j@") for k, _ in want) == 2 * 17
+        got = np.array([v for _, v in rep.measurements])
+        want = np.array([v for _, v in want])
+        assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
     def test_h1_fine_parts_match_the_full_plan(self, monkeypatch):
-        # the fine plan keeps the nodes x <= F, which hold the atom and
-        # every node the local and near sums read
+        # the unit atom's fine plan keeps the nodes x <= c + 18, which hold
+        # the atom and every node the local and near sums read
         alpha = MultiIndex((0.5,))
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
         family = default_atom_family()
         y0, r = family[0]
+        c = round(y0 / r, 9)
         # a second radius for the per-j subfamily; neither atom sits at 5
         # radii, so no per-j profile runs
         monkeypatch.setattr(verify, "default_atom_family",
@@ -331,26 +395,27 @@ class TestRestrictedSweeps:
         verify.h1_atom_check(alpha, m, make_partition("squared"))
         grid, field = fields[0]
         x, w = grid.axes[0].nodes, grid.weight_tensor()
-        F = y0 + 18.0 * r
+        F = c + 18.0
         assert x.max() <= F
-        local_sel = np.abs(x - y0) <= 2.0 * r
+        local_sel = np.abs(x - c) <= 2.0
         got = (np.sum(field[local_sel] * w[local_sel]),
                np.sum(field[~local_sel] * w[~local_sel]))
-        # oracle: the full fine plan, read on x <= F
-        full = adapted_plan(*adapted_grids(alpha, R=y0 + 24.0 * r,
-                                           Lam=40.0 / r, n_dual=640))
-        atom = make_atom(full.grid, y0, r).values.values
-        spec = m(full.dual_grid.squared_mesh()) * full.forward(atom)
-        field = _maximal_field(full, spec, TimeGrid(
-            r * r * np.geomspace(1e-5, 1e5, 80)))
+        # oracle: the full fine plan of the unit atom, read on x <= F, with
+        # m sampled at the atom's scale
+        full = adapted_plan(*adapted_grids(alpha, R=c + 24.0, Lam=40.0,
+                                           n_dual=640))
+        atom = make_atom(full.grid, c, 1.0).values.values
+        scaled = Grid.build(alpha, R=40.0 / r, n=640)
+        spec = m(scaled.squared_mesh()) * full.forward(atom)
+        field = _maximal_field(full, spec,
+                               TimeGrid(np.geomspace(1e-5, 1e5, 80)))
         x, w = full.grid.axes[0].nodes, full.grid.weight_tensor()
         assert x.max() > F
-        local_sel = np.abs(x - y0) <= 2.0 * r
+        local_sel = np.abs(x - c) <= 2.0
         near_sel = ~local_sel & (x <= F)
         want = (np.sum(field[local_sel] * w[local_sel]),
                 np.sum(field[near_sel] * w[near_sel]))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
 
 def _full_mesh_battery(plan, seed):
     """The battery as full value tensors, drawn as make_battery draws it:
