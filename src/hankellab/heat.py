@@ -2,8 +2,10 @@
 
 The maximal function sup_t |T_t f| has two routes: maximal_function applies
 the kernel at each time, and _maximal_field, which the sweeps use, applies
-the Gaussian multiplier e^{-t|lambda|^2} to a spectrum and inverts all
-times at once.  The kernel route is the oracle for the spectral one.
+the Gaussian multiplier e^{-t|lambda|^2} to a spectrum, or a batch of
+them, and inverts the times in a few contractions that skip the rows the
+damping leaves below 1e-16.  The kernel route is the oracle for the
+spectral one.
 
 The one-dimensional kernel is evaluated in exponentially-scaled form: the
 exp(-(x^2+y^2)/4t) factor and the e^{+xy/2t} hidden in the modified Bessel
@@ -17,16 +19,23 @@ test suite re-derives it from the mass-1 condition by quadrature.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .grid import Grid, GridFunction
 from .report import FAIL, PASS, EstimateReport, flatness
 from .specfun import MultiIndex, inorm_scaled
-from .transform import TransformPlan, _contract
+from .transform import _contract, _weighted
 
 # the per-axis constant c_k of the heat kernel, 1/2 for every alpha_k
 HEAT_NORMALIZATION = 0.5
+# _maximal_field rounds each time's kept rows per axis up to a multiple of
+# ROW_GRANULE, so that neighbouring times share one contraction, and
+# contracts at most FIELD_COLUMNS (batch entry, time) columns at once, which
+# bounds the block of fields it holds
+ROW_GRANULE = 64
+FIELD_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -101,29 +110,52 @@ def maximal_function(hk: HeatKernelEval, tg: TimeGrid, f: GridFunction):
 
 
 def _maximal_field(plan, spec_vals, tg: TimeGrid):
-    """sup over the time grid of |H(e^{-t|lambda|^2} spec_vals)|.
+    """sup over the time grid of |H(e^{-t|lambda|^2} spec_vals)|; axes of
+    spec_vals past the plan's d are a batch, kept in the field.
 
-    Only the dual rows where spec_vals != 0 are contracted: per axis, the
-    rows from the first to the last such one, a slice view of plan.inv (a
+    Only the dual rows where spec_vals != 0 for some batch entry are
+    contracted: per axis, the rows from the first to the last such one (a
     dyadic window's band is one interval of the sorted dual axis; a symbol
-    nonzero everywhere keeps the whole plan).  All times are contracted at
-    once along a trailing time axis; a time whose damping is below 1e-16
-    on every kept row contributes nothing and is skipped."""
-    hit = np.nonzero(spec_vals)
+    nonzero everywhere keeps the whole axis).  Within that band a time
+    keeps, per axis, the prefix of rows whose own damping e^{-t lambda_k^2}
+    reaches 1e-16.  Since |lambda|^2 >= lambda_k^2, every dropped row is
+    damped below 1e-16 at each of its nodes, and a time with an empty
+    prefix on some axis is skipped.  Consecutive times whose prefixes,
+    rounded up to a multiple of ROW_GRANULE rows, agree are contracted
+    together along a trailing time axis, in one _contract call per group of
+    at most FIELD_COLUMNS (batch entry, time) columns."""
+    d = plan.grid.d
+    batch = spec_vals.shape[d:]
+    out = np.zeros(plan.grid.shape + batch)
+    hit = np.nonzero(np.any(spec_vals != 0,
+                            axis=tuple(range(d, spec_vals.ndim))))
     if not hit[0].size:
-        return np.zeros(plan.grid.shape)
+        return out
     rows = tuple(slice(i.min(), i.max() + 1) for i in hit)
     dual = plan.dual_grid.restrict(rows)
+    vals = _weighted(dual, spec_vals[rows])
     lam2 = dual.squared_mesh().sum(axis=-1)
-    damp = np.exp(-lam2[..., None] * tg.t_values)
-    keep = damp.reshape(-1, damp.shape[-1]).max(axis=0) >= 1e-16
-    if not keep.any():
-        return np.zeros(plan.grid.shape)
-    band = TransformPlan(plan.grid, dual,
-                         tuple(M[s] for M, s in zip(plan.fwd, rows)),
-                         tuple(M[:, s] for M, s in zip(plan.inv, rows)))
-    fields = band.inverse(spec_vals[rows][..., None] * damp[..., keep])
-    return np.abs(fields).max(axis=-1)
+    t = tg.t_values
+    kept = np.stack([np.count_nonzero(
+        np.exp(-np.multiply.outer(t, ax.nodes**2)) >= 1e-16, axis=1)
+        for ax in dual.axes], axis=-1)
+    kept = np.minimum(-(-kept // ROW_GRANULE) * ROW_GRANULE,
+                      [ax.n for ax in dual.axes])
+    step = max(1, FIELD_COLUMNS // int(np.prod(batch)))
+    stop = 0
+    for prefix, group in groupby(kept.tolist()):
+        start, stop = stop, stop + len(list(group))
+        if min(prefix) == 0:
+            continue
+        sub = tuple(slice(0, p) for p in prefix)
+        mats = tuple(M[:, s.start:s.start + p]
+                     for M, s, p in zip(plan.inv, rows, prefix))
+        for lo in range(start, stop, step):
+            damp = np.exp(-lam2[sub][..., None] * t[lo:min(lo + step, stop)])
+            damp = damp.reshape(damp.shape[:d] + (1,) * len(batch) + (-1,))
+            fields = np.abs(_contract(mats, vals[sub][..., None] * damp))
+            np.maximum(out, fields.max(axis=-1), out=out)
+    return out
 
 
 def _local_ball_measure(alpha: MultiIndex, x, r):

@@ -43,23 +43,26 @@ def _box_geometry(d, samples):
 
 @lru_cache(maxsize=4)
 def _windowed_box(d, samples, beta, eta):
-    """What local_sobolev_norm needs apart from n and j: the flat indices of
-    the box points where eta != 0, those points and eta's values there, the
-    weight (1+|xi|^2)^beta, the Nyquist-edge mask and the step.
+    """What local_sobolev_norm needs apart from n and j: the shape of the
+    bounding box of eta's support, the flat indices within it of the points
+    where eta != 0, those points and eta's values there, the weight
+    (1+|xi|^2)^beta, the Nyquist-edge mask and the step.
 
     Cached for hashable partition windows, so the j-sweep of one profile
     builds it once; other windows call __wrapped__ and are not kept."""
     _, xi, step, mesh, xi2 = _box_geometry(d, samples)
-    etav = np.asarray(eta(mesh), dtype=complex).ravel()
-    support = np.flatnonzero(etav)
+    etav = np.asarray(eta(mesh), dtype=complex)
+    box = tuple(slice(i.min(), i.max() + 1) if i.size else slice(0, 0)
+                for i in np.nonzero(etav))
+    support = np.flatnonzero(etav[box])
     # Nyquist-edge shell: any axis frequency in the top eighth of the band
     cut = (7.0 / 8.0) * np.max(np.abs(xi))
     edge = reduce(np.logical_or.outer, [np.abs(xi) >= cut] * d)
-    arrays = (support, mesh.reshape(-1, d)[support], etav[support],
-              (1.0 + xi2) ** beta, edge)
+    arrays = (support, mesh[box].reshape(-1, d)[support],
+              etav[box].ravel()[support], (1.0 + xi2) ** beta, edge)
     for a in arrays:  # shared by every call that hits the cache
         a.flags.writeable = False
-    return arrays + (step,)
+    return (etav[box].shape,) + arrays + (step,)
 
 
 def local_sobolev_norm(n: Symbol, j, beta, eta=None, samples=None):
@@ -67,20 +70,24 @@ def local_sobolev_norm(n: Symbol, j, beta, eta=None, samples=None):
     on [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d, eta the plain partition bump
     unless given; a Nyquist tail above 1e-8 of the norm is warned about.
 
-    n is evaluated only at the box points where eta != 0; the product is
-    zero elsewhere."""
+    n is evaluated only at the box points where eta != 0, and only the
+    bounding box of those points is transformed, zero-padded to the whole
+    box axis by axis: moving the block to the box's corner multiplies its
+    transform by a phase of modulus 1, which |F g| does not see."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     eta = eta or make_partition("plain")
     d = n.d
     if samples is None:
         samples = _DEFAULT_SAMPLES.get(d, BOX_SAMPLES)
-    box = (_windowed_box if isinstance(eta, DyadicPartition)
-           else _windowed_box.__wrapped__)
-    support, pts, etav, weight, edge, step = box(d, samples, beta, eta)
-    g = np.zeros(weight.shape, dtype=complex)
+    windowed = (_windowed_box if isinstance(eta, DyadicPartition)
+                else _windowed_box.__wrapped__)
+    block, support, pts, etav, weight, edge, step = windowed(d, samples,
+                                                             beta, eta)
+    g = np.zeros(block, dtype=complex)
     g.flat[support] = etav * n(pts * 2.0**j)
-    spec = np.fft.fftn(g) * step**d  # |F g| on the xi lattice (up to phase)
+    # |F g| on the xi lattice (up to phase)
+    spec = np.fft.fftn(g, s=weight.shape, axes=tuple(range(d))) * step**d
     dxi = 2.0 * np.pi / (2.0 * BOX_HALFWIDTH)
     density = np.abs(spec) ** 2 * weight
     total = np.sum(density) * dxi**d / (2.0 * np.pi) ** d

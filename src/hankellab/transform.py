@@ -94,16 +94,15 @@ def _weighted(grid, values):
 
 def _contract(mats, values):
     """Apply mats[k] along axis k of values; axes past len(mats) are a
-    batch.  Complex values against real matrices contract their real and
-    imaginary parts separately, so no complex copy of a matrix is made."""
+    batch.  Complex values against real matrices are contracted as their
+    interleaved float view, (real, imaginary) a last batch axis of length
+    2: one real contraction, viewed back as complex, and no complex copy
+    of a matrix."""
     values = np.asarray(values)
     if values.dtype.kind != "c" or any(np.iscomplexobj(M) for M in mats):
         return _contract_axes(mats, values)
-    re = _contract_axes(mats, values.real)
-    out = np.empty(re.shape, dtype=np.result_type(re, values))
-    out.real = re
-    out.imag = _contract_axes(mats, values.imag)
-    return out
+    out = _contract_axes(mats, values[..., None].view(values.real.dtype))
+    return out.view(np.result_type(out, np.complex64))[..., 0]
 
 
 def _contract_axes(mats, values):

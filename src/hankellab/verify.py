@@ -466,10 +466,54 @@ def _atom_radii(y0, r):
 
 
 def sweep_radii(sweep):
-    """Every R and Lambda of the grids of the CZ ("cz") or H^1 ("h1") sweep."""
+    """Every R and Lambda of the grids the CZ ("cz") or H^1 ("h1") sweep
+    builds.  The H^1 sweep builds its spatial and dual grids at unit scale,
+    one pair per centre ratio, and per radius r only the dual grids at the
+    atom's scale, Lambda / r (_h1_orbit)."""
     if sweep == "cz":
         return np.ravel([list(_cz_band(y, yp).values()) for y, yp in default_cz_pairs()])
-    return np.ravel([_atom_radii(y0, r) for y0, r in default_atom_family()])
+    atoms = default_atom_family()
+    unit = np.array([_atom_radii(c, 1.0)
+                     for c in sorted({round(y0 / r, 9) for y0, r in atoms})])
+    lam = unit[0, :, 1]  # the fine and coarse Lambda, alike for every c
+    return np.concatenate([unit.ravel(), np.ravel([lam / r for _, r in atoms])])
+
+
+def _orbit_sums(plan, spec, m, psi_squared, radii, profiled, tg, sels):
+    """Per radius r in radii, the L^1(dnu) sums over each selection in sels
+    of the maximal field of spec under the dilated symbol m(lambda / r),
+    and {r: (jc, per-j sums)} for r in profiled: the sums over the last
+    selection of the per-j fields, j = jc - 8 .. jc + 8, jc = -2 log2(r),
+    with 0 for a piece whose dyadic window reaches past the dual axis (on
+    the coarse axis, 10 / r, the top ones; on the fine axis, 40 / r, none).
+
+    m(lambda / r) is sampled on the dual grid at the atom's own scale
+    (R / r), whose nodes are the plan's dual nodes over r.  All radii go
+    through one _maximal_field call, along a batch axis; each per-j field
+    is a call of its own, contracting only its band."""
+    w = plan.grid.weight_tensor()
+    dual = plan.dual_grid.axes[0]
+    scaled = [Grid.build(plan.grid.alpha, R=dual.R / r, n=dual.n)
+              for r in radii]
+    mvals = [_symbol_values(g, m) for g in scaled]
+    field = _maximal_field(plan, np.stack(mvals, axis=-1) * spec[:, None],
+                           tg)
+    sums = [w[sel] @ field[sel] for sel in sels]
+    profiles = {}
+    for r, g, mv in zip(radii, scaled, mvals):
+        if r not in profiled:
+            continue
+        jc = int(round(-2.0 * np.log2(r)))
+        prof = []
+        for j in range(jc - 8, jc + 9):
+            val = 0.0
+            if 2.0 ** ((j + 1) / 2.0) <= g.axes[0].R:
+                mj = dyadic_symbol_values(g, mv, psi_squared, j)
+                fj = _maximal_field(plan, mj * spec, tg)
+                val = float(np.sum(fj[sels[-1]] * w[sels[-1]]))
+            prof.append(val)
+        profiles[r] = jc, prof
+    return sums, profiles
 
 
 def _h1_orbit(alpha, m, psi_squared, c, radii, profiled):
@@ -481,50 +525,38 @@ def _h1_orbit(alpha, m, psi_squared, c, radii, profiled):
     parts of its maximal function are the unit atom's under the dilated
     symbol m(lambda / r), with times r^2 t.  So the fine, coarse and
     transfer plans, the atom, its spectra and the time grid are built once,
-    at r = 1; per radius only m is sampled, on the dual grids at the atom's
-    own scale (R / r), whose nodes are the unit dual nodes lambda over r.
+    at r = 1, and every radius is a batch entry of one maximal field per
+    plan (_orbit_sums).  The fine plan's fields, the per-j ones included,
+    are summed and the plan dropped before the coarse and transfer plans
+    are built, so only one full kernel matrix is held at a time.
     """
     tg = TimeGrid(np.geomspace(1e-5, 1e5, 80))
     F = c + 18.0
     (R_f, Lam_f), (R_c, Lam_c) = _atom_radii(c, 1.0)
     grid_f, dual_f = adapted_grids(alpha, R_f, Lam_f, n_dual=640)
     fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]), dual_f)
+    atom = make_atom(fine.grid, c, 1.0).values.values
+    on = atom != 0
+    support = fine.grid.restrict([on])
+    local_sel = np.abs(fine.grid.axes[0].nodes - c) <= 2.0
+    (local, near), near_j = _orbit_sums(fine, fine.forward(atom), m,
+                                        psi_squared, radii, profiled, tg,
+                                        (local_sel, ~local_sel))
+    del fine
     grid_c, dual_c = adapted_grids(alpha, R_c, Lam_c, ppw=4.0)
     coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]), dual_c)
-    atom = make_atom(fine.grid, c, 1.0).values.values
-    spec_f = fine.forward(atom)
     # atom spectrum on the coarse dual grid, by fine-grid quadrature over
     # the atom's support, where the other nodes add nothing
-    on = atom != 0
-    spec_c = adapted_plan(fine.grid.restrict([on]), dual_c).forward(atom[on])
-    w_f, w_c = fine.grid.weight_tensor(), coarse.grid.weight_tensor()
-    local_sel = np.abs(fine.grid.axes[0].nodes - c) <= 2.0
-    near_sel = ~local_sel
+    spec_c = adapted_plan(support, dual_c).forward(atom[on])
+    (far,), far_j = _orbit_sums(coarse, spec_c, m, psi_squared, radii,
+                                profiled, tg, (slice(None),))
     out = {}
-    for r in radii:
-        at_f, at_c = (Grid.build(alpha, R=dual.axes[0].R / r, n=dual.axes[0].n)
-                      for dual in (dual_f, dual_c))
-        mv_f, mv_c = _symbol_values(at_f, m), _symbol_values(at_c, m)
-        Mf = _maximal_field(fine, mv_f * spec_f, tg)
-        Mc = _maximal_field(coarse, mv_c * spec_c, tg)
-        parts = (float(np.sum(Mf[local_sel] * w_f[local_sel])),
-                 float(np.sum(Mf[near_sel] * w_f[near_sel])),
-                 float(np.sum(Mc * w_c)))
+    for i, r in enumerate(radii):
         profile = None
         if r in profiled:
-            jc = int(round(-2.0 * np.log2(r)))
-            prof = []
-            for j in range(jc - 8, jc + 9):
-                mj_f = dyadic_symbol_values(at_f, mv_f, psi_squared, j)
-                fj = _maximal_field(fine, mj_f * spec_f, tg)
-                val = float(np.sum(fj[near_sel] * w_f[near_sel]))
-                if 2.0 ** ((j + 1) / 2.0) <= at_c.axes[0].R:
-                    mj_c = dyadic_symbol_values(at_c, mv_c, psi_squared, j)
-                    fc = _maximal_field(coarse, mj_c * spec_c, tg)
-                    val += float(np.sum(fc * w_c))
-                prof.append(val)
-            profile = jc, prof
-        out[r] = parts, profile
+            jc, prof = near_j[r]
+            profile = jc, [a + b for a, b in zip(prof, far_j[r][1])]
+        out[r] = (float(local[i]), float(near[i]), float(far[i])), profile
     return out
 
 
@@ -535,10 +567,11 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     Each atom is measured as the unit atom of its centre ratio c = y0 / r
     under the dilated symbol m(lambda / r) (_h1_orbit), so the family needs
     one unit atom and three plans per centre ratio, 9 builds in all, and
-    holds one ratio's three kernel matrices at a time.  The unit atom gets
-    two adapted grid pairs: a fine one resolving the atom scale out to a
-    margin of 24 radii, and a coarse one carrying the slowly decaying
-    maximal-function tail out to hundreds of radii.  The fine kernel is
+    holds one full kernel matrix at a time; the radii of a ratio are one
+    batch of one maximal field per plan.  The unit atom gets two adapted
+    grid pairs: a fine one resolving the atom scale out to a margin of 24
+    radii, and a coarse one carrying the slowly decaying maximal-function
+    tail out to hundreds of radii.  The fine kernel is
     evaluated only on the nodes x <= F = c + 18, which hold the atom's
     support and where the local and near parts are read, and the coarse
     kernel only on the nodes x > F, where the far part is read.  The atom's
@@ -546,9 +579,10 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     is evaluated only on the atom's support.  The time window is
     t in [1e-5, 1e5] at unit scale, r^2 [1e-5, 1e5] at the atom's, since a
     fixed window truncates the supremum below the smallest atom scales and
-    fakes a radius trend.  The per-j fields contract only the dual rows of
-    their dyadic band (_maximal_field).  The measurements keep the family's
-    order.
+    fakes a radius trend.  Every field contracts only the (dual row, time)
+    pairs that the heat damping keeps above 1e-16, and the per-j fields
+    only the rows of their dyadic band (_maximal_field).  The measurements
+    keep the family's order.
 
     Passes when the per-radius max of the total norm is flat in the radius
     and the per-j far profile peaks near j = -2 log2(r) and its ends fall

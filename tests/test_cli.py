@@ -17,9 +17,12 @@ from hankellab import cli
 from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
                            _make_parser, _parse_config_file, build_config,
                            main)
+from hankellab.dyadic import make_partition
 from hankellab.grid import Grid, axis_size
 from hankellab.sobolev import SpectralTailWarning
+from hankellab.specfun import MultiIndex
 from hankellab.symbols import parse_symbol
+from hankellab.verify import h1_atom_check
 
 
 def run_cli(args):
@@ -154,7 +157,7 @@ class TestConfigHandling:
         (["transform-selftest", "--R", "1e-310"], "R = 1e-310"),
         (["lp-probe", "--R", "4"], "R = 4.0: lp-probe draws"),
         (["cz-check", "--alpha", "50"], "alpha = (50.0,), cz-check"),
-        (["h1-check", "--alpha", "50"], "alpha = (50.0,), h1-check"),
+        (["h1-check", "--alpha", "54.5"], "alpha = (54.5,), h1-check"),
         (["transform-selftest", "--alpha", "60", "--R", "4", "--n", "64"],
          "alpha = (60.0,), n = 64"),
         (["transform-selftest", "--alpha", "80", "--R", "2"],
@@ -168,7 +171,7 @@ class TestConfigHandling:
             "dims-below-alpha-count", "n-not-an-int", "jmin-not-an-int",
             "beta-not-a-float", "suite-named-twice",
             "lp-under-resolved", "lp-R-subnormal", "R-subnormal",
-            "lp-R-below-8", "cz-alpha-50", "h1-alpha-50",
+            "lp-R-below-8", "cz-alpha-50", "h1-alpha-54.5",
             "weight-unresolved-near-R", "kernel-table-above-cap"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
@@ -204,9 +207,26 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("suite", ["cz-check", "h1-check"])
     def test_sweeps_accept_alpha_20(self, suite):
-        # their largest radii, 4.6e5 (cz) and 4160 (h1), raised to
+        # their largest radii, 4.6e5 (cz) and 640 (h1), raised to
         # 2 alpha + 1 = 41 are still normal floats
         cli._check_config(RunConfig(alpha=(20.0,)), [suite])
+
+    def test_h1_check_runs_at_alpha_50(self, tmp_path):
+        # the sweep's largest radius is the dual axis at 40 / r = 640, and
+        # 640^101 is a normal float
+        assert run_cli(["h1-check", "--alpha", "50",
+                        "--output", str(tmp_path)]) == 0
+
+    def test_h1_gate_refuses_where_the_sweep_overflows(self):
+        # 640^(2 alpha + 1) leaves the normal floats from alpha = 54.4243:
+        # the gate admits the last alpha below and the sweep itself
+        # overflows at the first refused one, 54.5
+        cli._check_config(RunConfig(alpha=(54.4242,)), ["h1-check"])
+        with pytest.raises(ValueError, match="normal floats"):
+            cli._check_config(RunConfig(alpha=(54.4243,)), ["h1-check"])
+        with pytest.raises(OverflowError):
+            h1_atom_check(MultiIndex((54.5,)), parse_symbol(
+                RunConfig().symbol, 1), make_partition("squared"))
 
     @pytest.mark.parametrize("line", [
         "digest = abc", "__class__ = x", "suite = h1-check"],

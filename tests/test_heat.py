@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab import transform
+from hankellab import heat
 from hankellab.dyadic import make_partition
 from hankellab.grid import AxisGrid, Grid, GridFunction, norm
-from hankellab.heat import (HEAT_NORMALIZATION, HeatKernelEval, TimeGrid,
-                            _axis_kernel, _maximal_field, gaussian_bound_check,
-                            heat_apply, heat_kernel, heat_lipschitz_check,
-                            maximal_function)
+from hankellab.heat import (HEAT_NORMALIZATION, ROW_GRANULE, HeatKernelEval,
+                            TimeGrid, _axis_kernel, _maximal_field,
+                            gaussian_bound_check, heat_apply, heat_kernel,
+                            heat_lipschitz_check, maximal_function)
 from hankellab.specfun import MultiIndex
 from hankellab.transform import hankel_transform, inverse_hankel
 
@@ -209,13 +209,35 @@ class TestMaximalFunction:
         assert got.shape == plan.grid.shape
         assert not got.any()
 
+    @staticmethod
+    def _recorded_rows(plan, monkeypatch):
+        # per _contract call of _maximal_field, the (first, stop) rows of
+        # plan.inv[k] that its matrix k holds; each is a column slice view
+        calls = []
+        contract = heat._contract
+
+        def recorded(mats, values):
+            spans = []
+            for M, full in zip(mats, plan.inv):
+                offset = M.ctypes.data - full.ctypes.data
+                first, rem = divmod(offset, full.strides[1])
+                assert rem == 0 and M.strides == full.strides
+                assert np.array_equal(M, full[:, first:first + M.shape[1]])
+                spans.append((first, first + M.shape[1]))
+            calls.append(spans)
+            return contract(mats, values)
+
+        monkeypatch.setattr(heat, "_contract", recorded)
+        return calls
+
     @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
     def test_band_limited_field_contracts_only_its_band(self, plan_name,
                                                          request,
                                                          monkeypatch):
         # a spectrum vanishing off the j = 2 window of the squared
-        # partition, 2 <= |lambda|^2 <= 8: per axis, only the dual rows from
-        # its first to its last nonzero one enter the contraction
+        # partition, 2 <= |lambda|^2 <= 8: per axis, every contraction reads
+        # only dual rows from its first to its last nonzero one, starting at
+        # the first
         plan = request.getfixturevalue(plan_name)
         center = [4.0] * plan.grid.d
         spec = hankel_transform(plan, gaussian_bump(plan.grid, center, 1.0))
@@ -223,14 +245,7 @@ class TestMaximalFunction:
             2, plan.dual_grid.squared_mesh()) * spec.values)
         tg = TimeGrid(np.concatenate([np.geomspace(0.05, 20.0, 9),
                                       [1e13, 1e14]]))
-        widths = []
-        contract = transform._contract
-
-        def recorded(mats, values):
-            widths.append([M.shape[1] for M in mats])
-            return contract(mats, values)
-
-        monkeypatch.setattr(transform, "_contract", recorded)
+        calls = self._recorded_rows(plan, monkeypatch)
         got = _maximal_field(plan, vals, tg)
         monkeypatch.undo()
         want = self._stepwise_field(plan, vals, tg)
@@ -238,11 +253,67 @@ class TestMaximalFunction:
         rows = [np.flatnonzero(nz.any(axis=tuple(a for a in range(nz.ndim)
                                                  if a != k)))
                 for k in range(nz.ndim)]
-        assert widths == [[r[-1] - r[0] + 1 for r in rows]]
+        assert calls
+        for spans in calls:
+            assert all(first == r[0] and stop <= r[-1] + 1
+                       for (first, stop), r in zip(spans, rows))
         assert all(r[-1] + 1 < ax.n
                    for r, ax in zip(rows, plan.dual_grid.axes))
         assert got.shape == plan.grid.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    def test_damped_rows_are_not_contracted(self, plan_name, request,
+                                            monkeypatch):
+        # at t = 4 every row with lambda_k^2 > 4 log 10 is damped below
+        # 1e-16 on its own axis, so that time contracts a prefix of each
+        # axis, at most ROW_GRANULE - 1 rows past the last row it keeps and
+        # short of the axis's end; at t = 1e-6 no row is damped and the
+        # whole axis is contracted
+        plan = request.getfixturevalue(plan_name)
+        vals = np.ones(plan.dual_grid.shape, dtype=complex)
+        tg = TimeGrid(np.array([1e-6, 4.0]))
+        calls = self._recorded_rows(plan, monkeypatch)
+        got = _maximal_field(plan, vals, tg)
+        monkeypatch.undo()
+        kept = [np.count_nonzero(np.exp(-4.0 * ax.nodes**2) >= 1e-16)
+                for ax in plan.dual_grid.axes]
+        assert calls[0] == [(0, ax.n) for ax in plan.dual_grid.axes]
+        assert len(calls) == 2
+        for (first, stop), k, ax in zip(calls[1], kept, plan.dual_grid.axes):
+            assert first == 0 and k <= stop < min(k + ROW_GRANULE, ax.n)
+        want = self._stepwise_field(plan, vals, tg)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("columns", [None, 4])
+    def test_batch_axis_gives_one_field_per_slice(self, plan_name, kind,
+                                                  columns, request,
+                                                  monkeypatch):
+        # three spectra along a trailing batch axis, one of them limited to
+        # a dyadic band, so that the batch's band is wider than its own; at
+        # 4 columns per contraction a group of times is split as well
+        plan = request.getfixturevalue(plan_name)
+        if columns is not None:
+            monkeypatch.setattr(heat, "FIELD_COLUMNS", columns)
+        lam2 = plan.dual_grid.squared_mesh()
+        specs = [hankel_transform(plan, gaussian_bump(
+            plan.grid, [c] * plan.grid.d, 1.0)).values.real
+            for c in (2.0, 4.0, 6.0)]
+        specs[1] = make_partition("squared").piece(1, lam2) * specs[1]
+        vals = np.stack(specs, axis=-1)
+        if kind == "complex":
+            vals = vals * np.exp(1j * np.sqrt(lam2.sum(axis=-1)))[..., None]
+        tg = TimeGrid(np.concatenate([np.geomspace(0.05, 20.0, 9),
+                                      [1e13, 1e14]]))
+        got = _maximal_field(plan, vals, tg)
+        assert got.shape == plan.grid.shape + (3,) and got.dtype == float
+        for i in range(3):
+            one = _maximal_field(plan, vals[..., i], tg)
+            want = self._stepwise_field(plan, vals[..., i], tg)
+            assert np.max(np.abs(got[..., i] - one)) <= 1e-13 * np.max(one)
+            assert np.max(np.abs(got[..., i] - want)) <= 1e-13 * np.max(want)
 
     @pytest.mark.parametrize("plan_name", ["plan_half", "plan_2d"])
     def test_field_of_a_zero_spectrum_is_zero(self, plan_name, request):

@@ -393,7 +393,11 @@ class TestRestrictedSweeps:
 
         monkeypatch.setattr(verify, "_maximal_field", recorded)
         verify.h1_atom_check(alpha, m, make_partition("squared"))
+        # the first field is the fine plan's, one column per radius of the
+        # orbit, here the one radius at centre ratio c
         grid, field = fields[0]
+        assert field.shape == grid.shape + (1,)
+        field = field[:, 0]
         x, w = grid.axes[0].nodes, grid.weight_tensor()
         F = c + 18.0
         assert x.max() <= F
