@@ -25,7 +25,7 @@ from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex, check_tabled
 from .symbols import parse_symbol
-from .sobolev import SpectralTailWarning, hormander_sup
+from .sobolev import SpectralTailWarning, box_samples, hormander_sup
 from .transform import TransformPlan, hankel_transform, inverse_hankel
 from .verify import (DEFAULT_SEED, cz_hormander_check, h1_atom_check,
                      lp_norm_probe, sweep_radii, weak11_probe)
@@ -211,13 +211,30 @@ def _estimate_run_bytes(suite, dims, nodes):
             + dims * KERNEL_TABLE_PEAK)
 
 
-def _plan(cfg, suite):
-    need = _estimate_run_bytes(suite, cfg.dims, axis_size(cfg.n))
+def _check_memory(need, what):
     if need > MEMORY_LIMIT_BYTES:
         raise MemoryError(  # Decimal: need / 2**30 overflows a float
-            f"the run would need ~{Decimal(need) / 2**30:.3g} GiB of kernel "
-            "matrices and grid values; reduce n or dims")
+            f"the run would need ~{Decimal(need) / 2**30:.3g} GiB of {what}")
+
+
+def _plan(cfg, suite):
+    _check_memory(_estimate_run_bytes(suite, cfg.dims, axis_size(cfg.n)),
+                  "kernel matrices and grid values; reduce n or dims")
     return TransformPlan.build(Grid.build(cfg.alpha, R=cfg.R, n=cfg.n))
+
+
+# multiplier-check's peak per point of its samples^d Sobolev box, by
+# tracemalloc, rounded up: 45.5 bytes at d = 1 (16,384 to 65,536 samples)
+# and 37.8 at d = 2 (1024^2), the weight, the edge mask, the spectrum and its
+# density; besides, up to 0.18 MB that does not grow with the box, mostly
+# numpy.fft's first import
+BOX_PEAK = 48
+BOX_FIXED_PEAK = 1 << 18
+
+
+def _estimate_box_bytes(dims):
+    """Peak bytes of multiplier-check's Sobolev box in `dims` dimensions."""
+    return BOX_PEAK * box_samples(dims) ** dims + BOX_FIXED_PEAK
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +305,8 @@ def suite_heat_selftest(cfg, sym):
 
 
 def suite_multiplier_check(cfg, sym):
+    _check_memory(_estimate_box_bytes(cfg.dims), "Sobolev box values ("
+                  f"{box_samples(cfg.dims)}^{cfg.dims} points); reduce dims")
     # drops the profile's SpectralTailWarnings, 21 for the default symbol at
     # d = 1 and at d = 2: the box samples leave a Nyquist tail of 1.0e-5
     # (d = 1) and 2.4e-3 (d = 2) of the norm at j = 0, above the 1e-8

@@ -13,6 +13,8 @@ import numpy as np
 
 # values below this are identically zero as far as the partition is concerned
 ZERO_CLIP = 1e-300
+# outer radius of A_{1/2,2}: both variants are exactly 0 for |u| >= this
+SUPPORT_RADIUS = 2.0
 
 
 def _glue(t):

@@ -7,6 +7,13 @@ supported product, via an FFT on [-B, B]^d.  The support sits inside
 A_{1/2,2} subset [-2,2]^d, so a halfwidth-8 box keeps periodization
 wraparound below tolerance for beta <= 6; the Nyquist-edge tail is
 monitored and warned about.
+
+Support-block rule: a partition window is exactly 0 for |u| >=
+dyadic.SUPPORT_RADIUS, so it is evaluated, and its support points kept,
+only on the block of box nodes with every |u_k| <= SUPPORT_RADIUS; any
+other window is evaluated on the whole box.  The samples^d lattice itself
+holds only what the FFT needs: the weight, the Nyquist-edge mask and the
+spectrum.
 """
 
 import warnings
@@ -15,7 +22,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .dyadic import DyadicPartition, make_partition
+from .dyadic import SUPPORT_RADIUS, DyadicPartition, make_partition
 from .symbols import Symbol, table_symbol
 
 BOX_HALFWIDTH = 8.0
@@ -29,16 +36,24 @@ class SpectralTailWarning(UserWarning):
     """Energy at the Nyquist edge of the periodized box is not negligible."""
 
 
+def box_samples(d):
+    """Per-axis sample count of the periodized box in d dimensions."""
+    return _DEFAULT_SAMPLES.get(d, BOX_SAMPLES)
+
+
 def _box_geometry(d, samples):
-    """Axis nodes u, frequencies xi and step of the periodized box, its mesh
-    (samples^d points, last axis of length d) and |xi|^2 on the matching
-    frequency lattice."""
+    """Axis nodes u, frequencies xi and step of the periodized box, and
+    |xi|^2 on its frequency lattice (samples^d points)."""
     step = 2.0 * BOX_HALFWIDTH / samples
     u = -BOX_HALFWIDTH + step * np.arange(samples)
     xi = 2.0 * np.pi * np.fft.fftfreq(samples, d=step)
-    mesh = np.stack(np.meshgrid(*([u] * d), indexing="ij"), axis=-1)
     xi2 = reduce(np.add.outer, [xi**2] * d)
-    return u, xi, step, mesh, xi2
+    return u, xi, step, xi2
+
+
+def _mesh(nodes, d):
+    """The points of the lattice nodes^d, last axis of length d."""
+    return np.stack(np.meshgrid(*([nodes] * d), indexing="ij"), axis=-1)
 
 
 @lru_cache(maxsize=4)
@@ -48,9 +63,17 @@ def _windowed_box(d, samples, beta, eta):
     where eta != 0, those points and eta's values there, the weight
     (1+|xi|^2)^beta, the Nyquist-edge mask and the step.
 
+    A partition window is evaluated only on its support block, the nodes
+    with every |u_k| <= SUPPORT_RADIUS; it is 0 beyond, so its support and
+    bounding box are those it has on the whole box, where other windows
+    are evaluated.
+
     Cached for hashable partition windows, so the j-sweep of one profile
     builds it once; other windows call __wrapped__ and are not kept."""
-    _, xi, step, mesh, xi2 = _box_geometry(d, samples)
+    u, xi, step, xi2 = _box_geometry(d, samples)
+    if isinstance(eta, DyadicPartition):
+        u = u[np.abs(u) <= SUPPORT_RADIUS]
+    mesh = _mesh(u, d)
     etav = np.asarray(eta(mesh), dtype=complex)
     box = tuple(slice(i.min(), i.max() + 1) if i.size else slice(0, 0)
                 for i in np.nonzero(etav))
@@ -79,7 +102,7 @@ def local_sobolev_norm(n: Symbol, j, beta, eta=None, samples=None):
     eta = eta or make_partition("plain")
     d = n.d
     if samples is None:
-        samples = _DEFAULT_SAMPLES.get(d, BOX_SAMPLES)
+        samples = box_samples(d)
     windowed = (_windowed_box if isinstance(eta, DyadicPartition)
                 else _windowed_box.__wrapped__)
     block, support, pts, etav, weight, edge, step = windowed(d, samples,
@@ -147,8 +170,8 @@ def potential_symbol(d, s, h_name):
         raise ValueError(f"unknown h profile {h_name!r}; have {sorted(_H_PROFILES)}")
     h, h_sup = _H_PROFILES[h_name]
     s = float(s)
-    u, _, _, mesh, xi2 = _box_geometry(d, BOX_SAMPLES)
-    hv = np.asarray(h(mesh), dtype=complex)
+    u, _, _, xi2 = _box_geometry(d, BOX_SAMPLES)
+    hv = np.asarray(h(_mesh(u, d)), dtype=complex)
     nv = np.fft.ifftn(np.fft.fftn(hv) * (1.0 + xi2) ** (-s / 2.0))
     return table_symbol([u] * d, nv, h_sup + 1e-12,
                         f"potential{{s={s},h={h_name}}}")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankellab import cli
+from hankellab import cli, sobolev
 from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
                            _make_parser, _parse_config_file, build_config,
                            main)
@@ -446,6 +446,34 @@ class TestExitStatuses:
             tracemalloc.stop()
         assert peak < cli._estimate_run_bytes(suite, dims,
                                               keep or axis_size(n))
+
+    def test_memory_refusal_of_the_sobolev_box(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the 512^3 box points of multiplier-check at d = 3: its mesh alone
+        # would be 3.2 GB
+        def no_box(*a, **k):
+            raise AssertionError("_box_geometry called")
+
+        monkeypatch.setattr(sobolev, "_box_geometry", no_box)
+        code = run_cli(["multiplier-check", "--dims", "3",
+                        "--output", str(tmp_path)])
+        assert code == 1
+        assert "refusing to run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims,samples", [(1, 2048), (2, 1024)])
+    def test_box_estimate_covers_the_multiplier_check_peak(self, dims,
+                                                           samples):
+        assert sobolev.box_samples(dims) == samples
+        cfg = RunConfig(alpha=(0.5,) * dims, dims=dims)
+        sym = parse_symbol(cfg.symbol, dims)
+        sobolev._windowed_box.cache_clear()  # the peak includes its build
+        tracemalloc.start()
+        try:
+            cli.suite_multiplier_check(cfg, sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cli._estimate_box_bytes(dims)
 
     @pytest.mark.parametrize("suite,fits", [("transform-selftest", True),
                                             ("lp-probe", True),

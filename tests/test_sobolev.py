@@ -16,24 +16,30 @@ from hankellab.symbols import (bump_symbol, constant_symbol,
 mpmath.mp.dps = 25
 
 
-def whole_box_norm(n, j, beta, eta, samples):
-    """The localized norm with n(2^j .) sampled on the whole box, as it was
-    computed before evaluation was restricted to eta's support."""
+def whole_box_norms(n, eta, samples, js, betas):
+    """The localized norms at each (j, beta) with n(2^j .) sampled on the
+    whole box, as they were computed before evaluation was restricted to
+    eta's support."""
     d = n.d
     step = 2.0 * BOX_HALFWIDTH / samples
     u = -BOX_HALFWIDTH + step * np.arange(samples)
     xi = 2.0 * np.pi * np.fft.fftfreq(samples, d=step)
     mesh = np.stack(np.meshgrid(*([u] * d), indexing="ij"), axis=-1)
-    g = np.asarray(eta(mesh), dtype=complex) * n(mesh * 2.0**j)
-    spec = np.fft.fftn(g) * step**d
-    xi2 = np.zeros(spec.shape)
+    etav = np.asarray(eta(mesh), dtype=complex)
+    xi2 = np.zeros((samples,) * d)
     for k in range(d):
         sh = [1] * d
         sh[k] = samples
         xi2 = xi2 + (xi**2).reshape(sh)
     dxi = 2.0 * np.pi / (2.0 * BOX_HALFWIDTH)
-    density = np.abs(spec) ** 2 * (1.0 + xi2) ** beta
-    return float(np.sqrt(np.sum(density) * dxi**d / (2.0 * np.pi) ** d))
+    norms = {}
+    for j in js:
+        spec = np.fft.fftn(etav * n(mesh * 2.0**j)) * step**d
+        for beta in betas:
+            density = np.abs(spec) ** 2 * (1.0 + xi2) ** beta
+            norms[j, beta] = float(np.sqrt(np.sum(density) * dxi**d
+                                           / (2.0 * np.pi) ** d))
+    return norms
 
 
 _WINDOWS = {
@@ -82,19 +88,38 @@ class TestLocalNorm:
         with pytest.raises(ValueError):
             local_sobolev_norm(bump_symbol(1), 0, -1.0)
 
-    @pytest.mark.parametrize("d,samples", [(1, 2048), (2, 512)])
+    @pytest.mark.parametrize("d,samples", [(1, 2048), (2, 512), (2, 1024)])
     @pytest.mark.parametrize("window", sorted(_WINDOWS))
     def test_support_only_matches_whole_box(self, d, samples, window):
         n = laplace_type_symbol(d, "imag_power", gamma=1.0)
         eta = _WINDOWS[window]
+        want = whole_box_norms(n, eta, samples, (-6, 0, 5), (0.0, 2.5))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SpectralTailWarning)
-            for beta in (0.0, 2.5):
-                for j in (-6, 0, 5):
-                    got = local_sobolev_norm(n, j, beta, eta=eta,
-                                             samples=samples)
-                    want = whole_box_norm(n, j, beta, eta, samples)
-                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+            for (j, beta), norm in want.items():
+                got = local_sobolev_norm(n, j, beta, eta=eta, samples=samples)
+                assert got == pytest.approx(norm, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d,samples", [(1, 2048), (2, 1024), (3, 64)])
+    @pytest.mark.parametrize("variant", ["plain", "squared"])
+    def test_partition_window_sees_only_its_support_block(
+            self, d, samples, variant, monkeypatch):
+        # the bump vanishes for |u| >= 2, so it is evaluated at most on the
+        # nodes with every |u_k| <= 2
+        from hankellab.dyadic import DyadicPartition
+        from hankellab.sobolev import _windowed_box
+
+        points = []
+        call = DyadicPartition.__call__
+
+        def recording(self, u):
+            points.append(np.asarray(u).size // d)
+            return call(self, u)
+
+        monkeypatch.setattr(DyadicPartition, "__call__", recording)
+        _windowed_box.__wrapped__(d, samples, 2.0, make_partition(variant))
+        step = 2.0 * BOX_HALFWIDTH / samples
+        assert 0 < sum(points) <= (int(4.0 / step) + 1) ** d
 
     def test_fresh_windows_are_not_cached(self):
         # a window built per call (as global_sobolev_norm's is) must not
