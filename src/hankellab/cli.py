@@ -20,13 +20,13 @@ from . import __version__
 from .dyadic import make_partition
 from .grid import (MIN_PPW, POINTS_PER_PANEL, Grid, GridFunction, axis_size,
                    check_normal_floats, check_weight_resolved, norm,
-                   points_per_wavelength)
-from .heat import HeatKernelEval, gaussian_bound_check, heat_apply
+                   points_per_wavelength, product_values)
+from .heat import HeatKernelEval, axis_heat_matrix, gaussian_bound_check
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex, check_tabled
 from .symbols import parse_symbol
 from .sobolev import SpectralTailWarning, box_samples, hormander_sup
-from .transform import TransformPlan, hankel_transform, inverse_hankel
+from .transform import TransformPlan, _contract
 from .verify import (DEFAULT_SEED, cz_hormander_check, h1_atom_check,
                      lp_norm_probe, sweep_radii, weak11_probe)
 
@@ -194,8 +194,10 @@ def _check_config(cfg, names):
 
 
 # each Lambda = R suite's peak, plan build included, by tracemalloc, rounded
-# up: float kernel matrices per axis, 2.0, 4.1 and 2.0 at d = 1 (1024, 2048
-# nodes), and complex value tensors, 6.6, 7.1 and 9.6 at d = 3 (48^3, 64^3)
+# up: float kernel matrices per axis, 2.0, 3.7 and 2.0 at d = 1 (1024, 2048
+# nodes), and complex value tensors, 3.6, 1.0 and 9.6 at d = 3 (48^3, 64^3);
+# the self-tests transform their inputs axis by axis and form only real
+# value tensors, of products of the transformed factors
 RUN_PEAK = {"transform-selftest": (2, 7), "heat-selftest": (5, 8),
             "lp-probe": (2, 10)}
 # per axis besides: the Bessel kernel tables of its order (J and scaled I,
@@ -224,10 +226,12 @@ def _plan(cfg, suite):
 
 
 # multiplier-check's peak per point of its samples^d Sobolev box, by
-# tracemalloc, rounded up: 45.5 bytes at d = 1 (16,384 to 65,536 samples)
-# and 37.8 at d = 2 (1024^2), the weight, the edge mask, the spectrum and its
-# density; besides, up to 0.18 MB that does not grow with the box, mostly
-# numpy.fft's first import
+# tracemalloc, rounded up: 47.0 bytes at d = 1 (16,384 to 65,536 samples)
+# and 27.8 at d = 2 (1024^2), set by the window's build, whose weight
+# (1+|xi|^2)^beta takes three lattices while it is formed; a warm call adds
+# 28 bytes at d = 1, where the one line is the whole box, and 6.0 at d = 2,
+# the once-transformed block and one slab; besides, up to 0.18 MB that does
+# not grow with the box, mostly numpy.fft's first import
 BOX_PEAK = 48
 BOX_FIXED_PEAK = 1 << 18
 
@@ -249,16 +253,22 @@ def suite_transform_selftest(cfg, sym):
         parameters={"alpha": list(cfg.alpha), "n": cfg.n, "R": cfg.R},
         provenance="Plancherel identity and self-inversion battery",
     )
+    draws = [(rng.uniform(cfg.R / 8, cfg.R / 3, size=cfg.dims),
+              rng.uniform(0.8, 2.0)) for _ in range(8)]
+    centres = np.array([c for c, _ in draws])
+    widths = np.array([w for _, w in draws])
+    # Gaussian i is the product over the axes k of factors[k][:, i]
+    factors = [np.exp(-(((ax.nodes[:, None] - centres[:, k]) / widths) ** 2))
+               for k, ax in enumerate(grid.axes)]
+    spec = plan.forward_factors(factors)
+    back = plan.inverse_factors(spec)
     worst_pl, worst_inv = 0.0, 0.0
     for i in range(8):
-        c = rng.uniform(cfg.R / 8, cfg.R / 3, size=cfg.dims)
-        w = rng.uniform(0.8, 2.0)
-        f = grid.sample(lambda *xs: np.exp(
-            -np.sum(((np.stack(xs, axis=-1) - c) / w) ** 2, axis=-1)))
-        g = hankel_transform(plan, f)
+        f, g, fb = (GridFunction(on, product_values([F[:, i] for F in fs]))
+                    for on, fs in ((grid, factors), (plan.dual_grid, spec),
+                                   (grid, back)))
         pl = abs(norm(g, 2.0) / norm(f, 2.0) - 1.0)
-        back = inverse_hankel(plan, g)
-        inv = norm(back - f, 2.0) / norm(f, 2.0)
+        inv = norm(fb - f, 2.0) / norm(f, 2.0)
         worst_pl, worst_inv = max(worst_pl, pl), max(worst_inv, inv)
         rep.add(f"plancherel_dev@f{i}", pl)
         rep.add(f"inversion_err@f{i}", inv)
@@ -273,24 +283,27 @@ def suite_heat_selftest(cfg, sym):
     hk = HeatKernelEval(alpha)
     plan = _plan(cfg, "heat-selftest")
     grid = plan.grid
-    mesh = np.stack(grid.meshgrid(), axis=-1)
-    f = grid.sample(lambda *xs: np.exp(
-        -np.sum((np.stack(xs, axis=-1) - 2.0) ** 2, axis=-1)))
-    spec = hankel_transform(plan, f)
-    lam2 = plan.dual_grid.squared_mesh().sum(axis=-1)
+    # the Gaussian centred at (2, ..., 2), e^{-t |lambda|^2} and the heat
+    # kernel are all products over the axes: each route runs axis by axis
+    f = [np.exp(-((ax.nodes - 2.0) ** 2)) for ax in grid.axes]
+    spect = plan.inverse_factors([
+        S[:, None] * np.exp(-np.multiply.outer(dax.nodes**2, HEAT_TIMES))
+        for S, dax in zip(plan.forward_factors(f), plan.dual_grid.axes)])
     rep = EstimateReport(
         name="heat_selftest",
         parameters={"alpha": list(cfg.alpha), "n": cfg.n, "R": cfg.R},
         provenance="kernel route against the spectral Gaussian multiplier",
     )
     worst = 0.0
-    for t in HEAT_TIMES:
-        kern = heat_apply(hk, t, f).values
-        spect = inverse_hankel(
-            plan, GridFunction(plan.dual_grid, spec.values * np.exp(-t * lam2))
-        ).values
-        interior = np.all(mesh < (cfg.R - HEAT_MARGIN * np.sqrt(t)), axis=-1)
-        dev = float(np.max(np.abs((kern - spect)[interior])))
+    for i, t in enumerate(HEAT_TIMES):
+        # the routes are compared on the rows x_k < R - HEAT_MARGIN sqrt(t)
+        rows = [slice(0, np.count_nonzero(
+            ax.nodes < cfg.R - HEAT_MARGIN * np.sqrt(t))) for ax in grid.axes]
+        kern = [_contract((axis_heat_matrix(a, t, ax, r),), F)
+                for a, ax, r, F in zip(alpha.alpha, grid.axes, rows, f)]
+        dev = float(np.max(np.abs(
+            product_values(kern)
+            - product_values([S[r, i] for S, r in zip(spect, rows)]))))
         rep.add(f"route_deviation@t={t}", dev)
         worst = max(worst, dev)
     rng = np.random.default_rng(cfg.seed)

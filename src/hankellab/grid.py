@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -337,6 +337,12 @@ def norm(f: GridFunction, p=2.0, weight: WeightSpec | None = None):
     if p < 1:
         raise ValueError("p must be >= 1")
     return float(np.sum(g**p * w) ** (1.0 / p))
+
+
+def product_values(factors):
+    """The tensor of the product function whose axis-k factor is the vector
+    factors[k]."""
+    return reduce(np.multiply.outer, factors)
 
 
 def ball_measure(grid: Grid, center, r):

@@ -88,12 +88,19 @@ def heat_kernel(hk: HeatKernelEval, t, x, y):
     return out
 
 
+def axis_heat_matrix(alpha_k, t, ax, rows=slice(None)):
+    """The one-axis heat kernel T_t(x_i, y_j) times the weight of y_j, for
+    the nodes x_i of ax in rows and every node y_j: applied to an axis
+    factor, it gives that factor's T_t on those rows."""
+    return (_axis_kernel(alpha_k, t, ax.nodes[rows, None], ax.nodes[None, :])
+            * ax.quad_weights[None, :])
+
+
 def heat_apply(hk: HeatKernelEval, t, f: GridFunction):
     """Quadrature application of the heat kernel: T_t f."""
     if t <= 0:
         raise ValueError("t must be positive")
-    mats = [_axis_kernel(a, t, ax.nodes[:, None], ax.nodes[None, :])
-            * ax.quad_weights[None, :]
+    mats = [axis_heat_matrix(a, t, ax)
             for a, ax in zip(hk.alpha.alpha, f.grid.axes, strict=True)]
     return GridFunction(f.grid, _contract(mats, f.values))
 
@@ -133,7 +140,7 @@ def _maximal_field(plan, spec_vals, tg: TimeGrid):
         return out
     rows = tuple(slice(i.min(), i.max() + 1) for i in hit)
     dual = plan.dual_grid.restrict(rows)
-    vals = _weighted(dual, spec_vals[rows])
+    vals = _weighted(dual.weight_tensor(), spec_vals[rows])
     lam2 = dual.squared_mesh().sum(axis=-1)
     t = tg.t_values
     kept = np.stack([np.count_nonzero(

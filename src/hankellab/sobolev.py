@@ -11,9 +11,17 @@ monitored and warned about.
 Support-block rule: a partition window is exactly 0 for |u| >=
 dyadic.SUPPORT_RADIUS, so it is evaluated, and its support points kept,
 only on the block of box nodes with every |u_k| <= SUPPORT_RADIUS; any
-other window is evaluated on the whole box.  The samples^d lattice itself
-holds only what the FFT needs: the weight, the Nyquist-edge mask and the
-spectrum.
+other window is evaluated on the whole box.
+
+Axis order: the bounding block of the window's support is transformed
+along axes 0..d-2 first, zero-padded to the box, a pass over the block's
+lines only, far fewer than the box's; the last axis follows in slabs of
+SLAB_POINTS box points, each adding its weighted density and its
+Nyquist-edge part to two sums.
+So a call holds the once-transformed block (samples^(d-1) lines of the
+block's last-axis length) and one slab.  The only samples^d lattice is the
+weight (1+|xi|^2)^beta, cached with the window; no spectrum or density of
+the whole box is formed.
 """
 
 import warnings
@@ -30,6 +38,8 @@ BOX_SAMPLES = 512
 # per-axis sample counts; at j = 0 the Nyquist tail of the CLI's default
 # symbol measures 1.0e-5 of the norm at d=1 and 2.4e-3 at d=2
 _DEFAULT_SAMPLES = {1: 2048, 2: 1024}
+# box points per slab of local_sobolev_norm's last-axis transform
+SLAB_POINTS = 1 << 16
 
 
 class SpectralTailWarning(UserWarning):
@@ -61,7 +71,8 @@ def _windowed_box(d, samples, beta, eta):
     """What local_sobolev_norm needs apart from n and j: the shape of the
     bounding box of eta's support, the flat indices within it of the points
     where eta != 0, those points and eta's values there, the weight
-    (1+|xi|^2)^beta, the Nyquist-edge mask and the step.
+    (1+|xi|^2)^beta, the mask of the axis frequencies in the Nyquist-edge
+    shell and the step.
 
     A partition window is evaluated only on its support block, the nodes
     with every |u_k| <= SUPPORT_RADIUS; it is 0 beyond, so its support and
@@ -78,9 +89,9 @@ def _windowed_box(d, samples, beta, eta):
     box = tuple(slice(i.min(), i.max() + 1) if i.size else slice(0, 0)
                 for i in np.nonzero(etav))
     support = np.flatnonzero(etav[box])
-    # Nyquist-edge shell: any axis frequency in the top eighth of the band
-    cut = (7.0 / 8.0) * np.max(np.abs(xi))
-    edge = reduce(np.logical_or.outer, [np.abs(xi) >= cut] * d)
+    # the Nyquist-edge shell holds the points with an axis frequency in the
+    # top eighth of the band; edge marks those frequencies of one axis
+    edge = np.abs(xi) >= (7.0 / 8.0) * np.max(np.abs(xi))
     arrays = (support, mesh[box].reshape(-1, d)[support],
               etav[box].ravel()[support], (1.0 + xi2) ** beta, edge)
     for a in arrays:  # shared by every call that hits the cache
@@ -94,9 +105,16 @@ def local_sobolev_norm(n: Symbol, j, beta, eta=None, samples=None):
     unless given; a Nyquist tail above 1e-8 of the norm is warned about.
 
     n is evaluated only at the box points where eta != 0, and only the
-    bounding box of those points is transformed, zero-padded to the whole
-    box axis by axis: moving the block to the box's corner multiplies its
-    transform by a phase of modulus 1, which |F g| does not see."""
+    bounding box of those points is transformed: moving the block to the
+    box's corner multiplies its transform by a phase of modulus 1, which
+    |F g| does not see.  The block is transformed along axes 0..d-2 first,
+    zero-padded to the box, which leaves samples^(d-1) lines of the
+    block's last-axis length.  Those lines are then transformed along the
+    last axis, zero-padded too, a slab of SLAB_POINTS box points at a
+    time, and each slab adds its weighted density and its part of the
+    edge shell to the two sums.  So the call holds the once-transformed
+    block and one slab, never a samples^d spectrum or density (at d = 1
+    the one line is the whole box)."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     eta = eta or make_partition("plain")
@@ -109,17 +127,33 @@ def local_sobolev_norm(n: Symbol, j, beta, eta=None, samples=None):
                                                              beta, eta)
     g = np.zeros(block, dtype=complex)
     g.flat[support] = etav * n(pts * 2.0**j)
-    # |F g| on the xi lattice (up to phase)
-    spec = np.fft.fftn(g, s=weight.shape, axes=tuple(range(d))) * step**d
+    if d > 1:
+        g = np.fft.fftn(g, s=(samples,) * (d - 1), axes=tuple(range(d - 1)))
+    lines = g.reshape(samples ** (d - 1), block[-1])
+    weight = weight.reshape(lines.shape[0], samples)
+    # a line lies in the edge shell when one of its axes 0..d-2 does, and
+    # otherwise only its edge-shell frequencies of the last axis count
+    lead = reduce(np.logical_or.outer, [edge] * (d - 1),
+                  np.zeros((), bool)).ravel()
+    rows = max(1, SLAB_POINTS // samples)
+    total = tail = 0.0
+    for lo in range(0, lines.shape[0], rows):
+        density = np.abs(np.fft.fft(lines[lo:lo + rows], n=samples, axis=-1))
+        density **= 2
+        density *= weight[lo:lo + rows]
+        sums = density.sum(axis=-1)
+        total += sums.sum()
+        tail += np.where(lead[lo:lo + rows], sums,
+                         density[:, edge].sum(axis=-1)).sum()
+    # |F g| is the FFT times step^d, squared in the density, and the sums
+    # are Riemann sums over the xi lattice
     dxi = 2.0 * np.pi / (2.0 * BOX_HALFWIDTH)
-    density = np.abs(spec) ** 2 * weight
-    total = np.sum(density) * dxi**d / (2.0 * np.pi) ** d
-    tail = np.sum(density[edge]) * dxi**d / (2.0 * np.pi) ** d
-    nrm = float(np.sqrt(total))
-    if nrm > 0 and np.sqrt(tail) > 1e-8 * nrm:
+    scale = step ** (2 * d) * dxi**d / (2.0 * np.pi) ** d
+    nrm = float(np.sqrt(total * scale))
+    if nrm > 0 and np.sqrt(tail * scale) > 1e-8 * nrm:
         warnings.warn(
-            f"Sobolev norm: Nyquist tail {np.sqrt(tail) / nrm:.1e} of the norm "
-            f"(j={j}, beta={beta}); increase samples",
+            f"Sobolev norm: Nyquist tail {np.sqrt(tail * scale) / nrm:.1e} of "
+            f"the norm (j={j}, beta={beta}); increase samples",
             SpectralTailWarning,
         )
     return nrm

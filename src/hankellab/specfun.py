@@ -76,9 +76,11 @@ def _check_order(nu):
 # - the power series up to max(1/2, (2nu+25)/32); past it the ODE's singular
 #   solution u^{-2nu} would grow in the continuation's Taylor steps;
 # - from there to upper, the series continued along the ODE in
-#   degree-_SEED_DEGREE Taylor steps of h, in _CONTINUATION_DIGITS-digit
-#   decimal arithmetic, so that the round-off of some hundreds of steps does
-#   not reach the float seeds;
+#   degree-_SEED_DEGREE Taylor steps of h, the value and slope carried in
+#   _CONTINUATION_DIGITS-digit decimal arithmetic, so that the round-off of
+#   some hundreds of steps does not reach the float seeds; the terms of
+#   order h^2 and up are summed in floats, which moves the seeds by about
+#   one unit in their last place against all-decimal steps;
 # - from upper on, the expansion.  upper is where its first omitted term
 #   falls below _EXPANSION_TOL of the envelope u^{-nu-1/2} at the orders nu
 #   and nu + 1 (the slope is the order nu + 1); it grows like nu^2.
@@ -163,7 +165,7 @@ def _ode_taylor(kind, nu, c, f, df, degree):
     """Taylor coefficients about c != 0, to degree, of the solution with value
     f and slope df of u f'' + (2nu+1) f' + u f = 0 (kind "J") or of
     u h'' + (2u+2nu+1) h' + (2nu+1) h = 0 (kind "I"); c, f and df may be
-    float arrays of centres or Decimals."""
+    floats or float arrays over centres."""
     t = [f, df]
     for m in range(degree - 1):
         if kind == "J":
@@ -187,19 +189,32 @@ def _horner(coefs, x):
 
 def _continued(kind, nu, c, f, df, steps):
     """(values, slopes) at c + i h, 0 < i <= steps, continued along the ODE
-    from the value f and slope df at c."""
+    from the value f and slope df at c.
+
+    A step's Taylor coefficients t_k are linear in the value and slope it
+    starts from, t_k = f p_k + f' q_k.  For k >= 2 they enter the step's
+    sums times h^k <= 1/64, so p_k and q_k are taken in floats, for every
+    step's centre at once; the value and slope that the steps carry, and
+    the sums that add each step to them, are kept in decimal."""
+    centres = c + _CELL * np.arange(steps)
+    maps = []
+    for unit in (1.0, 0.0), (0.0, 1.0):
+        t = _ode_taylor(kind, nu, centres, *unit, _SEED_DEGREE)
+        # sum_{k>=2} t_k h^(k-2) and sum_{k>=2} k t_k h^(k-2)
+        a = b = 0.0
+        for k in range(_SEED_DEGREE, 1, -1):
+            a = a * _CELL + t[k]
+            b = b * _CELL + k * t[k]
+        maps += [a, b]
     vals, slopes = [], []
     with decimal.localcontext() as ctx:
         ctx.prec = _CONTINUATION_DIGITS
-        nu, c, f, df = (decimal.Decimal(x) for x in (nu, c, f, df))
+        f, df = decimal.Decimal(f), decimal.Decimal(df)
         h = decimal.Decimal(_CELL)
-        for i in range(steps):
-            t = _ode_taylor(kind, nu, c + i * h, f, df, _SEED_DEGREE)
-            f = df = 0
-            for k in range(_SEED_DEGREE, 0, -1):
-                f = f * h + t[k]
-                df = df * h + k * t[k]
-            f = f * h + t[0]
+        for pa, pb, qa, qb in zip(*(map(decimal.Decimal, m.tolist())
+                                    for m in maps)):
+            f, df = (f + h * (df + h * (f * pa + df * qa)),
+                     df + h * (f * pb + df * qb))
             vals.append(float(f))
             slopes.append(float(df))
     return vals, slopes

@@ -5,7 +5,9 @@ eigenfunction kernel is separable and symmetric in x and lambda, so the
 forward and inverse maps share it), applied as successive axis contractions
 after a diagonal scaling by the source grid's quadrature weights.  O(n^2)
 per axis, which is fine at desk scale and keeps the accuracy fully
-auditable.  Plans are immutable and shareable.
+auditable.  A product input, one factor per axis, is transformed factor by
+factor (forward_factors, inverse_factors): O(n^2) per axis in all, and no
+value tensor of the grid.  Plans are immutable and shareable.
 """
 
 import warnings
@@ -67,12 +69,26 @@ class TransformPlan:
 
     def forward(self, values):
         """H values: grid values (axes past d are a batch) to the dual grid."""
-        return _contract(self.fwd, _weighted(self.grid, values))
+        return _contract(self.fwd, _weighted(self.grid.weight_tensor(),
+                                             values))
 
     def inverse(self, values):
         """H values: dual-grid values (axes past d are a batch) back to the
         grid; the same kernel with the dual grid's weights."""
-        return _contract(self.inv, _weighted(self.dual_grid, values))
+        return _contract(self.inv, _weighted(self.dual_grid.weight_tensor(),
+                                             values))
+
+    def forward_factors(self, factors):
+        """forward for product inputs, axis by axis: factors[k] holds the
+        axis-k values along its first axis, any further axes a batch, and
+        the transform's factors come back the same way.  The kernel is a
+        product over the axes, so each factor takes one contraction of its
+        own axis and no value tensor of the grid is formed."""
+        return _factorwise(self.fwd, self.grid, factors)
+
+    def inverse_factors(self, factors):
+        """inverse for product inputs, as forward_factors."""
+        return _factorwise(self.inv, self.dual_grid, factors)
 
     def e_dual(self, y):
         """E_y evaluated on the dual tensor grid (product over axes)."""
@@ -85,11 +101,18 @@ class TransformPlan:
         return out
 
 
-def _weighted(grid, values):
-    """values times the grid's weight tensor, broadcast over batch axes."""
+def _weighted(w, values):
+    """values times the weight tensor w, broadcast over batch axes."""
     values = np.asarray(values)
-    w = grid.weight_tensor()
     return values * w.reshape(w.shape + (1,) * (values.ndim - w.ndim))
+
+
+def _factorwise(mats, grid, factors):
+    """mats[k] applied to factors[k] with axis k's weights, per axis."""
+    if len(factors) != grid.d:
+        raise ValueError("need one factor per axis")
+    return tuple(_contract((M,), _weighted(ax.quad_weights, F))
+                 for M, ax, F in zip(mats, grid.axes, factors))
 
 
 def _contract(mats, values):

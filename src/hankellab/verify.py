@@ -28,7 +28,7 @@ import numpy as np
 
 from .dyadic import DyadicPartition, make_partition, smooth_chi
 from .grid import (Grid, GridFunction, ball_measure, integrate,
-                   nodes_for_ppw, norm)
+                   nodes_for_ppw, norm, product_values)
 from .heat import TimeGrid, _maximal_field
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport, bounded_no_trend
 from .specfun import MultiIndex
@@ -317,10 +317,7 @@ def battery_functions(grid: Grid, factors):
     """The functions of make_battery's factors on grid, one at a time: each
     the outer product of its axis factors."""
     for i in range(BATTERY_SIZE):
-        vals = factors[0][i]
-        for F in factors[1:]:
-            vals = np.multiply.outer(vals, F[i])
-        yield GridFunction(grid, vals)
+        yield GridFunction(grid, product_values([F[i] for F in factors]))
 
 
 def battery_norms(grid: Grid, factors, p):
@@ -352,8 +349,7 @@ def _factored_images(plan: TransformPlan, mvals, factors):
     dual = plan.dual_grid.axes
     left = U[:, :r] * s[:r] * dual[0].quad_weights[:, None]
     right = Vh[:r].T * dual[1].quad_weights[:, None]
-    ha, hb = (_contract((plan.fwd[k],), ax.quad_weights[:, None] * F.T)
-              for k, (ax, F) in enumerate(zip(plan.grid.axes, factors)))
+    ha, hb = plan.forward_factors([F.T for F in factors])
 
     def images():
         for i in range(BATTERY_SIZE):
@@ -369,11 +365,12 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
 
     Probing yields lower bounds on the true operator norm only; for p = 2
     the ratio is additionally checked against ||m||_inf (Plancherel), with
-    a relative excess of 1e-6 allowed.  At d = 2 T_m f comes from the
-    factors and the truncated SVD of the symbol (_factored_images), and the
-    kept rank is recorded as the parameter symbol_rank; at any other d from
-    apply_multiplier, one battery function at a time.  ||f||_p comes from
-    the factors (battery_norms).
+    a relative excess of 1e-6 allowed.  At d = 1 the whole battery is one
+    batch: T_m f comes from one forward and one inverse contraction.  At
+    d = 2 it comes from the factors and the truncated SVD of the symbol
+    (_factored_images), and the kept rank is recorded as the parameter
+    symbol_rank; at d >= 3 from apply_multiplier, one battery function at a
+    time.  ||f||_p comes from the factors (battery_norms).
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
@@ -385,7 +382,11 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
         provenance="L^p ratio probe (lower bounds on the operator norm)",
     )
     mvals = _symbol_values(plan.dual_grid, m)
-    if plan.grid.d == 2:
+    if plan.grid.d == 1:
+        spec, = plan.forward_factors([factors[0].T])
+        tmf, = plan.inverse_factors([mvals[:, None] * spec])
+        images = (GridFunction(plan.grid, v) for v in tmf.T)
+    elif plan.grid.d == 2:
         rank, images = _factored_images(plan, mvals, factors)
         rep.parameters["symbol_rank"] = rank
     else:

@@ -13,15 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankellab import cli, sobolev
+from hankellab import cli, heat, sobolev, transform
 from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
                            _make_parser, _parse_config_file, build_config,
                            main)
 from hankellab.dyadic import make_partition
-from hankellab.grid import Grid, axis_size
+from hankellab.grid import Grid, GridFunction, axis_size, norm
+from hankellab.heat import HeatKernelEval, heat_apply
 from hankellab.sobolev import SpectralTailWarning
 from hankellab.specfun import MultiIndex
 from hankellab.symbols import parse_symbol
+from hankellab.transform import TransformPlan, hankel_transform, inverse_hankel
 from hankellab.verify import h1_atom_check
 
 
@@ -547,3 +549,95 @@ class TestExitStatuses:
         lines = (tmp_path / "summary.txt").read_text().splitlines()
         got = [(line.split()[1], line.split()[-1]) for line in lines[1:]]
         assert got == want
+
+
+def _dense_transform_selftest(cfg, plan):
+    """transform-selftest's measurements by the dense route: each Gaussian
+    sampled on the whole grid and transformed as one value tensor."""
+    grid = plan.grid
+    rng = np.random.default_rng(cfg.seed)
+    out = []
+    for i in range(8):
+        c = rng.uniform(cfg.R / 8, cfg.R / 3, size=cfg.dims)
+        w = rng.uniform(0.8, 2.0)
+        f = grid.sample(lambda *xs: np.exp(
+            -np.sum(((np.stack(xs, axis=-1) - c) / w) ** 2, axis=-1)))
+        g = hankel_transform(plan, f)
+        back = inverse_hankel(plan, g)
+        out += [(f"plancherel_dev@f{i}",
+                 abs(norm(g, 2.0) / norm(f, 2.0) - 1.0)),
+                (f"inversion_err@f{i}", norm(back - f, 2.0) / norm(f, 2.0))]
+    return out
+
+
+def _dense_heat_selftest(cfg, plan):
+    """heat-selftest's route deviations by the dense route: the kernel
+    applied to the whole grid's values, the Gaussian multiplier on the
+    whole dual grid, compared on the interior mask."""
+    grid = plan.grid
+    hk = HeatKernelEval(MultiIndex(cfg.alpha))
+    mesh = np.stack(grid.meshgrid(), axis=-1)
+    f = grid.sample(lambda *xs: np.exp(
+        -np.sum((np.stack(xs, axis=-1) - 2.0) ** 2, axis=-1)))
+    spec = hankel_transform(plan, f)
+    lam2 = plan.dual_grid.squared_mesh().sum(axis=-1)
+    out = []
+    for t in cli.HEAT_TIMES:
+        kern = heat_apply(hk, t, f).values
+        spect = inverse_hankel(plan, GridFunction(
+            plan.dual_grid, spec.values * np.exp(-t * lam2))).values
+        interior = np.all(mesh < cfg.R - cli.HEAT_MARGIN * np.sqrt(t),
+                          axis=-1)
+        out.append((f"route_deviation@t={t}",
+                    float(np.max(np.abs((kern - spect)[interior])))))
+    return out
+
+
+class TestSelfTestRoutes:
+    """The self-tests transform their product inputs axis by axis."""
+
+    @staticmethod
+    def _small_grids(monkeypatch, keep):
+        build = Grid.build
+
+        def small(*a, **k):
+            grid = build(*a, **k)
+            return grid if keep is None else grid.restrict(
+                [np.linspace(0, ax.n - 1, keep).astype(int)
+                 for ax in grid.axes])
+
+        monkeypatch.setattr(Grid, "build", staticmethod(small))
+
+    @pytest.mark.parametrize("suite", ["transform-selftest", "heat-selftest"])
+    def test_no_contraction_takes_more_than_one_grid_axis(self, suite,
+                                                          monkeypatch):
+        ndims = []
+        for mod in (cli, transform, heat):
+            if hasattr(mod, "_contract"):
+                def recording(mats, values, _inner=mod._contract):
+                    ndims.append(len(mats))
+                    return _inner(mats, values)
+
+                monkeypatch.setattr(mod, "_contract", recording)
+        cfg = RunConfig(alpha=(0.5, 1.3), dims=2, n=64, R=14.0)
+        _SUITE_FNS[suite](cfg, parse_symbol(cfg.symbol, cfg.dims))
+        assert ndims and set(ndims) == {1}
+
+    @pytest.mark.parametrize("suite,dense", [
+        ("transform-selftest", _dense_transform_selftest),
+        ("heat-selftest", _dense_heat_selftest)])
+    @pytest.mark.parametrize("dims,keep", [(1, None), (2, None), (3, 32)],
+                             ids=["d1", "d2", "d3"])
+    def test_measurements_match_the_dense_route(self, suite, dense, dims,
+                                                keep, monkeypatch):
+        # the d = 3 grid keeps 32 of the 160 nodes per axis
+        self._small_grids(monkeypatch, keep)
+        cfg = RunConfig(alpha=(0.5, 1.3, 0.0)[:dims], dims=dims, n=64,
+                        R=14.0, seed=1001)
+        got = _SUITE_FNS[suite](cfg, parse_symbol(cfg.symbol, dims))[0]
+        plan = TransformPlan.build(Grid.build(cfg.alpha, R=cfg.R, n=cfg.n))
+        want = dense(cfg, plan)
+        assert [name for name, _ in got.measurements] == \
+            [name for name, _ in want]
+        for (name, g), (_, w) in zip(got.measurements, want):
+            assert abs(g - w) <= 1e-15 + 1e-12 * abs(w), name

@@ -1,5 +1,6 @@
 """Localized Sobolev norms, potential kernels, and dyadic profiles."""
 
+import tracemalloc
 import warnings
 
 import mpmath
@@ -133,6 +134,21 @@ class TestLocalNorm:
                     bump_symbol(1), 0, 1.0,
                     eta=lambda u: np.ones(np.asarray(u).shape[:-1]))
         assert _windowed_box.cache_info() == before
+
+    def test_warm_call_holds_no_box_sized_spectrum(self):
+        # the once-transformed block and one slab: about 6 bytes per point
+        # of the 1024^2 box, where a spectrum alone would take 16
+        n = laplace_type_symbol(2, "imag_power", gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpectralTailWarning)
+            local_sobolev_norm(n, 0, 2.0, samples=1024)  # builds the window
+            tracemalloc.start()
+            try:
+                local_sobolev_norm(n, 3, 2.0, samples=1024)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 1024**2
 
     @pytest.mark.parametrize("d,tail", [(1, "6.0e-01"), (2, "6.7e-01")])
     def test_nyquist_tail_warned(self, d, tail):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab.grid import Grid, GridFunction, dilate, integrate, norm
+from hankellab.grid import (Grid, GridFunction, dilate, integrate, norm,
+                            product_values)
 from hankellab.specfun import MultiIndex, bessel_operator_fd
 from hankellab.transform import (AliasingWarning, ResolutionWarning,
                                  TransformPlan, convolve,
@@ -384,6 +385,32 @@ class TestPlanStorage:
             assert (got.dtype == complex) == (kind == "complex")
             assert np.max(np.abs(got - want)) <= \
                 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_factors_go_through_as_the_product_function(self, d, batch):
+        # the transform of a product is the product of the factors'
+        # one-axis transforms, each batch column its own product
+        plan = self._small_plan(d)
+        rng = np.random.default_rng(7 + d)
+        for grid, method, dense in ((plan.grid, plan.forward_factors,
+                                     plan.forward),
+                                    (plan.dual_grid, plan.inverse_factors,
+                                     plan.inverse)):
+            factors = [rng.standard_normal((ax.n,) + batch)
+                       + 1j * rng.standard_normal((ax.n,) + batch)
+                       for ax in grid.axes]
+            got = method(factors)
+            assert [F.shape[1:] for F in got] == [batch] * d
+            for col in np.ndindex(batch):
+                one = [F[(slice(None),) + col] for F in factors]
+                want = dense(product_values(one))
+                have = product_values([F[(slice(None),) + col]
+                                       for F in got])
+                assert np.max(np.abs(have - want)) <= \
+                    1e-13 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match="one factor per axis"):
+            plan.forward_factors([np.ones(plan.grid.shape[0])] * (d + 1))
 
 
 @given(c=st.floats(5.0, 8.0), w=st.floats(0.8, 1.5))

@@ -524,6 +524,39 @@ class TestProbes:
             if spec == "random":
                 assert rank == plan.dual_grid.axes[0].n
 
+    @pytest.mark.parametrize("spec", ["heat{t=1}", "bump", "divergent",
+                                      "laplace_type{phi=imag_power:gamma=1.0}",
+                                      "random"])
+    def test_batched_battery_matches_the_per_function_route(
+            self, plan_half, spec, monkeypatch):
+        # at d = 1 the battery is one batch: one forward and one inverse
+        # contraction in all
+        plan = plan_half
+        m = (_random_symbol(plan.dual_grid) if spec == "random"
+             else parse_symbol(spec, 1))
+        mv = _symbol_values(plan.dual_grid, m)
+        pairs = [(f, apply_multiplier(plan, mv, f)) for f in
+                 battery_functions(plan.grid, make_battery(plan, seed=3))]
+        calls = []
+        contract = transform._contract
+
+        def counted(mats, values):
+            calls.append(np.shape(values))
+            return contract(mats, values)
+
+        monkeypatch.setattr(transform, "_contract", counted)
+        for p in (1.5, 2.0, 3.0):
+            calls.clear()
+            rep = lp_norm_probe(plan, m, p, seed=3)
+            assert calls == [(plan.grid.axes[0].n, BATTERY_SIZE)] * 2
+            ratios = [norm(tmf, p) / norm(f, p) for f, tmf in pairs]
+            assert [name for name, _ in rep.measurements] == \
+                [f"ratio@f{i}" for i in range(8)]
+            got = [r for _, r in rep.measurements]
+            assert got == pytest.approx(ratios[:8], rel=1e-12, abs=0.0)
+            assert rep.fitted_constants["max_ratio"] == pytest.approx(
+                max(ratios), rel=1e-12, abs=0.0)
+
     def test_probe_holds_one_battery_function_at_a_time(self, plan_2d_small):
         # the battery held as full tensors would be 64 of these; the symbol
         # values, the SVD factors and the one image formed stay below 24
@@ -565,9 +598,14 @@ class TestProbes:
         ratios = [norm(apply_multiplier(plan_half, mv, f), 3.0) / fnorm
                   for f, fnorm in zip(battery_functions(grid, factors),
                                       battery_norms(grid, factors, 3.0))]
-        assert rep.measurements == [(f"ratio@f{i}", r)
-                                    for i, r in enumerate(ratios[:8])]
-        assert rep.fitted_constants["max_ratio"] == max(ratios)
+        # the probe takes the battery as one batch, whose contraction
+        # rounds differently from one function at a time
+        assert [name for name, _ in rep.measurements] == \
+            [f"ratio@f{i}" for i in range(8)]
+        assert [r for _, r in rep.measurements] == pytest.approx(
+            ratios[:8], rel=1e-14, abs=0.0)
+        assert rep.fitted_constants["max_ratio"] == pytest.approx(
+            max(ratios), rel=1e-14, abs=0.0)
 
         calls.clear()
         rep = weak11_probe(plan_half, m)
