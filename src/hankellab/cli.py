@@ -226,12 +226,13 @@ def _plan(cfg, suite):
 
 
 # multiplier-check's peak per point of its samples^d Sobolev box, by
-# tracemalloc, rounded up: 47.0 bytes at d = 1 (16,384 to 65,536 samples)
-# and 27.8 at d = 2 (1024^2), set by the window's build, whose weight
-# (1+|xi|^2)^beta takes three lattices while it is formed; a warm call adds
-# 28 bytes at d = 1, where the one line is the whole box, and 6.0 at d = 2,
-# the once-transformed block and one slab; besides, up to 0.18 MB that does
-# not grow with the box, mostly numpy.fft's first import
+# tracemalloc, rounded up: 42.9 bytes at d = 1 (65,536 samples; 50.8 at
+# 16,384, where the fixed part below weighs in) and 15.7 at d = 2 (1024^2),
+# the window's weight lattice (1+|xi|^2)^beta, 8 bytes formed in place,
+# beside the first call on it; a warm call adds 28 bytes at d = 1, where
+# the one line is the whole box, and 6.0 at d = 2, the once-transformed
+# block and one slab; besides, up to 0.18 MB that does not grow with the
+# box, mostly numpy.fft's first import
 BOX_PEAK = 48
 BOX_FIXED_PEAK = 1 << 18
 

@@ -20,8 +20,8 @@ SLAB_POINTS box points, each adding its weighted density and its
 Nyquist-edge part to two sums.
 So a call holds the once-transformed block (samples^(d-1) lines of the
 block's last-axis length) and one slab.  The only samples^d lattice is the
-weight (1+|xi|^2)^beta, cached with the window; no spectrum or density of
-the whole box is formed.
+weight (1+|xi|^2)^beta, formed in place on the |xi|^2 lattice and cached
+with the window; no spectrum or density of the whole box is formed.
 """
 
 import warnings
@@ -92,8 +92,12 @@ def _windowed_box(d, samples, beta, eta):
     # the Nyquist-edge shell holds the points with an axis frequency in the
     # top eighth of the band; edge marks those frequencies of one axis
     edge = np.abs(xi) >= (7.0 / 8.0) * np.max(np.abs(xi))
+    # the weight (1+|xi|^2)^beta, formed in place on the |xi|^2 lattice
+    weight = xi2
+    weight += 1.0
+    weight **= beta
     arrays = (support, mesh[box].reshape(-1, d)[support],
-              etav[box].ravel()[support], (1.0 + xi2) ** beta, edge)
+              etav[box].ravel()[support], weight, edge)
     for a in arrays:  # shared by every call that hits the cache
         a.flags.writeable = False
     return (etav[box].shape,) + arrays + (step,)

@@ -50,18 +50,9 @@ class TransformPlan:
             dual_grid = grid
         if dual_grid.alpha != grid.alpha:
             raise ValueError("grid and dual grid must share alpha")
+        check_resolution(grid, dual_grid)
         fwd, inv = [], []
-        for k, (ax, dax) in enumerate(zip(grid.axes, dual_grid.axes)):
-            # judged on the full axes: a restricted one keeps their nodes
-            ppw = points_per_wavelength(min(ax.n_full, dax.n_full), ax.R,
-                                        dax.R)
-            if ppw < MIN_PPW:
-                warnings.warn(
-                    f"axis {k}: ~{ppw:.1f} points per wavelength at the "
-                    f"bandwidth corner (R={ax.R}, Lambda={dax.R}); transform "
-                    "accuracy will degrade",
-                    ResolutionWarning,
-                )
+        for ax, dax in zip(grid.axes, dual_grid.axes):
             E = e_kernel_axis(ax.alpha_k, np.outer(dax.nodes, ax.nodes))
             fwd.append(E)
             inv.append(E.T)
@@ -99,6 +90,21 @@ class TransformPlan:
             sh[k] = dax.n
             out = out * e_kernel_axis(dax.alpha_k, y[k] * dax.nodes).reshape(sh)
         return out
+
+
+def check_resolution(grid, dual_grid):
+    """Warn ResolutionWarning for each axis pair below MIN_PPW points per
+    wavelength at the bandwidth corner, judged on the full axes: a
+    Grid.restrict-ed axis keeps its full node count."""
+    for k, (ax, dax) in enumerate(zip(grid.axes, dual_grid.axes)):
+        ppw = points_per_wavelength(min(ax.n_full, dax.n_full), ax.R, dax.R)
+        if ppw < MIN_PPW:
+            warnings.warn(
+                f"axis {k}: ~{ppw:.1f} points per wavelength at the "
+                f"bandwidth corner (R={ax.R}, Lambda={dax.R}); transform "
+                "accuracy will degrade",
+                ResolutionWarning,
+            )
 
 
 def _weighted(w, values):

@@ -8,20 +8,26 @@ separations and radii without a monster grid.  Geometric parameters
 (centers, margins, exclusion radii) scale with the probe radius, which keeps
 the sweeps covariant under the dilation structure the estimates live on.
 
-Bessel kernel values are evaluated only on the nodes a sum reads.  Each
-sweep builds a grid pair once with adapted_grids, restricts it with
-Grid.restrict, and builds every plan through adapted_plan.  A CZ piece's
-plan holds the dual nodes where m_j != 0 and the nodes off the excluded
-ball, and a piece with no such dual node builds none; an H^1 atom's fine
-plan holds the near nodes, its transfer to the coarse dual grid runs over
-the atom's support only, and its coarse plan holds only the far nodes.  A
-restricted grid is a quadrature rule only for functions that vanish off
-the kept nodes.  The H^1 atoms of one centre ratio are dilates of one
-unit atom, so they are measured as that atom under the dilated symbol
-m(lambda / r), on one set of plans per centre ratio.
+Bessel kernel values are evaluated only on the nodes a sum reads.  The
+CZ sweep builds each dyadic band's dual side once per check (_cz_dual) and
+shares it among the pairs whose band holds j; a (pair, j) piece builds only
+its spatial axis and evaluates the band's nodes where m_j != 0 against the
+nodes off the excluded ball in one kernel call, and a band with no such
+node costs the piece nothing.  The H^1 sweep builds a grid pair once with
+adapted_grids, restricts it with Grid.restrict, and builds every plan
+through adapted_plan: an atom's fine plan holds the near nodes, its
+transfer to the coarse dual grid runs over the atom's support only, and
+its coarse plan holds only the far nodes.  A restricted grid is a
+quadrature rule only for functions that vanish off the kept nodes.  The
+H^1 atoms of one centre ratio are dilates of one unit atom, so they are
+measured as that atom under the dilated symbol m(lambda / r), on one set
+of plans per centre ratio.  Both sweeps judge their axes by
+transform.check_resolution, with ResolutionWarning dropped
+(_sweep_resolution).
 """
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +37,10 @@ from .grid import (Grid, GridFunction, ball_measure, integrate,
                    nodes_for_ppw, norm, product_values)
 from .heat import TimeGrid, _maximal_field
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport, bounded_no_trend
-from .specfun import MultiIndex
+from .specfun import MultiIndex, e_kernel_axis
 from .symbols import Symbol
-from .transform import ResolutionWarning, TransformPlan, _contract
+from .transform import (ResolutionWarning, TransformPlan, _contract,
+                        check_resolution)
 from .multiplier import (apply_multiplier, dyadic_symbol_values,
                          resolvable_j_band, _symbol_values)
 
@@ -115,28 +122,48 @@ def check_atom(atom: Atom):
 # the spatial node count of adapted_grids stays within [N_MIN, N_MAX]
 N_MIN = 256
 N_MAX = 3072
+# dual node count of adapted_grids unless given, and of every CZ band
+N_DUAL = 512
 
 
-def adapted_grids(alpha, R, Lam, ppw=5.0, n_dual=512):
+def _adapted_n(R, Lam, ppw=5.0):
+    """The spatial node count of an adapted grid on (0, R] against the dual
+    (0, Lam]: the points-per-wavelength budget ppw at the bandwidth corner,
+    clipped to [N_MIN, N_MAX]."""
+    return int(np.clip(np.ceil(nodes_for_ppw(ppw, R, Lam)), N_MIN, N_MAX))
+
+
+def adapted_grids(alpha, R, Lam, ppw=5.0, n_dual=N_DUAL):
     """Grid on (0, R] and dual grid on (0, Lam], with the spatial node count
     set by a points-per-wavelength budget at the bandwidth corner."""
-    n_x = int(np.clip(np.ceil(nodes_for_ppw(ppw, R, Lam)), N_MIN, N_MAX))
-    return Grid.build(alpha, R=R, n=n_x), Grid.build(alpha, R=Lam, n=n_dual)
+    return (Grid.build(alpha, R=R, n=_adapted_n(R, Lam, ppw)),
+            Grid.build(alpha, R=Lam, n=n_dual))
 
 
-def adapted_plan(grid, dual_grid):
-    """The one builder of sweep plans: the TransformPlan between an
-    adapted_grids pair, either grid possibly Grid.restrict-ed.
+@contextmanager
+def _sweep_resolution():
+    """Drops ResolutionWarning, under which both sweeps judge their axes.
 
-    ResolutionWarning is dropped until the H^1 dual axes are sized by the
-    4-ppw rule: the 6 an h1_atom_check raises, one per fine and coarse
-    build of its 9, are real, its dual axes having 2.28-3.99 (fine) and
-    1.24-1.33 (coarse) points per wavelength.  Restricted grids are judged
-    by their full axes, so its transfer plans raise none, and neither does
-    the default CZ sweep.
+    It is dropped until the H^1 dual axes are sized by the 4-ppw rule: the
+    6 an h1_atom_check raises, one per fine and coarse build of its 9, are
+    real, its dual axes having 2.28-3.99 (fine) and 1.24-1.33 (coarse)
+    points per wavelength.  Restricted grids are judged by their full axes,
+    so the H^1 transfer plans raise none, and neither do the pieces of the
+    default CZ sweep.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
+        yield
+
+
+def adapted_plan(grid, dual_grid):
+    """The one builder of the H^1 sweep's plans: the TransformPlan between
+    an adapted_grids pair, either grid possibly Grid.restrict-ed, with
+    ResolutionWarning dropped (_sweep_resolution).  The CZ sweep builds no
+    plan; its pieces judge their full axes by the same rule
+    (check_resolution) under the same filter.
+    """
+    with _sweep_resolution():
         return TransformPlan.build(grid, dual_grid)
 
 
@@ -170,26 +197,51 @@ def _cz_band(y, yp):
             for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1)}
 
 
-def _cz_piece(alpha, m, psi, y, yp, j, R, Lam):
-    """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) on the
-    (pair, j) adapted grids on (0, R] and (0, Lam] (_cz_band).
-
-    The grid pair is built once and m_j sampled on the whole dual grid; the
-    plan holds only the dual nodes where m_j != 0 and the nodes with
-    |x-y| > 2|y-y'|, since no other entry enters D_j.  The two kernel rows
-    are differenced on the dual grid and transformed once.  A piece whose
-    m_j vanishes on every dual node is 0 and builds no plan.
-    """
-    r2 = 2.0 * float(np.linalg.norm(y - yp))
-    grid, dual = adapted_grids(alpha, R, Lam)
-    off_ball = np.abs(grid.axes[0].nodes - y[0]) > r2
+def _cz_dual(alpha, m, psi, j, Lam):
+    """The dual side of the dyadic band j, which every pair whose band holds
+    j shares (_cz_band): the dual grid on (0, Lam], Lam = 1.05 2^((j+1)/2),
+    of N_DUAL nodes, and its nodes where m_j != 0, with m_j and the
+    quadrature weights there."""
+    dual = Grid.build(alpha, R=Lam, n=N_DUAL)
     mj = dyadic_symbol_values(dual, _symbol_values(dual, m), psi, j)
     on = mj != 0
-    if not on.any():
+    ax = dual.axes[0]
+    return dual, ax.nodes[on], mj[on], ax.quad_weights[on]
+
+
+def _cz_piece(alpha, band, y, yp, R):
+    """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) for the pair
+    (y, y') and the dual side band = _cz_dual(..., j, ...) of its piece j,
+    on the adapted spatial grid on (0, R] (_cz_band).
+
+    Only the spatial axis is built here.  One kernel evaluation covers the
+    band's nodes times the nodes with |x-y| > 2|y-y'|, since no other entry
+    enters D_j, laid out as the (band, x) matrix a plan would hold, and then
+    the band's nodes times y and times y'.  One contraction of that matrix
+    against m_j (E_y - E_y') and the dual weights gives the kernel-row
+    difference off the ball, rounded as a plan's inverse rounds it.  The
+    axes are judged as a plan between the full grids would be
+    (check_resolution).  A band with no node where m_j != 0 gives 0 and
+    builds and evaluates nothing.
+    """
+    dual, lam, mj, w = band
+    if lam.size == 0:
         return 0.0
-    pl = adapted_plan(grid.restrict([off_ball]), dual.restrict([on]))
-    row = pl.inverse(mj[on] * (pl.e_dual(y) - pl.e_dual(yp)))
-    return float(np.sum(np.abs(row) * pl.grid.weight_tensor()))
+    grid = Grid.build(alpha, R=R, n=_adapted_n(R, dual.axes[0].R))
+    with _sweep_resolution():
+        check_resolution(grid, dual)
+    ax = grid.axes[0]
+    off_ball = np.abs(ax.nodes - y[0]) > 2.0 * float(np.linalg.norm(y - yp))
+    x = ax.nodes[off_ball]
+    # the arguments: the (band, x) matrix, then the band times y and y'
+    n = lam.size * x.size
+    u = np.empty(n + 2 * lam.size)
+    np.outer(lam, x, out=u[:n].reshape(lam.size, x.size))
+    np.outer((y[0], yp[0]), lam, out=u[n:].reshape(2, lam.size))
+    E = e_kernel_axis(ax.alpha_k, u)
+    ey, eyp = E[n:].reshape(2, lam.size)
+    row = _contract((E[:n].reshape(lam.size, x.size).T,), mj * (ey - eyp) * w)
+    return float(np.sum(np.abs(row) * ax.quad_weights[off_ball]))
 
 
 def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
@@ -198,11 +250,14 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     For each pair (y, y') of default_cz_pairs measures
     D = sum_j int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) with
     per-(pair, j) scale-adapted grids, the dyadic band centered at
-    j* = -2 log2(2|y-y'|).  Each piece's kernel matrix is evaluated only
-    on the dual nodes where m_j != 0 and the nodes off the ball
-    |x-y| <= 2|y-y'| (see _cz_piece).  Passes when D is bounded with no
-    trend across separations.  n_resolution_warnings counts the warnings
-    the pieces raise (adapted_plan drops the plans' own).
+    j* = -2 log2(2|y-y'|).  The dual side of a band j depends on j alone,
+    so it is built and m and psi_j sampled on it once per check
+    (_cz_dual), 49 bands for the 232 pieces of the default pairs; each
+    piece builds its spatial axis and makes one kernel evaluation, on the
+    band's nodes where m_j != 0 and the nodes off the ball
+    |x-y| <= 2|y-y'| (_cz_piece).  Passes when D is bounded with no trend
+    across separations.  n_resolution_warnings counts the warnings the
+    pieces raise (their ResolutionWarning is dropped, _sweep_resolution).
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -216,12 +271,16 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     )
     seps, totals, tops = [], [], []
     mid = len(pairs) // 2
+    duals = {}
     with warnings.catch_warnings(record=True) as wlog:
         warnings.simplefilter("always")
         for idx, (y, yp) in enumerate(pairs):
             r2 = 2.0 * float(np.linalg.norm(y - yp))
-            perj = [(j, _cz_piece(alpha, m, psi, y, yp, j, R, Lam))
-                    for j, (R, Lam) in _cz_band(y, yp).items()]
+            perj = []
+            for j, (R, Lam) in _cz_band(y, yp).items():
+                if j not in duals:
+                    duals[j] = _cz_dual(alpha, m, psi, j, Lam)
+                perj.append((j, _cz_piece(alpha, duals[j], y, yp, R)))
             total = sum(dj for _, dj in perj)
             if idx == mid:
                 for j, dj in perj:
@@ -411,11 +470,13 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
 def weak11_probe(plan: TransformPlan, m: Symbol):
     """Weak-(1,1) quantity max lambda nu{|T_m f| > lambda} / ||f||_1 over
     WEAK11_LEVELS levels, for L^1-normalized spikes at WEAK11_CENTERS of width
-    48 / Lambda and 4 times sharper; passes when sharp / base is within 5."""
+    48 / Lambda and 4 times sharper; passes when sharp / base is within 5.
+    The spikes are one batch along a trailing axis, the base and the sharp
+    one of each centre in turn, so T_m f comes from one forward and one
+    inverse contraction."""
     grid = plan.grid
     Lam = min(ax.R for ax in plan.dual_grid.axes)
     width, sharpen, band_factor = 48.0 / Lam, 4.0, 5.0
-    mesh = np.stack(grid.meshgrid(), axis=-1)
     wts = grid.weight_tensor()
     mvals = _symbol_values(plan.dual_grid, m)
     rep = EstimateReport(
@@ -425,20 +486,21 @@ def weak11_probe(plan: TransformPlan, m: Symbol):
                     "band_factor": band_factor},
         provenance="weak-type (1,1) level-set probe under spike sharpening",
     )
+    centres = np.repeat(WEAK11_CENTERS, 2)[:, None]
+    widths = np.tile([width, width / sharpen], len(WEAK11_CENTERS))[:, None]
+    mesh = np.stack(grid.meshgrid(), axis=-1)[..., None, :]
+    spikes = np.exp(-np.sum(((mesh - centres) / widths) ** 2, axis=-1))
+    spikes /= np.sum(spikes * wts[..., None], axis=tuple(range(grid.d)))
+    images = np.abs(plan.inverse(mvals[..., None] * plan.forward(spikes)))
 
-    def quantity(c, h):
-        c = np.full(grid.d, float(c))
-        vals = np.exp(-np.sum(((mesh - c) / h) ** 2, axis=-1))
-        f = GridFunction(grid, vals)
-        f = GridFunction(grid, vals / norm(f, 1.0))
-        g = np.abs(apply_multiplier(plan, mvals, f).values)
+    def quantity(g):
         return max(lam * float(np.sum(wts[g > lam])) for lam in
                    np.geomspace(1e-3, 0.9, WEAK11_LEVELS) * float(g.max()))
 
     ok, worst = True, 0.0
-    for c in WEAK11_CENTERS:
-        q0 = quantity(c, width)
-        q1 = quantity(c, width / sharpen)
+    for i, c in enumerate(WEAK11_CENTERS):
+        q0 = quantity(images[..., 2 * i])
+        q1 = quantity(images[..., 2 * i + 1])
         rep.add(f"q@c={c},base", q0)
         rep.add(f"q@c={c},sharp", q1)
         # the zero multiplier keeps both at 0; only q0 at 0 is unbounded

@@ -135,6 +135,24 @@ class TestLocalNorm:
                     eta=lambda u: np.ones(np.asarray(u).shape[:-1]))
         assert _windowed_box.cache_info() == before
 
+    @pytest.mark.parametrize("beta", [2.0, 1.7])
+    def test_cold_window_build_holds_one_lattice(self, beta):
+        # the weight (1+|xi|^2)^beta is formed in place on the |xi|^2
+        # lattice: one float lattice of 8 bytes per point of the 1024^2
+        # box, where three took 27.8 bytes per point in all
+        from hankellab.sobolev import _box_geometry, _windowed_box
+
+        tracemalloc.start()
+        try:
+            window = _windowed_box.__wrapped__(2, 1024, beta,
+                                               make_partition("plain"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024**2
+        want = (1.0 + _box_geometry(2, 1024)[3]) ** beta
+        assert np.array_equal(window[4], want)
+
     def test_warm_call_holds_no_box_sized_spectrum(self):
         # the once-transformed block and one slab: about 6 bytes per point
         # of the 1024^2 box, where a spectrum alone would take 16

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankellab import specfun, transform
+from hankellab import specfun, verify
 from hankellab.dyadic import make_partition
 from hankellab.grid import Grid
 from hankellab.specfun import (MultiIndex, bessel_operator_fd, e_kernel_axis,
                                gamma_one_plus_i, inorm_scaled, jnorm)
 from hankellab.symbols import laplace_type_symbol
 from hankellab.transform import TransformPlan
-from hankellab.verify import _cz_band, _cz_piece, default_cz_pairs
+from hankellab.verify import (_cz_band, _cz_dual, _cz_piece,
+                              default_cz_pairs)
 
 mpmath.mp.dps = 30
 
@@ -212,7 +213,7 @@ class TestFixedOrderTables:
         specfun._seeds.cache_clear()
         specfun._TABLES.clear()
         seeds, points, ends, continued = [], [0], [0.0], [0]
-        expansion, kernel = specfun._expansion_value, transform.e_kernel_axis
+        expansion, kernel = specfun._expansion_value, verify.e_kernel_axis
         continuation = specfun._continued
 
         def counted_expansion(kind, nu, coefs, u):
@@ -230,13 +231,14 @@ class TestFixedOrderTables:
 
         monkeypatch.setattr(specfun, "_expansion_value", counted_expansion)
         monkeypatch.setattr(specfun, "_continued", counted_continuation)
-        monkeypatch.setattr(transform, "e_kernel_axis", counted_kernel)
+        monkeypatch.setattr(verify, "e_kernel_axis", counted_kernel)
         y, yp = default_cz_pairs()[4]
         jstar = int(np.ceil(-2.0 * np.log2(2.0 * abs(y[0] - yp[0]))))
-        _cz_piece(MultiIndex((1.3,)),
-                  laplace_type_symbol(1, "imag_power", gamma=1.0),
-                  make_partition("plain"), y, yp, jstar,
-                  *_cz_band(y, yp)[jstar])
+        R, Lam = _cz_band(y, yp)[jstar]
+        alpha = MultiIndex((1.3,))
+        band = _cz_dual(alpha, laplace_type_symbol(1, "imag_power", gamma=1.0),
+                        make_partition("plain"), jstar, Lam)
+        _cz_piece(alpha, band, y, yp, R)
         h = specfun._CELL
         first = np.ceil(specfun._upper(0.8) / h) * h
         assert continued[0] == 1

@@ -17,8 +17,9 @@ from hankellab.symbols import (Symbol, bump_symbol, constant_symbol,
                                laplace_type_symbol, parse_symbol)
 from hankellab.transform import ResolutionWarning, TransformPlan
 from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_MAX, N_MIN,
-                              WEAK11_CENTERS, WEAK11_LEVELS, _cz_piece,
-                              adapted_grids, adapted_plan, association_check,
+                              WEAK11_CENTERS, WEAK11_LEVELS, _cz_band,
+                              _cz_dual, _cz_piece, adapted_grids,
+                              adapted_plan, association_check,
                               battery_functions, battery_norms, check_atom,
                               compare_resolutions, cz_hormander_check,
                               default_atom_family, default_cz_pairs,
@@ -135,6 +136,12 @@ class TestRestrictedSweeps:
         sel = np.abs(pl.grid.axes[0].nodes - y[0]) > r2
         return float(np.sum(np.abs(row)[sel] * pl.grid.weight_tensor()[sel]))
 
+    @staticmethod
+    def _piece(alpha, m, psi, y, yp, j):
+        # the piece on its band's dual side, built here
+        R, Lam = TestRestrictedSweeps._piece_bounds(y, yp, j)
+        return _cz_piece(alpha, _cz_dual(alpha, m, psi, j, Lam), y, yp, R)
+
     @pytest.mark.parametrize("alpha_k", [0.5, 1.3])
     def test_cz_pieces_match_the_full_plan(self, alpha_k):
         alpha = MultiIndex((alpha_k,))
@@ -148,8 +155,7 @@ class TestRestrictedSweeps:
             r2 = 2.0 * np.linalg.norm(y - yp)
             jstar = int(np.ceil(-2.0 * np.log2(r2)))
             j = jstar + offset
-            got = _cz_piece(alpha, m, psi, y, yp, j,
-                            *self._piece_bounds(y, yp, j))
+            got = self._piece(alpha, m, psi, y, yp, j)
             want = self._full_plan_dj(alpha, m, psi, y, yp, j)
             assert want > 0
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
@@ -167,13 +173,13 @@ class TestRestrictedSweeps:
                                            *self._piece_bounds(y, yp, j))
                 full += grid.shape[0] * dual.shape[0] + 2 * dual.shape[0]
         seen = [0]
-        e_kernel_axis = transform.e_kernel_axis
+        e_kernel_axis = verify.e_kernel_axis
 
         def counted_kernel(alpha_k, u):
             seen[0] += np.size(u)
             return e_kernel_axis(alpha_k, u)
 
-        monkeypatch.setattr(transform, "e_kernel_axis", counted_kernel)
+        monkeypatch.setattr(verify, "e_kernel_axis", counted_kernel)
         rep = cz_hormander_check(alpha,
                                  laplace_type_symbol(1, "imag_power",
                                                      gamma=1.0),
@@ -181,36 +187,101 @@ class TestRestrictedSweeps:
         assert rep.verdict == PASS
         assert 0 < seen[0] <= 0.35 * full
 
-    def test_cz_piece_builds_its_grid_pair_once(self, monkeypatch):
-        calls = [0]
+    def test_cz_check_builds_each_band_once(self, monkeypatch):
+        # the dual side of band j depends on j alone: one dual grid and one
+        # symbol sample per distinct j of the pairs' bands, one spatial grid
+        # and one kernel evaluation per (pair, j) piece
+        bands = [_cz_band(y, yp) for y, yp in default_cz_pairs()]
+        lams = {j: Lam for band in bands for j, (_, Lam) in band.items()}
+        n_pieces = sum(len(band) for band in bands)
+        built, sampled, kernels = [], [0], [0]
+        build, symbol_values = Grid.build, verify._symbol_values
+        e_kernel_axis = verify.e_kernel_axis
+
+        def counted_build(alpha, R, n):
+            built.append(R)
+            return build(alpha, R=R, n=n)
+
+        def counted_sample(*args):
+            sampled[0] += 1
+            return symbol_values(*args)
+
+        def counted_kernel(alpha_k, u):
+            kernels[0] += 1
+            return e_kernel_axis(alpha_k, u)
+
+        monkeypatch.setattr(Grid, "build", staticmethod(counted_build))
+        monkeypatch.setattr(verify, "_symbol_values", counted_sample)
+        monkeypatch.setattr(verify, "e_kernel_axis", counted_kernel)
+        cz_hormander_check(MultiIndex((0.5,)),
+                           laplace_type_symbol(1, "imag_power", gamma=1.0),
+                           make_partition("plain"))
+        assert len(lams) == 49 and n_pieces == 232
+        assert sorted(R for R in built if R in lams.values()) == \
+            sorted(lams.values())
+        assert len(built) == len(lams) + n_pieces
+        assert sampled[0] == len(lams)
+        assert kernels[0] == n_pieces
+
+    def test_cz_piece_builds_only_its_spatial_grid(self, monkeypatch):
+        alpha, psi = MultiIndex((0.5,)), make_partition("plain")
+        m = laplace_type_symbol(1, "imag_power", gamma=1.0)
+        y, yp = default_cz_pairs()[4]
+        R, Lam = self._piece_bounds(y, yp, 0)
+        band = _cz_dual(alpha, m, psi, 0, Lam)
+        built = []
         build = Grid.build
 
         def counted_build(*args, **kwargs):
-            calls[0] += 1
-            return build(*args, **kwargs)
+            grid = build(*args, **kwargs)
+            built.append(grid)
+            return grid
 
         monkeypatch.setattr(Grid, "build", staticmethod(counted_build))
-        y, yp = default_cz_pairs()[4]
-        _cz_piece(MultiIndex((0.5,)), laplace_type_symbol(1, "imag_power",
-                                                          gamma=1.0),
-                  make_partition("plain"), y, yp, 0,
-                  *self._piece_bounds(y, yp, 0))
-        assert calls[0] == 2
+        _cz_piece(alpha, band, y, yp, R)
+        assert [(g.axes[0].R, g.axes[0].n) for g in built] == \
+            [(R, adapted_grids(alpha, R, Lam)[0].axes[0].n)]
+
+    def test_cz_piece_judges_its_full_axes_quietly(self, monkeypatch):
+        # the piece is judged by the plan rule on its full spatial axis and
+        # the band's full dual axis, and its ResolutionWarning is dropped
+        # as adapted_plan drops a plan's
+        alpha, psi = MultiIndex((1.3,)), make_partition("plain")
+        m = laplace_type_symbol(1, "imag_power", gamma=1.0)
+        y, yp = default_cz_pairs()[2]
+        R, Lam = self._piece_bounds(y, yp, -3)
+        band = _cz_dual(alpha, m, psi, -3, Lam)
+        judged = []
+
+        def coarse(grid, dual_grid):
+            judged.append((grid.axes[0].n_full, dual_grid))
+            warnings.warn("coarse", ResolutionWarning)
+
+        monkeypatch.setattr(verify, "check_resolution", coarse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cz_piece(alpha, band, y, yp, R)
+        assert judged == [(adapted_grids(alpha, R, Lam)[0].axes[0].n,
+                           band[0])]
+        assert got == self._piece(alpha, m, psi, y, yp, -3)
 
     def test_empty_cz_piece_is_zero_and_quiet(self, monkeypatch):
         # the bump vanishes for lambda^2 > 2 and the j = 6 window lives on
-        # 2^5 <= lambda^2 <= 2^7: m_j = 0 on every dual node, so no plan is
-        # built
-        def no_plan(*a, **k):
-            raise AssertionError("TransformPlan.build called")
+        # 2^5 <= lambda^2 <= 2^7: m_j = 0 on every dual node, so the piece
+        # builds no grid and evaluates no kernel
+        def nothing(*a, **k):
+            raise AssertionError("a grid built or a kernel evaluated")
 
-        monkeypatch.setattr(TransformPlan, "build", staticmethod(no_plan))
+        alpha = MultiIndex((0.5,))
         y, yp = default_cz_pairs()[len(default_cz_pairs()) // 2]
+        R, Lam = self._piece_bounds(y, yp, 6)
+        band = _cz_dual(alpha, bump_symbol(1), make_partition("plain"), 6,
+                        Lam)
+        monkeypatch.setattr(Grid, "build", staticmethod(nothing))
+        monkeypatch.setattr(verify, "e_kernel_axis", nothing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _cz_piece(MultiIndex((0.5,)), bump_symbol(1),
-                            make_partition("plain"), y, yp, 6,
-                            *self._piece_bounds(y, yp, 6))
+            got = _cz_piece(alpha, band, y, yp, R)
         assert got == 0.0
 
     def test_warnings_of_the_pieces_are_counted(self, monkeypatch):
@@ -459,6 +530,29 @@ def _random_symbol(dual_grid):
     return Symbol(lambda u: z, dual_grid.d, float(np.abs(z).max()), "random")
 
 
+def _assert_per_spike_quantities(rep, plan, mv):
+    """rep's weak-(1,1) quantities against one apply_multiplier per spike;
+    the probe's batch rounds differently from one spike at a time."""
+    grid = plan.grid
+    mesh = np.stack(grid.meshgrid(), axis=-1)
+    wts = grid.weight_tensor()
+    width = 48.0 / plan.dual_grid.axes[0].R
+    want = []
+    for c in WEAK11_CENTERS:
+        for h, tag in ((width, "base"), (width / 4.0, "sharp")):
+            vals = np.exp(-np.sum(((mesh - c) / h) ** 2, axis=-1))
+            f = GridFunction(grid, vals)
+            f = GridFunction(grid, vals / norm(f, 1.0))
+            g = np.abs(apply_multiplier(plan, mv, f).values)
+            q = max(lam * float(np.sum(wts[g > lam])) for lam in
+                    np.geomspace(1e-3, 0.9, WEAK11_LEVELS) * float(g.max()))
+            want.append((f"q@c={c},{tag}", q))
+    assert [name for name, _ in rep.measurements] == \
+        [name for name, _ in want]
+    assert [q for _, q in rep.measurements] == pytest.approx(
+        [q for _, q in want], rel=1e-13, abs=0.0)
+
+
 class TestProbes:
     def test_battery_is_deterministic(self, plan_half, plan_2d):
         for plan in (plan_half, plan_2d):
@@ -610,22 +704,29 @@ class TestProbes:
         calls.clear()
         rep = weak11_probe(plan_half, m)
         assert len(calls) == 1
-        grid = plan_half.grid
-        mesh = np.stack(grid.meshgrid(), axis=-1)
-        wts = grid.weight_tensor()
-        width = 48.0 / plan_half.dual_grid.axes[0].R
-        want = []
-        for c in WEAK11_CENTERS:
-            for h, tag in ((width, "base"), (width / 4.0, "sharp")):
-                vals = np.exp(-np.sum(((mesh - c) / h) ** 2, axis=-1))
-                f = GridFunction(grid, vals)
-                f = GridFunction(grid, vals / norm(f, 1.0))
-                g = np.abs(apply_multiplier(plan_half, mv, f).values)
-                q = max(lam * float(np.sum(wts[g > lam])) for lam in
-                        np.geomspace(1e-3, 0.9, WEAK11_LEVELS)
-                        * float(g.max()))
-                want.append((f"q@c={c},{tag}", q))
-        assert rep.measurements == want
+        _assert_per_spike_quantities(rep, plan_half, mv)
+
+    @pytest.mark.parametrize("spec", ["heat{t=1}", "bump", "divergent",
+                                      "laplace_type{phi=imag_power:gamma=1.0}",
+                                      "random"])
+    def test_weak11_spikes_are_one_batch(self, plan_half, spec, monkeypatch):
+        # the 10 spikes take one forward and one inverse contraction, and
+        # their quantities are those of one apply_multiplier per spike
+        plan = plan_half
+        m = (_random_symbol(plan.dual_grid) if spec == "random"
+             else parse_symbol(spec, 1))
+        calls = []
+        contract = transform._contract
+
+        def counted(mats, values):
+            calls.append(np.shape(values))
+            return contract(mats, values)
+
+        monkeypatch.setattr(transform, "_contract", counted)
+        rep = weak11_probe(plan, m)
+        assert calls == [(plan.grid.axes[0].n, 2 * len(WEAK11_CENTERS))] * 2
+        _assert_per_spike_quantities(rep, plan,
+                                     _symbol_values(plan.dual_grid, m))
 
     def test_weak11_probe_stable_for_identity(self, plan_half):
         rep = weak11_probe(plan_half, constant_symbol(1, 1.0))
