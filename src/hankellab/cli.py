@@ -36,6 +36,13 @@ MEMORY_LIMIT_BYTES = 2 << 30
 # 4 GiB, over MEMORY_LIMIT_BYTES
 MAX_DIMS = 6
 
+# multiplier-check evaluates the symbol at 2^j u for u on the window's
+# annulus 1/2 <= |u| <= 2, where |2^j u|^2 runs from 2^(2j-2) to 2^(2j+2);
+# both ends are normal floats, from 2^minexp = 2^-1022 to 2^(maxexp-1) =
+# 2^1023, exactly for J_RANGE[0] <= j <= J_RANGE[1], that is |j| <= 510
+_FLOATS = np.finfo(float)
+J_RANGE = (-((-2 - _FLOATS.minexp) // 2), (_FLOATS.maxexp - 3) // 2)
+
 # heat-selftest compares its two routes on x < R - HEAT_MARGIN sqrt(t)
 HEAT_TIMES = (0.25, 1.0, 4.0)
 HEAT_MARGIN = 6.0
@@ -168,6 +175,12 @@ def _check_config(cfg, names):
     if "multiplier-check" in names and cfg.jmin > cfg.jmax:
         raise ValueError(f"jmin = {cfg.jmin} > jmax = {cfg.jmax}: "
                          "multiplier-check needs jmin <= jmax")
+    if "multiplier-check" in names and not (J_RANGE[0] <= cfg.jmin
+                                            and cfg.jmax <= J_RANGE[1]):
+        raise ValueError(f"jmin = {cfg.jmin}, jmax = {cfg.jmax}: "
+                         "multiplier-check evaluates the symbol at |2^j u|^2 "
+                         "= 2^(2j-2) ... 2^(2j+2), normal floats only for "
+                         f"{J_RANGE[0]} <= j <= {J_RANGE[1]}")
     if "multiplier-check" in names and not 0 <= cfg.beta < np.inf:
         raise ValueError(f"beta = {cfg.beta}: multiplier-check needs a "
                          "finite beta >= 0")

@@ -15,7 +15,10 @@ argument reaches the end, and the last few orders' tables are kept.
 
 Everything here is vectorized over numpy arrays; the only state is that
 cache of read-only tables, which a lock guards, so evaluation is safe from
-any number of workers.
+any number of workers.  The kernels write into a new array or, given out,
+into the caller's; out may be the argument array itself, which a caller
+that evaluates many kernels in turn can keep as one workspace.  The
+per-block buffers belong to each call.
 """
 
 import cmath
@@ -323,29 +326,43 @@ def _table(kind, nu, top):
     return tb
 
 
-def _fixed_order(kind, nu, u):
+def _fixed_order(kind, nu, u, out=None):
     """The kind's function at the order nu on every point of u: its table
     cell's Taylor polynomial below the table's end, the expansion from there
     on, one cache-sized block at a time.  Raises ValueError unless every
-    u is finite and >= 0."""
+    u is finite and >= 0.
+
+    The values go to a new array, or into out when given, which is then
+    returned: a C-contiguous float64 array of u's shape, possibly u itself.
+    A block reads all of its arguments before it writes its values, so
+    evaluating in place gives the same values bit for bit."""
     nu = _check_order(nu)
     u = np.asarray(u, dtype=float)
+    if out is not None:
+        if not (isinstance(out, np.ndarray) and out.shape == u.shape
+                and out.dtype == np.float64 and out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous float64 array of "
+                             f"the argument's shape {u.shape}")
+        if out is not u and np.may_share_memory(out, u):
+            u = u.copy()
     low, top = (u.min(), u.max()) if u.size else (0.0, 0.0)
     if not (low >= 0.0 and top < np.inf):
         raise ValueError("argument must be finite and >= 0")
     tb = _table(kind, nu, top)
     tail = top >= tb.end  # some points take the expansion
     flat = u.reshape(-1)
-    out = np.empty_like(flat)
+    result = np.empty_like(flat) if out is None else out.reshape(-1)
     # per-block buffers: the cell index, the offset s from its centre, and
     # one row of coefficients
     size = min(flat.size, _BLOCK)
     idx, s, row_at = np.empty(size, np.intp), np.empty(size), np.empty(size)
     for lo in range(0, flat.size, _BLOCK):
-        ub, ob = flat[lo:lo + _BLOCK], out[lo:lo + _BLOCK]
+        ub, ob = flat[lo:lo + _BLOCK], result[lo:lo + _BLOCK]
         ib, sb, rb = idx[:ub.size], s[:ub.size], row_at[:ub.size]
         if tail:
+            # the expansion's arguments, copied before ob is written
             far = ub >= tb.end
+            big = ub[far]
             ub = np.where(far, 0.0, ub)
         np.multiply(ub, 1.0 / _CELL, sb)
         np.rint(sb, sb)
@@ -356,22 +373,22 @@ def _fixed_order(kind, nu, u):
         for row in tb.coefs[-2::-1]:
             ob *= sb
             ob += row.take(ib, None, rb, "clip")
-        if tail and far.any():
-            ob[far] = _expansion_value(kind, nu, tb.expansion,
-                                       flat[lo:lo + _BLOCK][far])
-    return out.reshape(u.shape)[()]
+        if tail and big.size:
+            ob[far] = _expansion_value(kind, nu, tb.expansion, big)
+    return result.reshape(u.shape)[()] if out is None else out
 
 
-def jnorm(nu, u):
+def jnorm(nu, u, out=None):
     """Normalized Bessel u^{-nu} J_nu(u), nu > -1, finite u >= 0, extended
     continuously to u = 0, where it is 1 / (2^nu Gamma(nu+1)).
 
     This is the single-axis factor of the eigenfunction kernel, written with
     nu = alpha_k - 1/2.  Every order, nu = 0 included, goes through its
     fixed-order table: one cell lookup and Horner pass below the table's
-    end, the large-argument expansion from there on.
+    end, the large-argument expansion from there on.  out, when given,
+    receives the values as in _fixed_order, and may be u itself.
     """
-    return _fixed_order("J", nu, u)
+    return _fixed_order("J", nu, u, out)
 
 
 def inorm_scaled(nu, u):
@@ -416,9 +433,10 @@ def gamma_one_plus_i(g):
     return cmath.rect(modulus, phase)
 
 
-def e_kernel_axis(alpha_k, u):
-    """One-axis eigenfunction factor (u)^{-alpha_k+1/2} J_{alpha_k-1/2}(u)."""
-    return jnorm(alpha_k - 0.5, u)
+def e_kernel_axis(alpha_k, u, out=None):
+    """One-axis eigenfunction factor (u)^{-alpha_k+1/2} J_{alpha_k-1/2}(u),
+    written into out when given (jnorm), which may be u itself."""
+    return jnorm(alpha_k - 0.5, u, out)
 
 
 def bessel_operator_fd(alpha_k, f_vals, nodes):

@@ -13,7 +13,9 @@ CZ sweep builds each dyadic band's dual side once per check (_cz_dual) and
 shares it among the pairs whose band holds j; a (pair, j) piece builds only
 its spatial axis and evaluates the band's nodes where m_j != 0 against the
 nodes off the excluded ball in one kernel call, and a band with no such
-node costs the piece nothing.  The H^1 sweep builds a grid pair once with
+node costs the piece nothing.  A check allocates one workspace, sized
+for its largest piece, and every piece writes its kernel arguments there
+and evaluates them in place.  The H^1 sweep builds a grid pair once with
 adapted_grids, restricts it with Grid.restrict, and builds every plan
 through adapted_plan: an atom's fine plan holds the near nodes, its
 transfer to the coarse dual grid runs over the atom's support only, and
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicPartition, make_partition, smooth_chi
-from .grid import (Grid, GridFunction, ball_measure, integrate,
+from .grid import (Grid, GridFunction, axis_size, ball_measure, integrate,
                    nodes_for_ppw, norm, product_values)
 from .heat import TimeGrid, _maximal_field
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport, bounded_no_trend
@@ -209,7 +211,14 @@ def _cz_dual(alpha, m, psi, j, Lam):
     return dual, ax.nodes[on], mj[on], ax.quad_weights[on]
 
 
-def _cz_piece(alpha, band, y, yp, R):
+def _cz_work_size(band, R):
+    """The workspace floats a piece of the band on (0, R] may need: the
+    band's nodes times its full spatial axis (_adapted_n, as _cz_piece
+    builds it) and times y and y'."""
+    return band[1].size * (axis_size(_adapted_n(R, band[0].axes[0].R)) + 2)
+
+
+def _cz_piece(alpha, band, y, yp, R, work):
     """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) for the pair
     (y, y') and the dual side band = _cz_dual(..., j, ...) of its piece j,
     on the adapted spatial grid on (0, R] (_cz_band).
@@ -217,12 +226,15 @@ def _cz_piece(alpha, band, y, yp, R):
     Only the spatial axis is built here.  One kernel evaluation covers the
     band's nodes times the nodes with |x-y| > 2|y-y'|, since no other entry
     enters D_j, laid out as the (band, x) matrix a plan would hold, and then
-    the band's nodes times y and times y'.  One contraction of that matrix
-    against m_j (E_y - E_y') and the dual weights gives the kernel-row
-    difference off the ball, rounded as a plan's inverse rounds it.  The
-    axes are judged as a plan between the full grids would be
-    (check_resolution).  A band with no node where m_j != 0 gives 0 and
-    builds and evaluates nothing.
+    the band's nodes times y and times y'.  The arguments are written into
+    the leading floats of work, a float64 workspace of at least
+    _cz_work_size(band, R) floats, and the kernel values overwrite them in
+    place (e_kernel_axis with out), so the piece allocates neither.  One
+    contraction of that matrix against m_j (E_y - E_y') and the dual
+    weights gives the kernel-row difference off the ball, rounded as a
+    plan's inverse rounds it.  The axes are judged as a plan between the
+    full grids would be (check_resolution).  A band with no node where
+    m_j != 0 gives 0 and builds and evaluates nothing.
     """
     dual, lam, mj, w = band
     if lam.size == 0:
@@ -235,10 +247,10 @@ def _cz_piece(alpha, band, y, yp, R):
     x = ax.nodes[off_ball]
     # the arguments: the (band, x) matrix, then the band times y and y'
     n = lam.size * x.size
-    u = np.empty(n + 2 * lam.size)
+    u = work[:n + 2 * lam.size]
     np.outer(lam, x, out=u[:n].reshape(lam.size, x.size))
     np.outer((y[0], yp[0]), lam, out=u[n:].reshape(2, lam.size))
-    E = e_kernel_axis(ax.alpha_k, u)
+    E = e_kernel_axis(ax.alpha_k, u, out=u)
     ey, eyp = E[n:].reshape(2, lam.size)
     row = _contract((E[:n].reshape(lam.size, x.size).T,), mj * (ey - eyp) * w)
     return float(np.sum(np.abs(row) * ax.quad_weights[off_ball]))
@@ -255,9 +267,13 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     (_cz_dual), 49 bands for the 232 pieces of the default pairs; each
     piece builds its spatial axis and makes one kernel evaluation, on the
     band's nodes where m_j != 0 and the nodes off the ball
-    |x-y| <= 2|y-y'| (_cz_piece).  Passes when D is bounded with no trend
-    across separations.  n_resolution_warnings counts the warnings the
-    pieces raise (their ResolutionWarning is dropped, _sweep_resolution).
+    |x-y| <= 2|y-y'| (_cz_piece).  All bands are built first, so that one
+    workspace, sized for the largest piece (_cz_work_size), holds every
+    piece's kernel arguments and values in turn.  Passes when D is bounded
+    with no trend across separations.  n_resolution_warnings counts the
+    warnings of any category that the band builds and the pieces let
+    through; it cannot count a ResolutionWarning, which _sweep_resolution
+    drops inside each piece, so it reads 0 on every default run.
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -271,16 +287,21 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     )
     seps, totals, tops = [], [], []
     mid = len(pairs) // 2
+    bands = [_cz_band(y, yp) for y, yp in pairs]
     duals = {}
     with warnings.catch_warnings(record=True) as wlog:
         warnings.simplefilter("always")
-        for idx, (y, yp) in enumerate(pairs):
-            r2 = 2.0 * float(np.linalg.norm(y - yp))
-            perj = []
-            for j, (R, Lam) in _cz_band(y, yp).items():
+        for band in bands:
+            for j, (_, Lam) in band.items():
                 if j not in duals:
                     duals[j] = _cz_dual(alpha, m, psi, j, Lam)
-                perj.append((j, _cz_piece(alpha, duals[j], y, yp, R)))
+        # one workspace for every piece's kernel arguments and values
+        work = np.empty(max(_cz_work_size(duals[j], R) for band in bands
+                            for j, (R, _) in band.items()))
+        for idx, ((y, yp), band) in enumerate(zip(pairs, bands)):
+            r2 = 2.0 * float(np.linalg.norm(y - yp))
+            perj = [(j, _cz_piece(alpha, duals[j], y, yp, R, work))
+                    for j, (R, _) in band.items()]
             total = sum(dj for _, dj in perj)
             if idx == mid:
                 for j, dj in perj:

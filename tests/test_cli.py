@@ -164,6 +164,12 @@ class TestConfigHandling:
          "alpha = (60.0,), n = 64"),
         (["transform-selftest", "--alpha", "80", "--R", "2"],
          "alpha = (80.0,): the Bessel kernel table"),
+        (["multiplier-check", "--jmin", "600", "--jmax", "600"],
+         "jmin = 600, jmax = 600"),
+        (["multiplier-check", "--jmin", "1100", "--jmax", "1100"],
+         "jmin = 1100, jmax = 1100"),
+        (["multiplier-check", "--jmin", "-1100", "--jmax", "-1100"],
+         "jmin = -1100, jmax = -1100"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
@@ -174,7 +180,8 @@ class TestConfigHandling:
             "beta-not-a-float", "suite-named-twice",
             "lp-under-resolved", "lp-R-subnormal", "R-subnormal",
             "lp-R-below-8", "cz-alpha-50", "h1-alpha-54.5",
-            "weight-unresolved-near-R", "kernel-table-above-cap"])
+            "weight-unresolved-near-R", "kernel-table-above-cap",
+            "j-600-overflows", "j-1100-out-of-range", "j-minus-1100-is-0"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []
@@ -206,6 +213,23 @@ class TestConfigHandling:
         # R = 8 gives lp-probe's bump widths the single value 1; at
         # R = 1e-150, R^2 and (R/8)^2 are still normal floats
         cli._check_config(RunConfig(R=R, n=64), [suite])
+
+    def test_j_gate_is_where_the_window_radii_leave_the_normals(self):
+        # |2^j u|^2 at the window radii u = 1/2 and 2 is 2^(2j-2) and
+        # 2^(2j+2): normal floats for |j| <= 510, not from |j| = 511
+        tiny = np.finfo(float).tiny
+        for j in (-510, 510):
+            cli._check_config(RunConfig(jmin=j, jmax=j), ["multiplier-check"])
+            assert tiny <= (2.0**j * 0.5) ** 2
+            assert (2.0**j * 2.0) ** 2 < np.inf
+        assert (2.0**-511 * 0.5) ** 2 < tiny
+        with pytest.raises(OverflowError):
+            (2.0**511 * 2.0) ** 2
+        for jmin, jmax in ((-511, 0), (0, 511)):
+            with pytest.raises(ValueError, match=f"jmin = {jmin}, jmax = "
+                               f"{jmax}: multiplier-check"):
+                cli._check_config(RunConfig(jmin=jmin, jmax=jmax),
+                                  ["multiplier-check"])
 
     @pytest.mark.parametrize("suite", ["cz-check", "h1-check"])
     def test_sweeps_accept_alpha_20(self, suite):

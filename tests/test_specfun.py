@@ -18,7 +18,7 @@ from hankellab.specfun import (MultiIndex, bessel_operator_fd, e_kernel_axis,
                                gamma_one_plus_i, inorm_scaled, jnorm)
 from hankellab.symbols import laplace_type_symbol
 from hankellab.transform import TransformPlan
-from hankellab.verify import (_cz_band, _cz_dual, _cz_piece,
+from hankellab.verify import (_cz_band, _cz_dual, _cz_piece, _cz_work_size,
                               default_cz_pairs)
 
 mpmath.mp.dps = 30
@@ -224,10 +224,10 @@ class TestFixedOrderTables:
             continued[0] += 1
             return continuation(*args)
 
-        def counted_kernel(alpha_k, u):
+        def counted_kernel(alpha_k, u, out=None):
             points[0] += np.size(u)
             ends[0] = max(ends[0], np.max(u))
-            return kernel(alpha_k, u)
+            return kernel(alpha_k, u, out=out)
 
         monkeypatch.setattr(specfun, "_expansion_value", counted_expansion)
         monkeypatch.setattr(specfun, "_continued", counted_continuation)
@@ -238,7 +238,7 @@ class TestFixedOrderTables:
         alpha = MultiIndex((1.3,))
         band = _cz_dual(alpha, laplace_type_symbol(1, "imag_power", gamma=1.0),
                         make_partition("plain"), jstar, Lam)
-        _cz_piece(alpha, band, y, yp, R)
+        _cz_piece(alpha, band, y, yp, R, np.empty(_cz_work_size(band, R)))
         h = specfun._CELL
         first = np.ceil(specfun._upper(0.8) / h) * h
         assert continued[0] == 1
@@ -310,6 +310,46 @@ class TestFixedOrderTables:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True)
         assert out.stdout.split() == ["[]", "0"]
+
+
+class TestInPlaceKernel:
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                      b.view(np.int64))
+
+    @pytest.mark.parametrize("alpha_k", [0.2, 0.5, 1.3])
+    def test_in_place_matches_a_new_array(self, alpha_k):
+        # three blocks and a part, each with points on both sides of the
+        # table's end: the expansion runs inside blocks the table pass has
+        # already overwritten
+        rng = np.random.default_rng(7)
+        u = rng.uniform(0.0, 1.5 * specfun._END, (3, specfun._BLOCK + 77))
+        end = specfun._table("J", alpha_k - 0.5, u.max()).end
+        for lo in range(0, u.size, specfun._BLOCK):
+            assert np.any(u.reshape(-1)[lo:lo + specfun._BLOCK] >= end)
+        want = e_kernel_axis(alpha_k, u.copy())
+        got = u.copy()
+        assert e_kernel_axis(alpha_k, got, out=got) is got
+        assert self._same_bits(got, want)
+        other = np.empty_like(u)
+        assert e_kernel_axis(alpha_k, u, out=other) is other
+        assert self._same_bits(other, want)
+
+    def test_in_place_on_an_empty_array(self):
+        u = np.empty(0)
+        assert e_kernel_axis(0.5, u, out=u) is u
+        assert self._same_bits(u, e_kernel_axis(0.5, u.copy()))
+
+    @pytest.mark.parametrize("out", [np.empty(5), np.empty((2, 2)),
+                                     np.empty(4, np.float32),
+                                     np.empty(4, complex),
+                                     np.empty(8)[::2]],
+                             ids=["longer", "other-shape", "float32",
+                                  "complex", "strided"])
+    def test_unfit_out_is_refused(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            e_kernel_axis(0.5, np.linspace(0.0, 3.0, 4), out=out)
 
 
 class TestGammaOnePlusI:

@@ -18,7 +18,8 @@ from hankellab.symbols import (Symbol, bump_symbol, constant_symbol,
 from hankellab.transform import ResolutionWarning, TransformPlan
 from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_MAX, N_MIN,
                               WEAK11_CENTERS, WEAK11_LEVELS, _cz_band,
-                              _cz_dual, _cz_piece, adapted_grids,
+                              _cz_dual, _cz_piece, _cz_work_size,
+                              adapted_grids,
                               adapted_plan, association_check,
                               battery_functions, battery_norms, check_atom,
                               compare_resolutions, cz_hormander_check,
@@ -140,7 +141,9 @@ class TestRestrictedSweeps:
     def _piece(alpha, m, psi, y, yp, j):
         # the piece on its band's dual side, built here
         R, Lam = TestRestrictedSweeps._piece_bounds(y, yp, j)
-        return _cz_piece(alpha, _cz_dual(alpha, m, psi, j, Lam), y, yp, R)
+        band = _cz_dual(alpha, m, psi, j, Lam)
+        return _cz_piece(alpha, band, y, yp, R,
+                         np.empty(_cz_work_size(band, R)))
 
     @pytest.mark.parametrize("alpha_k", [0.5, 1.3])
     def test_cz_pieces_match_the_full_plan(self, alpha_k):
@@ -175,9 +178,9 @@ class TestRestrictedSweeps:
         seen = [0]
         e_kernel_axis = verify.e_kernel_axis
 
-        def counted_kernel(alpha_k, u):
+        def counted_kernel(alpha_k, u, out=None):
             seen[0] += np.size(u)
-            return e_kernel_axis(alpha_k, u)
+            return e_kernel_axis(alpha_k, u, out=out)
 
         monkeypatch.setattr(verify, "e_kernel_axis", counted_kernel)
         rep = cz_hormander_check(alpha,
@@ -206,9 +209,9 @@ class TestRestrictedSweeps:
             sampled[0] += 1
             return symbol_values(*args)
 
-        def counted_kernel(alpha_k, u):
+        def counted_kernel(alpha_k, u, out=None):
             kernels[0] += 1
-            return e_kernel_axis(alpha_k, u)
+            return e_kernel_axis(alpha_k, u, out=out)
 
         monkeypatch.setattr(Grid, "build", staticmethod(counted_build))
         monkeypatch.setattr(verify, "_symbol_values", counted_sample)
@@ -222,6 +225,32 @@ class TestRestrictedSweeps:
         assert len(built) == len(lams) + n_pieces
         assert sampled[0] == len(lams)
         assert kernels[0] == n_pieces
+
+    def test_cz_check_evaluates_in_one_workspace(self, monkeypatch):
+        # every piece's kernel overwrites its arguments in place, in one
+        # workspace allocated once per check and sized for its largest
+        # piece by the pieces' specs
+        alpha, psi = MultiIndex((0.5,)), make_partition("plain")
+        m = laplace_type_symbol(1, "imag_power", gamma=1.0)
+        calls = []
+        e_kernel_axis = verify.e_kernel_axis
+
+        def recorded_kernel(alpha_k, u, out=None):
+            calls.append((u, out))
+            return e_kernel_axis(alpha_k, u, out=out)
+
+        monkeypatch.setattr(verify, "e_kernel_axis", recorded_kernel)
+        cz_hormander_check(alpha, m, psi)
+        work = calls[0][1].base
+        assert len(calls) == 232
+        for u, out in calls:
+            assert out is u and out.base is work
+            assert np.shares_memory(out, work)
+        pieces = [(j, R, Lam) for y, yp in default_cz_pairs()
+                  for j, (R, Lam) in _cz_band(y, yp).items()]
+        bands = {j: _cz_dual(alpha, m, psi, j, Lam) for j, _, Lam in pieces}
+        assert work.size == max(_cz_work_size(bands[j], R)
+                                for j, R, _ in pieces)
 
     def test_cz_piece_builds_only_its_spatial_grid(self, monkeypatch):
         alpha, psi = MultiIndex((0.5,)), make_partition("plain")
@@ -238,7 +267,8 @@ class TestRestrictedSweeps:
             return grid
 
         monkeypatch.setattr(Grid, "build", staticmethod(counted_build))
-        _cz_piece(alpha, band, y, yp, R)
+        _cz_piece(alpha, band, y, yp, R,
+                      np.empty(_cz_work_size(band, R)))
         assert [(g.axes[0].R, g.axes[0].n) for g in built] == \
             [(R, adapted_grids(alpha, R, Lam)[0].axes[0].n)]
 
@@ -260,7 +290,8 @@ class TestRestrictedSweeps:
         monkeypatch.setattr(verify, "check_resolution", coarse)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _cz_piece(alpha, band, y, yp, R)
+            got = _cz_piece(alpha, band, y, yp, R,
+                            np.empty(_cz_work_size(band, R)))
         assert judged == [(adapted_grids(alpha, R, Lam)[0].axes[0].n,
                            band[0])]
         assert got == self._piece(alpha, m, psi, y, yp, -3)
@@ -281,7 +312,8 @@ class TestRestrictedSweeps:
         monkeypatch.setattr(verify, "e_kernel_axis", nothing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _cz_piece(alpha, band, y, yp, R)
+            got = _cz_piece(alpha, band, y, yp, R,
+                            np.empty(_cz_work_size(band, R)))
         assert got == 0.0
 
     def test_warnings_of_the_pieces_are_counted(self, monkeypatch):
