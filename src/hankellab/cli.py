@@ -19,16 +19,18 @@ import numpy as np
 from . import __version__
 from .dyadic import make_partition
 from .grid import (MIN_PPW, POINTS_PER_PANEL, Grid, GridFunction, axis_size,
-                   check_normal_floats, check_weight_resolved, norm,
-                   points_per_wavelength, product_values)
+                   check_normal_floats, check_weight_resolved, first_node,
+                   norm, points_per_wavelength, product_values)
 from .heat import HeatKernelEval, axis_heat_matrix, gaussian_bound_check
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex, check_tabled
 from .symbols import parse_symbol
-from .sobolev import SpectralTailWarning, box_samples, hormander_sup
+from .sobolev import (BOX_HALFWIDTH, SpectralTailWarning, box_samples,
+                      hormander_sup)
 from .transform import TransformPlan, _contract
-from .verify import (DEFAULT_SEED, cz_hormander_check, h1_atom_check,
-                     lp_norm_probe, sweep_radii, weak11_probe)
+from .verify import (DEFAULT_SEED, _cz_band, _h1_orbits, cz_hormander_check,
+                     default_atom_family, default_cz_pairs, h1_atom_check,
+                     lp_norm_probe, weak11_probe)
 
 USAGE_ERROR = 64
 MEMORY_LIMIT_BYTES = 2 << 30
@@ -150,6 +152,13 @@ def _suite_names(args):
     return names
 
 
+# each sweep's declarations of the (R, n) of every axis it builds
+_SWEEP_GRIDS = {
+    "cz-check": lambda: [_cz_band(y, yp) for y, yp in default_cz_pairs()],
+    "h1-check": lambda: [axes for _, axes in
+                         _h1_orbits(default_atom_family()).values()]}
+
+
 def _check_config(cfg, names):
     """Refuse values no requested suite can run with, before any grid or
     plan is built; returns the parsed symbol, which every suite receives."""
@@ -165,13 +174,13 @@ def _check_config(cfg, names):
         raise ValueError(f"p = {cfg.p}: must lie in (1, inf)")
     if cfg.seed < 0:
         raise ValueError(f"seed = {cfg.seed}: must be >= 0")
-    for name, sweep in (("cz-check", "cz"), ("h1-check", "h1")):
-        if name in names and cfg.dims != 1:
+    for name in (name for name in _SWEEP_GRIDS if name in names):
+        if cfg.dims != 1:
             raise ValueError(f"dims = {cfg.dims} (alpha = {cfg.alpha}): "
                              f"{name} runs in one dimension")
-        if name in names:
-            check_normal_floats(cfg.alpha, sweep_radii(sweep),
-                                f"alpha = {cfg.alpha}, {name}")
+        radii = [R for decl in _SWEEP_GRIDS[name]() for axes in decl.values()
+                 for R, _ in axes]
+        check_normal_floats(cfg.alpha, radii, f"alpha = {cfg.alpha}, {name}")
     if "multiplier-check" in names and cfg.jmin > cfg.jmax:
         raise ValueError(f"jmin = {cfg.jmin} > jmax = {cfg.jmax}: "
                          "multiplier-check needs jmin <= jmax")
@@ -184,6 +193,14 @@ def _check_config(cfg, names):
     if "multiplier-check" in names and not 0 <= cfg.beta < np.inf:
         raise ValueError(f"beta = {cfg.beta}: multiplier-check needs a "
                          "finite beta >= 0")
+    # the box weight (1+|xi|^2)^beta is largest at the box's top frequency
+    # on every axis, |xi| = pi samples / (2 BOX_HALFWIDTH)
+    xi2 = cfg.dims * (np.pi * box_samples(cfg.dims) / (2.0 * BOX_HALFWIDTH))**2
+    beta_max = np.log(_FLOATS.max) / np.log1p(xi2)
+    if "multiplier-check" in names and cfg.beta > beta_max:
+        raise ValueError(f"beta = {cfg.beta}: multiplier-check's weight "
+                         f"(1+|xi|^2)^beta overflows at |xi|^2 = {xi2:.6g} "
+                         f"(dims = {cfg.dims}), from beta = {beta_max:.6g}")
     ppw = points_per_wavelength(axis_size(cfg.n), cfg.R, cfg.R)  # Lambda = R
     plan_suites = [name for name in RUN_PEAK if name in names]
     if plan_suites and ppw < MIN_PPW:
@@ -200,9 +217,12 @@ def _check_config(cfg, names):
         raise ValueError(f"R = {cfg.R}: lp-probe draws bump widths from "
                          "[8/R, R/8], so it needs R >= 8")
     heat_reach = HEAT_MARGIN * np.sqrt(max(HEAT_TIMES))
-    if "heat-selftest" in names and not cfg.R > heat_reach:
-        raise ValueError(f"R = {cfg.R}: heat-selftest compares on x < R - "
-                         f"{heat_reach:g}, so it needs R > {heat_reach:g}")
+    if "heat-selftest" in names and not all(
+            first_node(a, cfg.R, cfg.n) < cfg.R - heat_reach
+            for a in cfg.alpha):
+        raise ValueError(f"R = {cfg.R}, n = {cfg.n}: heat-selftest compares "
+                         f"on x < R - {heat_reach:g}, which holds no node "
+                         "of an axis")
     return parse_symbol(cfg.symbol, cfg.dims)
 
 

@@ -87,6 +87,15 @@ def axis_size(n):
     return POINTS_PER_PANEL * max(panels, GRADED_PANELS + 1)
 
 
+def first_node(alpha_k, R, n):
+    """The smallest node of AxisGrid.build(alpha_k, R, n), without building
+    the axis: the smallest Gauss-Jacobi node of the panel at 0."""
+    edge = R / (axis_size(n) // POINTS_PER_PANEL - GRADED_PANELS)
+    edge *= 2.0 ** -GRADED_PANELS
+    jx, _ = _jacgauss(POINTS_PER_PANEL, float(2.0 * alpha_k))
+    return float(edge * (jx[0] + 1.0) / 2.0)
+
+
 def points_per_wavelength(nodes, R, Lam):
     """2 pi nodes / (R Lam), in Decimal: exact for any int node count."""
     return 2.0 * np.pi * float(Decimal(nodes) / (Decimal(R) * Decimal(Lam)))
@@ -332,11 +341,19 @@ def norm(f: GridFunction, p=2.0, weight: WeightSpec | None = None):
         # |x| per call, like squared_mesh: a cache would live as long as the grid
         w1 = 1.0 + np.sqrt(f.grid.squared_mesh().sum(axis=-1))
         g, w = g * w1**weight.s, w * w1**weight.delta
+    top = float(np.max(g, initial=0.0))
     if np.isinf(p):
-        return float(np.max(g))
+        return top
     if p < 1:
         raise ValueError("p must be >= 1")
-    return float(np.sum(g**p * w) ** (1.0 / p))
+    if top == 0.0 or not np.isfinite(top):
+        return top
+    # relative to the largest |f|, so that |f|^p neither underflows to 0
+    # nor overflows at large p; one new array, raised and weighted in place
+    g = g / top
+    g **= p
+    g *= w
+    return top * float(np.sum(g)) ** (1.0 / p)
 
 
 def product_values(factors):

@@ -203,28 +203,35 @@ def _potential(d, a, need):
 
 
 # each family of the mini-language: the keys it takes (gamma may also sit
-# under phi=MODE:gamma=G) and its builder from d, the given keys and need(key)
+# under phi=MODE:gamma=G), each mapped to the least value of a numeric key
+# or to None for a text key, and its builder from d, the given keys and
+# need(key); _ANY is the least value of a key that takes any finite number
+_ANY = -np.inf
 FAMILIES = {
-    "laplace_type": ({"phi", "gamma"}, lambda d, a, need: laplace_type_symbol(
-        d, a.get("phi", "const"), a.get("gamma"))),
-    "bump": (set(), lambda d, a, need: bump_symbol(d)),
-    "oscillatory": ({"k"},
+    "laplace_type": ({"phi": None, "gamma": _ANY},
+                     lambda d, a, need: laplace_type_symbol(
+                         d, a.get("phi", "const"), a.get("gamma"))),
+    "bump": ({}, lambda d, a, need: bump_symbol(d)),
+    "oscillatory": ({"k": _ANY},
                     lambda d, a, need: oscillatory_symbol(d, float(need("k")))),
-    "potential": ({"s", "h"}, _potential),
-    "divergent": (set(), lambda d, a, need: divergent_symbol(d)),
-    "heat": ({"t"}, lambda d, a, need: heat_symbol(d, float(a.get("t", 1.0)))),
-    "const": ({"value"}, lambda d, a, need: constant_symbol(
+    "potential": ({"s": 0.0, "h": None}, _potential),
+    "divergent": ({}, lambda d, a, need: divergent_symbol(d)),
+    "heat": ({"t": 0.0},
+             lambda d, a, need: heat_symbol(d, float(a.get("t", 1.0)))),
+    "const": ({"value": _ANY}, lambda d, a, need: constant_symbol(
         d, float(a.get("value", 1.0)))),
-    "tabulated": ({"path"}, lambda d, a, need: tabulated_symbol(need("path"), d)),
+    "tabulated": ({"path": None},
+                  lambda d, a, need: tabulated_symbol(need("path"), d)),
 }
 
 
 def parse_symbol(spec_str, d):
     """Parse the mini-language: family name plus {key=value,...} arguments.
 
-    A malformed spec, an unknown family, a key the family does not take or
-    a key given twice (gamma counts once whether plain or under phi=MODE:)
-    raises ValueError; an unreadable tabulated path raises OSError.
+    A malformed spec, an unknown family, a key the family does not take, a
+    key given twice (gamma counts once whether plain or under phi=MODE:) or
+    a numeric key that is not a finite number at least its family's least
+    value raises ValueError; an unreadable tabulated path raises OSError.
     """
     m = _FAMILY_RE.match(spec_str.strip())
     if not m:
@@ -251,7 +258,7 @@ def parse_symbol(spec_str, d):
     if repeated:
         raise ValueError(f"symbol {spec_str!r}: {fam} does not take "
                          f"{', '.join(repeated)} twice")
-    unknown = sorted(set(args) - keys) \
+    unknown = sorted(set(args) - set(keys)) \
         + sorted(f"phi:{k}" for k in set(phi_args) - {"gamma"})
     if unknown:
         takes = ", ".join(sorted(keys)) or "no keys"
@@ -259,6 +266,18 @@ def parse_symbol(spec_str, d):
                          f"{', '.join(unknown)} (it takes {takes})")
     # what is left of phi_args is a gamma that no plain gamma= repeats
     args.update(phi_args)
+    for key, val in args.items():
+        least = keys[key]
+        if least is None:  # a text key
+            continue
+        try:
+            num = float(val)
+        except ValueError:
+            num = np.nan
+        if not (np.isfinite(num) and num >= least):
+            bound = f" >= {least:g}" if least > _ANY else ""
+            raise ValueError(f"symbol {spec_str!r}: {key} = {val!r} must be "
+                             f"a finite number{bound}")
 
     def need(key):
         if key not in args:

@@ -1,12 +1,15 @@
 """Experiment harness: Calderon-Zygmund kernel checks, L^p and weak-(1,1)
 probing, and Hardy-space atoms against the heat maximal function.
 
-The kernel checks sweep scale-adapted transform plans: each dyadic piece or
-atom gets a grid pair whose bandwidth product Lambda * R stays at a fixed
+The kernel checks sweep scale-adapted grids: each dyadic piece or atom
+gets a spatial axis whose bandwidth product Lambda * R stays at a fixed
 points-per-wavelength budget, so a single sweep can span many decades of
 separations and radii without a monster grid.  Geometric parameters
 (centers, margins, exclusion radii) scale with the probe radius, which keeps
 the sweeps covariant under the dilation structure the estimates live on.
+
+Each sweep declares the (R, n) of every axis it builds, as dicts of tuples
+of (R, n) (_cz_band, _h1_orbits), which the checks and the CLI gate read.
 
 Bessel kernel values are evaluated only on the nodes a sum reads.  The
 CZ sweep builds each dyadic band's dual side once per check (_cz_dual) and
@@ -15,8 +18,8 @@ its spatial axis and evaluates the band's nodes where m_j != 0 against the
 nodes off the excluded ball in one kernel call, and a band with no such
 node costs the piece nothing.  A check allocates one workspace, sized
 for its largest piece, and every piece writes its kernel arguments there
-and evaluates them in place.  The H^1 sweep builds a grid pair once with
-adapted_grids, restricts it with Grid.restrict, and builds every plan
+and evaluates them in place.  The H^1 sweep builds each declared grid
+pair once, restricts it with Grid.restrict, and builds every plan
 through adapted_plan: an atom's fine plan holds the near nodes, its
 transfer to the coarse dual grid runs over the atom's support only, and
 its coarse plan holds only the far nodes.  A restricted grid is a
@@ -121,10 +124,10 @@ def check_atom(atom: Atom):
 # ---------------------------------------------------------------------------
 # scale-adapted plans and spectral kernel rows
 
-# the spatial node count of adapted_grids stays within [N_MIN, N_MAX]
+# the spatial node count of a sweep axis stays within [N_MIN, N_MAX]
 N_MIN = 256
 N_MAX = 3072
-# dual node count of adapted_grids unless given, and of every CZ band
+# dual node count of every CZ band and of the H^1 coarse axes
 N_DUAL = 512
 
 
@@ -133,13 +136,6 @@ def _adapted_n(R, Lam, ppw=5.0):
     (0, Lam]: the points-per-wavelength budget ppw at the bandwidth corner,
     clipped to [N_MIN, N_MAX]."""
     return int(np.clip(np.ceil(nodes_for_ppw(ppw, R, Lam)), N_MIN, N_MAX))
-
-
-def adapted_grids(alpha, R, Lam, ppw=5.0, n_dual=N_DUAL):
-    """Grid on (0, R] and dual grid on (0, Lam], with the spatial node count
-    set by a points-per-wavelength budget at the bandwidth corner."""
-    return (Grid.build(alpha, R=R, n=_adapted_n(R, Lam, ppw)),
-            Grid.build(alpha, R=Lam, n=n_dual))
 
 
 @contextmanager
@@ -160,7 +156,7 @@ def _sweep_resolution():
 
 def adapted_plan(grid, dual_grid):
     """The one builder of the H^1 sweep's plans: the TransformPlan between
-    an adapted_grids pair, either grid possibly Grid.restrict-ed, with
+    a declared pair (_h1_orbits), either grid possibly Grid.restrict-ed, with
     ResolutionWarning dropped (_sweep_resolution).  The CZ sweep builds no
     plan; its pieces judge their full axes by the same rule
     (check_resolution) under the same filter.
@@ -190,45 +186,46 @@ CZ_J_MARGIN = (20, 8)
 
 
 def _cz_band(y, yp):
-    """{j: (R, Lambda)} over a pair's pieces j* - 20 .. j* + 8, around
-    j* = ceil(-2 log2 2|y - y'|): the radii of each piece's adapted grids."""
+    """{j: (piece, dual)} over a pair's pieces j* - 20 .. j* + 8, around
+    j* = ceil(-2 log2 2|y - y'|): the (R, n) of each piece's adapted spatial
+    axis and of its band's dual axis, on (0, 1.05 2^((j+1)/2)]."""
     r2 = 2.0 * float(np.linalg.norm(y - yp))
     jstar, top = int(np.ceil(-2.0 * np.log2(r2))), float(max(y.max(), yp.max()))
-    return {j: (top + max(40.0 * 2.0 ** (-j / 2.0), 4.0 * r2),
-                1.05 * 2.0 ** ((j + 1) / 2.0))
-            for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1)}
+    radii = {j: (top + max(40.0 * 2.0 ** (-j / 2.0), 4.0 * r2),
+                 1.05 * 2.0 ** ((j + 1) / 2.0))
+             for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1)}
+    return {j: ((R, _adapted_n(R, Lam)), (Lam, N_DUAL))
+            for j, (R, Lam) in radii.items()}
 
 
-def _cz_dual(alpha, m, psi, j, Lam):
+def _cz_dual(alpha, m, psi, j, spec):
     """The dual side of the dyadic band j, which every pair whose band holds
-    j shares (_cz_band): the dual grid on (0, Lam], Lam = 1.05 2^((j+1)/2),
-    of N_DUAL nodes, and its nodes where m_j != 0, with m_j and the
-    quadrature weights there."""
-    dual = Grid.build(alpha, R=Lam, n=N_DUAL)
+    j shares: the dual grid of spec = _cz_band(...)[j][1], and its nodes
+    where m_j != 0, with m_j and the quadrature weights there."""
+    dual = Grid.build(alpha, *spec)
     mj = dyadic_symbol_values(dual, _symbol_values(dual, m), psi, j)
     on = mj != 0
     ax = dual.axes[0]
     return dual, ax.nodes[on], mj[on], ax.quad_weights[on]
 
 
-def _cz_work_size(band, R):
-    """The workspace floats a piece of the band on (0, R] may need: the
-    band's nodes times its full spatial axis (_adapted_n, as _cz_piece
-    builds it) and times y and y'."""
-    return band[1].size * (axis_size(_adapted_n(R, band[0].axes[0].R)) + 2)
+def _cz_work_size(band, piece):
+    """The workspace floats the piece (R, n) of the band may need: the
+    band's nodes times its full spatial axis and times y and y'."""
+    return band[1].size * (axis_size(piece[1]) + 2)
 
 
-def _cz_piece(alpha, band, y, yp, R, work):
+def _cz_piece(alpha, band, y, yp, piece, work):
     """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) for the pair
     (y, y') and the dual side band = _cz_dual(..., j, ...) of its piece j,
-    on the adapted spatial grid on (0, R] (_cz_band).
+    on the spatial grid of piece = _cz_band(y, yp)[j][0].
 
     Only the spatial axis is built here.  One kernel evaluation covers the
     band's nodes times the nodes with |x-y| > 2|y-y'|, since no other entry
     enters D_j, laid out as the (band, x) matrix a plan would hold, and then
     the band's nodes times y and times y'.  The arguments are written into
     the leading floats of work, a float64 workspace of at least
-    _cz_work_size(band, R) floats, and the kernel values overwrite them in
+    _cz_work_size(band, piece) floats, and the kernel values overwrite them in
     place (e_kernel_axis with out), so the piece allocates neither.  One
     contraction of that matrix against m_j (E_y - E_y') and the dual
     weights gives the kernel-row difference off the ball, rounded as a
@@ -239,7 +236,7 @@ def _cz_piece(alpha, band, y, yp, R, work):
     dual, lam, mj, w = band
     if lam.size == 0:
         return 0.0
-    grid = Grid.build(alpha, R=R, n=_adapted_n(R, dual.axes[0].R))
+    grid = Grid.build(alpha, *piece)
     with _sweep_resolution():
         check_resolution(grid, dual)
     ax = grid.axes[0]
@@ -288,20 +285,18 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     seps, totals, tops = [], [], []
     mid = len(pairs) // 2
     bands = [_cz_band(y, yp) for y, yp in pairs]
-    duals = {}
+    specs = {j: dual for band in bands for j, (_, dual) in band.items()}
     with warnings.catch_warnings(record=True) as wlog:
         warnings.simplefilter("always")
-        for band in bands:
-            for j, (_, Lam) in band.items():
-                if j not in duals:
-                    duals[j] = _cz_dual(alpha, m, psi, j, Lam)
+        duals = {j: _cz_dual(alpha, m, psi, j, spec)
+                 for j, spec in specs.items()}
         # one workspace for every piece's kernel arguments and values
-        work = np.empty(max(_cz_work_size(duals[j], R) for band in bands
-                            for j, (R, _) in band.items()))
+        work = np.empty(max(_cz_work_size(duals[j], piece) for band in bands
+                            for j, (piece, _) in band.items()))
         for idx, ((y, yp), band) in enumerate(zip(pairs, bands)):
             r2 = 2.0 * float(np.linalg.norm(y - yp))
-            perj = [(j, _cz_piece(alpha, duals[j], y, yp, R, work))
-                    for j, (R, _) in band.items()]
+            perj = [(j, _cz_piece(alpha, duals[j], y, yp, piece, work))
+                    for j, (piece, _) in band.items()]
             total = sum(dj for _, dj in perj)
             if idx == mid:
                 for j, dj in perj:
@@ -401,9 +396,17 @@ def battery_functions(grid: Grid, factors):
 
 
 def battery_norms(grid: Grid, factors, p):
-    """||f||_p of each battery function on grid, from its factors' norms."""
-    return np.prod([(np.abs(F) ** p @ ax.quad_weights) ** (1.0 / p)
-                    for ax, F in zip(grid.axes, factors)], axis=0)
+    """||f||_p of each battery function on grid, from its factors' norms,
+    each taken relative to the factor's largest |value|, as grid.norm does,
+    so that |value|^p does not underflow at large p."""
+    norms = np.ones(BATTERY_SIZE)
+    for ax, F in zip(grid.axes, factors):
+        g = np.abs(F)
+        top = g.max(axis=1)
+        g /= np.where(top > 0, top, 1.0)[:, None]
+        g **= p
+        norms *= top * (g @ ax.quad_weights) ** (1.0 / p)
+    return norms
 
 
 # lp_norm_probe keeps the singular values of the d = 2 symbol matrix above
@@ -544,26 +547,24 @@ def default_atom_family():
             for c in (1.2, 5.0, 20.0)]
 
 
-def _atom_radii(y0, r):
-    """R and Lambda of an atom's fine and of its coarse adapted grids."""
-    return (y0 + 24.0 * r, 40.0 / r), (y0 + 240.0 * r, 10.0 / r)
+def _h1_orbits(atoms):
+    """The H^1 sweep's grids, {c: (group, axes)} per centre ratio c = y0 / r
+    of atoms, group its atoms (y0, r) in order.  axes["fine"] and ["coarse"]
+    are the unit atom's spatial and dual (R, n), then the dual at each atom's
+    scale, Lambda / r: the fine pair resolves the atom scale out to 24 radii,
+    the coarse one the slowly decaying maximal-function tail out to 240."""
+    orbits = {}
+    for y0, r in atoms:
+        orbits.setdefault(round(y0 / r, 9), []).append((y0, r))
+    return {c: (group, {name: ((c + span, _adapted_n(c + span, Lam, ppw)),
+                               (Lam, n), *((Lam / r, n) for _, r in group))
+                        for name, span, Lam, ppw, n in (
+                            ("fine", 24.0, 40.0, 5.0, 640),
+                            ("coarse", 240.0, 10.0, 4.0, N_DUAL))})
+            for c, group in orbits.items()}
 
 
-def sweep_radii(sweep):
-    """Every R and Lambda of the grids the CZ ("cz") or H^1 ("h1") sweep
-    builds.  The H^1 sweep builds its spatial and dual grids at unit scale,
-    one pair per centre ratio, and per radius r only the dual grids at the
-    atom's scale, Lambda / r (_h1_orbit)."""
-    if sweep == "cz":
-        return np.ravel([list(_cz_band(y, yp).values()) for y, yp in default_cz_pairs()])
-    atoms = default_atom_family()
-    unit = np.array([_atom_radii(c, 1.0)
-                     for c in sorted({round(y0 / r, 9) for y0, r in atoms})])
-    lam = unit[0, :, 1]  # the fine and coarse Lambda, alike for every c
-    return np.concatenate([unit.ravel(), np.ravel([lam / r for _, r in atoms])])
-
-
-def _orbit_sums(plan, spec, m, psi_squared, radii, profiled, tg, sels):
+def _orbit_sums(plan, spec, m, psi_squared, radii, duals, profiled, tg, sels):
     """Per radius r in radii, the L^1(dnu) sums over each selection in sels
     of the maximal field of spec under the dilated symbol m(lambda / r),
     and {r: (jc, per-j sums)} for r in profiled: the sums over the last
@@ -571,14 +572,12 @@ def _orbit_sums(plan, spec, m, psi_squared, radii, profiled, tg, sels):
     with 0 for a piece whose dyadic window reaches past the dual axis (on
     the coarse axis, 10 / r, the top ones; on the fine axis, 40 / r, none).
 
-    m(lambda / r) is sampled on the dual grid at the atom's own scale
-    (R / r), whose nodes are the plan's dual nodes over r.  All radii go
-    through one _maximal_field call, along a batch axis; each per-j field
-    is a call of its own, contracting only its band."""
+    m(lambda / r) is sampled on the dual grid at the atom's own scale, duals
+    the (R, n) per radius, whose nodes are the plan's dual nodes over r.  All
+    radii go through one _maximal_field call, along a batch axis; each per-j
+    field is a call of its own, contracting only its band."""
     w = plan.grid.weight_tensor()
-    dual = plan.dual_grid.axes[0]
-    scaled = [Grid.build(plan.grid.alpha, R=dual.R / r, n=dual.n)
-              for r in radii]
+    scaled = [Grid.build(plan.grid.alpha, *ax) for ax in duals]
     mvals = [_symbol_values(g, m) for g in scaled]
     field = _maximal_field(plan, np.stack(mvals, axis=-1) * spec[:, None],
                            tg)
@@ -600,10 +599,10 @@ def _orbit_sums(plan, spec, m, psi_squared, radii, profiled, tg, sels):
     return sums, profiles
 
 
-def _h1_orbit(alpha, m, psi_squared, c, radii, profiled):
-    """{r: ((local, near, far), profile)} for the atoms (c r, r), r in
-    radii, of centre ratio c; profile is the per-j far profile over
-    j = jc - 8 .. jc + 8, jc = -2 log2(r), when r is in profiled, else None.
+def _h1_orbit(alpha, m, psi_squared, c, group, axes, profiled):
+    """{(y0, r): ((local, near, far), profile)} for the atoms group of centre
+    ratio c on the grids axes (_h1_orbits); profile is the per-j far profile
+    over j = jc - 8 .. jc + 8, jc = -2 log2(r), when r is in profiled.
 
     The atom (c r, r) is the unit atom (c, 1) dilated by r, and the L^1(dnu)
     parts of its maximal function are the unit atom's under the dilated
@@ -616,31 +615,33 @@ def _h1_orbit(alpha, m, psi_squared, c, radii, profiled):
     """
     tg = TimeGrid(np.geomspace(1e-5, 1e5, 80))
     F = c + 18.0
-    (R_f, Lam_f), (R_c, Lam_c) = _atom_radii(c, 1.0)
-    grid_f, dual_f = adapted_grids(alpha, R_f, Lam_f, n_dual=640)
+    radii = [r for _, r in group]
+    x_f, lam_f, *scaled_f = axes["fine"]
+    x_c, lam_c, *scaled_c = axes["coarse"]
+    grid_f, dual_f = Grid.build(alpha, *x_f), Grid.build(alpha, *lam_f)
     fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]), dual_f)
     atom = make_atom(fine.grid, c, 1.0).values.values
     on = atom != 0
     support = fine.grid.restrict([on])
     local_sel = np.abs(fine.grid.axes[0].nodes - c) <= 2.0
     (local, near), near_j = _orbit_sums(fine, fine.forward(atom), m,
-                                        psi_squared, radii, profiled, tg,
-                                        (local_sel, ~local_sel))
+                                        psi_squared, radii, scaled_f,
+                                        profiled, tg, (local_sel, ~local_sel))
     del fine
-    grid_c, dual_c = adapted_grids(alpha, R_c, Lam_c, ppw=4.0)
+    grid_c, dual_c = Grid.build(alpha, *x_c), Grid.build(alpha, *lam_c)
     coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]), dual_c)
     # atom spectrum on the coarse dual grid, by fine-grid quadrature over
     # the atom's support, where the other nodes add nothing
     spec_c = adapted_plan(support, dual_c).forward(atom[on])
     (far,), far_j = _orbit_sums(coarse, spec_c, m, psi_squared, radii,
-                                profiled, tg, (slice(None),))
+                                scaled_c, profiled, tg, (slice(None),))
     out = {}
-    for i, r in enumerate(radii):
+    for i, (y0, r) in enumerate(group):
         profile = None
         if r in profiled:
             jc, prof = near_j[r]
             profile = jc, [a + b for a, b in zip(prof, far_j[r][1])]
-        out[r] = (float(local[i]), float(near[i]), float(far[i])), profile
+        out[y0, r] = (float(local[i]), float(near[i]), float(far[i])), profile
     return out
 
 
@@ -652,10 +653,8 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     under the dilated symbol m(lambda / r) (_h1_orbit), so the family needs
     one unit atom and three plans per centre ratio, 9 builds in all, and
     holds one full kernel matrix at a time; the radii of a ratio are one
-    batch of one maximal field per plan.  The unit atom gets two adapted
-    grid pairs: a fine one resolving the atom scale out to a margin of 24
-    radii, and a coarse one carrying the slowly decaying maximal-function
-    tail out to hundreds of radii.  The fine kernel is
+    batch of one maximal field per plan.  The unit atom gets a fine and a
+    coarse grid pair (_h1_orbits).  The fine kernel is
     evaluated only on the nodes x <= F = c + 18, which hold the atom's
     support and where the local and near parts are read, and the coarse
     kernel only on the nodes x > F, where the far part is read.  The atom's
@@ -689,16 +688,14 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
                     "ratio_tol": RATIO_TOL},
         provenance="L^1 bound for the maximal function of multiplied atoms",
     )
-    orbits = {}
-    for y0, r in atoms:
-        orbits.setdefault(round(y0 / r, 9), []).append(r)
-    parts = {(c, r): res for c, radii in orbits.items()
-             for r, res in _h1_orbit(alpha, m, psi_squared, c, radii,
-                                     per_j_radii if c == 5.0 else ()).items()}
+    parts = {}
+    for c, (group, axes) in _h1_orbits(atoms).items():
+        parts.update(_h1_orbit(alpha, m, psi_squared, c, group, axes,
+                               per_j_radii if c == 5.0 else ()))
     by_radius = {}
     perj_profiles = {}
     for y0, r in atoms:
-        (local, near, far), profile = parts[round(y0 / r, 9), r]
+        (local, near, far), profile = parts[y0, r]
         total = local + near + far
         rep.add(f"total@r={r:.3g},y0={y0:.3g}", total)
         rep.add(f"local@r={r:.3g},y0={y0:.3g}", local)

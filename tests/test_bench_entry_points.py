@@ -77,8 +77,10 @@ def test_adapted_plan_carries_the_unit_scale_key_fields():
     # the tracer keys adapted plans on alpha, both grid shapes and R * Lambda,
     # read from the TransformPlan that adapted_plan returns, here a full one
     verify = _module("verify")
-    plan = verify.adapted_plan(*verify.adapted_grids(MultiIndex((0.5,)),
-                                                     R=4.0, Lam=2.0, n_dual=32))
+    alpha = MultiIndex((0.5,))
+    plan = verify.adapted_plan(
+        Grid.build(alpha, 4.0, verify._adapted_n(4.0, 2.0)),
+        Grid.build(alpha, 2.0, 32))
     assert isinstance(plan, TransformPlan)
     for grid in (plan.grid, plan.dual_grid):
         assert isinstance(grid.shape, tuple)

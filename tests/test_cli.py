@@ -18,7 +18,7 @@ from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
                            _make_parser, _parse_config_file, build_config,
                            main)
 from hankellab.dyadic import make_partition
-from hankellab.grid import Grid, GridFunction, axis_size, norm
+from hankellab.grid import Grid, GridFunction, axis_size, first_node, norm
 from hankellab.heat import HeatKernelEval, heat_apply
 from hankellab.sobolev import SpectralTailWarning
 from hankellab.specfun import MultiIndex
@@ -170,6 +170,22 @@ class TestConfigHandling:
          "jmin = 1100, jmax = 1100"),
         (["multiplier-check", "--jmin", "-1100", "--jmax", "-1100"],
          "jmin = -1100, jmax = -1100"),
+        (["lp-probe", "--n", "256", "--R", "12", "--symbol",
+          "const{value=inf}"], "value = 'inf'"),
+        (["lp-probe", "--n", "256", "--R", "12", "--symbol",
+          "oscillatory{k=nan}"], "k = 'nan'"),
+        (["multiplier-check", "--symbol", "heat{t=-1}"], "t = '-1'"),
+        (["multiplier-check", "--symbol", "potential{s=-0.1,h=bump}"],
+         "s = '-0.1'"),
+        (["multiplier-check", "--symbol", "heat{t=abc}"], "t = 'abc'"),
+        (["heat-selftest", "--R", "12.000001", "--n", "64"],
+         "R = 12.000001, n = 64"),
+        (["heat-selftest", "--R", "12.000001"], "R = 12.000001, n = 1024"),
+        (["heat-selftest", "--R", "12.0001", "--n", "64"],
+         "R = 12.0001, n = 64"),
+        (["multiplier-check", "--beta", "59.19"], "beta = 59.19"),
+        (["multiplier-check", "--dims", "2", "--beta", "62.82"],
+         "beta = 62.82"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
@@ -181,7 +197,12 @@ class TestConfigHandling:
             "lp-under-resolved", "lp-R-subnormal", "R-subnormal",
             "lp-R-below-8", "cz-alpha-50", "h1-alpha-54.5",
             "weight-unresolved-near-R", "kernel-table-above-cap",
-            "j-600-overflows", "j-1100-out-of-range", "j-minus-1100-is-0"])
+            "j-600-overflows", "j-1100-out-of-range", "j-minus-1100-is-0",
+            "const-value-inf", "oscillatory-k-nan", "heat-t-negative",
+            "potential-s-negative", "heat-t-not-a-number",
+            "heat-R-just-above-12-n-64", "heat-R-just-above-12-n-1024",
+            "heat-R-12.0001-n-64", "beta-59.19-overflows",
+            "beta-62.82-overflows-at-d-2"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
         built = []
@@ -213,6 +234,43 @@ class TestConfigHandling:
         # R = 8 gives lp-probe's bump widths the single value 1; at
         # R = 1e-150, R^2 and (R/8)^2 are still normal floats
         cli._check_config(RunConfig(R=R, n=64), [suite])
+
+    def test_heat_gate_is_where_the_compared_rows_hold_a_node(self, tmp_path):
+        # at n = 64 the axis's smallest node lies between 1e-4 and 1e-3, so
+        # the rows x < R - 12 hold it at R = 12.001 but not at R = 12.0001
+        assert 1e-4 < first_node(0.5, 12.001, 64) < 1e-3
+        assert run_cli(["heat-selftest", "--R", "12.001", "--n", "64",
+                        "--output", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("dims,last,first", [(1, 59.1804, 59.1805),
+                                                 (2, 62.8104, 62.8105)])
+    def test_beta_gate_is_where_the_box_weight_overflows(self, dims, last,
+                                                          first):
+        # (1+|xi|^2)^beta is largest at the box's top frequency on every
+        # axis: the last beta the gate admits, to 4 decimals, gives a finite
+        # norm, and the first it refuses does not
+        cfg = RunConfig(alpha=(0.5,) * dims, dims=dims)
+        cfg.beta = last
+        cli._check_config(cfg, ["multiplier-check"])
+        cfg.beta = first
+        with pytest.raises(ValueError, match=f"beta = {first}: multiplier"):
+            cli._check_config(cfg, ["multiplier-check"])
+        sym = parse_symbol(cfg.symbol, dims)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the tail, and the overflow
+            assert np.isfinite(sobolev.local_sobolev_norm(sym, 0, last))
+            assert not np.isfinite(sobolev.local_sobolev_norm(sym, 0, first))
+
+    def test_lp_probe_reaches_a_verdict_at_large_p(self, tmp_path, capsys):
+        # |f|^2000 underflows to 0 for |f| < 0.7; the norms are taken
+        # relative to the largest |f|, so the ratios stay finite
+        assert run_cli(["lp-probe", "--p", "2000", "--output",
+                        str(tmp_path)]) == 0
+        assert "suite error" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "report-lp-probe.json").read_text())
+        probe = report["reports"][0]
+        assert probe["verdict"] == "pass"
+        assert 0 < probe["fitted_constants"]["max_ratio"] < np.inf
 
     def test_j_gate_is_where_the_window_radii_leave_the_normals(self):
         # |2^j u|^2 at the window radii u = 1/2 and 2 is 2^(2j-2) and

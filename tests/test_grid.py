@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hankellab.grid import (MAX_WEIGHT_RATE, AxisGrid, Grid, GridFunction,
                             MassDeficitWarning, WeightSpec, _gaussian_moment,
                             _jacgauss, axis_size, ball_measure,
-                            check_weight_resolved, dilate, integrate, norm)
+                            check_weight_resolved, dilate, first_node,
+                            integrate, norm)
 from hankellab.specfun import MultiIndex
 
 mpmath.mp.dps = 30
@@ -93,6 +94,12 @@ class TestAxisGrid:
         assert float(ax.quad_weights.sum()) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha_k,R,n", [(0.5, 12.001, 64), (-0.3, 24.0, 1024),
+                                         (1.3, 1e-3, 300), (20.0, 7.0, 16)])
+def test_first_node_is_the_built_axis_first_node(alpha_k, R, n):
+    assert first_node(alpha_k, R, n) == AxisGrid.build(alpha_k, R, n).nodes[0]
+
+
 class TestGrid:
     def test_tensor_weights_product(self):
         g = Grid.build(MultiIndex((0.0, 1.0)), R=3.0, n=64)
@@ -144,6 +151,16 @@ class TestNorms:
         assert norm(f, 1.0, WeightSpec(s=1.0)) == pytest.approx(want, rel=1e-12)
         assert norm(f, 1.0, WeightSpec(delta=1.0)) == pytest.approx(
             want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1e4, 1e6])
+    def test_large_p_norm_does_not_underflow(self, p):
+        # 0.5^p underflows to 0 from p of about 1075; relative to the
+        # largest |f| the norm is 0.5 (sum of the weights)^(1/p)
+        g = Grid.build(MultiIndex((0.5, 1.3)), R=4.0, n=64)
+        f = g.sample(lambda x, y: np.full_like(x, 0.5))
+        want = 0.5 * float(np.sum(g.weight_tensor())) ** (1.0 / p)
+        assert norm(f, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert norm(f * 0.0, p) == 0.0
 
     def test_invalid_weight_and_p(self):
         with pytest.raises(ValueError):

@@ -234,11 +234,12 @@ class TestFixedOrderTables:
         monkeypatch.setattr(verify, "e_kernel_axis", counted_kernel)
         y, yp = default_cz_pairs()[4]
         jstar = int(np.ceil(-2.0 * np.log2(2.0 * abs(y[0] - yp[0]))))
-        R, Lam = _cz_band(y, yp)[jstar]
+        piece, dual = _cz_band(y, yp)[jstar]
         alpha = MultiIndex((1.3,))
         band = _cz_dual(alpha, laplace_type_symbol(1, "imag_power", gamma=1.0),
-                        make_partition("plain"), jstar, Lam)
-        _cz_piece(alpha, band, y, yp, R, np.empty(_cz_work_size(band, R)))
+                        make_partition("plain"), jstar, dual)
+        _cz_piece(alpha, band, y, yp, piece,
+                  np.empty(_cz_work_size(band, piece)))
         h = specfun._CELL
         first = np.ceil(specfun._upper(0.8) / h) * h
         assert continued[0] == 1

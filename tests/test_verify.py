@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hankellab import transform, verify
+from hankellab import cli, transform, verify
 from hankellab.dyadic import make_partition
 from hankellab.grid import Grid, GridFunction, integrate, norm
 from hankellab.heat import TimeGrid, _maximal_field
@@ -16,11 +16,11 @@ from hankellab.specfun import MultiIndex
 from hankellab.symbols import (Symbol, bump_symbol, constant_symbol,
                                laplace_type_symbol, parse_symbol)
 from hankellab.transform import ResolutionWarning, TransformPlan
-from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_MAX, N_MIN,
-                              WEAK11_CENTERS, WEAK11_LEVELS, _cz_band,
-                              _cz_dual, _cz_piece, _cz_work_size,
-                              adapted_grids,
-                              adapted_plan, association_check,
+from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_DUAL, N_MAX,
+                              N_MIN, WEAK11_CENTERS, WEAK11_LEVELS,
+                              _adapted_n, _cz_band, _cz_dual, _cz_piece,
+                              _cz_work_size, _h1_orbits, adapted_plan,
+                              association_check,
                               battery_functions, battery_norms, check_atom,
                               compare_resolutions, cz_hormander_check,
                               default_atom_family, default_cz_pairs,
@@ -71,14 +71,16 @@ class TestAtoms:
 
 class TestAdaptedPlans:
     def test_node_budget_clipped(self):
-        grid, _ = adapted_grids(MultiIndex((0.5,)), R=10.0, Lam=2.0)
+        grid = Grid.build(MultiIndex((0.5,)), 10.0, _adapted_n(10.0, 2.0))
         assert grid.axes[0].n >= N_MIN
-        grid2, _ = adapted_grids(MultiIndex((0.5,)), R=1000.0, Lam=50.0)
+        grid2 = Grid.build(MultiIndex((0.5,)), 1000.0,
+                           _adapted_n(1000.0, 50.0))
         assert grid2.axes[0].n <= N_MAX + 16  # panel rounding slack
 
     def test_node_selections_keep_the_full_plans_entries(self):
-        grid, dual = adapted_grids(MultiIndex((1.3,)), R=6.0, Lam=4.0,
-                                   n_dual=48)
+        alpha = MultiIndex((1.3,))
+        grid = Grid.build(alpha, 6.0, _adapted_n(6.0, 4.0))
+        dual = Grid.build(alpha, 4.0, 48)
         full = adapted_plan(grid, dual)
         x, lam = full.grid.axes[0].nodes, full.dual_grid.axes[0].nodes
         keep_x, keep_dual = x > 2.0, np.flatnonzero(lam < 3.0)
@@ -93,7 +95,9 @@ class TestAdaptedPlans:
 
     def test_only_resolution_warnings_are_dropped(self, monkeypatch):
         # R * Lambda = 1000 over 512 dual nodes: ~3.2 points per wavelength
-        grid, dual = adapted_grids(MultiIndex((0.5,)), R=100.0, Lam=10.0)
+        alpha = MultiIndex((0.5,))
+        grid = Grid.build(alpha, 100.0, _adapted_n(100.0, 10.0))
+        dual = Grid.build(alpha, 10.0, N_DUAL)
         build = TransformPlan.build
         with pytest.warns(ResolutionWarning):
             build(grid, dual)
@@ -108,6 +112,39 @@ class TestAdaptedPlans:
             adapted_plan(grid, dual)
         assert [w.category for w in escaped] == [RuntimeWarning]
 
+    def test_sweeps_build_and_the_gate_judges_the_declared_axes(
+            self, monkeypatch):
+        # every grid the default sweeps build is one their declarations
+        # (_cz_band, _h1_orbits) list, every declared axis is built, and
+        # the CLI gate judges the R of exactly the declared axes
+        alpha = MultiIndex((0.5,))
+        m = laplace_type_symbol(1, "imag_power", gamma=1.0)
+        declared = {
+            "cz-check": [ax for y, yp in default_cz_pairs()
+                         for axes in _cz_band(y, yp).values() for ax in axes],
+            "h1-check": [ax for _, decl in
+                         _h1_orbits(default_atom_family()).values()
+                         for axes in decl.values() for ax in axes]}
+        built = {name: [] for name in declared}
+        build = Grid.build
+        for name, check, psi in (("cz-check", cz_hormander_check, "plain"),
+                                 ("h1-check", verify.h1_atom_check,
+                                  "squared")):
+            def recorded(alpha, R, n, _log=built[name]):
+                _log.append((R, n))
+                return build(alpha, R, n)
+
+            monkeypatch.setattr(Grid, "build", staticmethod(recorded))
+            check(alpha, m, make_partition(psi))
+        monkeypatch.undo()
+        for name, axes in declared.items():
+            assert set(built[name]) == set(axes)
+            judged = []
+            monkeypatch.setattr(cli, "check_normal_floats",
+                                lambda a, radii, what: judged.extend(radii))
+            cli._check_config(cli.RunConfig(alpha=(0.5,)), [name])
+            assert sorted(judged) == sorted(R for R, _ in axes)
+
     def test_default_pairs_span_decades(self):
         pairs = default_cz_pairs()
         seps = [float(np.linalg.norm(b - a)) for a, b in pairs]
@@ -119,17 +156,25 @@ class TestRestrictedSweeps:
     their numbers match the full plans."""
 
     @staticmethod
-    def _piece_bounds(y, yp, j):
-        # R and Lambda of the (pair, j) adapted grids, as _cz_band sets them
+    def _piece_axes(y, yp, j):
+        # (R, n) of the (pair, j) piece's spatial axis and of its band's
+        # dual axis, as _cz_band declares them
         r2 = 2.0 * float(np.linalg.norm(y - yp))
         R = float(max(y.max(), yp.max())
                   + max(40.0 * 2.0 ** (-j / 2.0), 4.0 * r2))
-        return R, 1.05 * 2.0 ** ((j + 1) / 2.0)
+        Lam = 1.05 * 2.0 ** ((j + 1) / 2.0)
+        return (R, _adapted_n(R, Lam)), (Lam, N_DUAL)
+
+    @staticmethod
+    def _piece_grids(alpha, y, yp, j):
+        # the (pair, j) piece's full spatial grid and its band's dual grid
+        return [Grid.build(alpha, *ax)
+                for ax in TestRestrictedSweeps._piece_axes(y, yp, j)]
 
     def _full_plan_dj(self, alpha, m, psi, y, yp, j):
         # every kernel entry of the (pair, j) adapted plan, masked afterwards
         r2 = 2.0 * float(np.linalg.norm(y - yp))
-        pl = adapted_plan(*adapted_grids(alpha, *self._piece_bounds(y, yp, j)))
+        pl = adapted_plan(*self._piece_grids(alpha, y, yp, j))
         lam2 = pl.dual_grid.squared_mesh()
         mj = psi.piece(j, lam2) * m(lam2)
         row = (pl.inverse(mj * pl.e_dual(y))
@@ -140,10 +185,10 @@ class TestRestrictedSweeps:
     @staticmethod
     def _piece(alpha, m, psi, y, yp, j):
         # the piece on its band's dual side, built here
-        R, Lam = TestRestrictedSweeps._piece_bounds(y, yp, j)
-        band = _cz_dual(alpha, m, psi, j, Lam)
-        return _cz_piece(alpha, band, y, yp, R,
-                         np.empty(_cz_work_size(band, R)))
+        piece, dual = TestRestrictedSweeps._piece_axes(y, yp, j)
+        band = _cz_dual(alpha, m, psi, j, dual)
+        return _cz_piece(alpha, band, y, yp, piece,
+                         np.empty(_cz_work_size(band, piece)))
 
     @pytest.mark.parametrize("alpha_k", [0.5, 1.3])
     def test_cz_pieces_match_the_full_plan(self, alpha_k):
@@ -172,8 +217,7 @@ class TestRestrictedSweeps:
         for y, yp in default_cz_pairs():
             jstar = int(np.ceil(-2.0 * np.log2(2.0 * np.linalg.norm(y - yp))))
             for j in range(jstar - CZ_J_MARGIN[0], jstar + CZ_J_MARGIN[1] + 1):
-                grid, dual = adapted_grids(alpha,
-                                           *self._piece_bounds(y, yp, j))
+                grid, dual = self._piece_grids(alpha, y, yp, j)
                 full += grid.shape[0] * dual.shape[0] + 2 * dual.shape[0]
         seen = [0]
         e_kernel_axis = verify.e_kernel_axis
@@ -195,7 +239,7 @@ class TestRestrictedSweeps:
         # symbol sample per distinct j of the pairs' bands, one spatial grid
         # and one kernel evaluation per (pair, j) piece
         bands = [_cz_band(y, yp) for y, yp in default_cz_pairs()]
-        lams = {j: Lam for band in bands for j, (_, Lam) in band.items()}
+        lams = {j: dual[0] for band in bands for j, (_, dual) in band.items()}
         n_pieces = sum(len(band) for band in bands)
         built, sampled, kernels = [], [0], [0]
         build, symbol_values = Grid.build, verify._symbol_values
@@ -246,18 +290,19 @@ class TestRestrictedSweeps:
         for u, out in calls:
             assert out is u and out.base is work
             assert np.shares_memory(out, work)
-        pieces = [(j, R, Lam) for y, yp in default_cz_pairs()
-                  for j, (R, Lam) in _cz_band(y, yp).items()]
-        bands = {j: _cz_dual(alpha, m, psi, j, Lam) for j, _, Lam in pieces}
-        assert work.size == max(_cz_work_size(bands[j], R)
-                                for j, R, _ in pieces)
+        pieces = [(j, piece, dual) for y, yp in default_cz_pairs()
+                  for j, (piece, dual) in _cz_band(y, yp).items()]
+        bands = {j: _cz_dual(alpha, m, psi, j, dual)
+                 for j, _, dual in pieces}
+        assert work.size == max(_cz_work_size(bands[j], piece)
+                                for j, piece, _ in pieces)
 
     def test_cz_piece_builds_only_its_spatial_grid(self, monkeypatch):
         alpha, psi = MultiIndex((0.5,)), make_partition("plain")
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
         y, yp = default_cz_pairs()[4]
-        R, Lam = self._piece_bounds(y, yp, 0)
-        band = _cz_dual(alpha, m, psi, 0, Lam)
+        piece, dual = self._piece_axes(y, yp, 0)
+        band = _cz_dual(alpha, m, psi, 0, dual)
         built = []
         build = Grid.build
 
@@ -267,10 +312,10 @@ class TestRestrictedSweeps:
             return grid
 
         monkeypatch.setattr(Grid, "build", staticmethod(counted_build))
-        _cz_piece(alpha, band, y, yp, R,
-                      np.empty(_cz_work_size(band, R)))
+        _cz_piece(alpha, band, y, yp, piece,
+                  np.empty(_cz_work_size(band, piece)))
         assert [(g.axes[0].R, g.axes[0].n) for g in built] == \
-            [(R, adapted_grids(alpha, R, Lam)[0].axes[0].n)]
+            [(piece[0], self._piece_grids(alpha, y, yp, 0)[0].axes[0].n)]
 
     def test_cz_piece_judges_its_full_axes_quietly(self, monkeypatch):
         # the piece is judged by the plan rule on its full spatial axis and
@@ -279,8 +324,8 @@ class TestRestrictedSweeps:
         alpha, psi = MultiIndex((1.3,)), make_partition("plain")
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
         y, yp = default_cz_pairs()[2]
-        R, Lam = self._piece_bounds(y, yp, -3)
-        band = _cz_dual(alpha, m, psi, -3, Lam)
+        piece, dual = self._piece_axes(y, yp, -3)
+        band = _cz_dual(alpha, m, psi, -3, dual)
         judged = []
 
         def coarse(grid, dual_grid):
@@ -290,9 +335,9 @@ class TestRestrictedSweeps:
         monkeypatch.setattr(verify, "check_resolution", coarse)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _cz_piece(alpha, band, y, yp, R,
-                            np.empty(_cz_work_size(band, R)))
-        assert judged == [(adapted_grids(alpha, R, Lam)[0].axes[0].n,
+            got = _cz_piece(alpha, band, y, yp, piece,
+                            np.empty(_cz_work_size(band, piece)))
+        assert judged == [(self._piece_grids(alpha, y, yp, -3)[0].axes[0].n,
                            band[0])]
         assert got == self._piece(alpha, m, psi, y, yp, -3)
 
@@ -305,15 +350,15 @@ class TestRestrictedSweeps:
 
         alpha = MultiIndex((0.5,))
         y, yp = default_cz_pairs()[len(default_cz_pairs()) // 2]
-        R, Lam = self._piece_bounds(y, yp, 6)
+        piece, dual = self._piece_axes(y, yp, 6)
         band = _cz_dual(alpha, bump_symbol(1), make_partition("plain"), 6,
-                        Lam)
+                        dual)
         monkeypatch.setattr(Grid, "build", staticmethod(nothing))
         monkeypatch.setattr(verify, "e_kernel_axis", nothing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _cz_piece(alpha, band, y, yp, R,
-                            np.empty(_cz_work_size(band, R)))
+            got = _cz_piece(alpha, band, y, yp, piece,
+                            np.empty(_cz_work_size(band, piece)))
         assert got == 0.0
 
     def test_warnings_of_the_pieces_are_counted(self, monkeypatch):
@@ -345,10 +390,9 @@ class TestRestrictedSweeps:
     def test_support_columns_give_the_full_forward(self):
         # an H^1 atom on its fine grid, sent to its coarse dual grid
         alpha, y0, r = MultiIndex((0.5,)), 1.25, 0.25
-        grid, _ = adapted_grids(alpha, R=y0 + 24.0 * r, Lam=40.0 / r,
-                                n_dual=640)
-        _, dual = adapted_grids(alpha, R=y0 + 240.0 * r, Lam=10.0 / r,
-                                n_dual=512, ppw=4.0)
+        grid = Grid.build(alpha, y0 + 24.0 * r,
+                          _adapted_n(y0 + 24.0 * r, 40.0 / r))
+        dual = Grid.build(alpha, 10.0 / r, 512)
         values = make_atom(grid, y0, r).values.values
         assert 0 < np.count_nonzero(values) < values.size / 4
         on = values != 0
@@ -392,14 +436,18 @@ class TestRestrictedSweeps:
         # one atom measured at its own scale: its own grid pairs and plans,
         # the atom built on them, m sampled on its dual grids and the time
         # window r^2 [1e-5, 1e5]; the report's (name, value) pairs in order
+        # the node counts are the declared unit atom's, and the duals the
+        # declared ones at the atom's scale
         tg = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
         F = y0 + 18.0 * r
-        grid_f, dual_f = adapted_grids(alpha, R=y0 + 24.0 * r, Lam=40.0 / r,
-                                       n_dual=640)
+        (_, axes), = _h1_orbits([(y0, r)]).values()
+        (x_f, _, lam_f), (x_c, _, lam_c) = axes["fine"], axes["coarse"]
+        grid_f = Grid.build(alpha, y0 + 24.0 * r, x_f[1])
+        dual_f = Grid.build(alpha, *lam_f)
         fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]),
                             dual_f)
-        grid_c, dual_c = adapted_grids(alpha, R=y0 + 240.0 * r,
-                                       Lam=10.0 / r, ppw=4.0)
+        grid_c = Grid.build(alpha, y0 + 240.0 * r, x_c[1])
+        dual_c = Grid.build(alpha, *lam_c)
         coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]),
                               dual_c)
         atom = make_atom(fine.grid, y0, r).values.values
@@ -509,10 +557,12 @@ class TestRestrictedSweeps:
                np.sum(field[~local_sel] * w[~local_sel]))
         # oracle: the full fine plan of the unit atom, read on x <= F, with
         # m sampled at the atom's scale
-        full = adapted_plan(*adapted_grids(alpha, R=c + 24.0, Lam=40.0,
-                                           n_dual=640))
+        (_, axes), = _h1_orbits([(y0, r)]).values()
+        x_f, lam_f, scaled_f = axes["fine"]
+        assert x_f[0] == c + 24.0 and lam_f[0] == 40.0
+        full = adapted_plan(Grid.build(alpha, *x_f), Grid.build(alpha, *lam_f))
         atom = make_atom(full.grid, c, 1.0).values.values
-        scaled = Grid.build(alpha, R=40.0 / r, n=640)
+        scaled = Grid.build(alpha, *scaled_f)
         spec = m(scaled.squared_mesh()) * full.forward(atom)
         field = _maximal_field(full, spec,
                                TimeGrid(np.geomspace(1e-5, 1e5, 80)))
