@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .specfun import MultiIndex
 from .grid import (AxisGrid, Grid, GridFunction, WeightSpec, ball_measure,
-                   dilate, integrate, norm)
+                   integrate, norm)
 from .transform import (TransformPlan, hankel_transform, inverse_hankel,
                         translate, convolve)
 from .heat import HeatKernelEval, TimeGrid, heat_apply, heat_kernel
@@ -19,7 +19,7 @@ from .report import EstimateReport, PASS, FAIL, INCONCLUSIVE
 
 __all__ = [
     "MultiIndex", "AxisGrid", "Grid", "GridFunction", "WeightSpec",
-    "ball_measure", "dilate", "integrate", "norm", "TransformPlan",
+    "ball_measure", "integrate", "norm", "TransformPlan",
     "hankel_transform", "inverse_hankel", "translate", "convolve",
     "HeatKernelEval", "TimeGrid", "heat_apply", "heat_kernel",
     "DyadicPartition", "make_partition", "Symbol", "parse_symbol",

@@ -25,8 +25,8 @@ from .heat import HeatKernelEval, axis_heat_matrix, gaussian_bound_check
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex, check_tabled
 from .symbols import parse_symbol
-from .sobolev import (BOX_HALFWIDTH, SpectralTailWarning, box_samples,
-                      hormander_sup)
+from .sobolev import (BOX_HALFWIDTH, BOX_SAMPLES, SpectralTailWarning,
+                      box_samples, hormander_sup)
 from .transform import TransformPlan, _contract
 from .verify import (DEFAULT_SEED, _cz_band, _h1_orbits, cz_hormander_check,
                      default_atom_family, default_cz_pairs, h1_atom_check,
@@ -223,6 +223,14 @@ def _check_config(cfg, names):
         raise ValueError(f"R = {cfg.R}, n = {cfg.n}: heat-selftest compares "
                          f"on x < R - {heat_reach:g}, which holds no node "
                          "of an axis")
+    table = POTENTIAL_PEAK * BOX_SAMPLES ** cfg.dims
+    if cfg.symbol.split("{", 1)[0].strip() == "potential" \
+            and table > MEMORY_LIMIT_BYTES:
+        raise ValueError(f"symbol {cfg.symbol!r}: potential tabulates n on "
+                         f"{BOX_SAMPLES}^{cfg.dims} points at dims = "
+                         f"{cfg.dims}, ~{Decimal(table) / 2**30:.3g} GiB at "
+                         f"{POTENTIAL_PEAK} bytes per point, over the "
+                         f"{MEMORY_LIMIT_BYTES >> 30} GiB limit")
     return parse_symbol(cfg.symbol, cfg.dims)
 
 
@@ -268,6 +276,11 @@ def _plan(cfg, suite):
 # box, mostly numpy.fft's first import
 BOX_PEAK = 48
 BOX_FIXED_PEAK = 1 << 18
+# the potential symbol's peak per point of its BOX_SAMPLES^dims table, by
+# tracemalloc, rounded up: 89 bytes at d = 2 and 97 at d = 3 (on a 96^3
+# box) for h = bump, 72 for sign and cos; the mesh of the box alone is 8
+# bytes per point per axis, so the 512^3 table of d = 3, 13 GB, cannot run
+POTENTIAL_PEAK = 100
 
 
 def _estimate_box_bytes(dims):

@@ -11,7 +11,6 @@ since a transform plan is valid only for the grids it was built from.
 GridFunction operations return new containers.  No file I/O.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -31,10 +30,6 @@ MIN_PPW = 4.0
 # the largest 2 alpha_k h / R, h the width of an axis's last panel, at which
 # the axis integrates its weight x^{2 alpha_k} near R (check_weight_resolved)
 MAX_WEIGHT_RATE = 36.0
-
-
-class MassDeficitWarning(UserWarning):
-    """Dilation pushed mass beyond the truncation radius."""
 
 
 @lru_cache(maxsize=None)
@@ -385,45 +380,3 @@ def ball_measure(grid: Grid, center, r):
         rad2 = np.add.outer(rad2, (ax.nodes - c[k]) ** 2) if k else (ax.nodes - c[k]) ** 2
     mask = rad2 <= r * r
     return float(np.sum(grid.weight_tensor()[mask]))
-
-
-def dilate(f: GridFunction, t):
-    """L^1-normalized dilation f_t(x) = t^Q f(t x), resampled on f's grid.
-
-    Off-node values come from axiswise cubic interpolation; arguments beyond
-    the truncation radius are set to 0 and the lost mass (only possible for
-    t < 1) is measured on the original grid and warned about when it exceeds
-    1e-8 of the total.
-    """
-    from scipy.interpolate import CubicSpline
-
-    if t <= 0:
-        raise ValueError("t must be positive")
-    g = f.grid
-    vals = np.asarray(f.values, dtype=complex)
-    for k, ax in enumerate(g.axes):
-        targets = t * ax.nodes
-        spline = CubicSpline(ax.nodes, vals, axis=k, extrapolate=True)
-        new = spline(targets)
-        oob = targets > ax.nodes[-1]
-        if np.any(oob):
-            idx = [slice(None)] * vals.ndim
-            idx[k] = oob
-            new[tuple(idx)] = 0.0
-        vals = new
-    if t < 1.0:
-        total = abs(integrate(abs(f)))
-        if total > 0:
-            inside = np.ones(g.shape, dtype=bool)
-            for k, ax in enumerate(g.axes):
-                sh = [1] * g.d
-                sh[k] = ax.n
-                inside &= (ax.nodes <= t * ax.R).reshape(sh)
-            lost = total - float(np.sum(
-                np.abs(f.values) * np.where(inside, g.weight_tensor(), 0.0)))
-            if lost > 1e-8 * total:
-                warnings.warn(
-                    f"dilate: {lost / total:.2e} relative mass beyond truncation",
-                    MassDeficitWarning,
-                )
-    return GridFunction(g, (t ** g.alpha.Q) * vals)

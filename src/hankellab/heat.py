@@ -1,11 +1,11 @@
-"""Bessel heat kernel, semigroup action, Gaussian bounds, maximal operator.
+"""Bessel heat kernel, semigroup action, Gaussian bounds, maximal field.
 
-The maximal function sup_t |T_t f| has two routes: maximal_function applies
-the kernel at each time, and _maximal_field, which the sweeps use, applies
-the Gaussian multiplier e^{-t|lambda|^2} to a spectrum, or a batch of
-them, and inverts the times in a few contractions that skip the rows the
-damping leaves below 1e-16.  The kernel route is the oracle for the
-spectral one.
+The maximal function sup_t |T_t f| of the H^1 sweep is _maximal_field: it
+applies the Gaussian multiplier e^{-t|lambda|^2} to a spectrum, or a batch
+of them, and inverts the times in a few contractions that skip the rows
+the damping leaves below 1e-16.  Its oracle, the kernel route, which
+applies heat_apply at each time, is maximal_function in
+tests/paper_checks.py.
 
 The one-dimensional kernel is evaluated in exponentially-scaled form: the
 exp(-(x^2+y^2)/4t) factor and the e^{+xy/2t} hidden in the modified Bessel
@@ -23,8 +23,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .grid import Grid, GridFunction
-from .report import FAIL, PASS, EstimateReport, flatness
+from .grid import GridFunction
+from .report import FAIL, PASS, EstimateReport
 from .specfun import MultiIndex, inorm_scaled
 from .transform import _contract, _weighted
 
@@ -103,17 +103,6 @@ def heat_apply(hk: HeatKernelEval, t, f: GridFunction):
     mats = [axis_heat_matrix(a, t, ax)
             for a, ax in zip(hk.alpha.alpha, f.grid.axes, strict=True)]
     return GridFunction(f.grid, _contract(mats, f.values))
-
-
-def maximal_function(hk: HeatKernelEval, tg: TimeGrid, f: GridFunction):
-    """Pointwise max over the time grid of |T_t f| by the kernel route (a
-    lower bound for the continuous supremum; the t-grid used is recorded by
-    the caller).  It is the oracle for the spectral route, _maximal_field.
-    """
-    best = np.zeros(f.grid.shape)
-    for t in tg.t_values:
-        np.maximum(best, np.abs(heat_apply(hk, t, f).values), out=best)
-    return GridFunction(f.grid, best)
 
 
 def _maximal_field(plan, spec_vals, tg: TimeGrid):
@@ -230,40 +219,4 @@ def gaussian_bound_check(hk: HeatKernelEval, samples):
             rep.add(f"band_ratio_{label}", ratio)
             ok = ok and ratio <= band_tol
     rep.verdict = PASS if ok else FAIL
-    return rep
-
-
-def heat_lipschitz_check(hk: HeatKernelEval, grid: Grid, pairs):
-    """Lipschitz continuity in L^1: ratio of the difference integral
-    int |T_1(., y) - T_1(., y')| dnu to |y - y'| over pairs spanning
-    several decades; passes when the ratios sit in a bounded band with no
-    growth trend as |y - y'| -> 0."""
-    band_factor = 2.0
-    seps, ratios = [], []
-    mesh = np.stack(grid.meshgrid(), axis=-1)
-    for y, yp in pairs:
-        y = np.atleast_1d(np.asarray(y, float))
-        yp = np.atleast_1d(np.asarray(yp, float))
-        sep = float(np.linalg.norm(y - yp))
-        if sep == 0.0:
-            raise ValueError("pairs must have y != y'")
-        diff = np.abs(heat_kernel(hk, 1.0, mesh, y) - heat_kernel(hk, 1.0, mesh, yp))
-        val = float(np.sum(diff * grid.weight_tensor()))
-        seps.append(sep)
-        ratios.append(val / sep)
-    rep = EstimateReport(
-        name="heat_lipschitz_l1",
-        parameters={"alpha": list(hk.alpha.alpha), "band_factor": band_factor},
-        provenance="L^1 Lipschitz continuity of the time-1 heat kernel",
-    )
-    for s, r in zip(seps, ratios):
-        rep.add(f"ratio@sep={s:.3e}", r)
-    ratios = np.asarray(ratios)
-    # growth trend toward small separations: slope of ratio vs log(1/sep)
-    band, slope = flatness(seps, ratios / ratios.mean())
-    trend = -slope
-    rep.fitted_constants["band_ratio"] = band
-    rep.fitted_constants["small_sep_trend"] = trend
-    rep.fitted_constants["C_lipschitz"] = float(ratios.max())
-    rep.verdict = PASS if (band <= band_factor and trend <= 0.1) else FAIL
     return rep

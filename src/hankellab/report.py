@@ -38,13 +38,6 @@ class EstimateReport:
         }
 
 
-def loglog_slope(x, y):
-    """Least-squares slope of log y against log x."""
-    lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
-    slope, _ = np.polyfit(lx, ly, 1)
-    return float(slope)
-
-
 def flatness(param, values):
     """(max/min ratio, slope of value vs log param) for a positive sweep."""
     v = np.asarray(values, float)

@@ -437,23 +437,3 @@ def e_kernel_axis(alpha_k, u, out=None):
     """One-axis eigenfunction factor (u)^{-alpha_k+1/2} J_{alpha_k-1/2}(u),
     written into out when given (jnorm), which may be u itself."""
     return jnorm(alpha_k - 0.5, u, out)
-
-
-def bessel_operator_fd(alpha_k, f_vals, nodes):
-    """Second-order finite-difference application of the one-dimensional
-    Bessel operator L = -d^2/du^2 - (2 alpha_k / u) d/du on interior nodes.
-
-    Returns (L f)(nodes[1:-1]) using central differences on a possibly
-    non-uniform grid; used as the independent oracle for the eigenfunction
-    identity and the diagonalization identity.
-    """
-    u = np.asarray(nodes, dtype=float)
-    f = np.asarray(f_vals)
-    hm = u[1:-1] - u[:-2]
-    hp = u[2:] - u[1:-1]
-    f0, f1, f2 = f[:-2], f[1:-1], f[2:]
-    d1 = (hm * hm * f2 + (hp * hp - hm * hm) * f1 - hp * hp * f0) / (
-        hm * hp * (hm + hp)
-    )
-    d2 = 2.0 * (hm * f2 - (hm + hp) * f1 + hp * f0) / (hm * hp * (hm + hp))
-    return -d2 - (2.0 * alpha_k / u[1:-1]) * d1

@@ -13,6 +13,7 @@ Families (FAMILIES gives each its keys and builder):
   tabulated{path=FILE}                 from CSV with columns u_1..u_d, Re n, Im n
 """
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -150,17 +151,34 @@ def constant_symbol(d, value):
 
 def table_symbol(coords, vals, sup, name):
     """Symbol from its values vals on the box grid with axis coordinates
-    coords, multilinearly interpolated and zero outside the box."""
-    from scipy.interpolate import RegularGridInterpolator
+    coords, each strictly increasing, multilinearly interpolated and zero
+    outside the box.
 
+    Per axis, a point's cell is the pair of nodes around it and its weight
+    the linear one on the upper node; the value is the weighted sum over
+    the cell's 2^d corners.  An axis of one node gives that node's value
+    on it and 0 elsewhere."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
     d = len(coords)
-    interp = RegularGridInterpolator(
-        coords, vals, method="linear", bounds_error=False, fill_value=0.0
-    )
+    vals = np.asarray(vals)
 
     def fn(u):
         u = np.asarray(u, dtype=float)
-        return interp(u.reshape(-1, d)).reshape(u.shape[:-1])
+        pts = u.reshape(-1, d)
+        outside = np.zeros(len(pts), dtype=bool)
+        cells = []  # per axis: (node index, weight) of the lower, upper node
+        for c, x in zip(coords, pts.T):
+            outside |= (x < c[0]) | (x > c[-1])
+            x = np.clip(x, c[0], c[-1])
+            lo = np.clip(np.searchsorted(c, x) - 1, 0, max(c.size - 2, 0))
+            hi = np.minimum(lo + 1, c.size - 1)
+            w = (x - c[lo]) / np.where(hi > lo, c[hi] - c[lo], 1.0)
+            cells.append(((lo, 1.0 - w), (hi, w)))
+        out = 0.0
+        for corner in itertools.product(*cells):
+            index, weights = zip(*corner)
+            out = out + vals[index] * math.prod(weights)
+        return np.where(outside, 0.0, out).reshape(u.shape[:-1])
 
     return Symbol(fn, d, sup, name)
 

@@ -8,6 +8,10 @@ per axis, which is fine at desk scale and keeps the accuracy fully
 auditable.  A product input, one factor per axis, is transformed factor by
 factor (forward_factors, inverse_factors): O(n^2) per axis in all, and no
 value tensor of the grid.  Plans are immutable and shareable.
+
+translate and convolve are the paper's operators; the identities they obey
+(dilation commutation, off-diagonal decay, Young's inequality) are lemma
+checks of the test suite, in tests/paper_checks.py.
 """
 
 import warnings
@@ -15,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (MIN_PPW, Grid, GridFunction, WeightSpec, dilate, norm,
-                   points_per_wavelength)
-from .report import FAIL, PASS, EstimateReport, loglog_slope
+from .grid import MIN_PPW, Grid, GridFunction, points_per_wavelength
 from .specfun import e_kernel_axis
 
 
@@ -199,71 +201,3 @@ def convolve(plan: TransformPlan, f: GridFunction, g: GridFunction):
     _check_aliasing(plan, sf, "convolve")
     _check_aliasing(plan, sg, "convolve")
     return GridFunction(plan.grid, plan.inverse(sf * sg))
-
-
-def dilation_identity_check(plan, f, t, y):
-    """Check tau^y(f_t) = (tau^{t y} f)_t; both sides computed independently."""
-    tol = 1e-5
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    lhs = translate(plan, dilate(f, t), y)
-    rhs = dilate(translate(plan, f, t * y), t)
-    diff = lhs - rhs
-    sup = norm(diff, np.inf)
-    l1 = norm(diff, 1.0)
-    scale = max(norm(lhs, np.inf), 1e-300)
-    rep = EstimateReport(
-        name="dilation_translation_identity",
-        parameters={"t": t, "y": y.tolist(), "tol": tol},
-        provenance="translation/dilation commutation identity",
-    )
-    rep.add("sup_discrepancy", sup)
-    rep.add("l1_discrepancy", l1)
-    rep.add("relative_sup", sup / scale)
-    rep.fitted_constants["relative_sup"] = sup / scale
-    rep.verdict = PASS if sup / scale <= tol else FAIL
-    return rep
-
-
-def off_diagonal_decay_check(plan, f, delta, y, r_values, t_values):
-    """Tail-integral decay of translated dilates over an (r, t) lattice.
-
-    Measures B(r, t) = int_{|x-y|>r} |tau^y(f_t)| dnu against the bound
-    C (r t)^{-delta} ||f||_{L^1(w^delta dnu)}; passes when the fitted
-    log-log slope of B in (r t) is <= -delta + slope_slack and the
-    constant C = max B (rt)^delta / ||f||_{1,delta} is finite.
-    """
-    slope_slack = 0.1
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    mesh = np.stack(plan.grid.meshgrid(), axis=-1)
-    dist = np.sqrt(np.sum((mesh - y) ** 2, axis=-1))
-    wts = plan.grid.weight_tensor()
-    fnorm = norm(f, 1.0, WeightSpec(delta=delta))
-    rep = EstimateReport(
-        name="off_diagonal_decay",
-        parameters={"delta": delta, "y": y.tolist(),
-                    "r_values": list(map(float, r_values)),
-                    "t_values": list(map(float, t_values))},
-        provenance="tail integral of translated dilates vs (rt)^{-delta}",
-    )
-    rts, tails = [], []
-    for t in t_values:
-        g = np.abs(translate(plan, dilate(f, t), y).values)
-        for r in r_values:
-            B = float(np.sum(g[dist > r] * wts[dist > r]))
-            rep.add(f"tail@r={r:.3g},t={t:.3g}", B)
-            if B > 0:
-                rts.append(r * t)
-                tails.append(B)
-    rts, tails = np.asarray(rts), np.asarray(tails)
-    slope = loglog_slope(rts, tails)
-    C = float(np.max(tails * rts**delta) / fnorm)
-    rep.fitted_constants["slope"] = slope
-    rep.fitted_constants["C_offdiag"] = C
-    rep.verdict = PASS if (slope <= -delta + slope_slack and np.isfinite(C)) else FAIL
-    return rep
-
-
-def young_inequality_residual(plan, f, g):
-    """Ratio ||f natural g||_1 / (||f||_1 ||g||_1); <= 1 up to quadrature
-    noise for f, g >= 0."""
-    return norm(convolve(plan, f, g), 1.0) / (norm(f, 1.0) * norm(g, 1.0))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicPartition, make_partition, smooth_chi
+from .dyadic import DyadicPartition, smooth_chi
 from .grid import (Grid, GridFunction, axis_size, ball_measure, integrate,
                    nodes_for_ppw, norm, product_values)
 from .heat import TimeGrid, _maximal_field
@@ -47,7 +47,7 @@ from .symbols import Symbol
 from .transform import (ResolutionWarning, TransformPlan, _contract,
                         check_resolution)
 from .multiplier import (apply_multiplier, dyadic_symbol_values,
-                         resolvable_j_band, _symbol_values)
+                         _symbol_values)
 
 DEFAULT_SEED = 1234
 BATTERY_SIZE = 64
@@ -165,13 +165,8 @@ def adapted_plan(grid, dual_grid):
         return TransformPlan.build(grid, dual_grid)
 
 
-def _kernel_row(plan, mvals, y):
-    """tau^y H(m) evaluated on the plan's grid, via H(E_y m)."""
-    return plan.inverse(mvals * plan.e_dual(np.atleast_1d(y)))
-
-
 # ---------------------------------------------------------------------------
-# Calderon-Zygmund condition and kernel association
+# Calderon-Zygmund condition
 
 def default_cz_pairs():
     """Eight pairs (y, 1.3 y), y from 0.02 to 20, along the dilation
@@ -313,48 +308,6 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     rep.fitted_constants["trend_slope"] = stats["slope"]
     rep.fitted_constants["n_resolution_warnings"] = float(len(wlog))
     rep.verdict = PASS if ok else FAIL
-    return rep
-
-
-def association_check(plan: TransformPlan, m: Symbol, f: GridFunction,
-                      x_samples):
-    """Kernel association: T_m f(x) (spectral) against the integral of the
-    assembled kernel row against f, at points x off the support of f.
-
-    The kernel is assembled from the partial partition sum over the plan's
-    resolvable dyadic band; discrepancies are reported relative to the sup
-    of T_m f over the grid and pass up to tol.
-    """
-    tol = 1e-3
-    psi = make_partition("plain")
-    band = resolvable_j_band(plan)
-    mvals = _symbol_values(plan.dual_grid, m)
-    m_band = sum(dyadic_symbol_values(plan.dual_grid, mvals, psi, j)
-                 for j in band)
-    tmf = apply_multiplier(plan, mvals, f)
-    scale = float(np.max(np.abs(tmf.values)))
-    wts = plan.grid.weight_tensor()
-    rep = EstimateReport(
-        name="kernel_association",
-        parameters={"symbol": m.name, "j_band": [band[0], band[-1]],
-                    "tol": tol, "n_samples": len(x_samples)},
-        provenance="agreement of the spectral route with the kernel integral",
-    )
-    worst = 0.0
-    for x in x_samples:
-        x = np.atleast_1d(np.asarray(x, float))
-        idx = tuple(int(np.argmin(np.abs(ax.nodes - x[k])))
-                    for k, ax in enumerate(plan.grid.axes))
-        xg = np.array([plan.grid.axes[k].nodes[idx[k]]
-                       for k in range(plan.grid.d)])
-        row = _kernel_row(plan, m_band, xg)
-        rhs = complex(np.sum(row * f.values * wts))
-        lhs = complex(tmf.values[idx])
-        rel = abs(lhs - rhs) / scale
-        worst = max(worst, rel)
-        rep.add(f"rel_err@x={xg.tolist()}", rel)
-    rep.fitted_constants["max_relative_error"] = worst
-    rep.verdict = PASS if worst <= tol else FAIL
     return rep
 
 

@@ -212,6 +212,31 @@ class TestConfigHandling:
         assert not built
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["lp-probe", "--dims", "3", "--n", "64", "--R", "13"], "dims = 3"),
+        (["multiplier-check", "--alpha", "0.5,0.5,0.5,0.5"], "dims = 4"),
+    ], ids=["lp-probe-dims-3", "multiplier-check-dims-4"])
+    def test_potential_refused_where_its_table_cannot_fit(
+            self, argv, named, tmp_path, monkeypatch, capsys):
+        # the table has BOX_SAMPLES^dims points, 512^3 at dims = 3; a
+        # missing refusal reaches the builder, which fails the test before
+        # it allocates anything
+        def no_table(*args):
+            raise AssertionError("the potential table was built")
+
+        monkeypatch.setattr(sobolev, "potential_symbol", no_table)
+        argv = argv + ["--symbol", "potential{s=1,h=bump}",
+                       "--output", str(tmp_path)]
+        assert run_cli(argv) == 64
+        err = capsys.readouterr().err
+        assert "potential" in err and named in err
+
+    def test_potential_table_gate_admits_two_dims(self, monkeypatch):
+        monkeypatch.setattr(sobolev, "potential_symbol", lambda *a: "table")
+        cfg = RunConfig(alpha=(0.5, 0.5), dims=2,
+                        symbol="potential{s=1,h=bump}")
+        assert cli._check_config(cfg, ["multiplier-check"]) == "table"
+
     @pytest.mark.parametrize("rows,named", [
         (["0,0,1,0", "1,0,1,0", "0,1,1,0"], "3 rows"),
         (["0,0,1,0", "1,0,1,0", "0,1,1,0", "1,1,1,0", "1,1,1,0"], "5 rows"),

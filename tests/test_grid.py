@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankellab.grid import (MAX_WEIGHT_RATE, AxisGrid, Grid, GridFunction,
-                            MassDeficitWarning, WeightSpec, _gaussian_moment,
-                            _jacgauss, axis_size, ball_measure,
-                            check_weight_resolved, dilate, first_node,
+                            WeightSpec, _gaussian_moment, _jacgauss, axis_size,
+                            ball_measure, check_weight_resolved, first_node,
                             integrate, norm)
 from hankellab.specfun import MultiIndex
+
+from paper_checks import MassDeficitWarning, dilate
 
 mpmath.mp.dps = 30
 

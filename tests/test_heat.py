@@ -10,12 +10,12 @@ from hankellab.dyadic import make_partition
 from hankellab.grid import AxisGrid, Grid, GridFunction, norm
 from hankellab.heat import (HEAT_NORMALIZATION, ROW_GRANULE, HeatKernelEval,
                             TimeGrid, _axis_kernel, _maximal_field,
-                            gaussian_bound_check, heat_apply, heat_kernel,
-                            heat_lipschitz_check, maximal_function)
+                            gaussian_bound_check, heat_apply, heat_kernel)
 from hankellab.specfun import MultiIndex
 from hankellab.transform import hankel_transform, inverse_hankel
 
 from conftest import gaussian_bump
+from paper_checks import heat_lipschitz_check, maximal_function
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 """Every module in src/hankellab/ and tests/ reads each name it imports,
 every module-level name src/hankellab/ assigns is read somewhere, every
 parameter default of its functions and static methods is both overridden
-and relied on, the package binds every name in its __all__, no module
-imports scipy when it is loaded, and a CLI run loads no scipy module.
+and relied on, the package binds every name in its __all__, no package
+module imports scipy, a CLI run loads no scipy module, and every suite
+runs with scipy unimportable.
 
 Stdlib ast only.  Package __init__.py files are exempt (their imports are
 re-exports), and so is any import statement marked ``# noqa``.
@@ -201,9 +202,12 @@ PARAMETER_EXEMPT = {("local_sobolev_norm", "samples"), ("main", "argv")}
 def test_every_parameter_default_is_overridden_and_relied_on():
     src = [p.read_text() for p in sorted((ROOT / "src/hankellab").glob("*.py"))]
     tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
-    acceptance = (ROOT / "tests/test_acceptance.py").read_text()
+    # the acceptance criteria and the lemma checks behind them set
+    # parameters too: norm's weight and local_sobolev_norm's eta only there
+    checks = [(ROOT / "tests" / name).read_text()
+              for name in ("test_acceptance.py", "paper_checks.py")]
     never_set, never_relied = unearned_parameters(
-        defaulted_parameters(src), src + [acceptance], src + tests)
+        defaulted_parameters(src), src + checks, src + tests)
     assert never_set - PARAMETER_EXEMPT == set()
     assert never_relied - PARAMETER_EXEMPT == set()
 
@@ -243,48 +247,28 @@ def test_every_exported_name_is_bound():
             if not hasattr(hankellab, name)] == []
 
 
-def module_level_imports(source):
-    """Top-level package names that a module imports when it is loaded:
-    every import outside a function body."""
-    found = []
-    todo = list(ast.parse(source).body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
+def imported_packages(source):
+    """Top-level package names that a module imports, at any scope."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [alias.name.split(".")[0] for alias in node.names]
+            found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            found.append(node.module.split(".")[0])
-        todo.extend(ast.iter_child_nodes(node))
-    return sorted(found)
+            found.add(node.module.split(".")[0])
+    return found
 
 
-def test_module_level_import_detector():
+def test_import_detector_reads_every_scope():
     src = ("import numpy as np\nfrom . import x\nclass C:\n"
            "    import json\ntry:\n    from scipy.special import jv\n"
-           "except ImportError:\n    pass\ndef f():\n    import os\n")
-    assert module_level_imports(src) == ["json", "numpy", "scipy"]
+           "except ImportError:\n    pass\ndef f():\n    import os.path\n")
+    assert imported_packages(src) == {"json", "numpy", "os", "scipy"}
 
 
-def test_no_module_imports_scipy_at_load():
-    # grid.dilate and the tabulated symbols import scipy.interpolate in
-    # their bodies; nothing else in the package uses scipy
+def test_no_package_module_imports_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests only
     assert [path.name for path in sorted((ROOT / "src/hankellab").glob("*.py"))
-            if "scipy" in module_level_imports(path.read_text())] == []
-
-
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # only grid.dilate and the tabulated symbols interpolate, and they
-    # import scipy.interpolate themselves; the CLI start-up pays for none
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, hankellab.cli; "
-            "print('scipy.interpolate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+            if "scipy" in imported_packages(path.read_text())] == []
 
 
 def test_cli_run_loads_no_scipy_module(tmp_path):
@@ -308,3 +292,40 @@ def test_cli_run_loads_no_scipy_module(tmp_path):
         f"report-{suite}.json" for suite in ("heat-selftest", "lp-probe",
                                              "multiplier-check",
                                              "transform-selftest")]
+
+
+def test_every_suite_runs_with_scipy_unimportable(tmp_path):
+    # in a fresh interpreter that cannot import scipy: the six suites at
+    # small sizes, and multiplier-check on the two symbol families that
+    # interpolate a table, each reach a verdict
+    table = tmp_path / "table.csv"
+    table.write_text("u1,re_n,im_n\n" + "".join(
+        f"{u / 4},{1.0 / (1.0 + u * u / 16)},{u / 40}\n"
+        for u in range(-12, 13)))
+    runs = [["suite", "all", "--n", "64", "--R", "13"],
+            ["multiplier-check", "--symbol", "potential{s=1,h=bump}"],
+            ["multiplier-check", "--symbol", f"tabulated{{path={table}}}"]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import hankellab.cli\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + f'/run{{i}}'\n"
+            "    print('exit', hankellab.cli.main(argv + ['--output', out]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert "suite error" not in proc.stderr
+    exits = [line for line in proc.stdout.splitlines()
+             if line.startswith("exit")]
+    assert len(exits) == 3 and set(exits) <= {"exit 0", "exit 1", "exit 2"}
+    reports = [line.split()[:2] for i in range(3) for line in
+               (tmp_path / f"run{i}" / "summary.txt").read_text()
+               .splitlines()[1:]]
+    assert [name for _, name in reports] == [
+        "transform_selftest", "heat_selftest", "heat_gaussian_bound",
+        "multiplier_check", "cz_hormander_condition",
+        "h1_atom_maximal_bound", "lp_norm_probe", "weak_11_probe",
+        "multiplier_check", "multiplier_check"]
+    assert {verdict for verdict, _ in reports} <= {"PASS", "FAIL",
+                                                    "INCONCLUSIVE"}

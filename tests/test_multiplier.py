@@ -5,18 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from hankellab import multiplier
 from hankellab.dyadic import make_partition
 from hankellab.grid import norm
 from hankellab.heat import HeatKernelEval, heat_apply
 from hankellab.multiplier import (_symbol_values, apply_multiplier,
-                                  dyadic_symbol_values, global_sobolev_norm,
-                                  resolvable_j_band,
-                                  weighted_transform_bound_check)
+                                  dyadic_symbol_values)
 from hankellab.specfun import MultiIndex
 from hankellab.symbols import bump_symbol, constant_symbol, heat_symbol
 
+import paper_checks
 from conftest import gaussian_bump
+from paper_checks import (global_sobolev_norm, resolvable_j_band,
+                          weighted_transform_bound_check)
 
 
 class TestApplyMultiplier:
@@ -116,13 +116,13 @@ class TestGlobalSobolevNorm:
 
 class TestTransformBounds:
     def test_only_spectral_tail_warnings_are_dropped(self, monkeypatch):
-        sobolev_norm = multiplier.global_sobolev_norm
+        sobolev_norm = paper_checks.global_sobolev_norm
 
         def noisy_norm(n, beta):
             warnings.warn("not a tail warning", RuntimeWarning)
             return sobolev_norm(n, beta)
 
-        monkeypatch.setattr(multiplier, "global_sobolev_norm", noisy_norm)
+        monkeypatch.setattr(paper_checks, "global_sobolev_norm", noisy_norm)
         with warnings.catch_warnings(record=True) as escaped:
             warnings.simplefilter("always")
             weighted_transform_bound_check(0.5, "2.1")

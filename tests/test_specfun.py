@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from hankellab import specfun, verify
 from hankellab.dyadic import make_partition
 from hankellab.grid import Grid
-from hankellab.specfun import (MultiIndex, bessel_operator_fd, e_kernel_axis,
-                               gamma_one_plus_i, inorm_scaled, jnorm)
+from hankellab.specfun import (MultiIndex, e_kernel_axis, gamma_one_plus_i,
+                               inorm_scaled, jnorm)
 from hankellab.symbols import laplace_type_symbol
 from hankellab.transform import TransformPlan
 from hankellab.verify import (_cz_band, _cz_dual, _cz_piece, _cz_work_size,
                               default_cz_pairs)
+
+from paper_checks import bessel_operator_fd
 
 mpmath.mp.dps = 30
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from hankellab import symbols
 from hankellab.symbols import (FAMILIES, Symbol, bump_symbol, divergent_symbol,
                                heat_symbol, laplace_type_symbol,
-                               oscillatory_symbol, parse_symbol)
+                               oscillatory_symbol, parse_symbol, table_symbol)
 
 import mpmath
 
@@ -232,6 +233,46 @@ def test_tabulated_symbol_does_not_depend_on_row_order(u1, u2, data,
     probe = np.concatenate([nodes, (nodes + nodes[::-1]) / 2.0])
     assert list(n(nodes)) == [complex(r[2], r[3]) for r in rows]
     np.testing.assert_array_equal(n(probe), sorted_n(probe))
+
+
+@st.composite
+def _tables(draw):
+    """(axis coordinates, complex values) of a random box table in d = 1, 2
+    or 3: each axis 1 to 5 nodes with unequal gaps."""
+    coords = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.floats(-4.0, 4.0))
+        gaps = draw(st.lists(st.floats(0.05, 2.0), max_size=4))
+        coords.append(start + np.cumsum([0.0] + gaps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = [c.size for c in coords]
+    return coords, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _coordinate(c):
+    """A node, so that points fall on faces and at corners; a point just
+    outside either end; or any point up to 1 beyond the ends."""
+    lo, hi = float(c[0]), float(c[-1])
+    return st.one_of(st.sampled_from(c.tolist()),
+                     st.sampled_from([np.nextafter(lo, -np.inf), lo - 1e-9,
+                                      np.nextafter(hi, np.inf), hi + 1e-9]),
+                     st.floats(lo - 1.0, hi + 1.0))
+
+
+@given(table=_tables(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_symbol_matches_regular_grid_interpolator(table, data):
+    # multilinear inside the box and 0 outside it, as scipy's linear
+    # RegularGridInterpolator with fill_value 0; on a one-node axis, the
+    # node's value there and 0 elsewhere
+    coords, vals = table
+    pts = np.array(data.draw(st.lists(
+        st.tuples(*map(_coordinate, coords)), min_size=1, max_size=16)))
+    sup = float(np.max(np.abs(vals)))
+    got = table_symbol(coords, vals, sup + 1e-12, "table")(pts)
+    want = RegularGridInterpolator(coords, vals, method="linear",
+                                   bounds_error=False, fill_value=0.0)(pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * sup
 
 
 # the keys each family takes, written out here as the oracle for the parser

@@ -20,7 +20,6 @@ from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_DUAL, N_MAX,
                               N_MIN, WEAK11_CENTERS, WEAK11_LEVELS,
                               _adapted_n, _cz_band, _cz_dual, _cz_piece,
                               _cz_work_size, _h1_orbits, adapted_plan,
-                              association_check,
                               battery_functions, battery_norms, check_atom,
                               compare_resolutions, cz_hormander_check,
                               default_atom_family, default_cz_pairs,
@@ -28,6 +27,7 @@ from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_DUAL, N_MAX,
                               weak11_probe)
 
 from conftest import gaussian_bump
+from paper_checks import association_check
 
 
 class TestAtoms:
