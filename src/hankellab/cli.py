@@ -2,7 +2,8 @@
 suites, and emit reports as JSON, CSV, and a summary table.
 
 Exit status: 0 when every requested suite passes, 2 when any is
-inconclusive, 1 on failure or runtime error, 64 on unusable configuration.
+inconclusive, 1 when a suite fails or raises, 64 when the configuration,
+a memory budget or the output directory is refused before any suite runs.
 """
 
 import argparse
@@ -160,8 +161,9 @@ _SWEEP_GRIDS = {
 
 
 def _check_config(cfg, names):
-    """Refuse values no requested suite can run with, before any grid or
-    plan is built; returns the parsed symbol, which every suite receives."""
+    """Refuse values no requested suite can run with, and memory budgets
+    over MEMORY_LIMIT_BYTES, before any grid, plan, box or table is built;
+    returns the parsed symbol, which every suite receives."""
     MultiIndex(cfg.alpha)
     check_tabled(cfg.alpha, f"alpha = {cfg.alpha}")
     if cfg.n < POINTS_PER_PANEL:
@@ -216,6 +218,22 @@ def _check_config(cfg, names):
     if "lp-probe" in names and cfg.R < 8:
         raise ValueError(f"R = {cfg.R}: lp-probe draws bump widths from "
                          "[8/R, R/8], so it needs R >= 8")
+    # every memory budget, in the order the run meets it: the potential
+    # table, which parse_symbol builds, then each requested suite's peak
+    budgets = {}
+    if cfg.symbol.split("{", 1)[0].strip() == "potential":
+        budgets["the potential table"] = POTENTIAL_PEAK * BOX_SAMPLES**cfg.dims
+    for name in names:
+        if name in RUN_PEAK:
+            budgets[name] = _estimate_run_bytes(name, cfg.dims,
+                                                axis_size(cfg.n))
+        elif name == "multiplier-check":
+            budgets[name] = _estimate_box_bytes(cfg.dims)
+    for what, need in budgets.items():
+        if need > MEMORY_LIMIT_BYTES:  # Decimal: need / 2**30 may overflow
+            raise ValueError(f"refusing to run {what} at dims = {cfg.dims}, "
+                             f"n = {cfg.n}: ~{Decimal(need) / 2**30:.3g} GiB, "
+                             f"over the {MEMORY_LIMIT_BYTES >> 30} GiB limit")
     heat_reach = HEAT_MARGIN * np.sqrt(max(HEAT_TIMES))
     if "heat-selftest" in names and not all(
             first_node(a, cfg.R, cfg.n) < cfg.R - heat_reach
@@ -223,14 +241,6 @@ def _check_config(cfg, names):
         raise ValueError(f"R = {cfg.R}, n = {cfg.n}: heat-selftest compares "
                          f"on x < R - {heat_reach:g}, which holds no node "
                          "of an axis")
-    table = POTENTIAL_PEAK * BOX_SAMPLES ** cfg.dims
-    if cfg.symbol.split("{", 1)[0].strip() == "potential" \
-            and table > MEMORY_LIMIT_BYTES:
-        raise ValueError(f"symbol {cfg.symbol!r}: potential tabulates n on "
-                         f"{BOX_SAMPLES}^{cfg.dims} points at dims = "
-                         f"{cfg.dims}, ~{Decimal(table) / 2**30:.3g} GiB at "
-                         f"{POTENTIAL_PEAK} bytes per point, over the "
-                         f"{MEMORY_LIMIT_BYTES >> 30} GiB limit")
     return parse_symbol(cfg.symbol, cfg.dims)
 
 
@@ -254,15 +264,7 @@ def _estimate_run_bytes(suite, dims, nodes):
             + dims * KERNEL_TABLE_PEAK)
 
 
-def _check_memory(need, what):
-    if need > MEMORY_LIMIT_BYTES:
-        raise MemoryError(  # Decimal: need / 2**30 overflows a float
-            f"the run would need ~{Decimal(need) / 2**30:.3g} GiB of {what}")
-
-
-def _plan(cfg, suite):
-    _check_memory(_estimate_run_bytes(suite, cfg.dims, axis_size(cfg.n)),
-                  "kernel matrices and grid values; reduce n or dims")
+def _plan(cfg):
     return TransformPlan.build(Grid.build(cfg.alpha, R=cfg.R, n=cfg.n))
 
 
@@ -292,7 +294,7 @@ def _estimate_box_bytes(dims):
 # suites
 
 def suite_transform_selftest(cfg, sym):
-    plan = _plan(cfg, "transform-selftest")
+    plan = _plan(cfg)
     grid = plan.grid
     rng = np.random.default_rng(cfg.seed)
     rep = EstimateReport(
@@ -328,7 +330,7 @@ def suite_transform_selftest(cfg, sym):
 def suite_heat_selftest(cfg, sym):
     alpha = MultiIndex(cfg.alpha)
     hk = HeatKernelEval(alpha)
-    plan = _plan(cfg, "heat-selftest")
+    plan = _plan(cfg)
     grid = plan.grid
     # the Gaussian centred at (2, ..., 2), e^{-t |lambda|^2} and the heat
     # kernel are all products over the axes: each route runs axis by axis
@@ -365,8 +367,6 @@ def suite_heat_selftest(cfg, sym):
 
 
 def suite_multiplier_check(cfg, sym):
-    _check_memory(_estimate_box_bytes(cfg.dims), "Sobolev box values ("
-                  f"{box_samples(cfg.dims)}^{cfg.dims} points); reduce dims")
     # drops the profile's SpectralTailWarnings, 21 for the default symbol at
     # d = 1 and at d = 2: the box samples leave a Nyquist tail of 1.0e-5
     # (d = 1) and 2.4e-3 (d = 2) of the norm at j = 0, above the 1e-8
@@ -401,7 +401,7 @@ def suite_h1_check(cfg, sym):
 
 
 def suite_lp_probe(cfg, sym):
-    plan = _plan(cfg, "lp-probe")
+    plan = _plan(cfg)
     reps = [lp_norm_probe(plan, sym, cfg.p, seed=cfg.seed)]
     if cfg.dims == 1:
         reps.append(weak11_probe(plan, sym))
@@ -433,7 +433,6 @@ _SUITE_READS = {
 # artifacts
 
 def _write_artifacts(cfg, suite, reports, outdir):
-    os.makedirs(outdir, exist_ok=True)
     digest = cfg.digest()
     meta = {"tool": "hankellab", "version": __version__,
             "config_hash": digest, "config": asdict(cfg)}
@@ -490,6 +489,7 @@ def main(argv=None):
         cfg = build_config(args)
         names = _suite_names(args)
         sym = _check_config(cfg, names)
+        os.makedirs(cfg.output, exist_ok=True)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except (ValueError, OSError) as exc:
@@ -503,9 +503,6 @@ def main(argv=None):
             digest = _write_artifacts(cfg, name, reports, cfg.output)[
                 "config_hash"]
             all_reports.extend((digest, r) for r in reports)
-    except MemoryError as exc:
-        print(f"refusing to run: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # runtime failure of a suite
         print(f"suite error: {exc}", file=sys.stderr)
         return 1

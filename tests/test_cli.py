@@ -186,6 +186,16 @@ class TestConfigHandling:
         (["multiplier-check", "--beta", "59.19"], "beta = 59.19"),
         (["multiplier-check", "--dims", "2", "--beta", "62.82"],
          "beta = 62.82"),
+        (["suite", "transform-selftest,multiplier-check", "--dims", "3",
+          "--n", "16", "--R", "13"],
+         "refusing to run multiplier-check at dims = 3, n = 16"),
+        (["heat-selftest", "--n", "9" * 401],
+         "refusing to run heat-selftest at dims = 1, n = 999"),
+        (["suite", "all", "--n", "9" * 401],
+         "refusing to run transform-selftest at dims = 1, n = 999"),
+        (["lp-probe", "--dims", "3", "--n", "1024"],
+         "refusing to run lp-probe at dims = 3, n = 1024"),
+        (["suite", "setup-probe"], "unknown suites: ['setup-probe']"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
             "h1-two-alphas", "jmin-above-jmax", "heat-unknown-key",
@@ -202,15 +212,35 @@ class TestConfigHandling:
             "potential-s-negative", "heat-t-not-a-number",
             "heat-R-just-above-12-n-64", "heat-R-just-above-12-n-1024",
             "heat-R-12.0001-n-64", "beta-59.19-overflows",
-            "beta-62.82-overflows-at-d-2"])
+            "beta-62.82-overflows-at-d-2", "box-refused-after-a-fitting-suite",
+            "heat-n-401-digits", "all-n-401-digits", "lp-dims-3-n-1024",
+            "unknown-suite"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
-        built = []
+        built, ran = [], []
         monkeypatch.setattr(Grid, "build",
                             staticmethod(lambda *a, **k: built.append(a)))
+        for name in _SUITE_FNS:
+            monkeypatch.setitem(_SUITE_FNS, name,
+                                lambda cfg, sym: ran.append(cfg.suite) or [])
         assert run_cli(argv + ["--output", str(tmp_path)]) == 64
-        assert not built
+        assert not built and not ran
+        assert not any(tmp_path.iterdir())
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", ["a-file", "a-file/sub"],
+                             ids=["a-file", "under-a-file"])
+    def test_output_directory_refused_before_any_grid(self, output, tmp_path,
+                                                      monkeypatch, capsys):
+        # a file where the directory, or one of its parents, should be
+        def no_grid(*a, **k):
+            raise AssertionError("Grid.build called")
+
+        monkeypatch.setattr(Grid, "build", staticmethod(no_grid))
+        (tmp_path / "a-file").write_text("")
+        assert run_cli(["suite", "transform-selftest,lp-probe",
+                        "--output", str(tmp_path / output)]) == 64
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,named", [
         (["lp-probe", "--dims", "3", "--n", "64", "--R", "13"], "dims = 3"),
@@ -500,7 +530,7 @@ class TestExitStatuses:
     def test_memory_refusal(self, tmp_path, capsys):
         code = run_cli(["transform-selftest", "--n", "99999999",
                         "--output", str(tmp_path)])
-        assert code == 1
+        assert code == 64
         assert "refusing" in capsys.readouterr().err
 
     def test_memory_refusal_counts_the_grid_values(self, tmp_path,
@@ -513,7 +543,7 @@ class TestExitStatuses:
         monkeypatch.setattr(Grid, "build", staticmethod(no_grid))
         code = run_cli(["transform-selftest", "--dims", "3", "--n", "1024",
                         "--output", str(tmp_path)])
-        assert code == 1
+        assert code == 64
         assert "refusing to run" in capsys.readouterr().err
 
     def test_memory_refusal_for_an_n_too_large_for_a_float(
@@ -524,7 +554,7 @@ class TestExitStatuses:
         monkeypatch.setattr(Grid, "build", staticmethod(no_grid))
         code = run_cli(["transform-selftest", "--n", "9" * 401,
                         "--output", str(tmp_path)])
-        assert code == 1
+        assert code == 64
         assert "refusing to run" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["transform-selftest", "heat-selftest",
@@ -566,7 +596,7 @@ class TestExitStatuses:
         monkeypatch.setattr(sobolev, "_box_geometry", no_box)
         code = run_cli(["multiplier-check", "--dims", "3",
                         "--output", str(tmp_path)])
-        assert code == 1
+        assert code == 64
         assert "refusing to run" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dims,samples", [(1, 2048), (2, 1024)])
@@ -591,17 +621,17 @@ class TestExitStatuses:
                                                      monkeypatch):
         # 10,000 nodes at d = 1: two kernel matrices are 1.6 GB, but
         # heat-selftest's five would be 4 GB
-        class GridReached(Exception):
-            pass
-
         def no_grid(*a, **k):
-            raise GridReached
+            raise AssertionError("Grid.build called")
 
         monkeypatch.setattr(Grid, "build", staticmethod(no_grid))
         cfg = RunConfig(alpha=(0.5,), dims=1, n=10000, R=14.0)
         assert axis_size(cfg.n) == 10000
-        with pytest.raises(GridReached if fits else MemoryError):
-            cli._plan(cfg, suite)
+        if fits:
+            cli._check_config(cfg, [suite])
+        else:
+            with pytest.raises(ValueError, match=f"refusing to run {suite}"):
+                cli._check_config(cfg, [suite])
 
     def test_failing_suite_returns_one(self, tmp_path):
         # declared-bound violation inside lp-probe => fail verdict
