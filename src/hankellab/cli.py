@@ -244,11 +244,16 @@ def _check_config(cfg, names):
     return parse_symbol(cfg.symbol, cfg.dims)
 
 
-# each Lambda = R suite's peak, plan build included, by tracemalloc, rounded
-# up: float kernel matrices per axis, 2.0, 3.7 and 2.0 at d = 1 (1024, 2048
-# nodes), and complex value tensors, 3.6, 1.0 and 9.6 at d = 3 (48^3, 64^3);
-# the self-tests transform their inputs axis by axis and form only real
-# value tensors, of products of the transformed factors
+# each Lambda = R suite's peak, plan build included, by tracemalloc at
+# R = 14, rounded up: float kernel matrices per axis, 2.2, 2.7 and 2.1 at
+# d = 1 (1024, 2048 nodes; heat-selftest's budget of 5 is more than it
+# needs, and kept so that no refusal moves), and complex value tensors,
+# 3.7, 1.2 and 9.6 at d = 3 (48^3, 64^3); the self-tests transform their
+# inputs axis by axis and form only real value tensors, of products of the
+# transformed factors.  tracemalloc sees numpy's arrays only, not the
+# workspace that LAPACK and BLAS allocate for themselves; the largest such
+# call, the d = 2 lp-probe's factorization, is judged by its growth of the
+# resident set, 32.3 MB of the 52.0 MB budget at n = 512
 RUN_PEAK = {"transform-selftest": (2, 7), "heat-selftest": (5, 8),
             "lp-probe": (2, 10)}
 # per axis besides: the Bessel kernel tables of its order (J and scaled I,

@@ -331,7 +331,7 @@ def norm(f: GridFunction, p=2.0, weight: WeightSpec | None = None):
     With weight = WeightSpec(s, delta) this is the L^p(w^delta dnu) norm of
     f * w^s, where w(x) = 1 + |x|.
     """
-    g, w = np.abs(f.values), f.grid.weight_tensor()
+    g, w = np.abs(f.values, dtype=float), f.grid.weight_tensor()
     if weight is not None and (weight.s or weight.delta):
         # |x| per call, like squared_mesh: a cache would live as long as the grid
         w1 = 1.0 + np.sqrt(f.grid.squared_mesh().sum(axis=-1))
@@ -344,8 +344,9 @@ def norm(f: GridFunction, p=2.0, weight: WeightSpec | None = None):
     if top == 0.0 or not np.isfinite(top):
         return top
     # relative to the largest |f|, so that |f|^p neither underflows to 0
-    # nor overflows at large p; one new array, raised and weighted in place
-    g = g / top
+    # nor overflows at large p; |f| is the one new array, scaled, raised
+    # and weighted in place
+    g /= top
     g **= p
     g *= w
     return top * float(np.sum(g)) ** (1.0 / p)

@@ -10,8 +10,10 @@ tests/paper_checks.py.
 The one-dimensional kernel is evaluated in exponentially-scaled form: the
 exp(-(x^2+y^2)/4t) factor and the e^{+xy/2t} hidden in the modified Bessel
 function recombine into exp(-(x-y)^2/4t) times a scaled Bessel factor, so
-nothing overflows for xy/2t large.  The d-dimensional kernel is the product
-of the one-dimensional ones.
+nothing overflows for xy/2t large.  It is evaluated in place, in two
+arrays of the broadcast shape, so that a one-axis heat matrix
+(axis_heat_matrix) costs two matrices.  The d-dimensional kernel is the
+product of the one-dimensional ones.
 
 The per-axis normalization is HEAT_NORMALIZATION, the closed form
 c_k = 1/2 for every alpha_k, which Weber's integral gives for mass 1; the
@@ -53,14 +55,24 @@ class TimeGrid:
 
 
 def _axis_kernel(alpha_k, t, x, y):
-    """One-dimensional heat kernel, scaled evaluation; broadcasts x, y."""
+    """One-dimensional heat kernel, scaled evaluation; broadcasts x, y.
+
+    Evaluated in two arrays of the broadcast shape: the Bessel factor in
+    place of its argument xy/2t, the Gaussian factor in the other, which
+    then takes the prefactor and the Bessel factor and is returned."""
     nu = alpha_k - 0.5
-    u = x * y / (2.0 * t)
-    return (
-        HEAT_NORMALIZATION / t * (2.0 * t) ** (-nu)
-        * np.exp(-((x - y) ** 2) / (4.0 * t))
-        * inorm_scaled(nu, u)
-    )
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    bessel = np.multiply(x, y, out=np.empty(shape))
+    bessel /= 2.0 * t
+    inorm_scaled(nu, bessel, out=bessel)
+    out = np.subtract(x, y, out=np.empty(shape))
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= 4.0 * t
+    np.exp(out, out=out)
+    out *= HEAT_NORMALIZATION / t * (2.0 * t) ** (-nu)
+    out *= bessel
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,9 +103,11 @@ def heat_kernel(hk: HeatKernelEval, t, x, y):
 def axis_heat_matrix(alpha_k, t, ax, rows=slice(None)):
     """The one-axis heat kernel T_t(x_i, y_j) times the weight of y_j, for
     the nodes x_i of ax in rows and every node y_j: applied to an axis
-    factor, it gives that factor's T_t on those rows."""
-    return (_axis_kernel(alpha_k, t, ax.nodes[rows, None], ax.nodes[None, :])
-            * ax.quad_weights[None, :])
+    factor, it gives that factor's T_t on those rows.  The weights are
+    applied in place, so the matrix costs _axis_kernel's two arrays."""
+    out = _axis_kernel(alpha_k, t, ax.nodes[rows, None], ax.nodes[None, :])
+    out *= ax.quad_weights
+    return out
 
 
 def heat_apply(hk: HeatKernelEval, t, f: GridFunction):

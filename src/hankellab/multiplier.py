@@ -2,8 +2,12 @@
 
 Symbols live on the squared frequency axes: m(lambda) = n(lambda_1^2, ...,
 lambda_d^2), and the dyadic pieces slice m with the radial partition in the
-squared variables, m_j(lambda) = psi(2^{-j} lambda^2) m(lambda).
+squared variables, m_j(lambda) = psi(2^{-j} lambda^2) m(lambda).  A symbol
+is sampled on the dual grid in blocks of rows (_symbol_values), so that no
+mesh of the whole grid is formed.
 """
+
+import math
 
 import numpy as np
 
@@ -14,11 +18,27 @@ from .transform import TransformPlan
 # bound here only so the benchmark tracer can rebind it in every module
 from .transform import _contract  # noqa: F401
 
+# _symbol_values samples the symbol on at most this many dual nodes at once
+SYMBOL_BLOCK = 1 << 16
+
 
 def _symbol_values(dual_grid, n: Symbol):
-    """m(lambda) = n(lambda_1^2, ..., lambda_d^2) on the dual grid: the one
-    place where a symbol is sampled for the multiplier functions."""
-    return n(dual_grid.squared_mesh())
+    """m(lambda) = n(lambda_1^2, ..., lambda_d^2) on the dual grid, as complex
+    values: the one place where a symbol is sampled for the multiplier
+    functions.
+
+    The symbol is called on blocks of rows (nodes of the first axis) of at
+    most SYMBOL_BLOCK nodes, so that the squared mesh and the symbol's own
+    temporaries are those of one block, and each call checks the sup norm
+    on its block.  Every family is evaluated node by node, so the values
+    are those of one call on the whole mesh, bit for bit."""
+    shape = dual_grid.shape
+    step = max(1, SYMBOL_BLOCK // math.prod(shape[1:]))
+    out = np.empty(shape, complex)
+    for lo in range(0, shape[0], step):
+        rows = (slice(lo, lo + step),) + (slice(None),) * (dual_grid.d - 1)
+        out[rows] = n(dual_grid.restrict(rows).squared_mesh())
+    return out
 
 
 def apply_multiplier(plan: TransformPlan, mvals, f: GridFunction):

@@ -326,16 +326,16 @@ def _table(kind, nu, top):
     return tb
 
 
-def _fixed_order(kind, nu, u, out=None):
+def _fixed_order(kind, nu, u, out):
     """The kind's function at the order nu on every point of u: its table
     cell's Taylor polynomial below the table's end, the expansion from there
     on, one cache-sized block at a time.  Raises ValueError unless every
     u is finite and >= 0.
 
-    The values go to a new array, or into out when given, which is then
-    returned: a C-contiguous float64 array of u's shape, possibly u itself.
-    A block reads all of its arguments before it writes its values, so
-    evaluating in place gives the same values bit for bit."""
+    The values go to a new array when out is None, else into out, which is
+    then returned: a C-contiguous float64 array of u's shape, possibly u
+    itself.  A block reads all of its arguments before it writes its
+    values, so evaluating in place gives the same values bit for bit."""
     nu = _check_order(nu)
     u = np.asarray(u, dtype=float)
     if out is not None:
@@ -391,9 +391,10 @@ def jnorm(nu, u, out=None):
     return _fixed_order("J", nu, u, out)
 
 
-def inorm_scaled(nu, u):
+def inorm_scaled(nu, u, out=None):
     """Scaled normalized modified Bessel e^{-u} u^{-nu} I_nu(u), nu > -1,
-    finite u >= 0.
+    finite u >= 0; out, when given, receives the values as in _fixed_order,
+    and may be u itself.
 
     Every order goes through its fixed-order table: cell 0 holds the power
     series, which avoids the cancellation that the power*ive product
@@ -401,7 +402,7 @@ def inorm_scaled(nu, u):
     the table's end on the large-argument expansion holds at any argument
     (cephes ive returns nan near u ~ 1e9).
     """
-    return _fixed_order("I", nu, u)
+    return _fixed_order("I", nu, u, out)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_14 for Stirling's series

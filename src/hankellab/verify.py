@@ -29,8 +29,15 @@ measured as that atom under the dilated symbol m(lambda / r), on one set
 of plans per centre ratio.  Both sweeps judge their axes by
 transform.check_resolution, with ResolutionWarning dropped
 (_sweep_resolution).
+
+The d = 2 L^p probe applies T_m through the singular triplets of the
+symbol matrix that it keeps, and computes only those, by seeded subspace
+iteration (_kept_triplets): its LAPACK calls work on k x n sketches of
+the n x n matrix, and on the matrix itself only when k reaches n.
+Each image T_m f is formed in one buffer that the next one reuses.
 """
 
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -365,35 +372,97 @@ def battery_norms(grid: Grid, factors, p):
 # lp_norm_probe keeps the singular values of the d = 2 symbol matrix above
 # this fraction of the largest
 SYMBOL_RANK_RTOL = 1e-14
+# _kept_triplets sketches the symbol matrix's range with SKETCH_START
+# columns at first, keeps SKETCH_OVERSAMPLING of them beyond the kept rank,
+# takes SKETCH_POWER power steps, and draws its Gaussian test matrices
+# from SKETCH_SEED; its residual runs over RESIDUAL_ROWS rows at a time
+SKETCH_START = 32
+SKETCH_OVERSAMPLING = 10
+SKETCH_POWER = 2
+SKETCH_SEED = 0
+RESIDUAL_ROWS = 64
+
+
+def _kept_rank(s):
+    """How many of the singular values s, largest first, pass
+    SYMBOL_RANK_RTOL s_1."""
+    return int(np.count_nonzero(s > SYMBOL_RANK_RTOL * s[0]))
+
+
+def _residual(M, Q, B):
+    """||M - Q B||_F, taken RESIDUAL_ROWS rows at a time."""
+    return math.sqrt(sum(
+        np.linalg.norm(M[lo:lo + RESIDUAL_ROWS] - Q[lo:lo + RESIDUAL_ROWS] @ B)
+        ** 2 for lo in range(0, M.shape[0], RESIDUAL_ROWS)))
+
+
+def _kept_triplets(M):
+    """(U, s, Vh): the singular triplets of M with s_k > SYMBOL_RANK_RTOL
+    s_1, by seeded subspace iteration (Halko, Martinsson & Tropp, SIAM
+    Review 53(2), 2011, Algorithm 4.4).
+
+    M times a k-column Gaussian test matrix is orthonormalized to Q, and
+    the projection B = Q^H M taken.  Then SKETCH_POWER power steps, each
+    re-orthonormalized by QR, refine Q, and the SVD of the small k x n
+    projection B = U_B diag(s) Vh gives the triplets (Q U_B, s, Vh).  k
+    starts at SKETCH_START and doubles until B's trailing
+    SKETCH_OVERSAMPLING singular values are at most SYMBOL_RANK_RTOL s_1
+    and so is the residual ||M - Q B||_F.  A projection's singular values
+    are at most M's, so a first projection that keeps too many already
+    doubles k, before any power step.  At k = min(M.shape) Q would be a
+    unitary basis of the whole space: the SVD of M itself is taken."""
+    n = min(M.shape)
+    rng = np.random.default_rng(SKETCH_SEED)
+    k = min(n, SKETCH_START)
+    while k < n:
+        Q = np.linalg.qr(M @ rng.standard_normal((M.shape[1], k)))[0]
+        B = Q.conj().T @ M
+        if _kept_rank(np.linalg.svd(B, compute_uv=False)) \
+                <= k - SKETCH_OVERSAMPLING:
+            for _ in range(SKETCH_POWER):
+                # B^H = M^H Q: no conjugate copy of M
+                Q = np.linalg.qr(M @ np.linalg.qr(B.conj().T)[0])[0]
+                B = Q.conj().T @ M
+            Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
+            r = _kept_rank(s)
+            if (r <= k - SKETCH_OVERSAMPLING
+                    and _residual(M, Q, B) <= SYMBOL_RANK_RTOL * s[0]):
+                return Q @ Ub[:, :r], s[:r], Vh[:r]
+        k = min(n, 2 * k)
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    r = _kept_rank(s)
+    return U[:, :r], s[:r], Vh[:r]
 
 
 def _factored_images(plan: TransformPlan, mvals, factors):
     """(kept rank, generator of T_m f over the battery) at d = 2.
 
-    With the symbol matrix's SVD M = U diag(s) V^H truncated at
-    s_k > SYMBOL_RANK_RTOL s_1, and f = a (x) b, T_m f is
+    With the symbol matrix's singular triplets M ~ U diag(s) V^H kept at
+    s_k > SYMBOL_RANK_RTOL s_1 (_kept_triplets), and f = a (x) b, T_m f is
     sum_k H_0(s_k u_k Ha) (x) H_1(conj(v_k) Hb).  Ha and Hb are taken for
     the whole battery in one contraction per axis; per function, the r
     columns on each axis are inverse-transformed with that axis's dual
     weights, and their outer products summed.  That is about 8 n^2 r
     multiply-adds per function against the dense route's 6 n^3, so the
     worst case, a full-rank (say tabulated) symbol, costs about 4/3 of the
-    dense route, plus one SVD.
+    dense route, plus the sketches and the SVD of M.  Every image is
+    formed in one buffer, which the next overwrites: use each before
+    asking for the next.
     """
-    U, s, Vh = np.linalg.svd(mvals)
-    r = int(np.count_nonzero(s > SYMBOL_RANK_RTOL * s[0]))
+    U, s, Vh = _kept_triplets(mvals)
     dual = plan.dual_grid.axes
-    left = U[:, :r] * s[:r] * dual[0].quad_weights[:, None]
-    right = Vh[:r].T * dual[1].quad_weights[:, None]
+    left = U * s * dual[0].quad_weights[:, None]
+    right = Vh.T * dual[1].quad_weights[:, None]
     ha, hb = plan.forward_factors([F.T for F in factors])
 
     def images():
+        image = np.empty(plan.grid.shape, np.result_type(left, right))
         for i in range(BATTERY_SIZE):
             P = _contract((plan.inv[0],), left * ha[:, i, None])
             Q = _contract((plan.inv[1],), right * hb[:, i, None])
-            yield GridFunction(plan.grid, _contract((P,), Q.T))
+            yield GridFunction(plan.grid, np.matmul(P, Q.T, out=image))
 
-    return r, images()
+    return s.size, images()
 
 
 def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
@@ -403,10 +472,10 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
     the ratio is additionally checked against ||m||_inf (Plancherel), with
     a relative excess of 1e-6 allowed.  At d = 1 the whole battery is one
     batch: T_m f comes from one forward and one inverse contraction.  At
-    d = 2 it comes from the factors and the truncated SVD of the symbol
-    (_factored_images), and the kept rank is recorded as the parameter
-    symbol_rank; at d >= 3 from apply_multiplier, one battery function at a
-    time.  ||f||_p comes from the factors (battery_norms).
+    d = 2 it comes from the factors and the symbol's kept singular
+    triplets (_factored_images), and the kept rank is recorded as the
+    parameter symbol_rank; at d >= 3 from apply_multiplier, one battery
+    function at a time.  ||f||_p comes from the factors (battery_norms).
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")

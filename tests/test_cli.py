@@ -4,9 +4,13 @@ import argparse
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,6 +589,36 @@ class TestExitStatuses:
             tracemalloc.stop()
         assert peak < cli._estimate_run_bytes(suite, dims,
                                               keep or axis_size(n))
+
+    def test_memory_estimate_covers_the_lapack_workspace(self, tmp_path):
+        # tracemalloc sees numpy's arrays, not the workspace that LAPACK and
+        # BLAS allocate for themselves, so the growth of the largest resident
+        # set of a fresh interpreter is held to the budget too, on the d = 2
+        # lp-probe, whose factorization is the largest such call; with one
+        # BLAS thread, since per-thread buffers grow with the host's cores,
+        # not with the grid
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+            MKL_NUM_THREADS="1")
+        argv = ["lp-probe", "--dims", "2", "--alpha", "0.5,1.3", "--n", "512",
+                "--output", str(tmp_path)]
+        code = ("import resource\n"
+                "import hankellab.cli\n"
+                "def peak():\n"
+                "    return resource.getrusage(\n"
+                "        resource.RUSAGE_SELF).ru_maxrss\n"
+                "before = peak()\n"
+                f"code = hankellab.cli.main({argv!r})\n"
+                "print(code, peak() - before)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        exit_code, grown = map(int, out.splitlines()[-1].split())
+        assert exit_code == 0
+        # ru_maxrss counts bytes on macOS, KiB elsewhere
+        grown *= 1 if sys.platform == "darwin" else 1024
+        assert grown <= cli._estimate_run_bytes("lp-probe", 2, axis_size(512))
 
     def test_memory_refusal_of_the_sobolev_box(self, tmp_path, monkeypatch,
                                                capsys):

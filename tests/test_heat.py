@@ -1,17 +1,20 @@
 """Heat kernel: normalization, symmetry, semigroup law, bounds, maximal op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab import heat
+from hankellab import cli, heat
 from hankellab.dyadic import make_partition
 from hankellab.grid import AxisGrid, Grid, GridFunction, norm
 from hankellab.heat import (HEAT_NORMALIZATION, ROW_GRANULE, HeatKernelEval,
                             TimeGrid, _axis_kernel, _maximal_field,
-                            gaussian_bound_check, heat_apply, heat_kernel)
-from hankellab.specfun import MultiIndex
+                            axis_heat_matrix, gaussian_bound_check,
+                            heat_apply, heat_kernel)
+from hankellab.specfun import MultiIndex, inorm_scaled
 from hankellab.transform import hankel_transform, inverse_hankel
 
 from conftest import gaussian_bump
@@ -95,6 +98,51 @@ class TestKernelStructure:
     def test_no_overflow_small_time(self, hk_half):
         v = float(heat_kernel(hk_half, 1e-8, np.array([5.0]), np.array([5.0])))
         assert np.isfinite(v) and v > 0
+
+
+def _axis_kernel_formula(alpha_k, t, x, y):
+    """The one-axis kernel as one expression of new arrays: the reference
+    that the in-place evaluation must reproduce bit for bit."""
+    nu = alpha_k - 0.5
+    return (HEAT_NORMALIZATION / t * (2.0 * t) ** (-nu)
+            * np.exp(-((x - y) ** 2) / (4.0 * t))
+            * inorm_scaled(nu, x * y / (2.0 * t)))
+
+
+class TestAxisHeatMatrix:
+    @pytest.mark.parametrize("rows", [slice(None), slice(5, 300)],
+                             ids=["all-rows", "row-slice"])
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("a", [-0.3, 0.5, 1.3])
+    def test_matches_the_kernel_formula_bit_for_bit(self, a, t, rows):
+        ax = AxisGrid.build(a, R=24.0, n=512)
+        got = axis_heat_matrix(a, t, ax, rows)
+        want = (_axis_kernel_formula(a, t, ax.nodes[rows, None],
+                                     ax.nodes[None, :])
+                * ax.quad_weights[None, :])
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a", [-0.3, 0.5, 1.3])
+    def test_kernel_broadcasts_scalars_and_vectors(self, a):
+        x = AxisGrid.build(a, R=24.0, n=512).nodes
+        for args in ((1.3, 2.1), (x, 2.1), (0.7, x), (x[:, None], x[::7])):
+            got = _axis_kernel(a, 0.6, *args)
+            want = _axis_kernel_formula(a, 0.6, *args)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_matrix_holds_two_matrices(self):
+        # the Bessel factor and the returned matrix, besides the kernel
+        # tables and their evaluation blocks
+        ax = AxisGrid.build(0.5, R=24.0, n=1024)
+        tracemalloc.start()
+        try:
+            axis_heat_matrix(0.5, 1.0, ax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ax.n * ax.n * 8 + cli.KERNEL_TABLE_PEAK
 
 
 class TestSemigroup:

@@ -5,13 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+from hankellab import multiplier, sobolev
 from hankellab.dyadic import make_partition
-from hankellab.grid import norm
+from hankellab.grid import Grid, norm
 from hankellab.heat import HeatKernelEval, heat_apply
 from hankellab.multiplier import (_symbol_values, apply_multiplier,
                                   dyadic_symbol_values)
 from hankellab.specfun import MultiIndex
-from hankellab.symbols import bump_symbol, constant_symbol, heat_symbol
+from hankellab.symbols import (FAMILIES, Symbol, bump_symbol, constant_symbol,
+                               heat_symbol, parse_symbol)
 
 import paper_checks
 from conftest import gaussian_bump
@@ -52,6 +54,60 @@ class TestApplyMultiplier:
         g = apply_multiplier(plan_half, _symbol_values(plan_half.dual_grid, m),
                              f)
         assert norm(g, 2.0) <= m.sup_norm * norm(f, 2.0) * (1 + 1e-8)
+
+
+def _dual_grid(d):
+    """A dual grid of 160 nodes per axis at d = 1, 2 and of 16 of them at
+    d = 3, on which u = lambda^2 runs from near 0 to 576."""
+    grid = Grid.build(MultiIndex((0.5, 1.3, -0.2)[:d]), R=24.0, n=16)
+    return grid if d < 3 else grid.restrict([np.arange(0, 160, 10)] * 3)
+
+
+class TestSymbolValues:
+    @pytest.mark.parametrize("block", [None, 100], ids=["default", "100"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_match_one_call_bit_for_bit(self, d, block, tmp_path,
+                                               monkeypatch):
+        # with blocks of 100 nodes the dual grid takes 2 blocks at d = 1,
+        # 80 at d = 2 and 16 at d = 3
+        if block is not None:
+            monkeypatch.setattr(multiplier, "SYMBOL_BLOCK", block)
+        # the potential table on a 32^d box: the default 512^3 one would
+        # hold 13 GB at d = 3
+        monkeypatch.setattr(sobolev, "BOX_SAMPLES", 32)
+        path = tmp_path / "table.csv"
+        rng = np.random.default_rng(d)
+        axes = [np.linspace(0.0, 600.0, 6 + k) for k in range(d)]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        rows = np.concatenate([nodes.reshape(-1, d),
+                               rng.standard_normal((nodes[..., 0].size, 2))],
+                              axis=1)
+        np.savetxt(path, rows, delimiter=",", header="u,re,im")
+        specs = {"laplace_type": ["laplace_type{phi=const}",
+                                  "laplace_type{phi=imag_power:gamma=1}"],
+                 "bump": ["bump"], "oscillatory": ["oscillatory{k=4}"],
+                 "potential": ["potential{s=1,h=bump}"],
+                 "divergent": ["divergent"], "heat": ["heat{t=0.01}"],
+                 "const": ["const{value=2}"],
+                 "tabulated": [f"tabulated{{path={path}}}"]}
+        assert set(specs) == set(FAMILIES)
+        dual = _dual_grid(d)
+        for spec in sum(specs.values(), []):
+            m = parse_symbol(spec, d)
+            got = _symbol_values(dual, m)
+            want = m(dual.squared_mesh())
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), spec
+            assert got.tobytes() == want.tobytes(), spec
+
+    def test_sup_norm_is_checked_in_every_block(self, monkeypatch):
+        # the symbol exceeds its sup norm on the last rows only
+        monkeypatch.setattr(multiplier, "SYMBOL_BLOCK", 100)
+        dual = _dual_grid(2)
+        top = dual.axes[0].nodes[-1] ** 2
+        m = Symbol(lambda u: np.where(u[..., 0] >= top, 2.0, 1.0) + 0j, 2,
+                   1.0, "over-at-the-top")
+        with pytest.raises(RuntimeError, match="exceeds its recorded sup"):
+            _symbol_values(dual, m)
 
 
 class TestDyadicPieces:

@@ -14,17 +14,17 @@ from hankellab.multiplier import _symbol_values, apply_multiplier
 from hankellab.report import EstimateReport, FAIL, INCONCLUSIVE, PASS
 from hankellab.specfun import MultiIndex
 from hankellab.symbols import (Symbol, bump_symbol, constant_symbol,
-                               laplace_type_symbol, parse_symbol)
+                               laplace_type_symbol, parse_symbol, table_symbol)
 from hankellab.transform import ResolutionWarning, TransformPlan
 from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_DUAL, N_MAX,
-                              N_MIN, WEAK11_CENTERS, WEAK11_LEVELS,
-                              _adapted_n, _cz_band, _cz_dual, _cz_piece,
-                              _cz_work_size, _h1_orbits, adapted_plan,
-                              battery_functions, battery_norms, check_atom,
-                              compare_resolutions, cz_hormander_check,
-                              default_atom_family, default_cz_pairs,
-                              lp_norm_probe, make_atom, make_battery,
-                              weak11_probe)
+                              N_MIN, SYMBOL_RANK_RTOL, WEAK11_CENTERS,
+                              WEAK11_LEVELS, _adapted_n, _cz_band, _cz_dual,
+                              _cz_piece, _cz_work_size, _h1_orbits,
+                              adapted_plan, battery_functions, battery_norms,
+                              check_atom, compare_resolutions,
+                              cz_hormander_check, default_atom_family,
+                              default_cz_pairs, lp_norm_probe, make_atom,
+                              make_battery, weak11_probe)
 
 from conftest import gaussian_bump
 from paper_checks import association_check
@@ -605,11 +605,20 @@ def plan_2d_small():
 
 
 def _random_symbol(dual_grid):
-    """A full-rank complex symbol: independent normal values per node."""
+    """A full-rank complex symbol: independent normal values per node,
+    tabulated on the squared nodes, so that it takes its value at each node
+    exactly, whichever block of the grid it is sampled on."""
     rng = np.random.default_rng(5)
     z = (rng.standard_normal(dual_grid.shape)
          + 1j * rng.standard_normal(dual_grid.shape))
-    return Symbol(lambda u: z, dual_grid.d, float(np.abs(z).max()), "random")
+    return table_symbol([ax.nodes**2 for ax in dual_grid.axes], z,
+                        float(np.abs(z).max()), "random")
+
+
+@pytest.fixture(scope="module")
+def dual_256():
+    """The dual grid of a d = 2 lp-probe at n = 256: 256 nodes per axis."""
+    return Grid.build(MultiIndex((0.5, 1.3)), R=24.0, n=256)
 
 
 def _assert_per_spike_quantities(rep, plan, mv):
@@ -813,6 +822,63 @@ class TestProbes:
     def test_weak11_probe_stable_for_identity(self, plan_half):
         rep = weak11_probe(plan_half, constant_symbol(1, 1.0))
         assert rep.verdict == PASS
+
+
+class TestKeptTriplets:
+    # at 256 nodes per axis a sketch of at most 128 columns keeps these
+    # symbols' ranks; divergent keeps 131 and the random symbol all 256,
+    # so for them k reaches n and the SVD of the symbol matrix is taken
+    SKETCHED = ["heat{t=1}", "bump", "laplace_type{phi=imag_power:gamma=1.0}",
+                "const{value=0}"]
+    FULL = ["divergent", "random"]
+
+    @pytest.mark.parametrize("spec", SKETCHED + FULL)
+    def test_rank_and_triplets_match_the_full_svd(self, dual_256, spec,
+                                                  monkeypatch):
+        M = _symbol_values(dual_256, _random_symbol(dual_256)
+                           if spec == "random" else parse_symbol(spec, 2))
+        n = dual_256.axes[0].n
+        s_full = np.linalg.svd(M, compute_uv=False)
+        want = int(np.count_nonzero(s_full > SYMBOL_RANK_RTOL * s_full[0]))
+        assert want == {"heat{t=1}": 1, "const{value=0}": 0,
+                        "random": n}.get(spec, want)
+        calls, residuals = [], []
+        svd, residual = np.linalg.svd, verify._residual
+
+        def recorded_svd(a, *args, **kwargs):
+            calls.append((a.shape, kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        def recorded_residual(M, Q, B):
+            residuals.append((Q, residual(M, Q, B)))
+            return residuals[-1][1]
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        monkeypatch.setattr(verify, "_residual", recorded_residual)
+        U, s, Vh = verify._kept_triplets(M)
+        monkeypatch.undo()
+        assert s.size == want
+        square = [uv for shape, uv in calls if shape == (n, n)]
+        if spec in self.FULL:
+            assert square == [True]
+        else:
+            # no n x n SVD that computes singular vectors; the sketch taken
+            # is the last whose residual was judged, and its residual,
+            # taken densely, is within the bound
+            assert True not in square
+            Q, value = residuals[-1]
+            dense = np.linalg.norm(M - Q @ (Q.conj().T @ M))
+            assert value == pytest.approx(dense, rel=1e-6, abs=1e-30)
+            assert dense <= SYMBOL_RANK_RTOL * s_full[0]
+        assert np.abs(s - s_full[:want]).max(initial=0.0) \
+            <= SYMBOL_RANK_RTOL * s_full[0]
+        for W in (U, Vh.conj().T):
+            assert np.abs(W.conj().T @ W - np.eye(want)).max(initial=0.0) \
+                <= 1e-12
+        # the residual and the dropped singular values of the sketch, each
+        # at most SYMBOL_RANK_RTOL s_1 in the spectral norm
+        assert np.linalg.norm(M - (U * s) @ Vh, 2) \
+            <= 2 * SYMBOL_RANK_RTOL * s_full[0]
 
 
 class TestAssociation:
