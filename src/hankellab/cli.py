@@ -18,20 +18,20 @@ from decimal import Decimal
 import numpy as np
 
 from . import __version__
-from .dyadic import make_partition
 from .grid import (MIN_PPW, POINTS_PER_PANEL, Grid, GridFunction, axis_size,
                    check_normal_floats, check_weight_resolved, first_node,
                    norm, points_per_wavelength, product_values)
 from .heat import HeatKernelEval, axis_heat_matrix, gaussian_bound_check
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex, check_tabled
-from .symbols import parse_symbol
-from .sobolev import (BOX_HALFWIDTH, BOX_SAMPLES, SpectralTailWarning,
-                      box_samples, hormander_sup)
+from .symbols import family_name, parse_symbol
+from .sobolev import (BOX_SAMPLES, SpectralTailWarning, box_samples,
+                      box_top_frequency, hormander_sup)
 from .transform import TransformPlan, _contract
-from .verify import (DEFAULT_SEED, _cz_band, _h1_orbits, cz_hormander_check,
-                     default_atom_family, default_cz_pairs, h1_atom_check,
-                     lp_norm_probe, weak11_probe)
+from .verify import (BATTERY_WIDTH_RATIO, DEFAULT_SEED, _cz_band, _h1_orbits,
+                     cz_hormander_check, default_atom_family,
+                     default_cz_pairs, h1_atom_check, lp_norm_probe,
+                     weak11_probe)
 
 USAGE_ERROR = 64
 MEMORY_LIMIT_BYTES = 2 << 30
@@ -196,8 +196,8 @@ def _check_config(cfg, names):
         raise ValueError(f"beta = {cfg.beta}: multiplier-check needs a "
                          "finite beta >= 0")
     # the box weight (1+|xi|^2)^beta is largest at the box's top frequency
-    # on every axis, |xi| = pi samples / (2 BOX_HALFWIDTH)
-    xi2 = cfg.dims * (np.pi * box_samples(cfg.dims) / (2.0 * BOX_HALFWIDTH))**2
+    # on every axis
+    xi2 = cfg.dims * box_top_frequency(cfg.dims)**2
     beta_max = np.log(_FLOATS.max) / np.log1p(xi2)
     if "multiplier-check" in names and cfg.beta > beta_max:
         raise ValueError(f"beta = {cfg.beta}: multiplier-check's weight "
@@ -215,13 +215,14 @@ def _check_config(cfg, names):
                             f"= {cfg.alpha}), the Lambda = R plan")
         check_weight_resolved(cfg.alpha, cfg.n, f"alpha = {cfg.alpha}, n = "
                               f"{cfg.n}, the Lambda = R plan")
-    if "lp-probe" in names and cfg.R < 8:
+    if "lp-probe" in names and cfg.R < BATTERY_WIDTH_RATIO:
+        ratio = f"{BATTERY_WIDTH_RATIO:g}"
         raise ValueError(f"R = {cfg.R}: lp-probe draws bump widths from "
-                         "[8/R, R/8], so it needs R >= 8")
+                         f"[{ratio}/R, R/{ratio}], so it needs R >= {ratio}")
     # every memory budget, in the order the run meets it: the potential
     # table, which parse_symbol builds, then each requested suite's peak
     budgets = {}
-    if cfg.symbol.split("{", 1)[0].strip() == "potential":
+    if family_name(cfg.symbol) == "potential":
         budgets["the potential table"] = POTENTIAL_PEAK * BOX_SAMPLES**cfg.dims
     for name in names:
         if name in RUN_PEAK:
@@ -246,15 +247,18 @@ def _check_config(cfg, names):
 
 # each Lambda = R suite's peak, plan build included, by tracemalloc at
 # R = 14, rounded up: float kernel matrices per axis, 2.2, 2.7 and 2.1 at
-# d = 1 (1024, 2048 nodes; heat-selftest's budget of 5 is more than it
-# needs, and kept so that no refusal moves), and complex value tensors,
+# d = 1 (1024, 2048 nodes; heat-selftest holds the plan's kernel matrix and
+# the two arrays of axis_heat_matrix on the rows x < R - HEAT_MARGIN sqrt(t),
+# which never reach the whole axis, since the ppw gate keeps R <=
+# sqrt(pi N / 2); at the largest R it admits, 2.9 at 2048 nodes and 3.2 at
+# 1024, the kernel tables below included), and complex value tensors,
 # 3.7, 1.2 and 9.6 at d = 3 (48^3, 64^3); the self-tests transform their
 # inputs axis by axis and form only real value tensors, of products of the
 # transformed factors.  tracemalloc sees numpy's arrays only, not the
 # workspace that LAPACK and BLAS allocate for themselves; the largest such
 # call, the d = 2 lp-probe's factorization, is judged by its growth of the
 # resident set, 32.3 MB of the 52.0 MB budget at n = 512
-RUN_PEAK = {"transform-selftest": (2, 7), "heat-selftest": (5, 8),
+RUN_PEAK = {"transform-selftest": (2, 7), "heat-selftest": (3, 8),
             "lp-probe": (2, 10)}
 # per axis besides: the Bessel kernel tables of its order (J and scaled I,
 # up to 1.3 MB each) while one is built, and the kernel's evaluation blocks
@@ -396,13 +400,11 @@ def suite_multiplier_check(cfg, sym):
 
 
 def suite_cz_check(cfg, sym):
-    return [cz_hormander_check(MultiIndex(cfg.alpha), sym,
-                               make_partition("plain"))]
+    return [cz_hormander_check(MultiIndex(cfg.alpha), sym)]
 
 
 def suite_h1_check(cfg, sym):
-    return [h1_atom_check(MultiIndex(cfg.alpha), sym,
-                          make_partition("squared"))]
+    return [h1_atom_check(MultiIndex(cfg.alpha), sym)]
 
 
 def suite_lp_probe(cfg, sym):

@@ -51,8 +51,11 @@ class DyadicPartition:
         base = np.where(np.abs(base) < ZERO_CLIP, 0.0, base)
         if self.variant == "plain":
             return base
+        # the locally finite sum of the squared dilates; on the support of
+        # base, 1/2 < r < 2, only k = -1, 0, 1 are nonzero, and the terms
+        # |k| >= 2 would add exact zeros
         den = np.zeros_like(base)
-        for k in range(-3, 4):
+        for k in range(-1, 2):
             b = smooth_chi(2.0**-k * r) - smooth_chi(2.0 ** (1 - k) * r)
             den += b * b
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -82,10 +82,16 @@ def axis_size(n):
     return POINTS_PER_PANEL * max(panels, GRADED_PANELS + 1)
 
 
+def uniform_panels(n):
+    """How many uniform panels AxisGrid.build lays for n, at least 1; the
+    first of them is cut into the GRADED_PANELS geometric ones."""
+    return axis_size(n) // POINTS_PER_PANEL - GRADED_PANELS
+
+
 def first_node(alpha_k, R, n):
     """The smallest node of AxisGrid.build(alpha_k, R, n), without building
     the axis: the smallest Gauss-Jacobi node of the panel at 0."""
-    edge = R / (axis_size(n) // POINTS_PER_PANEL - GRADED_PANELS)
+    edge = R / uniform_panels(n)
     edge *= 2.0 ** -GRADED_PANELS
     jx, _ = _jacgauss(POINTS_PER_PANEL, float(2.0 * alpha_k))
     return float(edge * (jx[0] + 1.0) / 2.0)
@@ -115,8 +121,7 @@ def check_weight_resolved(alpha, n, what):
     panels no such alpha_k reaches the rate); the first failure is at 40.15
     for U = 1 and falls with U.
     """
-    uniform = axis_size(n) // POINTS_PER_PANEL - GRADED_PANELS
-    rate = 2.0 * max(alpha) * float(Fraction(1, max(2, uniform)))
+    rate = 2.0 * max(alpha) * float(Fraction(1, max(2, uniform_panels(n))))
     if rate > MAX_WEIGHT_RATE:
         raise ValueError(f"{what}: the last panel of an axis does not "
                          "resolve the weight x^(2 alpha) near R (2 alpha "
@@ -168,8 +173,7 @@ class AxisGrid:
         """Composite Gauss-Legendre axis with axis_size(n) nodes on (0, R]."""
         if R <= 0 or n < POINTS_PER_PANEL:
             raise ValueError(f"need R > 0 and n >= {POINTS_PER_PANEL}")
-        base = np.linspace(0.0, R, axis_size(n) // POINTS_PER_PANEL
-                           - GRADED_PANELS + 1)
+        base = np.linspace(0.0, R, uniform_panels(n) + 1)
         # the panel edges: the first uniform panel halved GRADED_PANELS times
         edges = np.concatenate([base[1] * 2.0 ** -np.arange(
             GRADED_PANELS, 0, -1, dtype=float), base[1:]])

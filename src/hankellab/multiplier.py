@@ -22,10 +22,10 @@ from .transform import _contract  # noqa: F401
 SYMBOL_BLOCK = 1 << 16
 
 
-def _symbol_values(dual_grid, n: Symbol):
-    """m(lambda) = n(lambda_1^2, ..., lambda_d^2) on the dual grid, as complex
-    values: the one place where a symbol is sampled for the multiplier
-    functions.
+def _symbol_values(dual_grid, n: Symbol, r=1.0):
+    """m(lambda / r) = n(lambda_1^2 / r^2, ..., lambda_d^2 / r^2) on the dual
+    grid, as complex values, m itself at the default r = 1, bit for bit: the
+    one place where a symbol is sampled for the multiplier functions.
 
     The symbol is called on blocks of rows (nodes of the first axis) of at
     most SYMBOL_BLOCK nodes, so that the squared mesh and the symbol's own
@@ -37,7 +37,7 @@ def _symbol_values(dual_grid, n: Symbol):
     out = np.empty(shape, complex)
     for lo in range(0, shape[0], step):
         rows = (slice(lo, lo + step),) + (slice(None),) * (dual_grid.d - 1)
-        out[rows] = n(dual_grid.restrict(rows).squared_mesh())
+        out[rows] = n(dual_grid.restrict(rows).squared_mesh() / (r * r))
     return out
 
 
@@ -49,8 +49,10 @@ def apply_multiplier(plan: TransformPlan, mvals, f: GridFunction):
     return GridFunction(plan.grid, plan.inverse(mvals * spec))
 
 
-def dyadic_symbol_values(dual_grid: Grid, mvals, psi: DyadicPartition, j):
-    """m_j(lambda) = psi_j(lambda_1^2, ..., lambda_d^2) m(lambda) on the
-    dual grid, from m's values mvals there, with psi_j = psi.piece(j, .)
-    the j-th term of the partition.  Every dyadic slice is sampled here."""
-    return psi.piece(j, dual_grid.squared_mesh()) * mvals
+def dyadic_symbol_values(dual_grid: Grid, mvals, psi: DyadicPartition, j,
+                         r=1.0):
+    """m_j(lambda / r) = psi_j(lambda_1^2 / r^2, ..., lambda_d^2 / r^2)
+    m(lambda / r) on the dual grid, from mvals = _symbol_values(dual_grid, m,
+    r), with psi_j = psi.piece(j, .) the j-th term of the partition.  Every
+    dyadic slice is sampled here."""
+    return psi.piece(j, dual_grid.squared_mesh() / (r * r)) * mvals

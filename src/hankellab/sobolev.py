@@ -51,6 +51,13 @@ def box_samples(d):
     return _DEFAULT_SAMPLES.get(d, BOX_SAMPLES)
 
 
+def box_top_frequency(d):
+    """The largest axis frequency |xi_k| of the box in d dimensions,
+    pi samples / (2 BOX_HALFWIDTH): the Nyquist frequency of
+    _box_geometry's lattice, where the weight (1+|xi|^2)^beta is largest."""
+    return np.pi * box_samples(d) / (2.0 * BOX_HALFWIDTH)
+
+
 def _box_geometry(d, samples):
     """Axis nodes u, frequencies xi and step of the periodized box, and
     |xi|^2 on its frequency lattice (samples^d points)."""

@@ -214,6 +214,13 @@ def tabulated_symbol(path, d):
 _FAMILY_RE = re.compile(r"^(\w+)(?:\{(.*)\})?$")
 
 
+def family_name(spec_str):
+    """The family a symbol spec names, the text before its first '{',
+    without parsing the arguments: for every spec parse_symbol accepts, the
+    family _FAMILY_RE reads."""
+    return spec_str.split("{", 1)[0].strip()
+
+
 def _potential(d, a, need):
     from .sobolev import potential_symbol  # sobolev imports this module
 

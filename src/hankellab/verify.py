@@ -8,8 +8,9 @@ separations and radii without a monster grid.  Geometric parameters
 (centers, margins, exclusion radii) scale with the probe radius, which keeps
 the sweeps covariant under the dilation structure the estimates live on.
 
-Each sweep declares the (R, n) of every axis it builds, as dicts of tuples
-of (R, n) (_cz_band, _h1_orbits), which the checks and the CLI gate read.
+Each sweep declares the (R, n) of every axis it builds, as (spatial, dual)
+pairs (_cz_band, _h1_orbits), which the checks and the CLI gate read, and
+slices m with a partition of its own (CZ_PARTITION, H1_PARTITION).
 
 Bessel kernel values are evaluated only on the nodes a sum reads.  The
 CZ sweep builds each dyadic band's dual side once per check (_cz_dual) and
@@ -26,9 +27,9 @@ its coarse plan holds only the far nodes.  A restricted grid is a
 quadrature rule only for functions that vanish off the kept nodes.  The
 H^1 atoms of one centre ratio are dilates of one unit atom, so they are
 measured as that atom under the dilated symbol m(lambda / r), on one set
-of plans per centre ratio.  Both sweeps judge their axes by
-transform.check_resolution, with ResolutionWarning dropped
-(_sweep_resolution).
+of plans per centre ratio, sampled on the unit atom's own dual grids.
+Both sweeps judge their axes by transform.check_resolution, with
+ResolutionWarning dropped (_sweep_resolution).
 
 The d = 2 L^p probe applies T_m through the singular triplets of the
 symbol matrix that it keeps, and computes only those, by seeded subspace
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicPartition, smooth_chi
+from .dyadic import make_partition, smooth_chi
 from .grid import (Grid, GridFunction, axis_size, ball_measure, integrate,
                    nodes_for_ppw, norm, product_values)
 from .heat import TimeGrid, _maximal_field
@@ -58,12 +59,19 @@ from .multiplier import (apply_multiplier, dyadic_symbol_values,
 
 DEFAULT_SEED = 1234
 BATTERY_SIZE = 64
+# make_battery draws bump widths from [BATTERY_WIDTH_RATIO / Lambda,
+# R / BATTERY_WIDTH_RATIO], which is empty below R Lambda =
+# BATTERY_WIDTH_RATIO^2 = 64: a Lambda = R plan needs R >= BATTERY_WIDTH_RATIO
+BATTERY_WIDTH_RATIO = 8.0
 WEAK11_CENTERS = (0.5, 1.0, 2.0, 4.0, 8.0)
 WEAK11_LEVELS = 32
 # the CZ and H^1 sweeps pass when their measurements are bounded with no
 # trend at these tolerances (see report.bounded_no_trend)
 SLOPE_TOL = 0.05
 RATIO_TOL = 5.0
+# the CZ sweep slices m with the plain partition, the H^1 profile with the
+# squared one
+CZ_PARTITION, H1_PARTITION = make_partition("plain"), make_partition("squared")
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +208,12 @@ def _cz_band(y, yp):
             for j, (R, Lam) in radii.items()}
 
 
-def _cz_dual(alpha, m, psi, j, spec):
+def _cz_dual(alpha, m, j, spec):
     """The dual side of the dyadic band j, which every pair whose band holds
     j shares: the dual grid of spec = _cz_band(...)[j][1], and its nodes
-    where m_j != 0, with m_j and the quadrature weights there."""
+    where m_j != 0, with m_j (CZ_PARTITION) and the quadrature weights."""
     dual = Grid.build(alpha, *spec)
-    mj = dyadic_symbol_values(dual, _symbol_values(dual, m), psi, j)
+    mj = dyadic_symbol_values(dual, _symbol_values(dual, m), CZ_PARTITION, j)
     on = mj != 0
     ax = dual.axes[0]
     return dual, ax.nodes[on], mj[on], ax.quad_weights[on]
@@ -255,7 +263,7 @@ def _cz_piece(alpha, band, y, yp, piece, work):
     return float(np.sum(np.abs(row) * ax.quad_weights[off_ball]))
 
 
-def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
+def cz_hormander_check(alpha: MultiIndex, m: Symbol):
     """Hormander integral condition for the assembled kernel K = sum_j K_j.
 
     For each pair (y, y') of default_cz_pairs measures
@@ -290,7 +298,7 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol, psi: DyadicPartition):
     specs = {j: dual for band in bands for j, (_, dual) in band.items()}
     with warnings.catch_warnings(record=True) as wlog:
         warnings.simplefilter("always")
-        duals = {j: _cz_dual(alpha, m, psi, j, spec)
+        duals = {j: _cz_dual(alpha, m, j, spec)
                  for j, spec in specs.items()}
         # one workspace for every piece's kernel arguments and values
         work = np.empty(max(_cz_work_size(duals[j], piece) for band in bands
@@ -336,7 +344,8 @@ def make_battery(plan: TransformPlan, seed=DEFAULT_SEED):
     R = min(ax.R for ax in grid.axes)
     factors = [np.empty((BATTERY_SIZE, ax.n)) for ax in grid.axes]
     for i in range(BATTERY_SIZE):
-        width = float(np.exp(rng.uniform(np.log(8.0 / Lam), np.log(R / 8.0))))
+        width = float(np.exp(rng.uniform(np.log(BATTERY_WIDTH_RATIO / Lam),
+                                         np.log(R / BATTERY_WIDTH_RATIO))))
         centers = rng.uniform(width, R / 2.0, size=grid.d)
         for k, ax in enumerate(grid.axes):
             factors[k][i] = np.exp(-(((ax.nodes - centers[k]) / width) ** 2))
@@ -572,59 +581,57 @@ def default_atom_family():
 def _h1_orbits(atoms):
     """The H^1 sweep's grids, {c: (group, axes)} per centre ratio c = y0 / r
     of atoms, group its atoms (y0, r) in order.  axes["fine"] and ["coarse"]
-    are the unit atom's spatial and dual (R, n), then the dual at each atom's
-    scale, Lambda / r: the fine pair resolves the atom scale out to 24 radii,
-    the coarse one the slowly decaying maximal-function tail out to 240."""
+    are the unit atom's spatial and dual (R, n), the only grids of the
+    ratio: the fine pair resolves the atom scale out to 24 radii, the coarse
+    one the slowly decaying maximal-function tail out to 240."""
     orbits = {}
     for y0, r in atoms:
         orbits.setdefault(round(y0 / r, 9), []).append((y0, r))
     return {c: (group, {name: ((c + span, _adapted_n(c + span, Lam, ppw)),
-                               (Lam, n), *((Lam / r, n) for _, r in group))
+                               (Lam, n))
                         for name, span, Lam, ppw, n in (
                             ("fine", 24.0, 40.0, 5.0, 640),
                             ("coarse", 240.0, 10.0, 4.0, N_DUAL))})
             for c, group in orbits.items()}
 
 
-def _orbit_sums(plan, spec, m, psi_squared, radii, duals, profiled, tg, sels):
+def _orbit_sums(plan, spec, m, radii, profiled, tg, sels):
     """Per radius r in radii, the L^1(dnu) sums over each selection in sels
     of the maximal field of spec under the dilated symbol m(lambda / r),
-    and {r: (jc, per-j sums)} for r in profiled: the sums over the last
-    selection of the per-j fields, j = jc - 8 .. jc + 8, jc = -2 log2(r),
-    with 0 for a piece whose dyadic window reaches past the dual axis (on
-    the coarse axis, 10 / r, the top ones; on the fine axis, 40 / r, none).
+    and {r: {j: sum}} for r in profiled: the sums over the last selection
+    of the per-j fields (H1_PARTITION), j = jc - 8 .. jc + 8, jc = -2 log2(r),
+    with 0 for a piece whose dyadic window reaches past Lambda / r (on the
+    coarse axis, 10 / r, the top ones; on the fine axis, 40 / r, none).
 
-    m(lambda / r) is sampled on the dual grid at the atom's own scale, duals
-    the (R, n) per radius, whose nodes are the plan's dual nodes over r.  All
-    radii go through one _maximal_field call, along a batch axis; each per-j
-    field is a call of its own, contracting only its band."""
+    m(lambda / r) and psi_j(lambda^2 / r^2) are sampled on the plan's own
+    dual grid, with the dilation r.  All radii go through one _maximal_field
+    call, along a batch axis; each per-j field is a call of its own,
+    contracting only its band."""
     w = plan.grid.weight_tensor()
-    scaled = [Grid.build(plan.grid.alpha, *ax) for ax in duals]
-    mvals = [_symbol_values(g, m) for g in scaled]
+    dual = plan.dual_grid
+    mvals = [_symbol_values(dual, m, r) for r in radii]
     field = _maximal_field(plan, np.stack(mvals, axis=-1) * spec[:, None],
                            tg)
     sums = [w[sel] @ field[sel] for sel in sels]
     profiles = {}
-    for r, g, mv in zip(radii, scaled, mvals):
+    for r, mv in zip(radii, mvals):
         if r not in profiled:
             continue
         jc = int(round(-2.0 * np.log2(r)))
-        prof = []
+        prof = profiles[r] = {}
         for j in range(jc - 8, jc + 9):
-            val = 0.0
-            if 2.0 ** ((j + 1) / 2.0) <= g.axes[0].R:
-                mj = dyadic_symbol_values(g, mv, psi_squared, j)
+            prof[j] = 0.0
+            if 2.0 ** ((j + 1) / 2.0) <= dual.axes[0].R / r:
+                mj = dyadic_symbol_values(dual, mv, H1_PARTITION, j, r)
                 fj = _maximal_field(plan, mj * spec, tg)
-                val = float(np.sum(fj[sels[-1]] * w[sels[-1]]))
-            prof.append(val)
-        profiles[r] = jc, prof
+                prof[j] = float(np.sum(fj[sels[-1]] * w[sels[-1]]))
     return sums, profiles
 
 
-def _h1_orbit(alpha, m, psi_squared, c, group, axes, profiled):
+def _h1_orbit(alpha, m, c, group, axes, profiled):
     """{(y0, r): ((local, near, far), profile)} for the atoms group of centre
     ratio c on the grids axes (_h1_orbits); profile is the per-j far profile
-    over j = jc - 8 .. jc + 8, jc = -2 log2(r), when r is in profiled.
+    {j: sum} (_orbit_sums) when r is in profiled.
 
     The atom (c r, r) is the unit atom (c, 1) dilated by r, and the L^1(dnu)
     parts of its maximal function are the unit atom's under the dilated
@@ -638,45 +645,40 @@ def _h1_orbit(alpha, m, psi_squared, c, group, axes, profiled):
     tg = TimeGrid(np.geomspace(1e-5, 1e5, 80))
     F = c + 18.0
     radii = [r for _, r in group]
-    x_f, lam_f, *scaled_f = axes["fine"]
-    x_c, lam_c, *scaled_c = axes["coarse"]
-    grid_f, dual_f = Grid.build(alpha, *x_f), Grid.build(alpha, *lam_f)
+    grid_f, dual_f = (Grid.build(alpha, *ax) for ax in axes["fine"])
     fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]), dual_f)
     atom = make_atom(fine.grid, c, 1.0).values.values
     on = atom != 0
     support = fine.grid.restrict([on])
     local_sel = np.abs(fine.grid.axes[0].nodes - c) <= 2.0
-    (local, near), near_j = _orbit_sums(fine, fine.forward(atom), m,
-                                        psi_squared, radii, scaled_f,
+    (local, near), near_j = _orbit_sums(fine, fine.forward(atom), m, radii,
                                         profiled, tg, (local_sel, ~local_sel))
     del fine
-    grid_c, dual_c = Grid.build(alpha, *x_c), Grid.build(alpha, *lam_c)
+    grid_c, dual_c = (Grid.build(alpha, *ax) for ax in axes["coarse"])
     coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]), dual_c)
     # atom spectrum on the coarse dual grid, by fine-grid quadrature over
     # the atom's support, where the other nodes add nothing
     spec_c = adapted_plan(support, dual_c).forward(atom[on])
-    (far,), far_j = _orbit_sums(coarse, spec_c, m, psi_squared, radii,
-                                scaled_c, profiled, tg, (slice(None),))
+    (far,), far_j = _orbit_sums(coarse, spec_c, m, radii, profiled, tg,
+                                (slice(None),))
     out = {}
     for i, (y0, r) in enumerate(group):
-        profile = None
-        if r in profiled:
-            jc, prof = near_j[r]
-            profile = jc, [a + b for a, b in zip(prof, far_j[r][1])]
+        profile = ({j: v + far_j[r][j] for j, v in near_j[r].items()}
+                   if r in profiled else None)
         out[y0, r] = (float(local[i]), float(near[i]), float(far[i])), profile
     return out
 
 
-def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
+def h1_atom_check(alpha: MultiIndex, m: Symbol):
     """||M(T_m a)||_1 over default_atom_family, split into the local ball
     part and the far part, with a per-j far-field profile on a subfamily.
 
     Each atom is measured as the unit atom of its centre ratio c = y0 / r
     under the dilated symbol m(lambda / r) (_h1_orbit), so the family needs
-    one unit atom and three plans per centre ratio, 9 builds in all, and
-    holds one full kernel matrix at a time; the radii of a ratio are one
-    batch of one maximal field per plan.  The unit atom gets a fine and a
-    coarse grid pair (_h1_orbits).  The fine kernel is
+    one unit atom, its fine and coarse grid pairs (_h1_orbits) and three
+    plans per centre ratio, 12 grids and 9 plans in all, and holds one full
+    kernel matrix at a time; the radii of a ratio are one batch of one
+    maximal field per plan.  The fine kernel is
     evaluated only on the nodes x <= F = c + 18, which hold the atom's
     support and where the local and near parts are read, and the coarse
     kernel only on the nodes x > F, where the far part is read.  The atom's
@@ -693,7 +695,9 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     and the per-j far profile peaks near j = -2 log2(r) and its ends fall
     to half the peak or less.  The no-trend test presumes a symbol invariant
     under dilation, like the imaginary power, whose atoms' norms are then
-    equal at every radius up to the discretisation; a symbol with a scale of
+    equal at every radius up to the discretisation (every radius is then
+    the same unit atom, so that PASS holds by construction and says nothing
+    of the sweep's accuracy); a symbol with a scale of
     its own, such as bump or heat{t=1}, gives norms that change with the
     radius and FAILs for that reason, not for an unbounded maximal function.
     """
@@ -712,7 +716,7 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     )
     parts = {}
     for c, (group, axes) in _h1_orbits(atoms).items():
-        parts.update(_h1_orbit(alpha, m, psi_squared, c, group, axes,
+        parts.update(_h1_orbit(alpha, m, c, group, axes,
                                per_j_radii if c == 5.0 else ()))
     by_radius = {}
     perj_profiles = {}
@@ -724,10 +728,9 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
         rep.add(f"far@r={r:.3g},y0={y0:.3g}", near + far)
         by_radius.setdefault(r, []).append(total)
         if profile is not None:
-            jc, prof = profile
-            for j, val in zip(range(jc - 8, jc + 9), prof):
+            for j, val in profile.items():
                 rep.add(f"far_j@r={r:.3g},j={j}", val)
-            perj_profiles[r] = profile
+            perj_profiles[r] = list(profile.values())
     radii = sorted(by_radius)
     maxima = [max(by_radius[r]) for r in radii]
     ok, stats = bounded_no_trend(radii, maxima, SLOPE_TOL, RATIO_TOL)
@@ -735,7 +738,7 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol, psi_squared: DyadicPartition):
     rep.fitted_constants["band_ratio"] = stats["ratio"]
     rep.fitted_constants["trend_slope"] = stats["slope"]
     structure_ok = True
-    for r, (jc, prof) in perj_profiles.items():
+    for r, prof in perj_profiles.items():
         peak = max(prof)
         ends = max(prof[0], prof[-1])
         rep.fitted_constants[f"far_j_end_over_peak@r={r:.3g}"] = \

@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-from hankellab.dyadic import make_partition
 from hankellab.grid import Grid, GridFunction, norm
 from hankellab.heat import (HeatKernelEval, gaussian_bound_check, heat_apply,
                             heat_kernel)
@@ -195,8 +194,7 @@ def test_criterion_09_cz_condition_and_association(plan_1024):
     m = laplace_type_symbol(1, "imag_power", gamma=1.0)
     with warnings.catch_warnings(record=True) as escaped:
         warnings.simplefilter("always")
-        rep = cz_hormander_check(MultiIndex((0.5,)), m,
-                                 make_partition("plain"))
+        rep = cz_hormander_check(MultiIndex((0.5,)), m)
         f = gaussian_bump(plan_1024.grid, 3.0, 0.5)
         assoc = association_check(plan_1024, m, f,
                                   x_samples=[[8.0], [12.0], [16.0]])
@@ -208,7 +206,6 @@ def test_criterion_09_cz_condition_and_association(plan_1024):
 
 
 def test_criterion_10_h1_atom_bound():
-    psi2 = make_partition("squared")
     ok = True
     stats = {}
     with warnings.catch_warnings(record=True) as escaped:
@@ -216,7 +213,7 @@ def test_criterion_10_h1_atom_bound():
         for label, spec_str in (("imag", "laplace_type{phi=imag_power:gamma=1.0}"),
                                 ("heat", "heat{t=1e-06}")):
             m = parse_symbol(spec_str, 1)
-            rep = h1_atom_check(MultiIndex((0.5,)), m, psi2)
+            rep = h1_atom_check(MultiIndex((0.5,)), m)
             stats[label] = rep.fitted_constants["band_ratio"]
             ok &= rep.verdict == "pass"
     assert not escaped, [str(w.message) for w in escaped]
@@ -232,8 +229,7 @@ def test_criterion_11_negative_controls():
     flat_fails = prof.flatness() > 1.5
     with warnings.catch_warnings(record=True) as escaped:
         warnings.simplefilter("always")
-        rep = cz_hormander_check(MultiIndex((0.5,)), div,
-                                 make_partition("plain"))
+        rep = cz_hormander_check(MultiIndex((0.5,)), div)
     assert not escaped, [str(w.message) for w in escaped]
     cz_fails = rep.verdict == "fail"
     report(11, "negative controls are detected "

@@ -4,6 +4,7 @@ import argparse
 import ast
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,8 +22,8 @@ from hankellab import cli, heat, sobolev, transform
 from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
                            _make_parser, _parse_config_file, build_config,
                            main)
-from hankellab.dyadic import make_partition
-from hankellab.grid import Grid, GridFunction, axis_size, first_node, norm
+from hankellab.grid import (MIN_PPW, Grid, GridFunction, axis_size,
+                            first_node, norm, points_per_wavelength)
 from hankellab.heat import HeatKernelEval, heat_apply
 from hankellab.sobolev import SpectralTailWarning
 from hankellab.specfun import MultiIndex
@@ -163,7 +164,7 @@ class TestConfigHandling:
         (["transform-selftest", "--R", "1e-310"], "R = 1e-310"),
         (["lp-probe", "--R", "4"], "R = 4.0: lp-probe draws"),
         (["cz-check", "--alpha", "50"], "alpha = (50.0,), cz-check"),
-        (["h1-check", "--alpha", "54.5"], "alpha = (54.5,), h1-check"),
+        (["h1-check", "--alpha", "64"], "alpha = (64.0,), h1-check"),
         (["transform-selftest", "--alpha", "60", "--R", "4", "--n", "64"],
          "alpha = (60.0,), n = 64"),
         (["transform-selftest", "--alpha", "80", "--R", "2"],
@@ -209,7 +210,7 @@ class TestConfigHandling:
             "dims-below-alpha-count", "n-not-an-int", "jmin-not-an-int",
             "beta-not-a-float", "suite-named-twice",
             "lp-under-resolved", "lp-R-subnormal", "R-subnormal",
-            "lp-R-below-8", "cz-alpha-50", "h1-alpha-54.5",
+            "lp-R-below-8", "cz-alpha-50", "h1-alpha-64",
             "weight-unresolved-near-R", "kernel-table-above-cap",
             "j-600-overflows", "j-1100-out-of-range", "j-minus-1100-is-0",
             "const-value-inf", "oscillatory-k-nan", "heat-t-negative",
@@ -350,26 +351,26 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("suite", ["cz-check", "h1-check"])
     def test_sweeps_accept_alpha_20(self, suite):
-        # their largest radii, 4.6e5 (cz) and 640 (h1), raised to
+        # their largest radii, 4.6e5 (cz) and 260 (h1), raised to
         # 2 alpha + 1 = 41 are still normal floats
         cli._check_config(RunConfig(alpha=(20.0,)), [suite])
 
     def test_h1_check_runs_at_alpha_50(self, tmp_path):
-        # the sweep's largest radius is the dual axis at 40 / r = 640, and
-        # 640^101 is a normal float
+        # the sweep's largest radius is the coarse spatial axis at 20 + 240
+        # = 260, and 260^101 is a normal float
         assert run_cli(["h1-check", "--alpha", "50",
                         "--output", str(tmp_path)]) == 0
 
     def test_h1_gate_refuses_where_the_sweep_overflows(self):
-        # 640^(2 alpha + 1) leaves the normal floats from alpha = 54.4243:
-        # the gate admits the last alpha below and the sweep itself
-        # overflows at the first refused one, 54.5
-        cli._check_config(RunConfig(alpha=(54.4242,)), ["h1-check"])
+        # 260^(2 alpha + 1), the coarse spatial axis at 20 + 240, leaves
+        # the normal floats from alpha = 63.3216: the gate admits the last
+        # alpha below and the sweep itself overflows at the first refused one
+        cli._check_config(RunConfig(alpha=(63.3215,)), ["h1-check"])
         with pytest.raises(ValueError, match="normal floats"):
-            cli._check_config(RunConfig(alpha=(54.4243,)), ["h1-check"])
+            cli._check_config(RunConfig(alpha=(63.3216,)), ["h1-check"])
         with pytest.raises(OverflowError):
-            h1_atom_check(MultiIndex((54.5,)), parse_symbol(
-                RunConfig().symbol, 1), make_partition("squared"))
+            h1_atom_check(MultiIndex((63.3216,)), parse_symbol(
+                RunConfig().symbol, 1))
 
     @pytest.mark.parametrize("line", [
         "digest = abc", "__class__ = x", "suite = h1-check"],
@@ -590,6 +591,29 @@ class TestExitStatuses:
         assert peak < cli._estimate_run_bytes(suite, dims,
                                               keep or axis_size(n))
 
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_heat_estimate_covers_the_widest_admitted_axis(self, n):
+        # heat-selftest's kernel rows x < R - HEAT_MARGIN sqrt(t) cover the
+        # most of the axis at the largest R the ppw gate admits for n, so
+        # its peak is largest there
+        N = axis_size(n)
+        R = math.sqrt(math.pi * N / 2.0)
+        while points_per_wavelength(N, R, R) < MIN_PPW:
+            R = math.nextafter(R, 0.0)
+        cfg = RunConfig(alpha=(0.5,), dims=1, n=n, R=R)
+        sym = cli._check_config(cfg, ["heat-selftest"])
+        with pytest.raises(ValueError, match="points per wavelength"):
+            cli._check_config(RunConfig(alpha=(0.5,), dims=1, n=n,
+                                        R=math.nextafter(R, np.inf)),
+                              ["heat-selftest"])
+        tracemalloc.start()
+        try:
+            cli.suite_heat_selftest(cfg, sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cli._estimate_run_bytes("heat-selftest", 1, N)
+
     def test_memory_estimate_covers_the_lapack_workspace(self, tmp_path):
         # tracemalloc sees numpy's arrays, not the workspace that LAPACK and
         # BLAS allocate for themselves, so the growth of the largest resident
@@ -654,7 +678,7 @@ class TestExitStatuses:
     def test_memory_gate_budgets_the_requested_suite(self, suite, fits,
                                                      monkeypatch):
         # 10,000 nodes at d = 1: two kernel matrices are 1.6 GB, but
-        # heat-selftest's five would be 4 GB
+        # heat-selftest's three would be 2.4 GB
         def no_grid(*a, **k):
             raise AssertionError("Grid.build called")
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab.dyadic import make_partition, smooth_chi, smoothstep
+from hankellab.dyadic import ZERO_CLIP, make_partition, smooth_chi, smoothstep
 
 
 def _sum_of_pieces(psi, j_lo, j_hi, r):
@@ -62,6 +62,22 @@ class TestPartition:
         psi = make_partition("plain")
         u = np.array([0.6, 0.8])  # |u| = 1.0
         assert float(psi(u)) == pytest.approx(float(psi.radial(np.array([1.0]))[0]))
+
+    def test_squared_sums_only_the_nonzero_neighbours(self):
+        # the squared bump's denominator summed over k = -3..3, as it once
+        # was: the terms |k| >= 2 vanish on the bump's support, 1/2 < r < 2,
+        # so the values are the same floats
+        r = np.concatenate([np.geomspace(1e-6, 1e6, 200001),
+                            np.linspace(0.49, 2.01, 100001)])
+        base = smooth_chi(r) - smooth_chi(2.0 * r)
+        base = np.where(np.abs(base) < ZERO_CLIP, 0.0, base)
+        den = sum((smooth_chi(2.0**-k * r) - smooth_chi(2.0 ** (1 - k) * r))
+                  ** 2 for k in range(-3, 4))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = np.where(base != 0.0, base / np.sqrt(
+                np.where(den > 0, den, 1.0)), 0.0)
+        np.testing.assert_array_equal(make_partition("squared").radial(r),
+                                      want)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankellab.grid import (MAX_WEIGHT_RATE, AxisGrid, Grid, GridFunction,
-                            WeightSpec, _gaussian_moment, _jacgauss, axis_size,
+from hankellab.grid import (GRADED_PANELS, MAX_WEIGHT_RATE, POINTS_PER_PANEL,
+                            AxisGrid, Grid, GridFunction, WeightSpec,
+                            _gaussian_moment, _jacgauss, axis_size,
                             ball_measure, check_weight_resolved, first_node,
-                            integrate, norm)
+                            integrate, norm, uniform_panels)
 from hankellab.specfun import MultiIndex
 
 from paper_checks import MassDeficitWarning, dilate
@@ -99,6 +100,23 @@ class TestAxisGrid:
                                          (1.3, 1e-3, 300), (20.0, 7.0, 16)])
 def test_first_node_is_the_built_axis_first_node(alpha_k, R, n):
     assert first_node(alpha_k, R, n) == AxisGrid.build(alpha_k, R, n).nodes[0]
+
+
+@pytest.mark.parametrize("n", [16, 64, 160, 161, 1024, 3000])
+def test_uniform_panels_are_the_built_axis_panels(n):
+    # past the Gauss-Jacobi panel and the graded ones, the axis has
+    # uniform_panels(n) panels of width R / uniform_panels(n), the first
+    # of them the one the graded panels cut up
+    R = 6.0
+    ax = AxisGrid.build(0.5, R, n)
+    U = uniform_panels(n)
+    assert U >= 1
+    assert ax.n == POINTS_PER_PANEL * (U + GRADED_PANELS)
+    tail = ax.nodes[POINTS_PER_PANEL * (GRADED_PANELS + 1):]
+    if U > 1:
+        np.testing.assert_allclose(tail.reshape(U - 1, -1).mean(axis=1),
+                                   R / U * (np.arange(1, U) + 0.5),
+                                   rtol=1e-12)
 
 
 class TestGrid:

@@ -12,6 +12,7 @@ from hankellab.heat import HeatKernelEval, heat_apply
 from hankellab.multiplier import (_symbol_values, apply_multiplier,
                                   dyadic_symbol_values)
 from hankellab.specfun import MultiIndex
+from hankellab.verify import _h1_orbits, default_atom_family
 from hankellab.symbols import (FAMILIES, Symbol, bump_symbol, constant_symbol,
                                heat_symbol, parse_symbol)
 
@@ -108,6 +109,56 @@ class TestSymbolValues:
                    1.0, "over-at-the-top")
         with pytest.raises(RuntimeError, match="exceeds its recorded sup"):
             _symbol_values(dual, m)
+
+
+class TestDilatedSampling:
+    def test_matches_the_grid_at_the_atom_scale(self, tmp_path):
+        # m(lambda / r) and psi_j(lambda^2 / r^2) on the H^1 dual grids at
+        # every default atom radius, against sampling on the grid at scale
+        # Lambda / r (r = 1 is TestSymbolValues' and TestDyadicPieces'
+        # bit-for-bit case).  That grid's nodes are the dual nodes over r up
+        # to round-off, so the values agree within 1e-14 of the grid's sup,
+        # the term |m| / u aside: the condition number 1/u of divergent's
+        # phase e^{i/u}, which amplifies the nodes' round-off near u = 0
+        path = tmp_path / "table.csv"
+        rng = np.random.default_rng(0)
+        u = np.linspace(0.0, 600.0, 6)
+        np.savetxt(path, np.column_stack([u, rng.standard_normal((6, 2))]),
+                   delimiter=",", header="u,re,im")
+        specs = {"laplace_type": "laplace_type{phi=imag_power:gamma=1}",
+                 "bump": "bump", "oscillatory": "oscillatory{k=4}",
+                 "potential": "potential{s=1,h=bump}",
+                 "divergent": "divergent", "heat": "heat{t=1}",
+                 "const": "const{value=2}",
+                 "tabulated": f"tabulated{{path={path}}}"}
+        assert set(specs) == set(FAMILIES)
+        alpha = MultiIndex((0.5,))
+        atoms = default_atom_family()
+        radii = sorted({r for _, r in atoms})
+        duals = {dual for _, axes in _h1_orbits(atoms).values()
+                 for _, dual in axes.values()}
+        psi = make_partition("squared")
+        for spec in specs.values():
+            m = parse_symbol(spec, 1)
+            for Lam, n in duals:
+                dual = Grid.build(alpha, Lam, n)
+                for r in radii:
+                    scaled = Grid.build(alpha, Lam / r, n)
+                    np.testing.assert_allclose(dual.axes[0].nodes / r,
+                                               scaled.axes[0].nodes,
+                                               rtol=1e-15, atol=0.0)
+                    u = scaled.squared_mesh()[:, 0]
+                    got, want = (_symbol_values(dual, m, r),
+                                 _symbol_values(scaled, m))
+                    top = np.max(np.abs(want))
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-14 * (top + np.abs(want) / u)), spec
+                    jc = int(round(-2.0 * np.log2(r)))
+                    for j in range(jc - 8, jc + 9):
+                        mj = dyadic_symbol_values(dual, got, psi, j, r)
+                        want_j = dyadic_symbol_values(scaled, want, psi, j)
+                        assert np.all(np.abs(mj - want_j) <= 1e-14 * (
+                            top + np.abs(want_j) / u)), (spec, j)
 
 
 class TestDyadicPieces:

@@ -9,7 +9,8 @@ import pytest
 
 from hankellab.dyadic import make_partition
 from hankellab.sobolev import (BOX_HALFWIDTH, SobolevProfile,
-                               SpectralTailWarning, hormander_sup,
+                               SpectralTailWarning, _box_geometry,
+                               box_samples, box_top_frequency, hormander_sup,
                                local_sobolev_norm, potential_symbol)
 from hankellab.symbols import (bump_symbol, constant_symbol,
                                divergent_symbol, laplace_type_symbol)
@@ -172,6 +173,15 @@ class TestLocalNorm:
     def test_nyquist_tail_warned(self, d, tail):
         with pytest.warns(SpectralTailWarning, match=f"tail {tail} .*j=-8"):
             local_sobolev_norm(divergent_symbol(d), -8, 2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_top_frequency_is_the_lattice_nyquist(d):
+    # the axis frequencies depend on the sample count alone, so the d = 1
+    # lattice of box_samples(d) samples holds them
+    _, xi, _, _ = _box_geometry(1, box_samples(d))
+    assert box_top_frequency(d) == pytest.approx(np.max(np.abs(xi)),
+                                                 rel=1e-15, abs=0.0)
 
 
 class TestProfile:

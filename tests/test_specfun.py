@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankellab import specfun, verify
-from hankellab.dyadic import make_partition
 from hankellab.grid import Grid
 from hankellab.specfun import (MultiIndex, e_kernel_axis, gamma_one_plus_i,
                                inorm_scaled, jnorm)
@@ -239,7 +238,7 @@ class TestFixedOrderTables:
         piece, dual = _cz_band(y, yp)[jstar]
         alpha = MultiIndex((1.3,))
         band = _cz_dual(alpha, laplace_type_symbol(1, "imag_power", gamma=1.0),
-                        make_partition("plain"), jstar, dual)
+                        jstar, dual)
         _cz_piece(alpha, band, y, yp, piece,
                   np.empty(_cz_work_size(band, piece)))
         h = specfun._CELL

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from hankellab import symbols
-from hankellab.symbols import (FAMILIES, Symbol, bump_symbol, divergent_symbol,
-                               heat_symbol, laplace_type_symbol,
-                               oscillatory_symbol, parse_symbol, table_symbol)
+from hankellab.symbols import (_FAMILY_RE, FAMILIES, Symbol, bump_symbol,
+                               divergent_symbol, family_name, heat_symbol,
+                               laplace_type_symbol, oscillatory_symbol,
+                               parse_symbol, table_symbol)
 
 import mpmath
 
@@ -103,6 +104,14 @@ class TestMiniLanguage:
         for spec in specs.values():
             name = parse_symbol(spec, 1).name
             assert parse_symbol(name, 1).name == name, spec
+
+    @pytest.mark.parametrize("spec_str", [
+        "bump", " potential{s=1,h=bump} ", "heat{t=0.5}",
+        "laplace_type{phi=imag_power:gamma=2.0}", "const{value=3.0}"])
+    def test_family_name_is_the_parsed_family(self, spec_str):
+        assert family_name(spec_str) == \
+            _FAMILY_RE.match(spec_str.strip()).group(1)
+        parse_symbol(spec_str, 1)
 
     def test_parse_potential_family(self):
         n = parse_symbol("potential{s=2.0,h=bump}", 1)

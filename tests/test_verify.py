@@ -116,7 +116,8 @@ class TestAdaptedPlans:
             self, monkeypatch):
         # every grid the default sweeps build is one their declarations
         # (_cz_band, _h1_orbits) list, every declared axis is built, and
-        # the CLI gate judges the R of exactly the declared axes
+        # the CLI gate judges the R of exactly the declared axes; h1-check
+        # builds its two declared pairs per centre ratio and no other grid
         alpha = MultiIndex((0.5,))
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
         declared = {
@@ -127,16 +128,16 @@ class TestAdaptedPlans:
                          for axes in decl.values() for ax in axes]}
         built = {name: [] for name in declared}
         build = Grid.build
-        for name, check, psi in (("cz-check", cz_hormander_check, "plain"),
-                                 ("h1-check", verify.h1_atom_check,
-                                  "squared")):
+        for name, check in (("cz-check", cz_hormander_check),
+                            ("h1-check", verify.h1_atom_check)):
             def recorded(alpha, R, n, _log=built[name]):
                 _log.append((R, n))
                 return build(alpha, R, n)
 
             monkeypatch.setattr(Grid, "build", staticmethod(recorded))
-            check(alpha, m, make_partition(psi))
+            check(alpha, m)
         monkeypatch.undo()
+        assert len(built["h1-check"]) == 12
         for name, axes in declared.items():
             assert set(built[name]) == set(axes)
             judged = []
@@ -183,10 +184,10 @@ class TestRestrictedSweeps:
         return float(np.sum(np.abs(row)[sel] * pl.grid.weight_tensor()[sel]))
 
     @staticmethod
-    def _piece(alpha, m, psi, y, yp, j):
+    def _piece(alpha, m, y, yp, j):
         # the piece on its band's dual side, built here
         piece, dual = TestRestrictedSweeps._piece_axes(y, yp, j)
-        band = _cz_dual(alpha, m, psi, j, dual)
+        band = _cz_dual(alpha, m, j, dual)
         return _cz_piece(alpha, band, y, yp, piece,
                          np.empty(_cz_work_size(band, piece)))
 
@@ -203,7 +204,7 @@ class TestRestrictedSweeps:
             r2 = 2.0 * np.linalg.norm(y - yp)
             jstar = int(np.ceil(-2.0 * np.log2(r2)))
             j = jstar + offset
-            got = self._piece(alpha, m, psi, y, yp, j)
+            got = self._piece(alpha, m, y, yp, j)
             want = self._full_plan_dj(alpha, m, psi, y, yp, j)
             assert want > 0
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
@@ -229,8 +230,7 @@ class TestRestrictedSweeps:
         monkeypatch.setattr(verify, "e_kernel_axis", counted_kernel)
         rep = cz_hormander_check(alpha,
                                  laplace_type_symbol(1, "imag_power",
-                                                     gamma=1.0),
-                                 make_partition("plain"))
+                                                     gamma=1.0))
         assert rep.verdict == PASS
         assert 0 < seen[0] <= 0.35 * full
 
@@ -261,8 +261,7 @@ class TestRestrictedSweeps:
         monkeypatch.setattr(verify, "_symbol_values", counted_sample)
         monkeypatch.setattr(verify, "e_kernel_axis", counted_kernel)
         cz_hormander_check(MultiIndex((0.5,)),
-                           laplace_type_symbol(1, "imag_power", gamma=1.0),
-                           make_partition("plain"))
+                           laplace_type_symbol(1, "imag_power", gamma=1.0))
         assert len(lams) == 49 and n_pieces == 232
         assert sorted(R for R in built if R in lams.values()) == \
             sorted(lams.values())
@@ -274,7 +273,7 @@ class TestRestrictedSweeps:
         # every piece's kernel overwrites its arguments in place, in one
         # workspace allocated once per check and sized for its largest
         # piece by the pieces' specs
-        alpha, psi = MultiIndex((0.5,)), make_partition("plain")
+        alpha = MultiIndex((0.5,))
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
         calls = []
         e_kernel_axis = verify.e_kernel_axis
@@ -284,7 +283,7 @@ class TestRestrictedSweeps:
             return e_kernel_axis(alpha_k, u, out=out)
 
         monkeypatch.setattr(verify, "e_kernel_axis", recorded_kernel)
-        cz_hormander_check(alpha, m, psi)
+        cz_hormander_check(alpha, m)
         work = calls[0][1].base
         assert len(calls) == 232
         for u, out in calls:
@@ -292,17 +291,16 @@ class TestRestrictedSweeps:
             assert np.shares_memory(out, work)
         pieces = [(j, piece, dual) for y, yp in default_cz_pairs()
                   for j, (piece, dual) in _cz_band(y, yp).items()]
-        bands = {j: _cz_dual(alpha, m, psi, j, dual)
-                 for j, _, dual in pieces}
+        bands = {j: _cz_dual(alpha, m, j, dual) for j, _, dual in pieces}
         assert work.size == max(_cz_work_size(bands[j], piece)
                                 for j, piece, _ in pieces)
 
     def test_cz_piece_builds_only_its_spatial_grid(self, monkeypatch):
-        alpha, psi = MultiIndex((0.5,)), make_partition("plain")
+        alpha = MultiIndex((0.5,))
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
         y, yp = default_cz_pairs()[4]
         piece, dual = self._piece_axes(y, yp, 0)
-        band = _cz_dual(alpha, m, psi, 0, dual)
+        band = _cz_dual(alpha, m, 0, dual)
         built = []
         build = Grid.build
 
@@ -321,11 +319,11 @@ class TestRestrictedSweeps:
         # the piece is judged by the plan rule on its full spatial axis and
         # the band's full dual axis, and its ResolutionWarning is dropped
         # as adapted_plan drops a plan's
-        alpha, psi = MultiIndex((1.3,)), make_partition("plain")
+        alpha = MultiIndex((1.3,))
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
         y, yp = default_cz_pairs()[2]
         piece, dual = self._piece_axes(y, yp, -3)
-        band = _cz_dual(alpha, m, psi, -3, dual)
+        band = _cz_dual(alpha, m, -3, dual)
         judged = []
 
         def coarse(grid, dual_grid):
@@ -339,7 +337,7 @@ class TestRestrictedSweeps:
                             np.empty(_cz_work_size(band, piece)))
         assert judged == [(self._piece_grids(alpha, y, yp, -3)[0].axes[0].n,
                            band[0])]
-        assert got == self._piece(alpha, m, psi, y, yp, -3)
+        assert got == self._piece(alpha, m, y, yp, -3)
 
     def test_empty_cz_piece_is_zero_and_quiet(self, monkeypatch):
         # the bump vanishes for lambda^2 > 2 and the j = 6 window lives on
@@ -351,8 +349,7 @@ class TestRestrictedSweeps:
         alpha = MultiIndex((0.5,))
         y, yp = default_cz_pairs()[len(default_cz_pairs()) // 2]
         piece, dual = self._piece_axes(y, yp, 6)
-        band = _cz_dual(alpha, bump_symbol(1), make_partition("plain"), 6,
-                        dual)
+        band = _cz_dual(alpha, bump_symbol(1), 6, dual)
         monkeypatch.setattr(Grid, "build", staticmethod(nothing))
         monkeypatch.setattr(verify, "e_kernel_axis", nothing)
         with warnings.catch_warnings():
@@ -369,8 +366,7 @@ class TestRestrictedSweeps:
         monkeypatch.setattr(verify, "_cz_piece", warning_piece)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = cz_hormander_check(MultiIndex((0.5,)), bump_symbol(1),
-                                     make_partition("plain"))
+            rep = cz_hormander_check(MultiIndex((0.5,)), bump_symbol(1))
         n_pieces = len(default_cz_pairs()) * (sum(CZ_J_MARGIN) + 1)
         assert rep.fitted_constants["n_resolution_warnings"] == n_pieces
 
@@ -379,8 +375,7 @@ class TestRestrictedSweeps:
         with warnings.catch_warnings(record=True) as escaped:
             warnings.simplefilter("always")
             rep = cz_hormander_check(MultiIndex((0.5,)),
-                                     constant_symbol(1, 0.0),
-                                     make_partition("plain"))
+                                     constant_symbol(1, 0.0))
         assert not escaped, [str(w.message) for w in escaped]
         assert rep.verdict == PASS
         assert rep.fitted_constants["C_hormander"] == 0.0
@@ -425,8 +420,7 @@ class TestRestrictedSweeps:
         monkeypatch.setattr(TransformPlan, "build", staticmethod(recorded))
         monkeypatch.setattr(verify, "make_atom", counted_atom)
         verify.h1_atom_check(MultiIndex((0.5,)),
-                             laplace_type_symbol(1, "imag_power", gamma=1.0),
-                             make_partition("squared"))
+                             laplace_type_symbol(1, "imag_power", gamma=1.0))
         warns = [transform.ResolutionWarning]
         assert len(caught) == 9 and atoms[0] == 3
         assert caught == [warns, warns, []] * 3
@@ -437,17 +431,17 @@ class TestRestrictedSweeps:
         # the atom built on them, m sampled on its dual grids and the time
         # window r^2 [1e-5, 1e5]; the report's (name, value) pairs in order
         # the node counts are the declared unit atom's, and the duals the
-        # declared ones at the atom's scale
+        # declared ones at the atom's scale, Lambda / r, built here
         tg = TimeGrid(r * r * np.geomspace(1e-5, 1e5, 80))
         F = y0 + 18.0 * r
         (_, axes), = _h1_orbits([(y0, r)]).values()
-        (x_f, _, lam_f), (x_c, _, lam_c) = axes["fine"], axes["coarse"]
+        (x_f, lam_f), (x_c, lam_c) = axes["fine"], axes["coarse"]
         grid_f = Grid.build(alpha, y0 + 24.0 * r, x_f[1])
-        dual_f = Grid.build(alpha, *lam_f)
+        dual_f = Grid.build(alpha, lam_f[0] / r, lam_f[1])
         fine = adapted_plan(grid_f.restrict([grid_f.axes[0].nodes <= F]),
                             dual_f)
         grid_c = Grid.build(alpha, y0 + 240.0 * r, x_c[1])
-        dual_c = Grid.build(alpha, *lam_c)
+        dual_c = Grid.build(alpha, lam_c[0] / r, lam_c[1])
         coarse = adapted_plan(grid_c.restrict([grid_c.axes[0].nodes > F]),
                               dual_c)
         atom = make_atom(fine.grid, y0, r).values.values
@@ -509,7 +503,7 @@ class TestRestrictedSweeps:
         monkeypatch.setattr(verify, "make_atom", counted_atom)
         alpha, m = MultiIndex((0.5,)), parse_symbol("heat{t=1}", 1)
         psi = make_partition("squared")
-        rep = verify.h1_atom_check(alpha, m, psi)
+        rep = verify.h1_atom_check(alpha, m)
         # fine, coarse and transfer plans and one atom per centre ratio
         assert (builds[0], atoms[0]) == (6, 2)
         monkeypatch.undo()
@@ -543,7 +537,7 @@ class TestRestrictedSweeps:
             return out
 
         monkeypatch.setattr(verify, "_maximal_field", recorded)
-        verify.h1_atom_check(alpha, m, make_partition("squared"))
+        verify.h1_atom_check(alpha, m)
         # the first field is the fine plan's, one column per radius of the
         # orbit, here the one radius at centre ratio c
         grid, field = fields[0]
@@ -558,11 +552,11 @@ class TestRestrictedSweeps:
         # oracle: the full fine plan of the unit atom, read on x <= F, with
         # m sampled at the atom's scale
         (_, axes), = _h1_orbits([(y0, r)]).values()
-        x_f, lam_f, scaled_f = axes["fine"]
+        x_f, lam_f = axes["fine"]
         assert x_f[0] == c + 24.0 and lam_f[0] == 40.0
         full = adapted_plan(Grid.build(alpha, *x_f), Grid.build(alpha, *lam_f))
         atom = make_atom(full.grid, c, 1.0).values.values
-        scaled = Grid.build(alpha, *scaled_f)
+        scaled = Grid.build(alpha, lam_f[0] / r, lam_f[1])
         spec = m(scaled.squared_mesh()) * full.forward(atom)
         field = _maximal_field(full, spec,
                                TimeGrid(np.geomspace(1e-5, 1e5, 80)))
