@@ -47,17 +47,18 @@ class DyadicPartition:
 
     def radial(self, r):
         r = np.asarray(r, dtype=float)
-        base = smooth_chi(r) - smooth_chi(2.0 * r)
+        chi_r, chi_2r = smooth_chi(r), smooth_chi(2.0 * r)
+        base = chi_r - chi_2r
         base = np.where(np.abs(base) < ZERO_CLIP, 0.0, base)
         if self.variant == "plain":
             return base
-        # the locally finite sum of the squared dilates; on the support of
-        # base, 1/2 < r < 2, only k = -1, 0, 1 are nonzero, and the terms
-        # |k| >= 2 would add exact zeros
-        den = np.zeros_like(base)
-        for k in range(-1, 2):
-            b = smooth_chi(2.0**-k * r) - smooth_chi(2.0 ** (1 - k) * r)
-            den += b * b
+        # the squared dilates b_k = chi(2^-k r) - chi(2^(1-k) r) summed over
+        # k = -1, 0, 1, the only ones nonzero on the support of base,
+        # 1/2 < r < 2; neighbours share a cutoff, and a clipped b_0 squares
+        # to 0 either way
+        b_lo = chi_2r - smooth_chi(4.0 * r)
+        b_hi = smooth_chi(0.5 * r) - chi_r
+        den = b_lo * b_lo + base * base + b_hi * b_hi
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(base != 0.0, base / np.sqrt(np.where(den > 0, den, 1.0)), 0.0)
         return out

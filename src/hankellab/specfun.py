@@ -16,9 +16,8 @@ argument reaches the end, and the last few orders' tables are kept.
 Everything here is vectorized over numpy arrays; the only state is that
 cache of read-only tables, which a lock guards, so evaluation is safe from
 any number of workers.  The kernels write into a new array or, given out,
-into the caller's; out may be the argument array itself, which a caller
-that evaluates many kernels in turn can keep as one workspace.  The
-per-block buffers belong to each call.
+into the caller's; out may be the argument array itself, so that the
+values take no second array.  The per-block buffers belong to each call.
 """
 
 import cmath

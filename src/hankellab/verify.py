@@ -17,24 +17,24 @@ CZ sweep builds each dyadic band's dual side once per check (_cz_dual) and
 shares it among the pairs whose band holds j; a (pair, j) piece builds only
 its spatial axis and evaluates the band's nodes where m_j != 0 against the
 nodes off the excluded ball in one kernel call, and a band with no such
-node costs the piece nothing.  A check allocates one workspace, sized
-for its largest piece, and every piece writes its kernel arguments there
-and evaluates them in place.  The H^1 sweep builds each declared grid
-pair once, restricts it with Grid.restrict, and builds every plan
-through adapted_plan: an atom's fine plan holds the near nodes, its
-transfer to the coarse dual grid runs over the atom's support only, and
-its coarse plan holds only the far nodes.  A restricted grid is a
-quadrature rule only for functions that vanish off the kept nodes.  The
-H^1 atoms of one centre ratio are dilates of one unit atom, so they are
-measured as that atom under the dilated symbol m(lambda / r), on one set
-of plans per centre ratio, sampled on the unit atom's own dual grids.
+node costs the piece nothing.  Each piece writes its kernel arguments
+into one array of its own and evaluates them in place.  The H^1 sweep
+builds each declared grid pair once, restricts it with Grid.restrict,
+and builds every plan through adapted_plan: an atom's fine plan holds
+the near nodes, its transfer to the coarse dual grid runs over the
+atom's support only, and its coarse plan holds only the far nodes.  A
+restricted grid is a quadrature rule only for functions that vanish off
+the kept nodes.  The H^1 atoms of one centre ratio are dilates of one
+unit atom, so they are measured as that atom under the dilated symbol
+m(lambda / r), on one set of plans per centre ratio, sampled on the unit
+atom's own dual grids.
 Both sweeps judge their axes by transform.check_resolution, with
 ResolutionWarning dropped (_sweep_resolution).
 
 The d = 2 L^p probe applies T_m through the singular triplets of the
 symbol matrix that it keeps, and computes only those, by seeded subspace
 iteration (_kept_triplets): its LAPACK calls work on k x n sketches of
-the n x n matrix, and on the matrix itself only when k reaches n.
+the n x n matrix, and on the matrix itself only once 2k would reach n.
 Each image T_m f is formed in one buffer that the next one reuses.
 """
 
@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import make_partition, smooth_chi
-from .grid import (Grid, GridFunction, axis_size, ball_measure, integrate,
-                   nodes_for_ppw, norm, product_values)
+from .grid import (Grid, GridFunction, ball_measure, integrate, nodes_for_ppw,
+                   norm, product_values)
 from .heat import TimeGrid, _maximal_field
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport, bounded_no_trend
 from .specfun import MultiIndex, e_kernel_axis
@@ -219,13 +219,7 @@ def _cz_dual(alpha, m, j, spec):
     return dual, ax.nodes[on], mj[on], ax.quad_weights[on]
 
 
-def _cz_work_size(band, piece):
-    """The workspace floats the piece (R, n) of the band may need: the
-    band's nodes times its full spatial axis and times y and y'."""
-    return band[1].size * (axis_size(piece[1]) + 2)
-
-
-def _cz_piece(alpha, band, y, yp, piece, work):
+def _cz_piece(alpha, band, y, yp, piece):
     """D_j = int_{|x-y|>2|y-y'|} |K_j(x,y) - K_j(x,y')| dnu(x) for the pair
     (y, y') and the dual side band = _cz_dual(..., j, ...) of its piece j,
     on the spatial grid of piece = _cz_band(y, yp)[j][0].
@@ -234,9 +228,8 @@ def _cz_piece(alpha, band, y, yp, piece, work):
     band's nodes times the nodes with |x-y| > 2|y-y'|, since no other entry
     enters D_j, laid out as the (band, x) matrix a plan would hold, and then
     the band's nodes times y and times y'.  The arguments are written into
-    the leading floats of work, a float64 workspace of at least
-    _cz_work_size(band, piece) floats, and the kernel values overwrite them in
-    place (e_kernel_axis with out), so the piece allocates neither.  One
+    one array of the piece's own, and the kernel values overwrite them in
+    place (e_kernel_axis with out), so the values take no second array.  One
     contraction of that matrix against m_j (E_y - E_y') and the dual
     weights gives the kernel-row difference off the ball, rounded as a
     plan's inverse rounds it.  The axes are judged as a plan between the
@@ -254,7 +247,7 @@ def _cz_piece(alpha, band, y, yp, piece, work):
     x = ax.nodes[off_ball]
     # the arguments: the (band, x) matrix, then the band times y and y'
     n = lam.size * x.size
-    u = work[:n + 2 * lam.size]
+    u = np.empty(n + 2 * lam.size)
     np.outer(lam, x, out=u[:n].reshape(lam.size, x.size))
     np.outer((y[0], yp[0]), lam, out=u[n:].reshape(2, lam.size))
     E = e_kernel_axis(ax.alpha_k, u, out=u)
@@ -274,13 +267,12 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol):
     (_cz_dual), 49 bands for the 232 pieces of the default pairs; each
     piece builds its spatial axis and makes one kernel evaluation, on the
     band's nodes where m_j != 0 and the nodes off the ball
-    |x-y| <= 2|y-y'| (_cz_piece).  All bands are built first, so that one
-    workspace, sized for the largest piece (_cz_work_size), holds every
-    piece's kernel arguments and values in turn.  Passes when D is bounded
-    with no trend across separations.  n_resolution_warnings counts the
-    warnings of any category that the band builds and the pieces let
-    through; it cannot count a ResolutionWarning, which _sweep_resolution
-    drops inside each piece, so it reads 0 on every default run.
+    |x-y| <= 2|y-y'| (_cz_piece), in place in the array of its arguments.
+    Passes when D is bounded with no trend across separations.
+    n_resolution_warnings counts the warnings of any category that the
+    band builds and the pieces let through; it cannot count a
+    ResolutionWarning, which _sweep_resolution drops inside each piece, so
+    it reads 0 on every default run.
     """
     if alpha.d != 1:
         raise NotImplementedError("the adapted-plan sweep is 1-dimensional")
@@ -300,12 +292,9 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol):
         warnings.simplefilter("always")
         duals = {j: _cz_dual(alpha, m, j, spec)
                  for j, spec in specs.items()}
-        # one workspace for every piece's kernel arguments and values
-        work = np.empty(max(_cz_work_size(duals[j], piece) for band in bands
-                            for j, (piece, _) in band.items()))
         for idx, ((y, yp), band) in enumerate(zip(pairs, bands)):
             r2 = 2.0 * float(np.linalg.norm(y - yp))
-            perj = [(j, _cz_piece(alpha, duals[j], y, yp, piece, work))
+            perj = [(j, _cz_piece(alpha, duals[j], y, yp, piece))
                     for j, (piece, _) in band.items()]
             total = sum(dj for _, dj in perj)
             if idx == mid:
@@ -418,12 +407,13 @@ def _kept_triplets(M):
     SKETCH_OVERSAMPLING singular values are at most SYMBOL_RANK_RTOL s_1
     and so is the residual ||M - Q B||_F.  A projection's singular values
     are at most M's, so a first projection that keeps too many already
-    doubles k, before any power step.  At k = min(M.shape) Q would be a
-    unitary basis of the whole space: the SVD of M itself is taken."""
+    doubles k, before any power step.  Once 2k would reach
+    n = min(M.shape), the SVD of M itself is taken: sketching on to
+    k >= n/2 columns was measured slower than that SVD."""
     n = min(M.shape)
     rng = np.random.default_rng(SKETCH_SEED)
-    k = min(n, SKETCH_START)
-    while k < n:
+    k = SKETCH_START
+    while 2 * k < n:
         Q = np.linalg.qr(M @ rng.standard_normal((M.shape[1], k)))[0]
         B = Q.conj().T @ M
         if _kept_rank(np.linalg.svd(B, compute_uv=False)) \
@@ -437,7 +427,7 @@ def _kept_triplets(M):
             if (r <= k - SKETCH_OVERSAMPLING
                     and _residual(M, Q, B) <= SYMBOL_RANK_RTOL * s[0]):
                 return Q @ Ub[:, :r], s[:r], Vh[:r]
-        k = min(n, 2 * k)
+        k *= 2
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     r = _kept_rank(s)
     return U[:, :r], s[:r], Vh[:r]

@@ -614,13 +614,17 @@ class TestExitStatuses:
             tracemalloc.stop()
         assert peak < cli._estimate_run_bytes("heat-selftest", 1, N)
 
-    def test_memory_estimate_covers_the_lapack_workspace(self, tmp_path):
+    @pytest.mark.parametrize("symbol", [None, "divergent"],
+                             ids=["default", "divergent"])
+    def test_memory_estimate_covers_the_lapack_workspace(self, tmp_path,
+                                                         symbol):
         # tracemalloc sees numpy's arrays, not the workspace that LAPACK and
         # BLAS allocate for themselves, so the growth of the largest resident
         # set of a fresh interpreter is held to the budget too, on the d = 2
-        # lp-probe, whose factorization is the largest such call; with one
-        # BLAS thread, since per-thread buffers grow with the host's cores,
-        # not with the grid
+        # lp-probe, whose factorization is the largest such call: sketched
+        # for the default symbol, the SVD of the whole symbol matrix for
+        # divergent (rank 169 at 512 nodes); with one BLAS thread, since
+        # per-thread buffers grow with the host's cores, not with the grid
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])),
@@ -628,6 +632,8 @@ class TestExitStatuses:
             MKL_NUM_THREADS="1")
         argv = ["lp-probe", "--dims", "2", "--alpha", "0.5,1.3", "--n", "512",
                 "--output", str(tmp_path)]
+        if symbol:
+            argv += ["--symbol", symbol]
         code = ("import resource\n"
                 "import hankellab.cli\n"
                 "def peak():\n"

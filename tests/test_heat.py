@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from hankellab import cli, heat
 from hankellab.dyadic import make_partition
 from hankellab.grid import AxisGrid, Grid, GridFunction, norm
-from hankellab.heat import (HEAT_NORMALIZATION, ROW_GRANULE, HeatKernelEval,
-                            TimeGrid, _axis_kernel, _maximal_field,
+from hankellab.heat import (GAUSSIAN_DECAY, HEAT_NORMALIZATION, ROW_GRANULE,
+                            HeatKernelEval, TimeGrid, _axis_kernel,
+                            _local_ball_measure, _maximal_field,
                             axis_heat_matrix, gaussian_bound_check,
                             heat_apply, heat_kernel)
+from hankellab.report import FAIL, PASS, EstimateReport
 from hankellab.specfun import MultiIndex, inorm_scaled
 from hankellab.transform import hankel_transform, inverse_hankel
 
@@ -186,6 +188,77 @@ class TestBounds:
         rep = gaussian_bound_check(hk_half, samples)
         assert rep.verdict == "pass"
         assert rep.fitted_constants["min_kernel_value"] >= 0.0
+
+    @staticmethod
+    def _per_sample_check(hk, samples):
+        # the check one sample at a time: T_t(x, y) by heat_kernel and each
+        # axis's band entry by its own _axis_kernel call
+        band_tol = 10.0
+        rep = EstimateReport(
+            name="heat_gaussian_bound",
+            parameters={"c_exp": GAUSSIAN_DECAY, "n_samples": len(samples),
+                        "alpha": list(hk.alpha.alpha), "band_tol": band_tol},
+            provenance="heat kernel Gaussian bound and two-regime asymptotics",
+        )
+        Cs, neg = [], 0.0
+        band_small, band_large = [], []
+        for t, x, y in samples:
+            x = np.atleast_1d(np.asarray(x, float))
+            y = np.atleast_1d(np.asarray(y, float))
+            T = float(heat_kernel(hk, t, x, y))
+            neg = min(neg, T)
+            dist2 = float(np.sum((x - y) ** 2))
+            volB = float(_local_ball_measure(hk.alpha, x, np.sqrt(t)))
+            Cs.append(T * volB * np.exp(GAUSSIAN_DECAY * dist2 / t))
+            for k, a in enumerate(hk.alpha.alpha):
+                xk, yk = x[k], y[k]
+                Tk = float(_axis_kernel(a, t, xk, yk))
+                if xk * yk < t:
+                    band_small.append(Tk * t ** ((2 * a + 1) / 2)
+                                      * np.exp((xk**2 + yk**2) / (4 * t)))
+                else:
+                    band_large.append(Tk * t**0.5 * (xk * yk) ** a
+                                      * np.exp((xk - yk) ** 2 / (4 * t)))
+        rep.fitted_constants["C_gauss"] = float(np.max(Cs))
+        rep.fitted_constants["min_kernel_value"] = neg
+        ok = neg >= 0.0 and np.isfinite(np.max(Cs))
+        for label, band in (("small_regime", band_small),
+                            ("large_regime", band_large)):
+            if band:
+                ratio = float(np.max(band) / np.min(band))
+                rep.fitted_constants[f"band_ratio_{label}"] = ratio
+                rep.add(f"band_ratio_{label}", ratio)
+                ok = ok and ratio <= band_tol
+        rep.verdict = PASS if ok else FAIL
+        return rep
+
+    @staticmethod
+    def _selftest_samples(seed, d):
+        # the samples heat-selftest draws at CLI seed `seed`
+        rng = np.random.default_rng(seed)
+        return [(float(np.exp(rng.uniform(-2, 2))), rng.uniform(0.3, 5.0, d),
+                 rng.uniform(0.3, 5.0, d)) for _ in range(40)]
+
+    @pytest.mark.parametrize("alpha", [(0.5,), (1.3,), (0.5, 1.3)],
+                             ids=["0.5", "1.3", "0.5,1.3"])
+    @pytest.mark.parametrize("seed", range(1001, 1009))
+    def test_gaussian_bound_matches_the_per_sample_check(self, alpha, seed):
+        hk = HeatKernelEval(MultiIndex(alpha))
+        samples = self._selftest_samples(seed, len(alpha))
+        assert gaussian_bound_check(hk, samples).to_dict() == \
+            self._per_sample_check(hk, samples).to_dict()
+
+    @pytest.mark.parametrize("seed", range(1001, 1009))
+    def test_gaussian_bound_at_three_axes_matches_to_round_off(self, seed):
+        hk = HeatKernelEval(MultiIndex((-0.3, 2.0, 0.8)))
+        samples = self._selftest_samples(seed, 3)
+        got = gaussian_bound_check(hk, samples).to_dict()
+        want = self._per_sample_check(hk, samples).to_dict()
+        assert got["verdict"] == want["verdict"]
+        assert got["fitted_constants"].keys() == want["fitted_constants"].keys()
+        for key, value in want["fitted_constants"].items():
+            assert got["fitted_constants"][key] == pytest.approx(
+                value, rel=1e-15, abs=0.0)
 
     def test_lipschitz_band(self, hk_half):
         grid = Grid.build(MultiIndex((0.5,)), R=24.0, n=512)

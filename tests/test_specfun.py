@@ -17,8 +17,7 @@ from hankellab.specfun import (MultiIndex, e_kernel_axis, gamma_one_plus_i,
                                inorm_scaled, jnorm)
 from hankellab.symbols import laplace_type_symbol
 from hankellab.transform import TransformPlan
-from hankellab.verify import (_cz_band, _cz_dual, _cz_piece, _cz_work_size,
-                              default_cz_pairs)
+from hankellab.verify import _cz_band, _cz_dual, _cz_piece, default_cz_pairs
 
 from paper_checks import bessel_operator_fd
 
@@ -239,8 +238,7 @@ class TestFixedOrderTables:
         alpha = MultiIndex((1.3,))
         band = _cz_dual(alpha, laplace_type_symbol(1, "imag_power", gamma=1.0),
                         jstar, dual)
-        _cz_piece(alpha, band, y, yp, piece,
-                  np.empty(_cz_work_size(band, piece)))
+        _cz_piece(alpha, band, y, yp, piece)
         h = specfun._CELL
         first = np.ceil(specfun._upper(0.8) / h) * h
         assert continued[0] == 1
