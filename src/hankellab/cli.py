@@ -19,8 +19,9 @@ import numpy as np
 
 from . import __version__
 from .grid import (MIN_PPW, POINTS_PER_PANEL, Grid, GridFunction, axis_size,
-                   check_normal_floats, check_weight_resolved, first_node,
-                   norm, points_per_wavelength, product_values)
+                   check_normal_floats, check_weight_resolved,
+                   check_weight_tensor, first_node, norm,
+                   points_per_wavelength, product_values)
 from .heat import HeatKernelEval, axis_heat_matrix, gaussian_bound_check
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from .specfun import MultiIndex, check_tabled
@@ -235,6 +236,11 @@ def _check_config(cfg, names):
             raise ValueError(f"refusing to run {what} at dims = {cfg.dims}, "
                              f"n = {cfg.n}: ~{Decimal(need) / 2**30:.3g} GiB, "
                              f"over the {MEMORY_LIMIT_BYTES >> 30} GiB limit")
+    # after the budgets, which bound the n whose axis weights this forms
+    if plan_suites and cfg.dims >= 2:
+        check_weight_tensor(cfg.alpha, cfg.R, cfg.n, f"alpha = {cfg.alpha}, "
+                            f"R = {cfg.R}, n = {cfg.n}, the Lambda = R plan "
+                            f"of {plan_suites[0]}")
     heat_reach = HEAT_MARGIN * np.sqrt(max(HEAT_TIMES))
     if "heat-selftest" in names and not all(
             first_node(a, cfg.R, cfg.n) < cfg.R - heat_reach
@@ -257,7 +263,10 @@ def _check_config(cfg, names):
 # transformed factors.  tracemalloc sees numpy's arrays only, not the
 # workspace that LAPACK and BLAS allocate for themselves; the largest such
 # call, the d = 2 lp-probe's factorization, is judged by its growth of the
-# resident set, 32.3 MB of the 52.0 MB budget at n = 512
+# resident set at n = 512, of the 52.0 MiB budget: 27.2 MiB at p = 2, which
+# forms no image, 31.6 MiB at p = 3, and 49.3 MiB at either p for the
+# divergent symbol, whose whole symbol matrix is factored; the budget keeps
+# 10 tensors, since p != 2 still forms images
 RUN_PEAK = {"transform-selftest": (2, 7), "heat-selftest": (3, 8),
             "lp-probe": (2, 10)}
 # per axis besides: the Bessel kernel tables of its order (J and scaled I,

@@ -140,6 +140,44 @@ def check_normal_floats(alpha, radii, what):
                          "range of normal floats")
 
 
+def axis_rule(alpha_k, R, n):
+    """(nodes, weights) of AxisGrid.build(alpha_k, R, n), without building
+    the axis or running its self-test."""
+    base = np.linspace(0.0, R, uniform_panels(n) + 1)
+    # the panel edges: the first uniform panel halved GRADED_PANELS times
+    edges = np.concatenate([base[1] * 2.0 ** -np.arange(
+        GRADED_PANELS, 0, -1, dtype=float), base[1:]])
+    gx, gw = _leggauss(POINTS_PER_PANEL)
+    a, b = edges[:-1], edges[1:]
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    wts = (half[:, None] * gw[None, :]).ravel() * nodes ** (2.0 * alpha_k)
+    # the panel touching 0 uses Gauss-Jacobi with the weight (1+t)^{2a},
+    # so the x^{2 alpha} singularity is integrated exactly
+    jx, jw = _jacgauss(POINTS_PER_PANEL, float(2.0 * alpha_k))
+    nodes0 = edges[0] * (jx + 1.0) / 2.0
+    wts0 = (edges[0] / 2.0) ** (2.0 * alpha_k + 1.0) * jw
+    return np.concatenate([nodes0, nodes]), np.concatenate([wts0, wts])
+
+
+def check_weight_tensor(alpha, R, n, what):
+    """Raise ValueError about what unless the largest entry of the weight
+    tensor of Grid.build(alpha, R, n), the product of its axes' largest
+    quadrature weights, is a normal float.  check_normal_floats judges each
+    axis alone, and so misses the product leaving the normal floats, past
+    whose top norm computes inf * 0 = nan and past whose bottom a ratio of
+    norms divides by 0."""
+    tops = [float(np.max(axis_rule(a, R, n)[1])) for a in alpha]
+    log_top = sum(np.log(tops))
+    if not (np.log(np.finfo(float).tiny) <= log_top
+            <= np.log(np.finfo(float).max)):
+        product = " x ".join(f"{t:.4g}" for t in tops)
+        raise ValueError(f"{what}: the largest entry of the weight tensor, "
+                         f"the product {product} of the axes' largest "
+                         f"quadrature weights, is ~1e{log_top / np.log(10):.1f}"
+                         ", outside the range of normal floats")
+
+
 @dataclass(frozen=True, eq=False)
 class AxisGrid:
     """One axis of the grid: nodes in (0, R] and weights for x^{2 alpha_k} dx.
@@ -173,22 +211,7 @@ class AxisGrid:
         """Composite Gauss-Legendre axis with axis_size(n) nodes on (0, R]."""
         if R <= 0 or n < POINTS_PER_PANEL:
             raise ValueError(f"need R > 0 and n >= {POINTS_PER_PANEL}")
-        base = np.linspace(0.0, R, uniform_panels(n) + 1)
-        # the panel edges: the first uniform panel halved GRADED_PANELS times
-        edges = np.concatenate([base[1] * 2.0 ** -np.arange(
-            GRADED_PANELS, 0, -1, dtype=float), base[1:]])
-        gx, gw = _leggauss(POINTS_PER_PANEL)
-        a, b = edges[:-1], edges[1:]
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        wts = (half[:, None] * gw[None, :]).ravel() * nodes ** (2.0 * alpha_k)
-        # the panel touching 0 uses Gauss-Jacobi with the weight (1+t)^{2a},
-        # so the x^{2 alpha} singularity is integrated exactly
-        jx, jw = _jacgauss(POINTS_PER_PANEL, float(2.0 * alpha_k))
-        nodes0 = edges[0] * (jx + 1.0) / 2.0
-        wts0 = (edges[0] / 2.0) ** (2.0 * alpha_k + 1.0) * jw
-        ax = AxisGrid(np.concatenate([nodes0, nodes]),
-                      np.concatenate([wts0, wts]), float(R), float(alpha_k))
+        ax = AxisGrid(*axis_rule(alpha_k, R, n), float(R), float(alpha_k))
         ax._selftest()
         return ax
 

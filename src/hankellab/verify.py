@@ -35,7 +35,12 @@ The d = 2 L^p probe applies T_m through the singular triplets of the
 symbol matrix that it keeps, and computes only those, by seeded subspace
 iteration (_kept_triplets): its LAPACK calls work on k x n sketches of
 the n x n matrix, and on the matrix itself only once 2k would reach n.
-Each image T_m f is formed in one buffer that the next one reuses.
+Each T_m f is the product P Q^T of two axis factors of the kept rank r
+(_factored_pairs).  At p = 2 its norm is read off the two r x r Gram
+matrices of the weighted factors, 2 n r^2 multiply-adds beside the two
+axis contractions, and no image is formed (_gram_norms); at every other
+p each image, 8 n^2 r in all, is formed in one buffer that the next one
+reuses (_image_norms).
 """
 
 import math
@@ -433,20 +438,18 @@ def _kept_triplets(M):
     return U[:, :r], s[:r], Vh[:r]
 
 
-def _factored_images(plan: TransformPlan, mvals, factors):
-    """(kept rank, generator of T_m f over the battery) at d = 2.
+def _factored_pairs(plan: TransformPlan, mvals, factors):
+    """(kept rank, generator of (P, Q) over the battery) at d = 2, where
+    T_m f = P Q^T.
 
     With the symbol matrix's singular triplets M ~ U diag(s) V^H kept at
     s_k > SYMBOL_RANK_RTOL s_1 (_kept_triplets), and f = a (x) b, T_m f is
     sum_k H_0(s_k u_k Ha) (x) H_1(conj(v_k) Hb).  Ha and Hb are taken for
     the whole battery in one contraction per axis; per function, the r
     columns on each axis are inverse-transformed with that axis's dual
-    weights, and their outer products summed.  That is about 8 n^2 r
-    multiply-adds per function against the dense route's 6 n^3, so the
-    worst case, a full-rank (say tabulated) symbol, costs about 4/3 of the
-    dense route, plus the sketches and the SVD of M.  Every image is
-    formed in one buffer, which the next overwrites: use each before
-    asking for the next.
+    weights, P (n_0 x r) and Q (n_1 x r), about 4 n^2 r multiply-adds.
+    The reductions take ||T_m f||_p from them: _gram_norms at p = 2, with
+    no image, and _image_norms at every other p.
     """
     U, s, Vh = _kept_triplets(mvals)
     dual = plan.dual_grid.axes
@@ -454,14 +457,35 @@ def _factored_images(plan: TransformPlan, mvals, factors):
     right = Vh.T * dual[1].quad_weights[:, None]
     ha, hb = plan.forward_factors([F.T for F in factors])
 
-    def images():
-        image = np.empty(plan.grid.shape, np.result_type(left, right))
+    def pairs():
         for i in range(BATTERY_SIZE):
-            P = _contract((plan.inv[0],), left * ha[:, i, None])
-            Q = _contract((plan.inv[1],), right * hb[:, i, None])
-            yield GridFunction(plan.grid, np.matmul(P, Q.T, out=image))
+            yield (_contract((plan.inv[0],), left * ha[:, i, None]),
+                   _contract((plan.inv[1],), right * hb[:, i, None]))
 
-    return s.size, images()
+    return s.size, pairs()
+
+
+def _gram_norms(grid: Grid, pairs):
+    """||P Q^T||_2 of each of the pairs on grid, from two r x r Gram
+    matrices and no image: with A = P^T diag(w_0) conj(P) and
+    B = Q^T diag(w_1) conj(Q), ||P Q^T||_2^2 = sum_kl A_kl B_kl, which is
+    clamped at 0, as a zero image reads.  That is 2 n r^2 complex
+    multiply-adds per function, against the n^2 r of the image P Q^T and
+    norm's passes over it."""
+    w0, w1 = (ax.quad_weights[:, None] for ax in grid.axes)
+    for P, Q in pairs:
+        A = P.T @ (w0 * P.conj())
+        B = Q.T @ (w1 * Q.conj())
+        yield math.sqrt(max(float(np.sum(A * B).real), 0.0))
+
+
+def _image_norms(grid: Grid, pairs, p):
+    """||P Q^T||_p of each of the pairs on grid, by grid.norm of the image,
+    which is formed in one buffer that the next image overwrites."""
+    image = None
+    for P, Q in pairs:
+        image = np.matmul(P, Q.T, out=image)
+        yield norm(GridFunction(grid, image), p)
 
 
 def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
@@ -472,9 +496,13 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
     a relative excess of 1e-6 allowed.  At d = 1 the whole battery is one
     batch: T_m f comes from one forward and one inverse contraction.  At
     d = 2 it comes from the factors and the symbol's kept singular
-    triplets (_factored_images), and the kept rank is recorded as the
-    parameter symbol_rank; at d >= 3 from apply_multiplier, one battery
-    function at a time.  ||f||_p comes from the factors (battery_norms).
+    triplets as the pair P, Q with T_m f = P Q^T (_factored_pairs), and
+    the kept rank is recorded as the parameter symbol_rank; at p = 2 its
+    norm is read off two r x r Gram matrices and no image is formed
+    (_gram_norms), at every other p each image is formed in one buffer
+    (_image_norms).  At d >= 3 T_m f comes from apply_multiplier, one
+    battery function at a time.  ||f||_p comes from the factors
+    (battery_norms).
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
@@ -486,20 +514,23 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
         provenance="L^p ratio probe (lower bounds on the operator norm)",
     )
     mvals = _symbol_values(plan.dual_grid, m)
-    if plan.grid.d == 1:
+    grid = plan.grid
+    if grid.d == 1:
         spec, = plan.forward_factors([factors[0].T])
         tmf, = plan.inverse_factors([mvals[:, None] * spec])
-        images = (GridFunction(plan.grid, v) for v in tmf.T)
-    elif plan.grid.d == 2:
-        rank, images = _factored_images(plan, mvals, factors)
+        tmf_norms = (norm(GridFunction(grid, v), p) for v in tmf.T)
+    elif grid.d == 2:
+        rank, pairs = _factored_pairs(plan, mvals, factors)
         rep.parameters["symbol_rank"] = rank
+        tmf_norms = (_gram_norms(grid, pairs) if p == 2.0
+                     else _image_norms(grid, pairs, p))
     else:
-        images = (apply_multiplier(plan, mvals, f)
-                  for f in battery_functions(plan.grid, factors))
-    fnorms = battery_norms(plan.grid, factors, p).tolist()
+        tmf_norms = (norm(apply_multiplier(plan, mvals, f), p)
+                     for f in battery_functions(grid, factors))
+    fnorms = battery_norms(grid, factors, p).tolist()
     worst = 0.0
-    for i, (tmf, fnorm) in enumerate(zip(images, fnorms)):
-        ratio = norm(tmf, p) / fnorm
+    for i, (tmf_norm, fnorm) in enumerate(zip(tmf_norms, fnorms)):
+        ratio = tmf_norm / fnorm
         worst = max(worst, ratio)
         if i < 8:
             rep.add(f"ratio@f{i}", ratio)

@@ -200,6 +200,14 @@ class TestConfigHandling:
          "refusing to run transform-selftest at dims = 1, n = 999"),
         (["lp-probe", "--dims", "3", "--n", "1024"],
          "refusing to run lp-probe at dims = 3, n = 1024"),
+        (["transform-selftest", "--alpha", "57,57", "--n", "512"],
+         "the product 7.855e+155 x 7.855e+155 of the axes' largest"),
+        (["lp-probe", "--p", "3", "--alpha", "60,60", "--n", "512"],
+         "alpha = (60.0, 60.0), R = 24.0, n = 512, the Lambda = R plan of "
+         "lp-probe: the largest entry of the weight tensor"),
+        (["transform-selftest", "--alpha", "0.5,0.5", "--R", "1e-100", "--n",
+          "64"], "3.745e-202 x 3.745e-202 of the axes' largest quadrature "
+         "weights, is ~1e-402.9"),
         (["suite", "setup-probe"], "unknown suites: ['setup-probe']"),
     ], ids=["symbol-without-k", "alpha-below-half", "n-below-one-panel",
             "R-zero", "p-one", "heat-R-10", "suite-heat-R-12", "cz-dims-2",
@@ -219,6 +227,8 @@ class TestConfigHandling:
             "heat-R-12.0001-n-64", "beta-59.19-overflows",
             "beta-62.82-overflows-at-d-2", "box-refused-after-a-fitting-suite",
             "heat-n-401-digits", "all-n-401-digits", "lp-dims-3-n-1024",
+            "weight-tensor-57-at-d-2", "lp-p-3-weight-tensor-60-at-d-2",
+            "weight-tensor-underflows-at-d-2",
             "unknown-suite"])
     def test_bad_input_refused_before_any_grid(self, argv, named, tmp_path,
                                                monkeypatch, capsys):
@@ -360,6 +370,19 @@ class TestConfigHandling:
         # = 260, and 260^101 is a normal float
         assert run_cli(["h1-check", "--alpha", "50",
                         "--output", str(tmp_path)]) == 0
+
+    def test_weight_tensor_gate_admits_alpha_56_at_d_2(self, tmp_path):
+        # each axis's largest weight is 1.372e153 at alpha = 56 and 7.855e155
+        # at 57: only the product of the second pair leaves the normal floats
+        for suite in ("transform-selftest", "heat-selftest", "lp-probe"):
+            cli._check_config(RunConfig(alpha=(56.0, 56.0), dims=2, n=512),
+                              [suite])
+        assert run_cli(["transform-selftest", "--alpha", "56,56", "--n",
+                        "512", "--output", str(tmp_path)]) == 0
+        rep, = json.loads((tmp_path / "report-transform-selftest.json")
+                          .read_text())["reports"]
+        assert rep["fitted_constants"]["max_inversion_error"] < 1e-9
+        assert rep["fitted_constants"]["max_plancherel_deviation"] < 1e-12
 
     def test_h1_gate_refuses_where_the_sweep_overflows(self):
         # 260^(2 alpha + 1), the coarse spatial axis at 20 + 240, leaves
@@ -614,10 +637,11 @@ class TestExitStatuses:
             tracemalloc.stop()
         assert peak < cli._estimate_run_bytes("heat-selftest", 1, N)
 
-    @pytest.mark.parametrize("symbol", [None, "divergent"],
-                             ids=["default", "divergent"])
+    @pytest.mark.parametrize("symbol,p", [(None, None), ("divergent", None),
+                                          (None, "3")],
+                             ids=["default", "divergent", "default-p-3"])
     def test_memory_estimate_covers_the_lapack_workspace(self, tmp_path,
-                                                         symbol):
+                                                         symbol, p):
         # tracemalloc sees numpy's arrays, not the workspace that LAPACK and
         # BLAS allocate for themselves, so the growth of the largest resident
         # set of a fresh interpreter is held to the budget too, on the d = 2
@@ -634,6 +658,9 @@ class TestExitStatuses:
                 "--output", str(tmp_path)]
         if symbol:
             argv += ["--symbol", symbol]
+        if p:
+            # at p = 2 no image is formed; p = 3 forms one per function
+            argv += ["--p", p]
         code = ("import resource\n"
                 "import hankellab.cli\n"
                 "def peak():\n"

@@ -722,18 +722,68 @@ class TestProbes:
             assert rep.fitted_constants["max_ratio"] == pytest.approx(
                 max(ratios), rel=1e-12, abs=0.0)
 
-    def test_probe_holds_one_battery_function_at_a_time(self, plan_2d_small):
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_probe_holds_one_battery_function_at_a_time(self, plan_2d_small,
+                                                        p):
         # the battery held as full tensors would be 64 of these; the symbol
-        # values, the SVD factors and the one image formed stay below 24
+        # values, the SVD factors and the one image formed (p = 3) or the
+        # Gram matrices (p = 2) stay below 24
         tensor_bytes = np.prod(plan_2d_small.grid.shape) * 8
         m = laplace_type_symbol(2, "imag_power", gamma=1.0)
         tracemalloc.start()
         try:
-            lp_norm_probe(plan_2d_small, m, 3.0)
+            lp_norm_probe(plan_2d_small, m, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 24 * tensor_bytes
+
+    def test_l2_probe_forms_no_image(self, plan_2d_small, monkeypatch):
+        # at p = 2 the d = 2 norms come from Gram matrices, at every other
+        # p from grid.norm of each image
+        calls = []
+
+        def counted(f, p=2.0, weight=None):
+            calls.append(p)
+            return norm(f, p, weight)
+
+        monkeypatch.setattr(verify, "norm", counted)
+        m = laplace_type_symbol(2, "imag_power", gamma=1.0)
+        for p, want in ((2.0, 0), (3.0, BATTERY_SIZE)):
+            calls.clear()
+            assert lp_norm_probe(plan_2d_small, m, p).verdict == PASS
+            assert len(calls) == want
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_zero_symbol_reads_zero_at_d_2(self, plan_2d_small, p):
+        # rank 0: no factor columns, a zero image, ratio 0
+        rep = lp_norm_probe(plan_2d_small, parse_symbol("const{value=0}", 2),
+                            p)
+        assert rep.parameters["symbol_rank"] == 0
+        assert rep.fitted_constants["max_ratio"] == 0.0
+        assert [r for _, r in rep.measurements] == [0.0] * 8
+        assert rep.verdict == PASS
+
+    def test_gram_norms_match_the_images_at_the_largest_alpha(self):
+        # (56.35, 56.35) is about the largest alpha the gate admits at
+        # d = 2, n = 512, R = 24: there the weights reach 1e154 per axis,
+        # and P and Q reach 1e50 on the nodes of small weight
+        alpha = (56.35, 56.35)
+        cli._check_config(cli.RunConfig(alpha=alpha, dims=2, n=512),
+                          ["lp-probe"])
+        with pytest.raises(ValueError, match="weight tensor"):
+            cli._check_config(cli.RunConfig(alpha=(56.36, 56.36), dims=2,
+                                            n=512), ["lp-probe"])
+        plan = TransformPlan.build(Grid.build(MultiIndex(alpha), R=24.0,
+                                              n=512))
+        m = laplace_type_symbol(2, "imag_power", gamma=1.0)
+        factors = make_battery(plan)
+        mv = _symbol_values(plan.dual_grid, m)
+        for pair in verify._factored_pairs(plan, mv, factors)[1]:
+            gram, = verify._gram_norms(plan.grid, [pair])
+            image, = verify._image_norms(plan.grid, [pair], 2.0)
+            assert 0.0 < image < np.inf
+            assert gram == pytest.approx(image, rel=1e-12, abs=0.0)
 
     def test_lp_probe_respects_plancherel_budget(self, plan_half):
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
