@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .grid import (MIN_PPW, POINTS_PER_PANEL, Grid, GridFunction, axis_size,
                    check_normal_floats, check_weight_resolved,
-                   check_weight_tensor, first_node, norm,
+                   axis_rule, check_weight_tensor, norm,
                    points_per_wavelength, product_values)
 from .heat import HeatKernelEval, axis_heat_matrix, gaussian_bound_check
 from .report import FAIL, INCONCLUSIVE, PASS, EstimateReport
@@ -243,7 +243,7 @@ def _check_config(cfg, names):
                             f"of {plan_suites[0]}")
     heat_reach = HEAT_MARGIN * np.sqrt(max(HEAT_TIMES))
     if "heat-selftest" in names and not all(
-            first_node(a, cfg.R, cfg.n) < cfg.R - heat_reach
+            axis_rule(a, cfg.R, cfg.n)[0][0] < cfg.R - heat_reach
             for a in cfg.alpha):
         raise ValueError(f"R = {cfg.R}, n = {cfg.n}: heat-selftest compares "
                          f"on x < R - {heat_reach:g}, which holds no node "
@@ -258,15 +258,18 @@ def _check_config(cfg, names):
 # which never reach the whole axis, since the ppw gate keeps R <=
 # sqrt(pi N / 2); at the largest R it admits, 2.9 at 2048 nodes and 3.2 at
 # 1024, the kernel tables below included), and complex value tensors,
-# 3.7, 1.2 and 9.6 at d = 3 (48^3, 64^3); the self-tests transform their
-# inputs axis by axis and form only real value tensors, of products of the
-# transformed factors.  tracemalloc sees numpy's arrays only, not the
-# workspace that LAPACK and BLAS allocate for themselves; the largest such
-# call, the d = 2 lp-probe's factorization, is judged by its growth of the
-# resident set at n = 512, of the 52.0 MiB budget: 27.2 MiB at p = 2, which
-# forms no image, 31.6 MiB at p = 3, and 49.3 MiB at either p for the
-# divergent symbol, whose whole symbol matrix is factored; the budget keeps
-# 10 tensors, since p != 2 still forms images
+# 3.7, 1.2 and 6.1 at d = 3 (48^3, 64^3; lp-probe over a warm probe, at
+# p = 2 and 3: 6.1 on 48^3 and 6.05 on 64^3); every suite transforms its
+# inputs axis by axis, the self-tests form only real value tensors, of
+# products of the transformed factors, and lp-probe forms m times one
+# battery function's spectrum and its inverse.  tracemalloc sees numpy's
+# arrays only, not the workspace that LAPACK and BLAS allocate for
+# themselves; the largest such call, the d = 2 lp-probe's factorization,
+# is judged by its growth of the resident set at n = 512, of the
+# 52.0 MiB budget: 27.2 MiB at p = 2, which forms no image, 31.6 MiB at
+# p = 3, and 49.3 MiB at either p for the divergent symbol, whose whole
+# symbol matrix is factored; the budget keeps 10 tensors, since p != 2
+# still forms images
 RUN_PEAK = {"transform-selftest": (2, 7), "heat-selftest": (3, 8),
             "lp-probe": (2, 10)}
 # per axis besides: the Bessel kernel tables of its order (J and scaled I,
@@ -329,16 +332,18 @@ def suite_transform_selftest(cfg, sym):
                for k, ax in enumerate(grid.axes)]
     spec = plan.forward_factors(factors)
     back = plan.inverse_factors(spec)
-    worst_pl, worst_inv = 0.0, 0.0
+    pls, invs = [], []
     for i in range(8):
         f, g, fb = (GridFunction(on, product_values([F[:, i] for F in fs]))
                     for on, fs in ((grid, factors), (plan.dual_grid, spec),
                                    (grid, back)))
         pl = abs(norm(g, 2.0) / norm(f, 2.0) - 1.0)
         inv = norm(fb - f, 2.0) / norm(f, 2.0)
-        worst_pl, worst_inv = max(worst_pl, pl), max(worst_inv, inv)
+        pls.append(pl)
+        invs.append(inv)
         rep.add(f"plancherel_dev@f{i}", pl)
         rep.add(f"inversion_err@f{i}", inv)
+    worst_pl, worst_inv = float(np.max(pls)), float(np.max(invs))
     rep.fitted_constants["max_plancherel_deviation"] = worst_pl
     rep.fitted_constants["max_inversion_error"] = worst_inv
     rep.verdict = PASS if (worst_pl <= 1e-6 and worst_inv <= 1e-6) else FAIL
@@ -361,7 +366,7 @@ def suite_heat_selftest(cfg, sym):
         parameters={"alpha": list(cfg.alpha), "n": cfg.n, "R": cfg.R},
         provenance="kernel route against the spectral Gaussian multiplier",
     )
-    worst = 0.0
+    devs = []
     for i, t in enumerate(HEAT_TIMES):
         # the routes are compared on the rows x_k < R - HEAT_MARGIN sqrt(t)
         rows = [slice(0, np.count_nonzero(
@@ -372,7 +377,8 @@ def suite_heat_selftest(cfg, sym):
             product_values(kern)
             - product_values([S[r, i] for S, r in zip(spect, rows)]))))
         rep.add(f"route_deviation@t={t}", dev)
-        worst = max(worst, dev)
+        devs.append(dev)
+    worst = float(np.max(devs))
     rng = np.random.default_rng(cfg.seed)
     samples = [(float(np.exp(rng.uniform(-2, 2))),
                 rng.uniform(0.3, 5.0, cfg.dims),

@@ -88,15 +88,6 @@ def uniform_panels(n):
     return axis_size(n) // POINTS_PER_PANEL - GRADED_PANELS
 
 
-def first_node(alpha_k, R, n):
-    """The smallest node of AxisGrid.build(alpha_k, R, n), without building
-    the axis: the smallest Gauss-Jacobi node of the panel at 0."""
-    edge = R / uniform_panels(n)
-    edge *= 2.0 ** -GRADED_PANELS
-    jx, _ = _jacgauss(POINTS_PER_PANEL, float(2.0 * alpha_k))
-    return float(edge * (jx[0] + 1.0) / 2.0)
-
-
 def points_per_wavelength(nodes, R, Lam):
     """2 pi nodes / (R Lam), in Decimal: exact for any int node count."""
     return 2.0 * np.pi * float(Decimal(nodes) / (Decimal(R) * Decimal(Lam)))

@@ -230,7 +230,7 @@ def gaussian_bound_check(hk: HeatKernelEval, samples):
             * np.exp(_float_pow(xk[lg] - yk[lg], 2) / (4 * t[lg])))
     Cs = (T * _local_ball_measure(hk.alpha, x, np.sqrt(t))
           * np.exp(GAUSSIAN_DECAY * dist2 / t))
-    neg = min(0.0, float(np.min(T)))
+    neg = float(np.min(T, initial=0.0))
     rep.fitted_constants["C_gauss"] = float(np.max(Cs))
     rep.fitted_constants["min_kernel_value"] = neg
     ok = neg >= 0.0 and np.isfinite(np.max(Cs))

@@ -178,7 +178,7 @@ class SobolevProfile:
 
     @property
     def sup_norm(self):
-        return float(max(self.norms.values()))
+        return float(np.max(list(self.norms.values())))
 
     def flatness(self):
         vals = np.array([self.norms[j] for j in sorted(self.norms)])

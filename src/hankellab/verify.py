@@ -31,7 +31,9 @@ atom's own dual grids.
 Both sweeps judge their axes by transform.check_resolution, with
 ResolutionWarning dropped (_sweep_resolution).
 
-The d = 2 L^p probe applies T_m through the singular triplets of the
+The L^p probe transforms its battery once, factor by factor, at every
+d, and forms no f: each T_m f is inverted from the battery's spectrum.
+The d = 2 probe applies T_m through the singular triplets of the
 symbol matrix that it keeps, and computes only those, by seeded subspace
 iteration (_kept_triplets): its LAPACK calls work on k x n sketches of
 the n x n matrix, and on the matrix itself only once 2k would reach n.
@@ -59,8 +61,7 @@ from .specfun import MultiIndex, e_kernel_axis
 from .symbols import Symbol
 from .transform import (ResolutionWarning, TransformPlan, _contract,
                         check_resolution)
-from .multiplier import (apply_multiplier, dyadic_symbol_values,
-                         _symbol_values)
+from .multiplier import dyadic_symbol_values, _symbol_values
 
 DEFAULT_SEED = 1234
 BATTERY_SIZE = 64
@@ -310,7 +311,7 @@ def cz_hormander_check(alpha: MultiIndex, m: Symbol):
             totals.append(total)
             tops.append(perj[-1][1])
     # geometric estimate of the mass truncated above the top piece
-    rep.fitted_constants["truncation_indicator"] = max(0.0, *tops)
+    rep.fitted_constants["truncation_indicator"] = float(np.max(tops))
     ok, stats = bounded_no_trend(seps, totals, SLOPE_TOL, RATIO_TOL)
     rep.fitted_constants["C_hormander"] = float(np.max(totals))
     rep.fitted_constants["band_ratio"] = stats["ratio"]
@@ -329,8 +330,8 @@ def make_battery(plan: TransformPlan, seed=DEFAULT_SEED):
 
     Each function is the outer product of one factor per axis: a Gaussian
     in x_k, whose axis-0 factor also carries the cosine modes.  Returns the
-    factors, factors[k] of shape (BATTERY_SIZE, n_k); battery_functions
-    forms the functions' values one at a time.
+    factors, factors[k] of shape (BATTERY_SIZE, n_k); the probe transforms
+    them factor by factor and forms no function's values.
     """
     rng = np.random.default_rng(seed)
     grid = plan.grid
@@ -351,24 +352,13 @@ def make_battery(plan: TransformPlan, seed=DEFAULT_SEED):
     return factors
 
 
-def battery_functions(grid: Grid, factors):
-    """The functions of make_battery's factors on grid, one at a time: each
-    the outer product of its axis factors."""
-    for i in range(BATTERY_SIZE):
-        yield GridFunction(grid, product_values([F[i] for F in factors]))
-
-
 def battery_norms(grid: Grid, factors, p):
-    """||f||_p of each battery function on grid, from its factors' norms,
-    each taken relative to the factor's largest |value|, as grid.norm does,
-    so that |value|^p does not underflow at large p."""
+    """||f||_p of each battery function on grid: the product of its
+    factors' norms, each taken by grid.norm on its axis's one-axis grid."""
     norms = np.ones(BATTERY_SIZE)
     for ax, F in zip(grid.axes, factors):
-        g = np.abs(F)
-        top = g.max(axis=1)
-        g /= np.where(top > 0, top, 1.0)[:, None]
-        g **= p
-        norms *= top * (g @ ax.quad_weights) ** (1.0 / p)
+        line = Grid((ax,))
+        norms *= [norm(GridFunction(line, f), p) for f in F]
     return norms
 
 
@@ -438,14 +428,14 @@ def _kept_triplets(M):
     return U[:, :r], s[:r], Vh[:r]
 
 
-def _factored_pairs(plan: TransformPlan, mvals, factors):
+def _factored_pairs(plan: TransformPlan, mvals, spec):
     """(kept rank, generator of (P, Q) over the battery) at d = 2, where
-    T_m f = P Q^T.
+    T_m f = P Q^T, from the battery's spectrum spec = (Ha, Hb), one column
+    per function.
 
     With the symbol matrix's singular triplets M ~ U diag(s) V^H kept at
     s_k > SYMBOL_RANK_RTOL s_1 (_kept_triplets), and f = a (x) b, T_m f is
-    sum_k H_0(s_k u_k Ha) (x) H_1(conj(v_k) Hb).  Ha and Hb are taken for
-    the whole battery in one contraction per axis; per function, the r
+    sum_k H_0(s_k u_k Ha) (x) H_1(conj(v_k) Hb).  Per function, the r
     columns on each axis are inverse-transformed with that axis's dual
     weights, P (n_0 x r) and Q (n_1 x r), about 4 n^2 r multiply-adds.
     The reductions take ||T_m f||_p from them: _gram_norms at p = 2, with
@@ -455,7 +445,7 @@ def _factored_pairs(plan: TransformPlan, mvals, factors):
     dual = plan.dual_grid.axes
     left = U * s * dual[0].quad_weights[:, None]
     right = Vh.T * dual[1].quad_weights[:, None]
-    ha, hb = plan.forward_factors([F.T for F in factors])
+    ha, hb = spec
 
     def pairs():
         for i in range(BATTERY_SIZE):
@@ -493,16 +483,17 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
 
     Probing yields lower bounds on the true operator norm only; for p = 2
     the ratio is additionally checked against ||m||_inf (Plancherel), with
-    a relative excess of 1e-6 allowed.  At d = 1 the whole battery is one
-    batch: T_m f comes from one forward and one inverse contraction.  At
-    d = 2 it comes from the factors and the symbol's kept singular
-    triplets as the pair P, Q with T_m f = P Q^T (_factored_pairs), and
-    the kept rank is recorded as the parameter symbol_rank; at p = 2 its
-    norm is read off two r x r Gram matrices and no image is formed
-    (_gram_norms), at every other p each image is formed in one buffer
-    (_image_norms).  At d >= 3 T_m f comes from apply_multiplier, one
-    battery function at a time.  ||f||_p comes from the factors
-    (battery_norms).
+    a relative excess of 1e-6 allowed.  The battery's spectrum is taken
+    once, factor by factor (forward_factors), and every T_m f is inverted
+    from it; no f is formed.  At d = 1 the whole battery is one batch, one
+    inverse contraction.  At d = 2 T_m f comes from the symbol's kept
+    singular triplets as the pair P, Q with T_m f = P Q^T
+    (_factored_pairs), and the kept rank is recorded as the parameter
+    symbol_rank; at p = 2 its norm is read off two r x r Gram matrices and
+    no image is formed (_gram_norms), at every other p each image is
+    formed in one buffer (_image_norms).  At d >= 3 each function's
+    spectrum is the product of its factors' spectra, times m, inverted one
+    function at a time.  ||f||_p comes from the factors (battery_norms).
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
@@ -515,25 +506,25 @@ def lp_norm_probe(plan: TransformPlan, m: Symbol, p, seed=DEFAULT_SEED):
     )
     mvals = _symbol_values(plan.dual_grid, m)
     grid = plan.grid
+    spec = plan.forward_factors([F.T for F in factors])
     if grid.d == 1:
-        spec, = plan.forward_factors([factors[0].T])
-        tmf, = plan.inverse_factors([mvals[:, None] * spec])
+        tmf, = plan.inverse_factors([mvals[:, None] * spec[0]])
         tmf_norms = (norm(GridFunction(grid, v), p) for v in tmf.T)
     elif grid.d == 2:
-        rank, pairs = _factored_pairs(plan, mvals, factors)
+        rank, pairs = _factored_pairs(plan, mvals, spec)
         rep.parameters["symbol_rank"] = rank
         tmf_norms = (_gram_norms(grid, pairs) if p == 2.0
                      else _image_norms(grid, pairs, p))
     else:
-        tmf_norms = (norm(apply_multiplier(plan, mvals, f), p)
-                     for f in battery_functions(grid, factors))
+        tmf_norms = (norm(GridFunction(grid, plan.inverse(
+            mvals * product_values([S[:, i] for S in spec]))), p)
+            for i in range(BATTERY_SIZE))
     fnorms = battery_norms(grid, factors, p).tolist()
-    worst = 0.0
-    for i, (tmf_norm, fnorm) in enumerate(zip(tmf_norms, fnorms)):
-        ratio = tmf_norm / fnorm
-        worst = max(worst, ratio)
-        if i < 8:
-            rep.add(f"ratio@f{i}", ratio)
+    ratios = [tmf_norm / fnorm for tmf_norm, fnorm in zip(tmf_norms, fnorms)]
+    for i, ratio in enumerate(ratios[:8]):
+        rep.add(f"ratio@f{i}", ratio)
+    # np.max, not a running max: max(0.0, nan) is 0.0
+    worst = float(np.max(ratios))
     rep.fitted_constants["max_ratio"] = worst
     ok = np.isfinite(worst)
     if p == 2.0:
@@ -570,10 +561,11 @@ def weak11_probe(plan: TransformPlan, m: Symbol):
     images = np.abs(plan.inverse(mvals[..., None] * plan.forward(spikes)))
 
     def quantity(g):
-        return max(lam * float(np.sum(wts[g > lam])) for lam in
-                   np.geomspace(1e-3, 0.9, WEAK11_LEVELS) * float(g.max()))
+        return float(np.max([lam * float(np.sum(wts[g > lam])) for lam in
+                             np.geomspace(1e-3, 0.9, WEAK11_LEVELS)
+                             * float(g.max())]))
 
-    ok, worst = True, 0.0
+    ok, qs = True, []
     for i, c in enumerate(WEAK11_CENTERS):
         q0 = quantity(images[..., 2 * i])
         q1 = quantity(images[..., 2 * i + 1])
@@ -582,7 +574,8 @@ def weak11_probe(plan: TransformPlan, m: Symbol):
         # the zero multiplier keeps both at 0; only q0 at 0 is unbounded
         ratio = q1 / q0 if q0 else (np.inf if q1 else 1.0)
         ok = ok and (1.0 / band_factor) <= ratio <= band_factor
-        worst = max(worst, q0, q1)
+        qs += [q0, q1]
+    worst = float(np.max(qs))
     rep.fitted_constants["max_quantity"] = worst
     rep.verdict = PASS if (ok and np.isfinite(worst)) else FAIL
     return rep
@@ -753,17 +746,17 @@ def h1_atom_check(alpha: MultiIndex, m: Symbol):
                 rep.add(f"far_j@r={r:.3g},j={j}", val)
             perj_profiles[r] = list(profile.values())
     radii = sorted(by_radius)
-    maxima = [max(by_radius[r]) for r in radii]
+    maxima = [float(np.max(by_radius[r])) for r in radii]
     ok, stats = bounded_no_trend(radii, maxima, SLOPE_TOL, RATIO_TOL)
     rep.fitted_constants["C_atom"] = float(np.max(maxima))
     rep.fitted_constants["band_ratio"] = stats["ratio"]
     rep.fitted_constants["trend_slope"] = stats["slope"]
     structure_ok = True
     for r, prof in perj_profiles.items():
-        peak = max(prof)
-        ends = max(prof[0], prof[-1])
+        peak = float(np.max(prof))
+        ends = float(np.max([prof[0], prof[-1]]))
         rep.fitted_constants[f"far_j_end_over_peak@r={r:.3g}"] = \
-            ends / peak if peak > 0 else 0.0
+            ends / peak if peak else 0.0
         structure_ok = structure_ok and (peak == 0.0
                                          or ends <= 0.5 * peak)
     rep.verdict = PASS if (ok and structure_ok) else FAIL
@@ -792,7 +785,7 @@ def compare_resolutions(rep_base: EstimateReport, rep_fine: EstimateReport):
     )
     tols = {"trend_slope": rep_base.parameters.get("slope_tol"),
             "band_ratio": rep_base.parameters.get("ratio_tol")}
-    worst = 0.0
+    drifts = []
     for key in sorted(set(rep_base.fitted_constants)
                       & set(rep_fine.fitted_constants)):
         a, b = rep_base.fitted_constants[key], rep_fine.fitted_constants[key]
@@ -800,7 +793,8 @@ def compare_resolutions(rep_base: EstimateReport, rep_fine: EstimateReport):
             continue
         drift = abs(b - a) / (tols.get(key) or max(abs(a), abs(b), DRIFT_FLOOR))
         merged.add(f"drift@{key}", drift)
-        worst = max(worst, drift)
+        drifts.append(drift)
+    worst = float(np.max(drifts, initial=0.0))
     merged.fitted_constants["max_drift"] = worst
     if rep_base.verdict == rep_fine.verdict and worst <= 0.10:
         merged.verdict = rep_base.verdict

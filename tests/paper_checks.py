@@ -17,6 +17,8 @@ calls them:
   association_check               T_m f against its assembled kernel
   weighted_transform_bound_check  the weighted transform bound of
                                   Lemmas 2.1 and 2.2
+  battery_functions               the L^p probe's battery as value
+                                  tensors, the dense route's input
 
 Reports are the package's EstimateReport, judged as the suites judge
 theirs.  scipy serves dilate's cubic resampling.
@@ -28,7 +30,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from hankellab.dyadic import make_partition
-from hankellab.grid import Grid, GridFunction, WeightSpec, integrate, norm
+from hankellab.grid import (Grid, GridFunction, WeightSpec, integrate, norm,
+                            product_values)
 from hankellab.heat import (HeatKernelEval, TimeGrid, heat_apply,
                             heat_kernel)
 from hankellab.multiplier import (_symbol_values, apply_multiplier,
@@ -366,3 +369,13 @@ def weighted_transform_bound_check(alpha, lemma):
     rep.fitted_constants["band"] = worst / base
     rep.verdict = PASS if worst <= band_factor * base else FAIL
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the L^p probe's battery
+
+def battery_functions(grid, factors):
+    """The functions of verify.make_battery's factors on grid, one at a
+    time: each the outer product of its axis factors."""
+    for fs in zip(*factors):
+        yield GridFunction(grid, product_values(fs))

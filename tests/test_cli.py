@@ -22,14 +22,17 @@ from hankellab import cli, heat, sobolev, transform
 from hankellab.cli import (CONFIG_KEYS, RunConfig, _SUITE_FNS, _SUITE_READS,
                            _make_parser, _parse_config_file, build_config,
                            main)
-from hankellab.grid import (MIN_PPW, Grid, GridFunction, axis_size,
-                            first_node, norm, points_per_wavelength)
+from hankellab.grid import (MIN_PPW, Grid, GridFunction, axis_rule,
+                            axis_size, norm, points_per_wavelength)
 from hankellab.heat import HeatKernelEval, heat_apply
+from hankellab.multiplier import _symbol_values, apply_multiplier
 from hankellab.sobolev import SpectralTailWarning
 from hankellab.specfun import MultiIndex
 from hankellab.symbols import parse_symbol
 from hankellab.transform import TransformPlan, hankel_transform, inverse_hankel
-from hankellab.verify import h1_atom_check
+from hankellab.verify import h1_atom_check, make_battery
+
+from paper_checks import battery_functions
 
 
 def run_cli(args):
@@ -308,7 +311,7 @@ class TestConfigHandling:
     def test_heat_gate_is_where_the_compared_rows_hold_a_node(self, tmp_path):
         # at n = 64 the axis's smallest node lies between 1e-4 and 1e-3, so
         # the rows x < R - 12 hold it at R = 12.001 but not at R = 12.0001
-        assert 1e-4 < first_node(0.5, 12.001, 64) < 1e-3
+        assert 1e-4 < axis_rule(0.5, 12.001, 64)[0][0] < 1e-3
         assert run_cli(["heat-selftest", "--R", "12.001", "--n", "64",
                         "--output", str(tmp_path)]) == 0
 
@@ -555,6 +558,24 @@ class TestArtifacts:
 
 
 class TestExitStatuses:
+    def test_a_nan_norm_fails_transform_selftest(self, tmp_path,
+                                                 monkeypatch):
+        # one Plancherel deviation reads NaN; a running max(0.0, nan)
+        # would keep 0.0 and the suite PASS
+        calls = []
+
+        def nan_once(f, *args):
+            calls.append(f)
+            return np.nan if len(calls) == 1 else norm(f, *args)
+
+        monkeypatch.setattr(cli, "norm", nan_once)
+        assert run_cli(["transform-selftest", "--n", "512",
+                        "--output", str(tmp_path)]) == 1
+        rep, = json.loads((tmp_path / "report-transform-selftest.json")
+                          .read_text())["reports"]
+        assert math.isnan(rep["fitted_constants"]["max_plancherel_deviation"])
+        assert rep["verdict"] == "fail"
+
     def test_memory_refusal(self, tmp_path, capsys):
         code = run_cli(["transform-selftest", "--n", "99999999",
                         "--output", str(tmp_path)])
@@ -821,8 +842,18 @@ def _dense_heat_selftest(cfg, plan):
     return out
 
 
+def _dense_lp_probe(cfg, plan):
+    """lp-probe's ratios by the dense route: each battery function formed
+    on the whole grid, and T_m applied to it as one value tensor."""
+    mvals = _symbol_values(plan.dual_grid, parse_symbol(cfg.symbol, cfg.dims))
+    functions = battery_functions(plan.grid, make_battery(plan, cfg.seed))
+    return [(f"ratio@f{i}", norm(apply_multiplier(plan, mvals, f), cfg.p)
+             / norm(f, cfg.p)) for i, f in zip(range(8), functions)]
+
+
 class TestSelfTestRoutes:
-    """The self-tests transform their product inputs axis by axis."""
+    """The self-tests and the L^p probe transform their product inputs axis
+    by axis."""
 
     @staticmethod
     def _small_grids(monkeypatch, keep):
@@ -853,7 +884,8 @@ class TestSelfTestRoutes:
 
     @pytest.mark.parametrize("suite,dense", [
         ("transform-selftest", _dense_transform_selftest),
-        ("heat-selftest", _dense_heat_selftest)])
+        ("heat-selftest", _dense_heat_selftest),
+        ("lp-probe", _dense_lp_probe)])
     @pytest.mark.parametrize("dims,keep", [(1, None), (2, None), (3, 32)],
                              ids=["d1", "d2", "d3"])
     def test_measurements_match_the_dense_route(self, suite, dense, dims,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hankellab.grid import (GRADED_PANELS, MAX_WEIGHT_RATE, POINTS_PER_PANEL,
                             AxisGrid, Grid, GridFunction, WeightSpec,
                             _gaussian_moment, _jacgauss, axis_size,
-                            ball_measure, check_weight_resolved, first_node,
+                            axis_rule, ball_measure, check_weight_resolved,
                             integrate, norm, uniform_panels)
 from hankellab.specfun import MultiIndex
 
@@ -98,8 +98,11 @@ class TestAxisGrid:
 
 @pytest.mark.parametrize("alpha_k,R,n", [(0.5, 12.001, 64), (-0.3, 24.0, 1024),
                                          (1.3, 1e-3, 300), (20.0, 7.0, 16)])
-def test_first_node_is_the_built_axis_first_node(alpha_k, R, n):
-    assert first_node(alpha_k, R, n) == AxisGrid.build(alpha_k, R, n).nodes[0]
+def test_axis_rule_is_the_built_axis(alpha_k, R, n):
+    nodes, weights = axis_rule(alpha_k, R, n)
+    ax = AxisGrid.build(alpha_k, R, n)
+    assert np.array_equal(nodes, ax.nodes)
+    assert np.array_equal(weights, ax.quad_weights)
 
 
 @pytest.mark.parametrize("n", [16, 64, 160, 161, 1024, 3000])

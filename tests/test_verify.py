@@ -20,14 +20,14 @@ from hankellab.verify import (Atom, BATTERY_SIZE, CZ_J_MARGIN, N_DUAL, N_MAX,
                               N_MIN, SYMBOL_RANK_RTOL, WEAK11_CENTERS,
                               WEAK11_LEVELS, _adapted_n, _cz_band, _cz_dual,
                               _cz_piece, _h1_orbits,
-                              adapted_plan, battery_functions, battery_norms,
+                              adapted_plan, battery_norms,
                               check_atom, compare_resolutions,
                               cz_hormander_check, default_atom_family,
                               default_cz_pairs, lp_norm_probe, make_atom,
                               make_battery, weak11_probe)
 
 from conftest import gaussian_bump
-from paper_checks import association_check
+from paper_checks import association_check, battery_functions
 
 
 class TestAtoms:
@@ -744,7 +744,7 @@ class TestProbes:
         calls = []
 
         def counted(f, p=2.0, weight=None):
-            calls.append(p)
+            calls.append(f.grid.d)
             return norm(f, p, weight)
 
         monkeypatch.setattr(verify, "norm", counted)
@@ -752,7 +752,9 @@ class TestProbes:
         for p, want in ((2.0, 0), (3.0, BATTERY_SIZE)):
             calls.clear()
             assert lp_norm_probe(plan_2d_small, m, p).verdict == PASS
-            assert len(calls) == want
+            # ||f||_p is the product of its factors' one-axis norms
+            assert calls.count(1) == 2 * BATTERY_SIZE
+            assert calls.count(2) == want
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_zero_symbol_reads_zero_at_d_2(self, plan_2d_small, p):
@@ -777,13 +779,45 @@ class TestProbes:
         plan = TransformPlan.build(Grid.build(MultiIndex(alpha), R=24.0,
                                               n=512))
         m = laplace_type_symbol(2, "imag_power", gamma=1.0)
-        factors = make_battery(plan)
+        spec = plan.forward_factors([F.T for F in make_battery(plan)])
         mv = _symbol_values(plan.dual_grid, m)
-        for pair in verify._factored_pairs(plan, mv, factors)[1]:
+        for pair in verify._factored_pairs(plan, mv, spec)[1]:
             gram, = verify._gram_norms(plan.grid, [pair])
             image, = verify._image_norms(plan.grid, [pair], 2.0)
             assert 0.0 < image < np.inf
             assert gram == pytest.approx(image, rel=1e-12, abs=0.0)
+
+    def test_d3_probe_forms_no_function(self, monkeypatch):
+        # the battery's spectrum comes from its factors: no dense forward
+        # of a formed f, which apply_multiplier would take per function
+        calls = []
+        forward = TransformPlan.forward
+
+        def counted(plan, values):
+            calls.append(np.shape(values))
+            return forward(plan, values)
+
+        monkeypatch.setattr(TransformPlan, "forward", counted)
+        plan = TransformPlan.build(self._small_grid((0.5, 1.3, 0.0)))
+        m = laplace_type_symbol(3, "imag_power", gamma=1.0)
+        assert lp_norm_probe(plan, m, 2.0).verdict == PASS
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_a_nan_norm_fails_the_probe(self, plan_half, p, monkeypatch):
+        # one battery function's norm reads NaN; a running max(0.0, nan)
+        # would keep 0.0 and the probe PASS
+        calls = []
+
+        def nan_once(f, *args):
+            calls.append(f)
+            return np.nan if len(calls) == 3 else norm(f, *args)
+
+        monkeypatch.setattr(verify, "norm", nan_once)
+        m = laplace_type_symbol(1, "imag_power", gamma=1.0)
+        rep = lp_norm_probe(plan_half, m, p)
+        assert np.isnan(rep.fitted_constants["max_ratio"])
+        assert rep.verdict == FAIL
 
     def test_lp_probe_respects_plancherel_budget(self, plan_half):
         m = laplace_type_symbol(1, "imag_power", gamma=1.0)
@@ -961,6 +995,13 @@ class TestCompareResolutions:
         # without the report's tolerance the absolute floor absorbs it
         bare = [self._rep(1.8e-15), self._rep(-1.8e-15)]
         assert compare_resolutions(*bare).verdict == PASS
+
+    @pytest.mark.parametrize("a,b", [(1.0, np.nan), (np.nan, np.nan)])
+    def test_nan_constant_is_inconclusive(self, a, b):
+        # a running max(0.0, nan) would keep 0.0 and the verdict
+        merged = compare_resolutions(self._rep(a), self._rep(b))
+        assert np.isnan(merged.fitted_constants["max_drift"])
+        assert merged.verdict == INCONCLUSIVE
 
     def test_constant_drift_still_downgrades(self):
         # C_atom at the pre-refinement H^1 dual sizes against refined ones
